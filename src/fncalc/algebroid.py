@@ -5,7 +5,10 @@ chart's tangent bundle and is given by an anchor endomorphism K and a
 vector-valued 2-form correction L, with bracket [[X,Y]] = [X,Y]_K - L(X,Y).
 A :class:`BundleAlgebroid` is a trivialized rank-r bundle given by anchor
 functions and antisymmetric structure functions, with its own de Rham-type
-operator on fiber forms.
+operator on fiber forms. A fiber form is a :class:`~fncalc.calculus.KForm`
+over the ``rank`` generators η^0..η^{r-1} of the dual frame
+(``KForm(chart, degree, coeffs, rank)``), so it shares the wedge product of
+tangent forms.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .calculus import (
     lie_derivative,
     nijenhuis_torsion,
     rn_bracket,
+    wedge,
 )
 from .linalg import SingularMatrixError, inverse
 from .randgen import random_scalar, random_vector_field
@@ -42,7 +46,6 @@ __all__ = [
     "NotCohomologyError",
     "SingularAnchorError",
     "TangentAlgebroid",
-    "algebroid_bracket",
     "derivation_from_algebroid",
     "algebroid_from_derivation",
     "CohomologyReport",
@@ -51,7 +54,6 @@ __all__ = [
     "check_axioms",
     "invertible_algebroid",
     "verify_trivial_isomorphism",
-    "EForm",
     "BundleAlgebroid",
     "LinearConnection",
     "bundle_de_rham",
@@ -105,12 +107,6 @@ class TangentAlgebroid:
         return TangentAlgebroid(
             VectorValuedForm.identity(chart), VectorValuedForm.zero(chart, 2)
         )
-
-
-def algebroid_bracket(
-    alg: TangentAlgebroid, X: VectorField, Y: VectorField
-) -> VectorField:
-    return alg.bracket(X, Y)
 
 
 def _compose_endo_with_two_form(
@@ -318,107 +314,6 @@ def verify_trivial_isomorphism(
 # ---------------------------------------------------------------------------
 
 
-class EForm:
-    """A fiber form: sparse coefficients over increasing fiber multi-indices."""
-
-    __slots__ = ("chart", "rank", "degree", "coeffs")
-
-    def __init__(
-        self,
-        chart: Chart,
-        rank: int,
-        degree: int,
-        coeffs: Mapping[tuple[int, ...], ScalarExpr] | None = None,
-    ):
-        clean: dict[tuple[int, ...], ScalarExpr] = {}
-        for key, value in (coeffs or {}).items():
-            key = tuple(key)
-            if len(key) != degree or any(
-                key[t] >= key[t + 1] for t in range(len(key) - 1)
-            ):
-                raise AlgebroidError(f"bad fiber multi-index {key}")
-            if key and (key[0] < 0 or key[-1] >= rank):
-                raise AlgebroidError(f"fiber multi-index {key} out of range")
-            if not value.is_zero:
-                clean[key] = value
-        self.chart = chart
-        self.rank = rank
-        self.degree = degree
-        self.coeffs = clean
-
-    @staticmethod
-    def function(chart: Chart, rank: int, f: ScalarExpr) -> "EForm":
-        return EForm(chart, rank, 0, {(): f})
-
-    @staticmethod
-    def basis_covector(chart: Chart, rank: int, a: int) -> "EForm":
-        return EForm(chart, rank, 1, {(a,): chart.one})
-
-    def __add__(self, other: "EForm") -> "EForm":
-        if (self.chart, self.rank, self.degree) != (
-            other.chart,
-            other.rank,
-            other.degree,
-        ):
-            raise AlgebroidError("incompatible fiber forms")
-        out = dict(self.coeffs)
-        for key, value in other.coeffs.items():
-            out[key] = out[key] + value if key in out else value
-        return EForm(self.chart, self.rank, self.degree, out)
-
-    def __sub__(self, other: "EForm") -> "EForm":
-        return self + (-other)
-
-    def __neg__(self) -> "EForm":
-        return EForm(
-            self.chart, self.rank, self.degree, {k: -v for k, v in self.coeffs.items()}
-        )
-
-    def scaled(self, f: ScalarExpr) -> "EForm":
-        return EForm(
-            self.chart,
-            self.rank,
-            self.degree,
-            {k: f * v for k, v in self.coeffs.items()},
-        )
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, EForm)
-            and (self.chart, self.rank, self.degree) == (other.chart, other.rank, other.degree)
-            and self.coeffs == other.coeffs
-        )
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for key in sorted(self.coeffs):
-            basis = "^".join(f"s{a + 1}*" for a in key).rstrip("*") or "1"
-            parts.append(f"({self.coeffs[key]}) {basis}".strip())
-        return " + ".join(parts)
-
-
-def _ewedge(a: EForm, b: EForm) -> EForm:
-    from .calculus import _merge_sign
-
-    out: dict[tuple[int, ...], ScalarExpr] = {}
-    for ka, va in a.coeffs.items():
-        for kb, vb in b.coeffs.items():
-            key, sign = _merge_sign(ka, kb)
-            if sign == 0:
-                continue
-            term = va * vb
-            if sign < 0:
-                term = -term
-            out[key] = out[key] + term if key in out else term
-    return EForm(a.chart, a.rank, a.degree + b.degree, out)
-
-
 class BundleAlgebroid:
     """Rank-r algebroid data: anchor functions q_a^i and structure functions c_ab^c.
 
@@ -467,38 +362,35 @@ class BundleAlgebroid:
         return -entry[c] if entry else self.chart.zero
 
 
-def bundle_de_rham(balg: BundleAlgebroid, omega: EForm) -> EForm:
+def bundle_de_rham(balg: BundleAlgebroid, omega: KForm) -> KForm:
     """The degree-1 derivation generated by Df(A) = qA(f) and the bracket rule."""
     chart, rank = balg.chart, balg.rank
-    if omega.chart != chart or omega.rank != rank:
+    if omega.chart != chart or omega.generators != rank:
         raise AlgebroidError("form does not match the bundle algebroid")
-    out = EForm(chart, rank, omega.degree + 1)
+    out = KForm(chart, omega.degree + 1, generators=rank)
     d_eta = [
-        EForm(
+        KForm(
             chart,
-            rank,
             2,
             {
                 (a, b): -balg.structure_component(a, b, c)
                 for a, b in itertools.combinations(range(rank), 2)
             },
+            rank,
         )
         for c in range(rank)
     ]
     for key, value in omega.coeffs.items():
         # Leading term: (D value) ∧ η^key with Df = Σ_a q(s_a)(f) η^a.
-        df = EForm(
-            chart,
-            rank,
-            1,
-            {(a,): balg.anchor_field(a)(value) for a in range(rank)},
+        df = KForm(
+            chart, 1, {(a,): balg.anchor_field(a)(value) for a in range(rank)}, rank
         )
-        out = out + _ewedge(df, EForm(chart, rank, len(key), {key: chart.one}))
+        out = out + wedge(df, KForm(chart, len(key), {key: chart.one}, rank))
         # Internal terms: value · η^{key<t} ∧ Dη^{key_t} ∧ η^{key>t}.
         for t, c in enumerate(key):
-            left = EForm(chart, rank, t, {key[:t]: chart.one})
-            right = EForm(chart, rank, len(key) - t - 1, {key[t + 1 :]: chart.one})
-            piece = _ewedge(_ewedge(left, d_eta[c]), right)
+            left = KForm(chart, t, {key[:t]: chart.one}, rank)
+            right = KForm(chart, len(key) - t - 1, {key[t + 1 :]: chart.one}, rank)
+            piece = wedge(wedge(left, d_eta[c]), right)
             if t % 2:
                 piece = -piece
             out = out + piece.scaled(value)
@@ -509,8 +401,8 @@ def bundle_de_rham(balg: BundleAlgebroid, omega: EForm) -> EForm:
 class BundleAxiomReport:
     """Operator-route and structure-function-route residuals of D^2 = 0."""
 
-    d2_on_coordinates: tuple[tuple[str, EForm], ...]
-    d2_on_covectors: tuple[tuple[str, EForm], ...]
+    d2_on_coordinates: tuple[tuple[str, KForm], ...]
+    d2_on_covectors: tuple[tuple[str, KForm], ...]
     anchor_morphism: tuple[tuple[str, VectorField], ...]
     jacobi: tuple[tuple[str, ScalarExpr], ...]
 
@@ -528,11 +420,11 @@ def check_bundle_axioms(balg: BundleAlgebroid) -> BundleAxiomReport:
     chart, rank = balg.chart, balg.rank
     d2_fun = []
     for i, name in enumerate(chart.coord_names):
-        f = EForm.function(chart, rank, chart.coordinate(i))
+        f = KForm(chart, 0, {(): chart.coordinate(i)}, rank)
         d2_fun.append((name, bundle_de_rham(balg, bundle_de_rham(balg, f))))
     d2_cov = []
     for c in range(rank):
-        eta = EForm.basis_covector(chart, rank, c)
+        eta = KForm(chart, 1, {(c,): chart.one}, rank)
         d2_cov.append((f"eta{c + 1}", bundle_de_rham(balg, bundle_de_rham(balg, eta))))
 
     anchor = []
@@ -610,8 +502,8 @@ class LinearConnection:
 def nabla_K(
     conn: LinearConnection,
     anchor: Sequence[Sequence[ScalarExpr]],
-    alpha: EForm,
-) -> EForm:
+    alpha: KForm,
+) -> KForm:
     """(∇_K α)(A,B) for a fiber 1-form, via the wedge expansion K^j_c η^c ∧ ∇_{∂_j}.
 
     The connection acts on covectors by duality: (∇_X α)(B) = X(α(B)) - α(∇_X B).
@@ -637,7 +529,7 @@ def nabla_K(
             )
         if not value.is_zero:
             out[(a, b)] = value
-    return EForm(chart, rank, 2, out)
+    return KForm(chart, 2, out, rank)
 
 
 def delta_torsion(
@@ -660,29 +552,26 @@ def delta_torsion(
 
 def verify_connection_decomposition(
     conn: LinearConnection, balg: BundleAlgebroid
-) -> list[tuple[str, EForm]]:
+) -> list[tuple[str, KForm]]:
     """Residuals of D = ∇_q + i_{L^∇} on the generators (functions and η^c)."""
     chart, rank = balg.chart, balg.rank
     torsion = delta_torsion(conn, balg)
-    residuals: list[tuple[str, EForm]] = []
+    residuals: list[tuple[str, KForm]] = []
     for i, name in enumerate(chart.coord_names):
-        f = EForm.function(chart, rank, chart.coordinate(i))
+        f = KForm(chart, 0, {(): chart.coordinate(i)}, rank)
         lhs = bundle_de_rham(balg, f)
-        rhs = EForm(
+        rhs = KForm(
             chart,
-            rank,
             1,
             {(a,): balg.anchor_field(a)(chart.coordinate(i)) for a in range(rank)},
+            rank,
         )
         residuals.append((name, lhs - rhs))
     for c in range(rank):
-        eta = EForm.basis_covector(chart, rank, c)
+        eta = KForm(chart, 1, {(c,): chart.one}, rank)
         lhs = bundle_de_rham(balg, eta)
-        insertion_part = EForm(
-            chart,
-            rank,
-            2,
-            {key: comps[c] for key, comps in torsion.items()},
+        insertion_part = KForm(
+            chart, 2, {key: comps[c] for key, comps in torsion.items()}, rank
         )
         rhs = nabla_K(conn, balg.anchor, eta) + insertion_part
         residuals.append((f"eta{c + 1}", lhs - rhs))

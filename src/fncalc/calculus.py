@@ -1,8 +1,12 @@
 """Charts, vector fields, differential forms and the Frölicher-Nijenhuis calculus.
 
 All objects live on a single coordinate chart with exact rational-function
-coefficients (:mod:`fncalc.scalar`). Forms are stored sparsely over strictly
-increasing multi-indices. The two operator brackets are implemented by
+coefficients (:mod:`fncalc.scalar`). There is one exterior-algebra type,
+:class:`KForm`: a form stored sparsely over strictly increasing multi-indices
+of its generators, the coordinate differentials by default or the dual frame
+of a trivialized bundle (:mod:`fncalc.algebroid`). :func:`wedge` is its
+product and :func:`insertion` is the sparse contraction
+i_K ω = Σ_m K^m ∧ i_{∂_m} ω. The two operator brackets are implemented by
 operator extraction: the Richardson-Nijenhuis bracket by acting with the
 insertion commutator on coordinate differentials, the Frölicher-Nijenhuis
 bracket by acting with the Lie-derivative commutator on coordinate
@@ -14,12 +18,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .scalar import (
     CoordinateRing,
-    GaussianRational,
     ScalarExpr,
     coordinate_ring,
     parse_expr,
@@ -34,6 +36,7 @@ __all__ = [
     "KForm",
     "VectorValuedForm",
     "DerivationDeg1",
+    "det",
     "wedge",
     "exterior_d",
     "lie_bracket",
@@ -45,8 +48,6 @@ __all__ = [
     "nijenhuis_torsion",
     "contracted_bracket",
     "fn_decompose",
-    "complexify",
-    "conjugate",
 ]
 
 
@@ -181,11 +182,6 @@ class VectorField:
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.components)
 
-    def conjugated(self) -> "VectorField":
-        if not self.chart.is_complexified:
-            raise CalculusError("conjugation requires a complexified chart")
-        return VectorField(self.chart, [c.conjugate() for c in self.components])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, VectorField)
@@ -204,22 +200,29 @@ class VectorField:
 
 
 class KForm:
-    """A scalar-valued differential form, sparse over increasing multi-indices.
+    """A scalar-valued form, sparse over increasing multi-indices of its generators.
 
-    Degrees above the chart dimension are representable (necessarily zero);
-    degree-overflowing operations return such empty forms rather than raising.
+    The generators are the coordinate differentials dx^0..dx^{n-1} of the
+    chart by default (``generators`` = chart dimension). A fiber form of a
+    trivialized rank-r bundle passes ``generators=r`` and indexes the dual
+    frame η^0..η^{r-1} instead; only forms over the same generators add or
+    wedge. Degrees above the generator count are representable (necessarily
+    zero); degree-overflowing operations return such empty forms rather than
+    raising.
     """
 
-    __slots__ = ("chart", "degree", "coeffs")
+    __slots__ = ("chart", "degree", "coeffs", "generators")
 
     def __init__(
         self,
         chart: Chart,
         degree: int,
         coeffs: Mapping[tuple[int, ...], ScalarExpr] | None = None,
+        generators: int | None = None,
     ):
         if degree < 0:
             raise CalculusError("negative form degree")
+        n = chart.dim if generators is None else generators
         ring = chart.ring
         clean: dict[tuple[int, ...], ScalarExpr] = {}
         for key, value in (coeffs or {}).items():
@@ -228,13 +231,14 @@ class KForm:
                 key[t] >= key[t + 1] for t in range(len(key) - 1)
             ):
                 raise CalculusError(f"bad multi-index {key} for degree {degree}")
-            if key and (key[0] < 0 or key[-1] >= chart.dim):
+            if key and (key[0] < 0 or key[-1] >= n):
                 raise CalculusError(f"multi-index {key} out of range")
             if not value.is_zero:
                 clean[key] = value if value.ring is ring else value.in_ring(ring)
         self.chart = chart
         self.degree = degree
         self.coeffs = clean
+        self.generators = n
 
     @staticmethod
     def zero(chart: Chart, degree: int) -> "KForm":
@@ -244,27 +248,26 @@ class KForm:
     def function(chart: Chart, f: ScalarExpr) -> "KForm":
         return KForm(chart, 0, {(): f})
 
+    def _like(self, coeffs: Mapping[tuple[int, ...], ScalarExpr]) -> "KForm":
+        return KForm(self.chart, self.degree, coeffs, self.generators)
+
     def __add__(self, other: "KForm") -> "KForm":
-        _check_chart(self, other)
+        _check_generators(self, other)
         if self.degree != other.degree:
             raise CalculusError("adding forms of different degrees")
         out = dict(self.coeffs)
         for key, value in other.coeffs.items():
             out[key] = out[key] + value if key in out else value
-        return KForm(self.chart, self.degree, out)
+        return self._like(out)
 
     def __sub__(self, other: "KForm") -> "KForm":
         return self + (-other)
 
     def __neg__(self) -> "KForm":
-        return KForm(
-            self.chart, self.degree, {k: -v for k, v in self.coeffs.items()}
-        )
+        return self._like({k: -v for k, v in self.coeffs.items()})
 
     def scaled(self, f: ScalarExpr) -> "KForm":
-        return KForm(
-            self.chart, self.degree, {k: f * v for k, v in self.coeffs.items()}
-        )
+        return self._like({k: f * v for k, v in self.coeffs.items()})
 
     @property
     def is_zero(self) -> bool:
@@ -274,13 +277,19 @@ class KForm:
         return (
             isinstance(other, KForm)
             and self.chart == other.chart
+            and self.generators == other.generators
             and self.degree == other.degree
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self) -> int:
         return hash(
-            (self.chart, self.degree, tuple(sorted(self.coeffs.items(), key=lambda t: t[0])))
+            (
+                self.chart,
+                self.generators,
+                self.degree,
+                tuple(sorted(self.coeffs.items(), key=lambda t: t[0])),
+            )
         )
 
     def __call__(self, *fields: VectorField) -> ScalarExpr:
@@ -289,6 +298,7 @@ class KForm:
             raise CalculusError(
                 f"degree-{self.degree} form evaluated on {len(fields)} fields"
             )
+        _require_coordinate_form(self, "evaluation on vector fields")
         for X in fields:
             _check_chart(self, X)
         if self.degree == 0:
@@ -296,7 +306,7 @@ class KForm:
         out = self.chart.zero
         for key, value in self.coeffs.items():
             minor = [[X.components[j] for j in key] for X in fields]
-            d = _det(minor, self.chart)
+            d = det(minor, self.chart)
             if not d.is_zero:
                 out = out + value * d
         return out
@@ -304,10 +314,13 @@ class KForm:
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
-        names = self.chart.coord_names
+        if self.generators == self.chart.dim:
+            labels = [f"d{name}" for name in self.chart.coord_names]
+        else:
+            labels = [f"s{a + 1}*" for a in range(self.generators)]
         parts = []
         for key in sorted(self.coeffs):
-            basis = "^".join(f"d{names[j]}" for j in key)
+            basis = "^".join(labels[j] for j in key)
             coeff = str(self.coeffs[key])
             parts.append(f"({coeff}) {basis}".strip())
         return " + ".join(parts)
@@ -316,7 +329,21 @@ class KForm:
         return f"KForm<{self.degree}>({self})"
 
 
-def _det(matrix: list[list[ScalarExpr]], chart: Chart) -> ScalarExpr:
+def _check_generators(a: KForm, b: KForm) -> None:
+    _check_chart(a, b)
+    if a.generators != b.generators:
+        raise CalculusError(
+            f"forms over {a.generators} and {b.generators} generators"
+        )
+
+
+def _require_coordinate_form(omega: KForm, operation: str) -> None:
+    if omega.generators != omega.chart.dim:
+        raise CalculusError(f"{operation} needs a form over coordinate differentials")
+
+
+def det(matrix: Sequence[Sequence[ScalarExpr]], chart: Chart) -> ScalarExpr:
+    """Cofactor determinant; matrices here stay at desk scale (<= 6)."""
     n = len(matrix)
     if n == 0:
         return chart.one
@@ -329,7 +356,7 @@ def _det(matrix: list[list[ScalarExpr]], chart: Chart) -> ScalarExpr:
         if head.is_zero:
             continue
         minor = [row[:col] + row[col + 1 :] for row in matrix[1:]]
-        term = head * _det(minor, chart)
+        term = head * det(minor, chart)
         out = out - term if col % 2 else out + term
     return out
 
@@ -349,6 +376,7 @@ class VectorValuedForm:
         for comp in components:
             if comp.chart != chart or comp.degree != degree:
                 raise CalculusError("component forms must share chart and degree")
+            _require_coordinate_form(comp, "a vector-valued form")
         self.chart = chart
         self.degree = degree
         self.components = components
@@ -428,10 +456,6 @@ class VectorValuedForm:
         return VectorValuedForm(
             self.chart, self.degree, [c.scaled(f) for c in self.components]
         )
-
-    def scaled_by(self, q) -> "VectorValuedForm":
-        """Scale by a rational constant."""
-        return self.scaled(self.chart.const(Fraction(q)))
 
     @property
     def is_zero(self) -> bool:
@@ -531,8 +555,7 @@ def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]):
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
-    _check_chart(a, b)
-    chart = a.chart
+    _check_generators(a, b)
     out: dict[tuple[int, ...], ScalarExpr] = {}
     for ka, va in a.coeffs.items():
         for kb, vb in b.coeffs.items():
@@ -543,10 +566,11 @@ def wedge(a: KForm, b: KForm) -> KForm:
             if sign < 0:
                 term = -term
             out[key] = out[key] + term if key in out else term
-    return KForm(chart, a.degree + b.degree, out)
+    return KForm(a.chart, a.degree + b.degree, out, a.generators)
 
 
 def exterior_d(a: KForm) -> KForm:
+    _require_coordinate_form(a, "exterior_d")
     chart = a.chart
     out: dict[tuple[int, ...], ScalarExpr] = {}
     for key, value in a.coeffs.items():
@@ -575,56 +599,34 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
 # ---------------------------------------------------------------------------
 
 
-def _shuffles(indices: tuple[int, ...], first: int):
-    """Split ``indices`` into (first, rest) blocks over all shuffles with sign."""
-    n = len(indices)
-    positions = range(n)
-    for chosen in itertools.combinations(positions, first):
-        sign = 1 if sum(chosen[t] - t for t in range(first)) % 2 == 0 else -1
-        rest = [indices[p] for p in positions if p not in chosen]
-        yield sign, tuple(indices[p] for p in chosen), tuple(rest)
-
-
-def _eval_with_prefix(
-    omega: KForm, V: VectorField, basis_rest: tuple[int, ...]
-) -> ScalarExpr:
-    """omega(V, e_{j_1}, ..., e_{j_{p-1}}) expanded over the components of V."""
-    chart = omega.chart
-    out = chart.zero
-    for m, comp in enumerate(V.components):
-        if comp.is_zero:
-            continue
-        key, sign = _merge_sign((m,), basis_rest)
-        if sign == 0:
-            continue
-        coeff = omega.coeffs.get(key)
-        if coeff is None:
-            continue
-        term = comp * coeff
-        out = out - term if sign < 0 else out + term
-    return out
+def _contract_coordinate(omega: KForm, m: int) -> KForm:
+    """i_{∂_m} omega: drop m from each multi-index, with sign (-1)^(its position)."""
+    out: dict[tuple[int, ...], ScalarExpr] = {}
+    for key, value in omega.coeffs.items():
+        if m in key:
+            pos = key.index(m)
+            out[key[:pos] + key[pos + 1 :]] = -value if pos % 2 else value
+    return KForm(omega.chart, omega.degree - 1, out)
 
 
 def insertion(K: VectorValuedForm, omega: KForm) -> KForm:
-    """The signed shuffle-sum insertion i_K, a tensorial derivation."""
+    """The insertion i_K omega = Σ_m K^m ∧ i_{∂_m} omega, a tensorial derivation.
+
+    K^m is the m-th component form of K. This sparse contraction
+    (Kolář-Michor-Slovák, *Natural Operations in Differential Geometry*,
+    §8) equals the signed shuffle sum of omega(K(X_σ1..X_σg), X_σ(g+1), ...).
+    On a function (degree 0) the insertion is zero of degree max(deg K - 1, 0).
+    """
     _check_chart(K, omega)
+    _require_coordinate_form(omega, "insertion")
     chart = K.chart
-    g, p = K.degree, omega.degree
-    result_degree = max(g + p - 1, 0)
-    if p == 0 or result_degree > chart.dim:
-        return KForm.zero(chart, result_degree)
-    out: dict[tuple[int, ...], ScalarExpr] = {}
-    for key in itertools.combinations(range(chart.dim), result_degree):
-        total = chart.zero
-        for sign, head, rest in _shuffles(key, g):
-            value = K(*[chart.basis_vector(j) for j in head])
-            term = _eval_with_prefix(omega, value, rest)
-            if term.is_zero:
-                continue
-            total = total - term if sign < 0 else total + term
-        if not total.is_zero:
-            out[key] = total
-    return KForm(chart, result_degree, out)
+    out = KForm.zero(chart, max(K.degree + omega.degree - 1, 0))
+    if omega.degree == 0:
+        return out
+    for m, component in enumerate(K.components):
+        if not component.is_zero:
+            out = out + wedge(component, _contract_coordinate(omega, m))
+    return out
 
 
 def lie_derivative(K: VectorValuedForm, omega: KForm) -> KForm:
@@ -780,14 +782,6 @@ def fn_decompose(
 # ---------------------------------------------------------------------------
 # Complexification
 # ---------------------------------------------------------------------------
-
-
-def complexify(chart: Chart) -> Chart:
-    return chart.complexify()
-
-
-def conjugate(Z: VectorField) -> VectorField:
-    return Z.conjugated()
 
 
 def complexify_vvf(K: VectorValuedForm) -> VectorValuedForm:

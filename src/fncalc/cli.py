@@ -74,6 +74,10 @@ CHECK_KINDS = (
 )
 
 
+#: Check-descriptor keys that name a manifest object, in label order.
+_OBJECT_KEYS = ("endo", "algebroid", "bundle_algebroid", "spray")
+
+
 class ManifestError(Exception):
     """Invalid manifest contents: bad syntax, shapes or unresolved names."""
 
@@ -298,7 +302,7 @@ def load_manifest(
     is_complex = bool(chart_spec.get("complex", False))
     try:
         chart = Chart(tuple(coords), is_complex)
-    except ScalarError as exc:
+    except (ScalarError, ValueError) as exc:  # duplicate, reserved or malformed names
         raise ManifestError(f"{path}: {exc}") from exc
 
     def _int_field(name: str, default: int, override: int | None) -> int:
@@ -312,17 +316,23 @@ def load_manifest(
     probe_degree = _int_field("probe_degree", 2, probe_degree)
     points = _int_field("points", 5, None)
 
+    def _section(name: str) -> dict[str, Any]:
+        value = doc.get(name) or {}
+        _expect(isinstance(value, dict), f"{path}: {name} must be an object")
+        return value
+
     endos = {}
-    for name, rows in (doc.get("endomorphisms") or {}).items():
+    for name, rows in _section("endomorphisms").items():
         endos[name] = _parse_matrix(chart, rows, f"endomorphisms.{name}")
     forms = {}
-    for name, spec in (doc.get("forms") or {}).items():
+    for name, spec in _section("forms").items():
         forms[name] = _parse_form(chart, spec, f"forms.{name}")
     algebroids = {}
-    for name, spec in (doc.get("algebroids") or {}).items():
+    for name, spec in _section("algebroids").items():
         where = f"algebroids.{name}"
         _expect(isinstance(spec, dict), f"{where}: expected an object")
         anchor_name = spec.get("anchor")
+        _expect(isinstance(anchor_name, str), f"{where}: anchor must be a name")
         _expect(anchor_name in endos, f"{where}: unknown anchor {anchor_name!r}")
         anchor = endos[anchor_name]
         correction_spec = spec.get("correction", "auto:zero")
@@ -330,16 +340,17 @@ def load_manifest(
         correction = _resolve_correction(chart, anchor, correction_spec, forms, where)
         algebroids[name] = TangentAlgebroid(anchor, correction)
     bundles = {}
-    for name, spec in (doc.get("bundle_algebroids") or {}).items():
+    for name, spec in _section("bundle_algebroids").items():
         bundles[name] = _parse_bundle(chart, spec, f"bundle_algebroids.{name}")
     sprays = {}
-    if doc.get("sprays"):
+    spray_specs = _section("sprays")
+    if spray_specs:
         _expect(
             chart.dim % 2 == 0,
             f"{path}: sprays need an even-dimensional tangent chart",
         )
         n = chart.dim // 2
-        for name, coeffs in doc["sprays"].items():
+        for name, coeffs in spray_specs.items():
             where = f"sprays.{name}"
             _expect(
                 isinstance(coeffs, list) and len(coeffs) == n,
@@ -360,6 +371,11 @@ def load_manifest(
         _expect(isinstance(descriptor, dict), f"{path}: checks[{k}] must be an object")
         kind = descriptor.get("kind")
         _expect(kind in CHECK_KINDS, f"{path}: checks[{k}] has unknown kind {kind!r}")
+        for key in ("name", *_OBJECT_KEYS):
+            _expect(
+                isinstance(descriptor.get(key, ""), str),
+                f"{path}: checks[{k}].{key} must be a string",
+            )
 
     return Manifest(
         path=path,
@@ -429,7 +445,7 @@ def _records_labelled_vectors(
     return out
 
 
-def _records_eform(slot: str, label: str, form) -> list[dict[str, str]]:
+def _records_fiber_form(slot: str, label: str, form: KForm) -> list[dict[str, str]]:
     if form.is_zero:
         return [{"basis": label, "slot": slot, "value": "0"}]
     out = []
@@ -579,9 +595,9 @@ def _check_bundle(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
     report = check_bundle_axioms(manifest.bundle_algebroids[name])
     records = []
     for label, residual in report.d2_on_coordinates:
-        records.extend(_records_eform("d2_on_coordinates", label, residual))
+        records.extend(_records_fiber_form("d2_on_coordinates", label, residual))
     for label, residual in report.d2_on_covectors:
-        records.extend(_records_eform("d2_on_covectors", label, residual))
+        records.extend(_records_fiber_form("d2_on_covectors", label, residual))
     records += _records_labelled_vectors("anchor", report.anchor_morphism)
     for label, residual in report.jacobi:
         records.extend(_records_scalar("jacobi", label, residual))
@@ -625,7 +641,7 @@ _DISPATCH: dict[str, Callable[[Manifest, dict[str, Any]], tuple[list, dict]]] = 
 
 def _construction_label(descriptor: dict[str, Any]) -> str:
     kind = descriptor["kind"]
-    for key in ("endo", "algebroid", "bundle_algebroid", "spray"):
+    for key in _OBJECT_KEYS:
         if key in descriptor:
             return f"{kind}:{descriptor[key]}"
     return kind

@@ -1,14 +1,15 @@
 """Small exact linear algebra over the rational-function field.
 
-Cofactor-based determinants and inverses are adequate here: chart
-dimensions stay at desk scale (<= 6).
+Cofactor-based inverses are adequate here: chart dimensions stay at desk
+scale (<= 6). The determinant is :func:`fncalc.calculus.det`, which form
+evaluation also uses; it is re-exported here.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .calculus import CalculusError, Chart
+from .calculus import CalculusError, Chart, det
 from .scalar import ScalarExpr
 
 __all__ = ["det", "inverse", "column_space_basis", "SingularMatrixError"]
@@ -16,25 +17,6 @@ __all__ = ["det", "inverse", "column_space_basis", "SingularMatrixError"]
 
 class SingularMatrixError(CalculusError):
     pass
-
-
-def det(matrix: Sequence[Sequence[ScalarExpr]], chart: Chart) -> ScalarExpr:
-    n = len(matrix)
-    if n == 0:
-        return chart.one
-    if n == 1:
-        return matrix[0][0]
-    out = chart.zero
-    for col in range(n):
-        head = matrix[0][col]
-        if head.is_zero:
-            continue
-        minor = [
-            [row[c] for c in range(n) if c != col] for row in matrix[1:]
-        ]
-        term = head * det(minor, chart)
-        out = out - term if col % 2 else out + term
-    return out
 
 
 def inverse(

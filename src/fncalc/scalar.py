@@ -487,8 +487,10 @@ def _poly_str(poly, ring: CoordinateRing) -> str:
 #
 # expr   := term (('+'|'-') term)*
 # term   := factor (('*'|'/') factor)*
-# factor := '-'? base ('^' uint)?
+# factor := '-' factor | base ('^' uint)?
 # base   := int | 'i' | var | '(' expr ')'
+#
+# Parentheses and unary minus nest at most MAX_NESTING deep.
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -514,11 +516,28 @@ def _tokenize(text: str):
     return tokens
 
 
+#: Deepest nesting of parentheses and unary minus signs that parses; deeper
+#: input raises ExprSyntaxError instead of exhausting the interpreter stack.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens, ring: CoordinateRing):
         self.tokens = tokens
         self.idx = 0
         self.ring = ring
+        self.depth = 0
+
+    def nested(self, parse, pos: int) -> ScalarExpr:
+        """Run ``parse`` one nesting level deeper."""
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {MAX_NESTING} levels", pos
+            )
+        self.depth += 1
+        result = parse()
+        self.depth -= 1
+        return result
 
     def peek(self):
         return self.tokens[self.idx]
@@ -574,7 +593,7 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return -self.factor()
+            return -self.nested(self.factor, pos)
         base = self.base()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
@@ -603,7 +622,7 @@ class _Parser:
                 )
             return ScalarExpr.variable(self.ring, value)
         if kind == "op" and value == "(":
-            inner = self.expr()
+            inner = self.nested(self.expr, pos)
             self.expect_op(")")
             return inner
         raise ExprSyntaxError(f"unexpected token {value!r}", pos)

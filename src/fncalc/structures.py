@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebroid import AlgebroidError, TangentAlgebroid
+from .algebroid import TangentAlgebroid, _compose_endo_with_two_form
 from .calculus import (
     CalculusError,
     Chart,
@@ -149,15 +149,7 @@ def idempotent_algebroid(N: VectorValuedForm) -> TangentAlgebroid:
     chart = N.chart
     torsion = nijenhuis_torsion(N)
     # N T_N = T_N is forced by the involutivity of the image.
-    composed = VectorValuedForm(
-        chart,
-        2,
-        [
-            _linear_combination(chart, N.matrix()[j], torsion.components)
-            for j in range(chart.dim)
-        ],
-    )
-    if composed != torsion:
+    if _compose_endo_with_two_form(N, torsion) != torsion:
         raise StructureError("internal: N T_N = T_N failed for an accepted N")
     alg = TangentAlgebroid(N, -torsion)
     basis = chart.basis_vectors()
@@ -169,16 +161,6 @@ def idempotent_algebroid(N: VectorValuedForm) -> TangentAlgebroid:
                 "internal: closed-form bracket disagrees with [X,Y]_N + T_N"
             )
     return alg
-
-
-def _linear_combination(
-    chart: Chart, weights: Sequence[ScalarExpr], forms: Sequence[KForm]
-) -> KForm:
-    out = KForm.zero(chart, forms[0].degree)
-    for w, f in zip(weights, forms):
-        if not w.is_zero:
-            out = out + f.scaled(w)
-    return out
 
 
 def idempotent_tensorial_operator(N: VectorValuedForm) -> DerivationDeg1:
@@ -207,10 +189,6 @@ def complement_operator(N: VectorValuedForm) -> DerivationDeg1:
 # ---------------------------------------------------------------------------
 # Complex and product structures
 # ---------------------------------------------------------------------------
-
-
-def _imaginary_scaled(K: VectorValuedForm, factor: ScalarExpr) -> VectorValuedForm:
-    return K.scaled(factor)
 
 
 def complex_projectors(
@@ -289,19 +267,6 @@ def complex_algebroid(
         if not p_minus.apply(br).is_zero:
             raise StructureError("internal: holomorphic fields fail to close")
     return alg
-
-
-def complex_bracket_form(
-    J: VectorValuedForm, alg: TangentAlgebroid, X: VectorField, Y: VectorField
-) -> VectorField:
-    """The closed form ([Z,W] - i [Z,W]_J)/2 on the complexified chart."""
-    cchart = alg.chart
-    Jc = complexify_vvf(J)
-    half = cchart.const(Fraction(1, 2))
-    i_unit = cchart.scalar("i")
-    plain = lie_bracket(X, Y)
-    contracted = contracted_bracket(Jc, X, Y)
-    return (plain - contracted.scaled(i_unit)).scaled(half)
 
 
 def product_algebroid(

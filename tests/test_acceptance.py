@@ -58,6 +58,8 @@ from fncalc.structures import (
 )
 
 MANIFESTS = pathlib.Path(__file__).resolve().parent.parent / "manifests"
+#: Reports of the fixture manifests at seed 0, "manifest" path made relative.
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 FIXTURE_MANIFESTS = [
     "f1_complex.json",
     "f2_idempotent.json",
@@ -285,8 +287,9 @@ def test_criterion_09_bundle_algebroid():
 
 
 def test_criterion_10_deterministic_json_reports():
+    """Two suite runs agree byte for byte, and the first matches tests/golden/."""
     outputs = []
-    for _ in range(2):
+    for run in range(2):
         combined = []
         for name in FIXTURE_MANIFESTS:
             proc = subprocess.run(
@@ -306,6 +309,12 @@ def test_criterion_10_deterministic_json_reports():
             assert proc.returncode in (0, 1, 2)
             json.loads(proc.stdout)  # must be valid JSON
             combined.append(proc.stdout)
+            if run == 0:
+                relative = proc.stdout.replace(
+                    json.dumps(str(MANIFESTS / name)).encode(),
+                    json.dumps(f"manifests/{name}").encode(),
+                )
+                assert relative == (GOLDEN / name).read_bytes(), f"{name} differs from golden"
         outputs.append(b"".join(combined))
     assert outputs[0] == outputs[1]
-    report(10, "two full fixture-suite runs produced byte-identical JSON reports")
+    report(10, "two full fixture-suite runs produced byte-identical JSON reports, equal to the golden ones")

@@ -1,11 +1,13 @@
 """Exterior calculus layer: d, wedge, insertion, Lie derivative, brackets."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from fncalc.calculus import (
+    CalculusError,
     Chart,
     KForm,
     VectorField,
@@ -66,6 +68,24 @@ def test_leibniz_for_d():
     )
 
 
+def test_fiber_forms_keep_their_generator_count():
+    """A form over 3 fiber generators neither mixes with nor equals a chart form."""
+    ch = chart_r2()
+    eta = KForm(ch, 1, {(2,): ch.one}, generators=3)
+    with pytest.raises(CalculusError):
+        KForm(ch, 1, {(2,): ch.one})
+    dx = KForm(ch, 1, {(0,): ch.one})
+    eta0 = KForm(ch, 1, {(0,): ch.one}, generators=3)
+    assert dx != eta0
+    for combine in (KForm.__add__, wedge):
+        with pytest.raises(CalculusError):
+            combine(dx, eta0)
+    assert wedge(eta0, eta) == KForm(ch, 2, {(0, 2): ch.one}, generators=3)
+    for chart_only in (exterior_d, lambda w: insertion(VectorValuedForm.identity(ch), w)):
+        with pytest.raises(CalculusError):
+            chart_only(eta0)
+
+
 def test_insertion_identity_counts_degree():
     ch = chart_r3()
     rng = random.Random(4)
@@ -73,6 +93,45 @@ def test_insertion_identity_counts_degree():
     for p in range(1, ch.dim + 1):
         omega = random_kform(ch, p, rng)
         assert insertion(identity, omega) == omega.scaled(ch.const(p))
+
+
+def _shuffle_sum_insertion(K: VectorValuedForm, omega: KForm) -> KForm:
+    """The defining formula of i_K omega, through form evaluation on basis fields.
+
+    (i_K omega)(e_k1, ..., e_kn) is the sum over (g, p-1)-shuffles σ of
+    sign(σ) omega(K(e_σ1, ..., e_σg), e_σ(g+1), ...), with g = deg K.
+    """
+    chart = K.chart
+    g, degree = K.degree, K.degree + omega.degree - 1
+    basis = chart.basis_vectors()
+    coeffs = {}
+    for key in itertools.combinations(range(chart.dim), degree):
+        fields = [basis[j] for j in key]
+        total = chart.zero
+        for head in itertools.combinations(range(degree), g):
+            rest = [fields[t] for t in range(degree) if t not in head]
+            term = omega(K(*[fields[t] for t in head]), *rest)
+            odd = sum(h - t for t, h in enumerate(head)) % 2
+            total = total - term if odd else total + term
+        coeffs[key] = total
+    return KForm(chart, degree, coeffs)
+
+
+@pytest.mark.parametrize("complexified", [False, True], ids=["real", "complex"])
+def test_insertion_matches_shuffle_sum(complexified):
+    """Sparse i_K omega equals the shuffle sum for random K, omega at every (g, p)."""
+    rng = random.Random(12)
+    for dim in range(1, 5):
+        chart = Chart(("x", "y", "z", "w")[:dim], complexified)
+        for g in range(dim + 1):
+            K = random_vvf(chart, g, rng, degree=1)
+            for p in range(dim + 1):
+                omega = random_kform(chart, p, rng, degree=1)
+                if p == 0:
+                    expected = KForm.zero(chart, max(g - 1, 0))
+                else:
+                    expected = _shuffle_sum_insertion(K, omega)
+                assert insertion(K, omega) == expected, (dim, g, p)
 
 
 def test_lie_derivative_identity_is_d():

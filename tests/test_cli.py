@@ -192,6 +192,55 @@ class TestEmitAndExitCodes:
         assert json.loads(capsys.readouterr().out)["seed"] == 11
 
 
+class TestHostileManifests:
+    """Malformed manifests exit 2 with a one-line error, never 1 with a traceback."""
+
+    @staticmethod
+    def assert_manifest_error(tmp_path, capsys, doc):
+        code = main(["verify", write_manifest(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "coords", [["x", "x"], ["x", "i"], ["x", "1y"]], ids=["duplicate", "reserved", "malformed"]
+    )
+    def test_bad_coordinate_names(self, tmp_path, capsys, coords):
+        doc = {"chart": {"coords": coords}, "checks": []}
+        self.assert_manifest_error(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            {"kind": "torsion", "endo": ["N"]},
+            {"kind": "axioms", "algebroid": {"name": "A"}},
+            {"kind": "bundle", "bundle_algebroid": 3},
+            {"kind": "tangent", "spray": None},
+            {"kind": "torsion", "endo": "N", "name": ["t"]},
+        ],
+        ids=["endo", "algebroid", "bundle_algebroid", "spray", "name"],
+    )
+    def test_non_string_name_in_check(self, tmp_path, capsys, descriptor):
+        self.assert_manifest_error(tmp_path, capsys, n_manifest(checks=[descriptor]))
+
+    def test_non_string_algebroid_anchor(self, tmp_path, capsys):
+        doc = n_manifest(algebroids={"A": {"anchor": ["N"]}})
+        self.assert_manifest_error(tmp_path, capsys, doc)
+
+    def test_section_that_is_not_an_object(self, tmp_path, capsys):
+        self.assert_manifest_error(tmp_path, capsys, n_manifest(forms=["N"]))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x"],
+        ids=["parentheses", "unary-minus"],
+    )
+    def test_deeply_nested_expression(self, tmp_path, capsys, text):
+        doc = n_manifest(endomorphisms={"N": [[text, "0", "0", "0"], *N_ROWS[1:]]})
+        self.assert_manifest_error(tmp_path, capsys, doc)
+
+
 class TestSubcommands:
     def test_torsion_command(self, tmp_path, capsys):
         doc = n_manifest()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fncalc.scalar import (
+    MAX_NESTING,
     ChartPoint,
     DivisionByZeroError,
     ExprSyntaxError,
@@ -115,6 +116,20 @@ class TestParser:
     def test_power_and_unary_minus(self):
         assert expr("-x^2") == expr("0 - x*x")
         assert expr("(-x)^2") == expr("x^2")
+
+    @pytest.mark.parametrize(
+        "opening, closing", [("(", ")"), ("-", "")], ids=["parentheses", "unary-minus"]
+    )
+    def test_nesting_limit(self, opening, closing):
+        def nest(depth: int) -> str:
+            return opening * depth + "x" + closing * depth
+
+        assert expr(nest(MAX_NESTING)) == expr(nest(MAX_NESTING % 2))
+        with pytest.raises(ExprSyntaxError, match="nested deeper"):
+            expr(nest(MAX_NESTING + 1))
+        # far past the limit: a syntax error, not a RecursionError
+        with pytest.raises(ExprSyntaxError, match="nested deeper"):
+            expr(nest(3000))
 
 
 class TestEvaluation:
