@@ -67,8 +67,8 @@ class DecompositionError(CalculusError):
 class Chart:
     """A single coordinate chart; ``is_complexified`` admits Gaussian coefficients.
 
-    ``ring`` is the chart's coordinate ring: over Q for a real chart, over
-    Q(i) for a complexified one.
+    ``ring`` is the chart's coordinate ring: over Z for a real chart, over
+    Z[i] for a complexified one, so its scalars range over Q(x) or Q(i)(x).
     """
 
     coord_names: tuple[str, ...]
@@ -94,11 +94,11 @@ class Chart:
 
     @property
     def zero(self) -> ScalarExpr:
-        return self.const(0)
+        return self.ring.zero
 
     @property
     def one(self) -> ScalarExpr:
-        return self.const(1)
+        return self.ring.one
 
     def coordinate(self, j: int) -> ScalarExpr:
         return ScalarExpr.variable(self.ring, self.coord_names[j])

@@ -299,7 +299,8 @@ def load_manifest(
         isinstance(coords, list) and coords and all(isinstance(c, str) for c in coords),
         f"{path}: chart.coords must be a nonempty list of names",
     )
-    is_complex = bool(chart_spec.get("complex", False))
+    is_complex = chart_spec.get("complex", False)
+    _expect(isinstance(is_complex, bool), f"{path}: chart.complex must be true or false")
     try:
         chart = Chart(tuple(coords), is_complex)
     except (ScalarError, ValueError) as exc:  # duplicate, reserved or malformed names
@@ -309,11 +310,16 @@ def load_manifest(
         if override is not None:
             return override
         value = doc.get(name, default)
-        _expect(isinstance(value, int), f"{path}: {name} must be an integer")
+        # bool is a subclass of int, but true is no seed
+        _expect(
+            isinstance(value, int) and not isinstance(value, bool),
+            f"{path}: {name} must be an integer",
+        )
         return value
 
     seed = _int_field("seed", 0, seed)
     probe_degree = _int_field("probe_degree", 2, probe_degree)
+    _expect(probe_degree >= 0, f"{path}: probe_degree must be nonnegative")
     points = _int_field("points", 5, None)
 
     def _section(name: str) -> dict[str, Any]:

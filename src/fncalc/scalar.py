@@ -1,19 +1,24 @@
 """Exact arithmetic kernel: multivariate rational functions over Q or Q(i).
 
 Every coefficient in the geometric layers above is a ``ScalarExpr``: a
-fraction of multivariate polynomials kept in a canonical form (gcd-reduced,
-monic denominator under graded-lex order, sparse monomials). Structural
-equality of canonical forms therefore decides mathematical equality, which
+fraction of multivariate polynomials kept in a canonical form, so that
+structural equality of canonical forms decides mathematical equality, which
 is what makes all tensor identities in this package decidable.
 
-A real chart computes over the rationals Q and a complexified chart over the
-Gaussian rationals Q(i). A real rational function has the same canonical
-form over both, so a real scalar that meets a Q(i) scalar on the same
-coordinates is embedded into Q(i), and equality and hashing compare values
-across the two domains.
+A real chart computes over the integers Z and a complexified chart over the
+Gaussian integers Z[i], fraction-free: a scalar is a pair (num, den) of
+polynomials with gcd(num, den) = 1 in Z[x] (or Z[i][x]), content included,
+and the leading coefficient of den, under graded-lex order, positive (or in
+the first quadrant). By Gauss's lemma this is the Q-monic form scaled by a
+constant, and only the printer divides by that constant: values print as a
+numerator over a monic denominator with rational (or Gaussian rational)
+coefficients. A real rational function has the same canonical form over Z
+and Z[i], so a real scalar that meets a Z[i] scalar on the same coordinates
+is embedded into Z[i], and equality and hashing compare values across the
+two domains.
 
 Polynomial arithmetic is delegated to sympy's sparse polynomial rings over
-the ``QQ`` and ``QQ_I`` domains; everything user-facing (parsing,
+the ``ZZ`` and ``ZZ_I`` domains; everything user-facing (parsing,
 evaluation, the ``GaussianRational`` value type) is defined here.
 """
 
@@ -24,9 +29,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
-from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.domains import ZZ, ZZ_I
 from sympy.polys.orderings import grlex
 from sympy.polys.rings import ring as _sympy_ring
 
@@ -160,12 +166,15 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 class CoordinateRing:
-    """The polynomial ring Q(i)[x_1, ..., x_n], or Q[x_1, ..., x_n] for a real chart.
+    """The polynomial ring Z[i][x_1, ..., x_n], or Z[x_1, ..., x_n] for a real chart.
 
-    ``allow_imaginary`` picks the coefficient domain: Q(i) when true (a
-    complexified chart), Q when false (a real chart). Instances are cached
-    per variable tuple and domain so that polynomial elements of the same
-    chart always belong to the identical sympy ring object.
+    ``allow_imaginary`` picks the coefficient domain: the Gaussian integers
+    Z[i] when true (a complexified chart), the integers Z when false (a real
+    chart). Scalars over it are fractions of its polynomials, so they range
+    over Q(i)(x) or Q(x). Instances are cached per variable tuple and domain
+    so that polynomial elements of the same chart always belong to the
+    identical sympy ring object; ``zero`` and ``one`` are the ring's shared
+    constant scalars.
     """
 
     def __init__(self, names: tuple[str, ...], allow_imaginary: bool = True):
@@ -180,9 +189,12 @@ class CoordinateRing:
             raise ValueError("empty variable tuple")
         self.names = names
         self.allow_imaginary = allow_imaginary
-        self.domain = QQ_I if allow_imaginary else QQ
+        self.domain = ZZ_I if allow_imaginary else ZZ
         self.ring, *gens = _sympy_ring(list(names), self.domain, grlex)
         self.gens = tuple(gens)
+        one = self.ring.one
+        self.zero = ScalarExpr(self, self.ring.zero, one, _canonical=True)
+        self.one = ScalarExpr(self, one, one, _canonical=True)
 
     def __repr__(self) -> str:
         return f"CoordinateRing{self.names}"
@@ -192,30 +204,18 @@ class CoordinateRing:
 def coordinate_ring(
     names: tuple[str, ...], allow_imaginary: bool = True
 ) -> CoordinateRing:
-    """The cached ring of ``names`` over Q(i), or over Q if not ``allow_imaginary``."""
+    """The cached ring of ``names`` over Z[i], or over Z if not ``allow_imaginary``."""
     return CoordinateRing(names, allow_imaginary)
-
-
-def _fraction(q) -> Fraction:
-    return Fraction(int(q.numerator), int(q.denominator))
-
-
-def _to_domain(value: GaussianRational, ring: CoordinateRing):
-    if ring.allow_imaginary:
-        return QQ_I(value.re) + QQ_I(value.im) * QQ_I(0, 1)
-    if value.im:
-        raise ImaginaryNotAllowedError(f"constant {value} on a real chart")
-    return QQ(value.re.numerator, value.re.denominator)
 
 
 def _from_domain(coeff, ring: CoordinateRing) -> GaussianRational:
     if ring.allow_imaginary:
-        return GaussianRational(_fraction(coeff.x), _fraction(coeff.y))
-    return GaussianRational(_fraction(coeff))
+        return GaussianRational(Fraction(coeff.x), Fraction(coeff.y))
+    return GaussianRational(Fraction(coeff))
 
 
 def _hash_terms(poly, ring: CoordinateRing) -> frozenset:
-    """The terms of ``poly`` with each real Q(i) coefficient hashed as its Q value."""
+    """The terms of ``poly`` with each real Z[i] coefficient hashed as its Z value."""
     if ring.allow_imaginary:
         return frozenset(
             (m, (c.x, c.y) if c.y else c.x) for m, c in poly.items()
@@ -223,35 +223,60 @@ def _hash_terms(poly, ring: CoordinateRing) -> frozenset:
     return frozenset(poly.items())
 
 
+def _unit_normal(ring: CoordinateRing, num, den):
+    """``num/den`` times the unit that makes LC(den) canonical (positive over Z,
+    first quadrant over Z[i]); for a pair that is already coprime."""
+    unit = ring.domain.canonical_unit(den.LC)
+    if unit == ring.domain.one:
+        return num, den
+    return num.mul_ground(unit), den.mul_ground(unit)
+
+
+def _reduce(ring: CoordinateRing, num, den):
+    """The canonical form of ``num/den``: coprime with a canonical LC(den)."""
+    if not den.is_ground:
+        # sympy cancels over Z or Z[i], content included, and makes LC(den)
+        # a canonical unit multiple.
+        return num.cancel(den)
+    domain = ring.domain
+    one = domain.one
+    (d,) = den.values()
+    if d == one:
+        return num, den
+    if not num:
+        return num, ring.ring.one
+    # A constant denominator only shares a constant with num: its content.
+    gcd = domain.gcd
+    g = d
+    for c in num.itercoeffs():
+        g = gcd(g, c)
+        if g == one:
+            break
+    if g != one:
+        num = num.quo_ground(g)
+        den = ring.ring.ground_new(domain.quo(d, g))
+    return _unit_normal(ring, num, den)
+
+
 class ScalarExpr:
     """A rational function in canonical form over a fixed coordinate ring.
 
-    Canonical form: gcd(numerator, denominator) = 1 and the denominator is
-    monic under graded-lex order, so two ``ScalarExpr`` are mathematically
-    equal iff they compare equal structurally.
+    Canonical form: numerator and denominator are polynomials over the
+    ring's domain (Z or Z[i]) with gcd 1, content included, and the
+    denominator's graded-lex leading coefficient is a canonical unit
+    multiple (positive over Z, in the first quadrant over Z[i]). The form
+    is unique, so two ``ScalarExpr`` are mathematically equal iff they
+    compare equal structurally. ``str`` prints the same value with a monic
+    denominator over Q or Q(i).
     """
 
     __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring: CoordinateRing, num, den, *, _canonical=False):
-        if den == 0:
+        if not den:
             raise DivisionByZeroError("zero denominator")
         if not _canonical:
-            one = ring.domain.one
-            if den.is_ground:
-                # already reduced up to a constant; no gcd needed
-                lc = den.LC
-                if lc != one:
-                    num = num.quo_ground(lc)
-                    den = ring.ring.one
-            else:
-                num, den = num.cancel(den)
-                lc = den.LC
-                if lc != one:
-                    num = num.quo_ground(lc)
-                    den = den.monic()
-            if not num:
-                den = ring.ring.one
+            num, den = _reduce(ring, num, den)
         self.ring = ring
         self.num = num
         self.den = den
@@ -260,12 +285,20 @@ class ScalarExpr:
 
     @staticmethod
     def constant(ring: CoordinateRing, value) -> "ScalarExpr":
+        """The constant ``value``: an int, a ``Fraction`` or a ``GaussianRational``."""
         if isinstance(value, GaussianRational):
-            gr = value
+            re, im = value.re, value.im
         else:
-            gr = GaussianRational(Fraction(value))
-        num = ring.ring.ground_new(_to_domain(gr, ring))
-        return ScalarExpr(ring, num, ring.ring.one, _canonical=True)
+            re, im = Fraction(value), _FRACTION_ZERO
+        if im and not ring.allow_imaginary:
+            raise ImaginaryNotAllowedError(f"constant {value} on a real chart")
+        # an integer numerator over the lcm of the denominators
+        d = lcm(re.denominator, im.denominator)
+        num = re.numerator * (d // re.denominator)
+        if im:
+            num = ZZ_I(num, im.numerator * (d // im.denominator))
+        new = ring.ring.ground_new
+        return ScalarExpr(ring, new(num), new(d))
 
     @staticmethod
     def variable(ring: CoordinateRing, name: str) -> "ScalarExpr":
@@ -279,10 +312,10 @@ class ScalarExpr:
         return ScalarExpr.constant(ring, GaussianRational.of(0, 1))
 
     def in_ring(self, ring: CoordinateRing) -> "ScalarExpr":
-        """This value over ``ring``: the same coordinates, over Q or Q(i).
+        """This value over ``ring``: the same coordinates, over Z or Z[i].
 
         Raises :class:`ScalarError` for other coordinates, and for a value
-        with an imaginary part when ``ring`` is over Q (a real chart's ring).
+        with an imaginary part when ``ring`` is over Z (a real chart's ring).
         """
         if ring is self.ring:
             return self
@@ -292,7 +325,8 @@ class ScalarExpr:
             raise ScalarError(
                 f"coefficient {self} has an imaginary part on a real chart"
             )
-        # gcd 1 and a monic denominator survive the change of domain.
+        # Integers coprime over Z stay coprime over Z[i], and a positive
+        # leading coefficient is canonical over both.
         return ScalarExpr(
             ring,
             self.num.set_ring(ring.ring),
@@ -303,7 +337,7 @@ class ScalarExpr:
     # -- arithmetic ----------------------------------------------------
 
     def _unify(self, other: "ScalarExpr") -> tuple["ScalarExpr", "ScalarExpr"]:
-        """Both operands over one ring; a real one meeting Q(i) is embedded."""
+        """Both operands over one ring; a real one meeting Z[i] is embedded."""
         ring = other.ring if other.ring.allow_imaginary else self.ring
         return self.in_ring(ring), other.in_ring(ring)
 
@@ -345,9 +379,17 @@ class ScalarExpr:
         return ScalarExpr(self.ring, self.num * other.den, self.den * other.num)
 
     def __pow__(self, exponent: int) -> "ScalarExpr":
+        # Powers of a coprime pair stay coprime; only the unit of LC(den) moves.
+        if exponent == 0:
+            return self.ring.one  # 0^0 included, which sympy refuses
         if exponent < 0:
-            return ScalarExpr.constant(self.ring, 1) / self ** (-exponent)
-        return ScalarExpr(self.ring, self.num**exponent, self.den**exponent)
+            if not self.num:
+                raise DivisionByZeroError("division by zero rational function")
+            num, den = self.den ** -exponent, self.num ** -exponent
+        else:
+            num, den = self.num**exponent, self.den**exponent
+        num, den = _unit_normal(self.ring, num, den)
+        return ScalarExpr(self.ring, num, den, _canonical=True)
 
     # -- queries -------------------------------------------------------
 
@@ -384,11 +426,14 @@ class ScalarExpr:
     # -- calculus ------------------------------------------------------
 
     def partial(self, var: str) -> "ScalarExpr":
-        """Exact partial derivative by the quotient rule."""
+        """Exact partial derivative: of the numerator over a constant
+        denominator, by the quotient rule otherwise."""
         if var not in self.ring.names:
             raise UnknownVariableError(f"unknown variable {var!r}")
         gen = self.ring.gens[self.ring.names.index(var)]
         dn = self.num.diff(gen)
+        if self.den.is_ground:
+            return ScalarExpr(self.ring, dn, self.den)
         dd = self.den.diff(gen)
         return ScalarExpr(
             self.ring, dn * self.den - self.num * dd, self.den * self.den
@@ -397,14 +442,12 @@ class ScalarExpr:
     def conjugate(self) -> "ScalarExpr":
         if not self.ring.allow_imaginary:
             return self
-        conj = lambda c: QQ_I.new(c.x, -c.y)
-        num = self.ring.ring.from_terms(
-            [(m, conj(c)) for m, c in self.num.terms()]
-        )
-        den = self.ring.ring.from_terms(
-            [(m, conj(c)) for m, c in self.den.terms()]
-        )
-        return ScalarExpr(self.ring, num, den)
+        poly = self.ring.ring.from_terms
+        num = poly([(m, ZZ_I(c.x, -c.y)) for m, c in self.num.terms()])
+        den = poly([(m, ZZ_I(c.x, -c.y)) for m, c in self.den.terms()])
+        # conjugation keeps the pair coprime
+        num, den = _unit_normal(self.ring, num, den)
+        return ScalarExpr(self.ring, num, den, _canonical=True)
 
     def eval_at(self, point: ChartPoint) -> GaussianRational:
         """Exact evaluation; raises :class:`PoleError` on a vanishing denominator."""
@@ -421,10 +464,12 @@ class ScalarExpr:
         return num / den
 
     def __str__(self) -> str:
-        num = _poly_str(self.num, self.ring)
-        if self.den == self.ring.ring.one:
+        # The same value over Q or Q(i), with a monic denominator.
+        lc = _from_domain(self.den.LC, self.ring)
+        num = _poly_str(self.num, self.ring, lc)
+        if self.den.is_ground:
             return num
-        den = _poly_str(self.den, self.ring)
+        den = _poly_str(self.den, self.ring, lc)
         num_s = num if _is_atomic(num) else f"({num})"
         den_s = den if _is_atomic(den) else f"({den})"
         return f"{num_s}/{den_s}"
@@ -450,13 +495,17 @@ def _is_atomic(s: str) -> bool:
     return "+" not in s[1:] and "-" not in s[1:] and "/" not in s and "*" not in s
 
 
-def _poly_str(poly, ring: CoordinateRing) -> str:
+def _poly_str(poly, ring: CoordinateRing, scale: GaussianRational) -> str:
+    """``poly`` divided by ``scale``, with Q or Q(i) coefficients."""
     if not poly:
         return "0"
     order = ring.ring.order
+    one = GaussianRational(_FRACTION_ONE)
     parts = []
     for monom, coeff in sorted(poly.terms(), key=lambda t: order(t[0]), reverse=True):
         gr = _from_domain(coeff, ring)
+        if scale != one:
+            gr = gr / scale
         factors = []
         for name, exp in zip(ring.names, monom):
             if exp == 1:
@@ -467,9 +516,9 @@ def _poly_str(poly, ring: CoordinateRing) -> str:
         if not mono:
             parts.append(str(gr))
             continue
-        if gr == GaussianRational.of(1):
+        if gr == one:
             parts.append(mono)
-        elif gr == GaussianRational.of(-1):
+        elif gr == -one:
             parts.append(f"-{mono}")
         else:
             c = str(gr)
@@ -490,7 +539,8 @@ def _poly_str(poly, ring: CoordinateRing) -> str:
 # factor := '-' factor | base ('^' uint)?
 # base   := int | 'i' | var | '(' expr ')'
 #
-# Parentheses and unary minus nest at most MAX_NESTING deep.
+# Parentheses and unary minus nest at most MAX_NESTING deep, and an exponent
+# is at most MAX_EXPONENT.
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -519,6 +569,18 @@ def _tokenize(text: str):
 #: Deepest nesting of parentheses and unary minus signs that parses; deeper
 #: input raises ExprSyntaxError instead of exhausting the interpreter stack.
 MAX_NESTING = 100
+
+#: Largest exponent that parses: the cost of ``p^n`` grows with n, so a
+#: manifest could otherwise stall a check (``(x+y+1)^5000``). Computed powers
+#: (``ScalarExpr.__pow__``) are not bounded.
+MAX_EXPONENT = 64
+
+
+def _int_literal(text: str, pos: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise ExprSyntaxError("integer literal too long", pos) from None
 
 
 class _Parser:
@@ -602,13 +664,18 @@ class _Parser:
             if kind != "int":
                 raise ExprSyntaxError("expected a nonnegative integer exponent", pos)
             self.advance()
-            return base ** int(value)
+            exponent = _int_literal(value, pos)
+            if exponent > MAX_EXPONENT:
+                raise ExprSyntaxError(
+                    f"exponent {exponent} is larger than {MAX_EXPONENT}", pos
+                )
+            return base**exponent
         return base
 
     def base(self) -> ScalarExpr:
         kind, value, pos = self.advance()
         if kind == "int":
-            return ScalarExpr.constant(self.ring, int(value))
+            return ScalarExpr.constant(self.ring, _int_literal(value, pos))
         if kind == "name":
             if value == "i":
                 if not self.ring.allow_imaginary:
@@ -636,9 +703,10 @@ def parse_expr(
 ) -> ScalarExpr:
     """Parse ``text`` into canonical form over the given ordered variables.
 
-    With ``allow_imaginary`` the result lives over Q(i) and may use the
-    imaginary unit ``i``; without it the result lives over Q and ``i``
-    raises :class:`ImaginaryNotAllowedError`.
+    With ``allow_imaginary`` the result lives on the ring over Z[i] (a
+    value in Q(i)(x)) and may use the imaginary unit ``i``; without it the
+    result lives on the ring over Z (a value in Q(x)) and ``i`` raises
+    :class:`ImaginaryNotAllowedError`.
     """
     ring = coordinate_ring(tuple(variables), allow_imaginary)
     return _Parser(_tokenize(text), ring).parse()

@@ -240,6 +240,37 @@ class TestHostileManifests:
         doc = n_manifest(endomorphisms={"N": [[text, "0", "0", "0"], *N_ROWS[1:]]})
         self.assert_manifest_error(tmp_path, capsys, doc)
 
+    def test_exponent_above_the_limit(self, tmp_path, capsys):
+        text = "(x+y+1)^5000"
+        doc = n_manifest(endomorphisms={"N": [[text, "0", "0", "0"], *N_ROWS[1:]]})
+        self.assert_manifest_error(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize("flag", ["false", 1, None], ids=["string", "integer", "null"])
+    def test_non_boolean_complex_flag(self, tmp_path, capsys, flag):
+        # "i" verifies only on a complexified chart
+        doc = {
+            "chart": {"coords": ["x", "y"], "complex": flag},
+            "endomorphisms": {"J": [["i", "0"], ["0", "i"]]},
+            "checks": [{"kind": "torsion", "endo": "J"}],
+        }
+        self.assert_manifest_error(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", True), ("probe_degree", False), ("points", True), ("probe_degree", -3)],
+        ids=["seed-bool", "probe_degree-bool", "points-bool", "probe_degree-negative"],
+    )
+    def test_bad_integer_field(self, tmp_path, capsys, field, value):
+        doc = n_manifest(**{field: value})
+        self.assert_manifest_error(tmp_path, capsys, doc)
+
+    def test_negative_probe_degree_option(self, tmp_path, capsys):
+        path = write_manifest(tmp_path, n_manifest())
+        code = main(["verify", path, "--probe-degree", "-1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.err.startswith("error: ") and captured.out == ""
+
 
 class TestSubcommands:
     def test_torsion_command(self, tmp_path, capsys):

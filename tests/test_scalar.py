@@ -1,11 +1,19 @@
 """Scalar layer: canonical forms, parsing, exact evaluation."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.orderings import grlex
+from sympy.polys.rings import PolyElement, ring as sympy_ring
+
+from fncalc.calculus import Chart, fn_bracket, nijenhuis_torsion
+from fncalc.randgen import random_vvf
 
 from fncalc.scalar import (
+    MAX_EXPONENT,
     MAX_NESTING,
     ChartPoint,
     DivisionByZeroError,
@@ -116,6 +124,7 @@ class TestParser:
     def test_power_and_unary_minus(self):
         assert expr("-x^2") == expr("0 - x*x")
         assert expr("(-x)^2") == expr("x^2")
+        assert expr("(x-x)^0") == expr("x^0") == expr("1")
 
     @pytest.mark.parametrize(
         "opening, closing", [("(", ")"), ("-", "")], ids=["parentheses", "unary-minus"]
@@ -130,6 +139,20 @@ class TestParser:
         # far past the limit: a syntax error, not a RecursionError
         with pytest.raises(ExprSyntaxError, match="nested deeper"):
             expr(nest(3000))
+
+    def test_exponent_limit(self):
+        assert expr(f"(x+1)^{MAX_EXPONENT}") == expr("x+1") ** MAX_EXPONENT
+        for text in (f"x^{MAX_EXPONENT + 1}", "(x+y+1)^5000", "x^" + "9" * 5000):
+            with pytest.raises(ExprSyntaxError, match="exponent|too long"):
+                expr(text)
+        # computed powers stay unbounded
+        assert (expr("x") ** (MAX_EXPONENT + 1)).partial("x") == (
+            expr(str(MAX_EXPONENT + 1)) * expr(f"x^{MAX_EXPONENT}")
+        )
+
+    def test_integer_literal_too_long(self):
+        with pytest.raises(ExprSyntaxError, match="too long"):
+            expr("9" * 5000)
 
 
 class TestEvaluation:
@@ -228,3 +251,212 @@ def test_canonical_form_sound_at_points(a, b, seed):
         checked += 1
     # at least one of the 5 points must avoid every pole for this pool
     assert checked >= 1
+
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against a reference over Q and Q(i): after each operation
+# the reference cancels with sympy's field ``cancel`` and makes the
+# denominator monic, the form the kernel prints.
+
+REF_RINGS = {
+    gaussian: sympy_ring(list(VARS), QQ_I if gaussian else QQ, grlex)[0]
+    for gaussian in (False, True)
+}
+
+
+def ref_value(tree, gaussian: bool):
+    """The canonical (num, den) over Q or Q(i) of an expression tree."""
+    R = REF_RINGS[gaussian]
+    kind = tree[0]
+    if kind == "const":
+        return R.ground_new(QQ(tree[1].numerator, tree[1].denominator)), R.one
+    if kind == "i":
+        return R.ground_new(QQ_I(0, 1)), R.one
+    if kind == "var":
+        return R.gens[VARS.index(tree[1])], R.one
+    if kind == "^":
+        num, den = R.one, R.one
+        base_num, base_den = ref_value(tree[1], gaussian)
+        for _ in range(tree[2]):
+            num, den = num * base_num, den * base_den
+        return num.quo_ground(den.LC), den.monic()
+    (an, ad), (bn, bd) = ref_value(tree[1], gaussian), ref_value(tree[2], gaussian)
+    num, den = {
+        "+": (an * bd + bn * ad, ad * bd),
+        "-": (an * bd - bn * ad, ad * bd),
+        "*": (an * bn, ad * bd),
+        "/": (an * bd, ad * bn),
+    }[kind]
+    num, den = num.cancel(den)
+    if not num:
+        return num, R.one
+    return num.quo_ground(den.LC), den.monic()
+
+
+def ref_str(num, den, gaussian: bool) -> str:
+    """The printed form of a monic reference pair, written out independently."""
+
+    def coeff(c) -> GaussianRational:
+        def frac(q):
+            return Fraction(int(q.numerator), int(q.denominator))
+
+        return GaussianRational(frac(c.x), frac(c.y)) if gaussian else GaussianRational(frac(c))
+
+    def poly_str(poly) -> str:
+        if not poly:
+            return "0"
+        one = GaussianRational(Fraction(1))
+        parts = []
+        for monom, c in sorted(poly.terms(), key=lambda t: grlex(t[0]), reverse=True):
+            gr = coeff(c)
+            mono = "*".join(
+                name if e == 1 else f"{name}^{e}" for name, e in zip(VARS, monom) if e
+            )
+            text = str(gr)
+            if "+" in text[1:] or "-" in text[1:]:
+                text = f"({text})"
+            if not mono:
+                parts.append(str(gr))
+            elif gr in (one, -one):
+                parts.append(mono if gr == one else f"-{mono}")
+            else:
+                parts.append(f"{text}*{mono}")
+        return parts[0] + "".join(
+            f" - {p[1:]}" if p.startswith("-") else f" + {p}" for p in parts[1:]
+        )
+
+    def wrap(text: str) -> str:
+        atomic = not any(op in text[1:] for op in "+-") and not any(op in text for op in "/*")
+        return text if atomic else f"({text})"
+
+    n = poly_str(num)
+    if den == den.ring.one:
+        return n
+    return f"{wrap(n)}/{wrap(poly_str(den))}"
+
+
+def tree_text(tree) -> str:
+    kind = tree[0]
+    if kind == "const":
+        return f"({tree[1].numerator}/{tree[1].denominator})"
+    if kind in ("i", "var"):
+        return tree[-1]
+    if kind == "^":
+        return f"({tree_text(tree[1])}^{tree[2]})"
+    return f"({tree_text(tree[1])}{kind}{tree_text(tree[2])})"
+
+
+def _c(n):
+    return ("const", Fraction(n))
+
+
+X, Y, I = ("var", "x"), ("var", "y"), ("i", "i")
+# Divisors are nonzero polynomials, mostly non-constant.
+REAL_DIVISORS = [
+    ("+", X, _c(1)),
+    ("-", ("*", _c(2), X), ("*", _c(3), Y)),
+    ("+", ("*", X, X), _c(1)),
+    ("*", _c(6), ("*", X, Y)),
+    _c(3),
+]
+GAUSSIAN_DIVISORS = REAL_DIVISORS + [
+    ("+", ("*", ("+", _c(1), I), X), _c(2)),
+    ("-", ("*", ("*", _c(2), I), Y), _c(4)),
+]
+
+
+def trees(gaussian: bool):
+    leaves = [
+        st.fractions(min_value=-6, max_value=6, max_denominator=6).map(
+            lambda q: ("const", q)
+        ),
+        st.sampled_from([X, Y]),
+    ]
+    if gaussian:
+        leaves.append(st.just(I))
+    divisors = st.sampled_from(GAUSSIAN_DIVISORS if gaussian else REAL_DIVISORS)
+    return st.recursive(
+        st.one_of(*leaves),
+        lambda inner: st.one_of(
+            st.tuples(st.sampled_from("+-*"), inner, inner),
+            st.tuples(st.just("/"), inner, divisors),
+            st.tuples(st.just("^"), inner, st.integers(0, 3)),
+        ),
+        max_leaves=8,
+    )
+
+
+def kernel_value(tree, gaussian: bool) -> ScalarExpr:
+    return expr(tree_text(tree), allow_imaginary=gaussian)
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["real", "complex"])
+def test_kernel_matches_field_reference(gaussian):
+    @settings(max_examples=80, deadline=None)
+    @given(trees(gaussian), trees(gaussian))
+    def check(a, b):
+        va, vb = kernel_value(a, gaussian), kernel_value(b, gaussian)
+        ra, rb = ref_value(a, gaussian), ref_value(b, gaussian)
+        assert str(va) == ref_str(*ra, gaussian)
+        assert (va == vb) == (ra == rb)
+        if not vb.is_zero:
+            assert va * vb / vb == va
+        assert (va + vb) - vb == va
+        if not va.is_zero:
+            assert va**-2 == va.ring.one / (va * va)
+        if not gaussian:
+            over_qi = kernel_value(a, True)
+            assert over_qi == va and hash(over_qi) == hash(va)
+            assert str(over_qi) == str(va)
+
+    check()
+
+
+class TestIntegerKernel:
+    """Pinned values of the canonical form over Z and Z[i]."""
+
+    def test_gaussian_constant_shares_a_factor_with_its_denominator(self):
+        # 2 = -i(1+i)^2, so (1+i)/2 = i/(1+i) over Z[i]
+        half = expr("(1+i)/2")
+        assert str(half) == "1/2+1/2*i"
+        assert half == expr("1/(1-i)")
+        half_gr = GaussianRational.of(Fraction(1, 2), Fraction(1, 2))
+        assert half == ScalarExpr.constant(half.ring, half_gr)
+        assert half.den.LC == half.ring.domain(1, 1)
+
+    def test_partial_over_a_constant_denominator(self):
+        f = expr("x^2/2", allow_imaginary=False)
+        assert f.partial("x") == expr("x", allow_imaginary=False)
+        assert str(f.partial("x")) == "x"
+
+    def test_denominator_content(self):
+        f = expr("1/(2*x+2)", allow_imaginary=False)
+        assert str(f) == "(1/2)/(x + 1)"
+        assert f.den == 2 * f.ring.gens[0] + 2 and f.num == 1
+        assert str(expr("(2+4*i)*x/(3*x*i+6)")) == "((4/3-2/3*i)*x)/(x - 2*i)"
+
+    def test_shared_zero_and_one(self):
+        chart, again = Chart(("x", "y")), Chart(("x", "y"))
+        assert chart.zero is again.zero and chart.one is again.one
+        assert chart.zero == chart.const(0) and chart.one == chart.const(1)
+
+
+def test_real_polynomial_fn_identity_runs_no_gcd(monkeypatch):
+    """(1/2)[N,N]_FN = T_N on a real polynomial endomorphism cancels nothing."""
+    calls = []
+    cancel = PolyElement.cancel
+
+    def counting_cancel(self, other):
+        calls.append(1)
+        return cancel(self, other)
+
+    chart = Chart(("x", "y", "z"))
+    N = random_vvf(chart, 1, random.Random(3), degree=2)
+    monkeypatch.setattr(PolyElement, "cancel", counting_cancel)
+    half = chart.const(Fraction(1, 2))
+    assert fn_bracket(N, N).scaled(half) == nijenhuis_torsion(N)
+    assert calls == []
+    # the counter itself sees a real gcd
+    expr("x/(2*x)", allow_imaginary=False)
+    assert calls
