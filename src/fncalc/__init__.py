@@ -1,8 +1,9 @@
 """Exact Froelicher-Nijenhuis calculus and Lie algebroid verification.
 
-Everything is computed over multivariate rational functions with Gaussian
-rational coefficients; canonical forms make structural equality decide
-mathematical equality, so every identity check is exact.
+Everything is computed over multivariate rational functions, kept
+fraction-free with integer coefficients on a real chart and Gaussian-integer
+coefficients on a complexified one; canonical forms make structural equality
+decide mathematical equality, so every identity check is exact.
 """
 
 from .scalar import (

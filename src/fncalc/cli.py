@@ -42,6 +42,7 @@ from .calculus import (
 from .scalar import ScalarError, ScalarExpr
 from .structures import (
     StructureError,
+    TangentChartData,
     complex_algebroid,
     connection_algebroid,
     connection_from_semispray,
@@ -59,23 +60,14 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
 
-CHECK_KINDS = (
-    "torsion",
-    "cohomology",
-    "axioms",
-    "idempotent",
-    "complex",
-    "product",
-    "foliation",
-    "tangent",
-    "bundle",
-    "decompose",
-    "isomorphism",
-)
-
-
-#: Check-descriptor keys that name a manifest object, in label order.
-_OBJECT_KEYS = ("endo", "algebroid", "bundle_algebroid", "spray")
+#: Check-descriptor keys that name a manifest object, in label order:
+#: key -> (Manifest attribute, noun for error messages).
+_OBJECTS = {
+    "endo": ("endomorphisms", "endomorphism"),
+    "algebroid": ("algebroids", "algebroid"),
+    "bundle_algebroid": ("bundle_algebroids", "bundle algebroid"),
+    "spray": ("sprays", "spray"),
+}
 
 
 class ManifestError(Exception):
@@ -97,6 +89,8 @@ class Manifest:
     bundle_algebroids: dict[str, BundleAlgebroid]
     sprays: dict[str, VectorField]
     checks: list[dict[str, Any]] = field(default_factory=list)
+    #: Tangent-bundle data of the chart, built once when the manifest has sprays.
+    _tangent: TangentChartData | None = field(default=None, init=False, repr=False)
 
 
 @dataclass
@@ -133,6 +127,11 @@ class CheckRecord:
 def _expect(condition: bool, message: str) -> None:
     if not condition:
         raise ManifestError(message)
+
+
+def _is_int(value: Any) -> bool:
+    # bool is a subclass of int, but true is no number
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_scalar(chart: Chart, text: Any, where: str) -> ScalarExpr:
@@ -179,7 +178,7 @@ def _parse_form(chart: Chart, spec: Any, where: str) -> VectorValuedForm:
     """A vector-valued form: per multi-index, one component per coordinate field."""
     _expect(isinstance(spec, dict), f"{where}: expected an object")
     degree = spec.get("degree")
-    _expect(isinstance(degree, int) and degree >= 0, f"{where}: bad degree")
+    _expect(_is_int(degree) and degree >= 0, f"{where}: bad degree")
     entries = spec.get("entries", {})
     _expect(isinstance(entries, dict), f"{where}: entries must be an object")
     comps: list[dict[tuple[int, ...], ScalarExpr]] = [dict() for _ in range(chart.dim)]
@@ -238,7 +237,7 @@ def _parse_structure_key(key: str, rank: int, where: str) -> tuple[int, int, int
 def _parse_bundle(chart: Chart, spec: Any, where: str) -> BundleAlgebroid:
     _expect(isinstance(spec, dict), f"{where}: expected an object")
     rank = spec.get("rank")
-    _expect(isinstance(rank, int) and rank >= 1, f"{where}: bad rank")
+    _expect(_is_int(rank) and rank >= 1, f"{where}: bad rank")
     anchor_rows = spec.get("anchor")
     _expect(
         isinstance(anchor_rows, list) and len(anchor_rows) == rank,
@@ -290,6 +289,10 @@ def load_manifest(
         raise ManifestError(
             f"{path}: syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not UTF-8: {exc}") from exc
+    except RecursionError:
+        raise ManifestError(f"{path}: JSON nested too deeply") from None
     _expect(isinstance(doc, dict), f"{path}: top level must be an object")
 
     chart_spec = doc.get("chart")
@@ -310,11 +313,7 @@ def load_manifest(
         if override is not None:
             return override
         value = doc.get(name, default)
-        # bool is a subclass of int, but true is no seed
-        _expect(
-            isinstance(value, int) and not isinstance(value, bool),
-            f"{path}: {name} must be an integer",
-        )
+        _expect(_is_int(value), f"{path}: {name} must be an integer")
         return value
 
     seed = _int_field("seed", 0, seed)
@@ -349,6 +348,7 @@ def load_manifest(
     for name, spec in _section("bundle_algebroids").items():
         bundles[name] = _parse_bundle(chart, spec, f"bundle_algebroids.{name}")
     sprays = {}
+    tangent = None
     spray_specs = _section("sprays")
     if spray_specs:
         _expect(
@@ -356,6 +356,7 @@ def load_manifest(
             f"{path}: sprays need an even-dimensional tangent chart",
         )
         n = chart.dim // 2
+        tangent = tangent_data_for_chart(chart)
         for name, coeffs in spray_specs.items():
             where = f"sprays.{name}"
             _expect(
@@ -365,9 +366,8 @@ def load_manifest(
             force = [
                 _parse_scalar(chart, c, f"{where}[{i + 1}]") for i, c in enumerate(coeffs)
             ]
-            tc = tangent_data_for_chart(chart)
             try:
-                sprays[name] = semispray(tc, force)
+                sprays[name] = semispray(tangent, force)
             except StructureError as exc:
                 raise ManifestError(f"{where}: {exc}") from exc
 
@@ -377,13 +377,13 @@ def load_manifest(
         _expect(isinstance(descriptor, dict), f"{path}: checks[{k}] must be an object")
         kind = descriptor.get("kind")
         _expect(kind in CHECK_KINDS, f"{path}: checks[{k}] has unknown kind {kind!r}")
-        for key in ("name", *_OBJECT_KEYS):
+        for key in ("name", *_OBJECTS):
             _expect(
                 isinstance(descriptor.get(key, ""), str),
                 f"{path}: checks[{k}].{key} must be a string",
             )
 
-    return Manifest(
+    manifest = Manifest(
         path=path,
         chart=chart,
         seed=seed,
@@ -396,6 +396,8 @@ def load_manifest(
         sprays=sprays,
         checks=checks,
     )
+    manifest._tangent = tangent
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -468,13 +470,6 @@ def _records_scalar(slot: str, label: str, value: ScalarExpr) -> list[dict[str, 
     return [{"basis": label, "slot": slot, "value": str(value)}]
 
 
-def _axiom_records(report) -> list[dict[str, str]]:
-    out = _records_labelled_vectors("jacobi", report.jacobi)
-    out += _records_labelled_vectors("leibniz", report.leibniz)
-    out += _records_labelled_vectors("anchor", report.anchor_morphism)
-    return out
-
-
 def _matrix_strings(form: VectorValuedForm) -> list[list[str]]:
     return [[str(e) for e in row] for row in form.matrix()]
 
@@ -497,57 +492,19 @@ def _form_fragment(form: VectorValuedForm) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-def _get_endo(manifest: Manifest, descriptor: dict[str, Any]) -> VectorValuedForm:
-    name = descriptor.get("endo")
-    if name not in manifest.endomorphisms:
-        raise ManifestError(f"unknown endomorphism {name!r}")
-    return manifest.endomorphisms[name]
-
-
-def _get_algebroid(manifest: Manifest, descriptor: dict[str, Any]) -> TangentAlgebroid:
-    name = descriptor.get("algebroid")
-    if name not in manifest.algebroids:
-        raise ManifestError(f"unknown algebroid {name!r}")
-    return manifest.algebroids[name]
-
-
-def _check_torsion(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
-    torsion = nijenhuis_torsion(_get_endo(manifest, d))
-    return _records_vvf("torsion", torsion), {}
-
-
-def _check_cohomology(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
-    alg = _get_algebroid(manifest, d)
-    report = check_cohomology(DerivationDeg1(alg.anchor, alg.correction))
-    records = _records_vvf("condition1", report.condition1)
-    records += _records_vvf("condition2", report.condition2)
-    return records, {}
-
-
-def _check_axioms(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
-    alg = _get_algebroid(manifest, d)
-    report = check_axioms(
-        alg, probe_degree=manifest.probe_degree, seed=manifest.seed
-    )
-    return _axiom_records(report), {}
-
-
-def _algebroid_records(manifest: Manifest, alg: TangentAlgebroid) -> list:
-    report = check_axioms(
-        alg, probe_degree=manifest.probe_degree, seed=manifest.seed
-    )
-    return _axiom_records(report)
-
-
-def _check_idempotent(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
-    alg = idempotent_algebroid(_get_endo(manifest, d))
-    details = {"correction": _form_fragment(alg.correction)}
-    return _algebroid_records(manifest, alg), details
+def _lookup(manifest: Manifest, d: dict[str, Any], key: str) -> Any:
+    """The manifest object that descriptor ``d`` names under ``key``, e.g. ``endo``."""
+    section, noun = _OBJECTS[key]
+    objects = getattr(manifest, section)
+    name = d.get(key)
+    if name not in objects:
+        raise ManifestError(f"unknown {noun} {name!r}")
+    return objects[name]
 
 
 def _eps_of(d: dict[str, Any]) -> Fraction:
     raw = d.get("eps", 1)
-    if isinstance(raw, int):
+    if _is_int(raw):
         return Fraction(raw)
     if isinstance(raw, str):
         try:
@@ -557,22 +514,82 @@ def _eps_of(d: dict[str, Any]) -> Fraction:
     raise ManifestError(f"bad eps value {raw!r}")
 
 
-def _check_complex(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
-    alg = complex_algebroid(_get_endo(manifest, d), _eps_of(d))
-    details = {"anchor_matrix": _matrix_strings(alg.anchor)}
-    return _algebroid_records(manifest, alg), details
+def _idempotent(manifest: Manifest, N: VectorValuedForm, d: dict[str, Any]):
+    alg = idempotent_algebroid(N)
+    return alg, {"correction": _form_fragment(alg.correction)}
 
 
-def _check_product(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
-    alg = product_algebroid(_get_endo(manifest, d), _eps_of(d))
-    details = {"anchor_matrix": _matrix_strings(alg.anchor)}
-    return _algebroid_records(manifest, alg), details
+def _complex_or_product(manifest: Manifest, E: VectorValuedForm, d: dict[str, Any]):
+    construct = complex_algebroid if d["kind"] == "complex" else product_algebroid
+    alg = construct(E, _eps_of(d))
+    return alg, {"anchor_matrix": _matrix_strings(alg.anchor)}
+
+
+def _invertible(manifest: Manifest, K: VectorValuedForm, d: dict[str, Any]):
+    return invertible_algebroid(K), {}
+
+
+def _tangent(manifest: Manifest, S: VectorField, d: dict[str, Any]):
+    # a Manifest built without load_manifest has no tangent data yet
+    tc = manifest._tangent or tangent_data_for_chart(manifest.chart)
+    gamma = connection_from_semispray(tc, S)
+    return connection_algebroid(gamma), {"connection_matrix": _matrix_strings(gamma)}
+
+
+#: Algebroid recipes, shared by ``verify`` check kinds and ``build recipe:name``
+#: (``invertible`` is a build recipe only): recipe -> (descriptor key of the
+#: object it takes, constructor returning the algebroid and the details of its
+#: check record).
+_RECIPES: dict[str, tuple[str, Callable[..., tuple[TangentAlgebroid, dict]]]] = {
+    "idempotent": ("endo", _idempotent),
+    "complex": ("endo", _complex_or_product),
+    "product": ("endo", _complex_or_product),
+    "invertible": ("endo", _invertible),
+    "tangent": ("spray", _tangent),
+}
+
+
+def _build(manifest: Manifest, d: dict[str, Any]) -> tuple[TangentAlgebroid, dict]:
+    """Run the recipe that descriptor ``d`` names as its kind."""
+    key, construct = _RECIPES[d["kind"]]
+    return construct(manifest, _lookup(manifest, d, key), d)
+
+
+def _axiom_records(manifest: Manifest, alg: TangentAlgebroid) -> list[dict[str, str]]:
+    report = check_axioms(alg, probe_degree=manifest.probe_degree, seed=manifest.seed)
+    out = _records_labelled_vectors("jacobi", report.jacobi)
+    out += _records_labelled_vectors("leibniz", report.leibniz)
+    out += _records_labelled_vectors("anchor", report.anchor_morphism)
+    return out
+
+
+def _check_recipe(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
+    alg, details = _build(manifest, d)
+    return _axiom_records(manifest, alg), details
+
+
+def _check_torsion(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
+    torsion = nijenhuis_torsion(_lookup(manifest, d, "endo"))
+    return _records_vvf("torsion", torsion), {}
+
+
+def _check_cohomology(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
+    alg = _lookup(manifest, d, "algebroid")
+    report = check_cohomology(DerivationDeg1(alg.anchor, alg.correction))
+    records = _records_vvf("condition1", report.condition1)
+    records += _records_vvf("condition2", report.condition2)
+    return records, {}
+
+
+def _check_axioms(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
+    return _axiom_records(manifest, _lookup(manifest, d, "algebroid")), {}
 
 
 def _check_foliation(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
-    data = foliation_connection(_get_endo(manifest, d))
+    gamma = _lookup(manifest, d, "endo")
+    data = foliation_connection(gamma)
     records = _records_labelled_vectors("bracket_table", data.bracket_table)
-    d10, d2m1, d01 = d_components(_get_endo(manifest, d))
+    d10, d2m1, d01 = d_components(gamma)
     for label, piece in (("d_{2,-1}", d2m1), ("d_{0,1}", d01)):
         report = check_cohomology(piece)
         records += _records_vvf(f"{label}.condition1", report.condition1)
@@ -581,24 +598,8 @@ def _check_foliation(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]
     return records, details
 
 
-def _check_tangent(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
-    name = d.get("spray")
-    if name not in manifest.sprays:
-        raise ManifestError(f"unknown spray {name!r}")
-    S = manifest.sprays[name]
-    tc = tangent_data_for_chart(manifest.chart)
-    gamma = connection_from_semispray(tc, S)
-    alg = connection_algebroid(gamma)
-    records = _algebroid_records(manifest, alg)
-    details = {"connection_matrix": _matrix_strings(gamma)}
-    return records, details
-
-
 def _check_bundle(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
-    name = d.get("bundle_algebroid")
-    if name not in manifest.bundle_algebroids:
-        raise ManifestError(f"unknown bundle algebroid {name!r}")
-    report = check_bundle_axioms(manifest.bundle_algebroids[name])
+    report = check_bundle_axioms(_lookup(manifest, d, "bundle_algebroid"))
     records = []
     for label, residual in report.d2_on_coordinates:
         records.extend(_records_fiber_form("d2_on_coordinates", label, residual))
@@ -611,7 +612,7 @@ def _check_bundle(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
 
 
 def _check_decompose(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
-    alg = _get_algebroid(manifest, d)
+    alg = _lookup(manifest, d, "algebroid")
     derivation = derivation_from_algebroid(alg)
     records = _records_vvf("K_residual", derivation.K - alg.anchor)
     records += _records_vvf("L_residual", derivation.L - alg.correction)
@@ -623,7 +624,7 @@ def _check_decompose(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]
 
 
 def _check_isomorphism(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
-    alg = _get_algebroid(manifest, d)
+    alg = _lookup(manifest, d, "algebroid")
     residuals = verify_trivial_isomorphism(
         alg, seed=manifest.seed, probe_degree=manifest.probe_degree
     )
@@ -634,20 +635,24 @@ _DISPATCH: dict[str, Callable[[Manifest, dict[str, Any]], tuple[list, dict]]] = 
     "torsion": _check_torsion,
     "cohomology": _check_cohomology,
     "axioms": _check_axioms,
-    "idempotent": _check_idempotent,
-    "complex": _check_complex,
-    "product": _check_product,
+    "idempotent": _check_recipe,
+    "complex": _check_recipe,
+    "product": _check_recipe,
     "foliation": _check_foliation,
-    "tangent": _check_tangent,
+    "tangent": _check_recipe,
     "bundle": _check_bundle,
     "decompose": _check_decompose,
     "isomorphism": _check_isomorphism,
 }
+CHECK_KINDS = tuple(_DISPATCH)
+
+#: What a construction may raise on invalid input; a check reports it as an error.
+_CHECK_ERRORS = (ManifestError, CalculusError, AlgebroidError, ScalarError)
 
 
 def _construction_label(descriptor: dict[str, Any]) -> str:
     kind = descriptor["kind"]
-    for key in _OBJECT_KEYS:
+    for key in _OBJECTS:
         if key in descriptor:
             return f"{kind}:{descriptor[key]}"
     return kind
@@ -665,7 +670,7 @@ def run_check(manifest: Manifest, descriptor: dict[str, Any]) -> CheckRecord:
             "pass" if all(r["value"] == "0" for r in records) else "fail"
         )
         record = CheckRecord(name, construction, status, records, details=details)
-    except (ManifestError, CalculusError, AlgebroidError, ScalarError) as exc:
+    except _CHECK_ERRORS as exc:
         record = CheckRecord(name, construction, "error", [], message=str(exc))
     record.elapsed = time.perf_counter() - start
     return record
@@ -731,66 +736,44 @@ def emit(manifest: Manifest, records: Sequence[CheckRecord], fmt: str) -> tuple[
 
 
 def _cmd_verify(manifest: Manifest, args) -> tuple[str, int]:
-    records = [run_check(manifest, d) for d in manifest.checks]
-    return emit(manifest, records, args.format)
-
-
-def _cmd_torsion(manifest: Manifest, args) -> tuple[str, int]:
-    descriptor = {"kind": "torsion", "endo": args.endo}
-    return emit(manifest, [run_check(manifest, descriptor)], args.format)
-
-
-def _cmd_decompose(manifest: Manifest, args) -> tuple[str, int]:
-    descriptor = {"kind": "decompose", "algebroid": args.derivation}
-    return emit(manifest, [run_check(manifest, descriptor)], args.format)
+    """``verify`` runs the manifest's checks; ``torsion`` and ``decompose`` run one."""
+    checks = manifest.checks
+    if args.command == "torsion":
+        checks = [{"kind": "torsion", "endo": args.endo}]
+    elif args.command == "decompose":
+        checks = [{"kind": "decompose", "algebroid": args.derivation}]
+    return emit(manifest, [run_check(manifest, d) for d in checks], args.format)
 
 
 def _build_algebroid(manifest: Manifest, construction: str) -> TangentAlgebroid:
     if construction in manifest.algebroids:
         return manifest.algebroids[construction]
-    if ":" not in construction:
+    recipe, colon, name = construction.partition(":")
+    if not colon:
         raise ManifestError(
             f"unknown construction {construction!r}; use a named algebroid or "
-            "recipe:object (recipes: idempotent, complex, product, invertible, tangent)"
+            "recipe:object (recipes: " + ", ".join(_RECIPES) + ")"
         )
-    recipe, _, arg = construction.partition(":")
-    if recipe == "tangent":
-        if arg not in manifest.sprays:
-            raise ManifestError(f"unknown spray {arg!r}")
-        tc = tangent_data_for_chart(manifest.chart)
-        return connection_algebroid(
-            connection_from_semispray(tc, manifest.sprays[arg])
-        )
-    if arg not in manifest.endomorphisms:
-        raise ManifestError(f"unknown endomorphism {arg!r}")
-    endo = manifest.endomorphisms[arg]
-    if recipe == "idempotent":
-        return idempotent_algebroid(endo)
-    if recipe == "complex":
-        return complex_algebroid(endo)
-    if recipe == "product":
-        return product_algebroid(endo)
-    if recipe == "invertible":
-        return invertible_algebroid(endo)
-    raise ManifestError(f"unknown recipe {recipe!r}")
+    if recipe not in _RECIPES:
+        raise ManifestError(f"unknown recipe {recipe!r}")
+    return _build(manifest, {"kind": recipe, _RECIPES[recipe][0]: name})[0]
 
 
 def _cmd_build(manifest: Manifest, args) -> tuple[str, int]:
     try:
         alg = _build_algebroid(manifest, args.construction)
-    except (ManifestError, CalculusError, AlgebroidError, ScalarError) as exc:
+    except _CHECK_ERRORS as exc:
         if args.format == "json":
             doc = {"error": str(exc), "status": "error"}
             return json.dumps(doc, sort_keys=True, indent=2) + "\n", EXIT_ERROR
         return f"error: {exc}\n", EXIT_ERROR
     chart = alg.chart
+    built = {
+        "anchor_matrix": _matrix_strings(alg.anchor),
+        "correction": _form_fragment(alg.correction),
+    }
     fragment = {
-        "algebroids": {
-            args.construction: {
-                "anchor_matrix": _matrix_strings(alg.anchor),
-                "correction": _form_fragment(alg.correction),
-            }
-        },
+        "algebroids": {args.construction: built},
         "chart": {
             "complex": chart.is_complexified,
             "coords": list(chart.coord_names),
@@ -799,10 +782,10 @@ def _cmd_build(manifest: Manifest, args) -> tuple[str, int]:
     if args.format == "json":
         return json.dumps(fragment, sort_keys=True, indent=2) + "\n", EXIT_PASS
     lines = [f"construction: {args.construction}", "anchor:"]
-    for row in _matrix_strings(alg.anchor):
+    for row in built["anchor_matrix"]:
         lines.append("  [" + ", ".join(row) + "]")
     lines.append("correction:")
-    entries = _form_fragment(alg.correction)["entries"]
+    entries = built["correction"]["entries"]
     if not entries:
         lines.append("  0")
     for key, comps in entries.items():
@@ -857,20 +840,18 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    command = _cmd_build if args.command == "build" else _cmd_verify
     try:
         manifest = load_manifest(
             args.manifest, seed=args.seed, probe_degree=args.probe_degree
         )
+        output, code = command(manifest, args)
     except ManifestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    command = {
-        "verify": _cmd_verify,
-        "torsion": _cmd_torsion,
-        "decompose": _cmd_decompose,
-        "build": _cmd_build,
-    }[args.command]
-    output, code = command(manifest, args)
+    except Exception as exc:  # a crash must not exit 1, the code of a failing check
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        return EXIT_ERROR
     sys.stdout.write(output)
     return code
 

@@ -6,6 +6,10 @@ typed error on violation) and returns a :class:`TangentAlgebroid` or the
 relevant operator data; the accompanying theorems (torsion relations,
 bracket closed forms, cohomology of the decomposition pieces) are verified
 by the construction itself where cheap, and by the test suite everywhere.
+
+Each call evaluates every precondition and ``internal:`` guard once: the
+complex, product, foliation and connection algebroids reduce to the
+idempotent one and reuse what it checked or computed (N^2 = N, T_N).
 """
 
 from __future__ import annotations
@@ -146,8 +150,14 @@ def idempotent_algebroid(N: VectorValuedForm) -> TangentAlgebroid:
     """Anchor N, bracket [X,Y]_N + T_N(X,Y), for idempotent N with involutive image."""
     _require_idempotent(N)
     _require_image_involutive(N)
+    return _projector_algebroid(N, nijenhuis_torsion(N))
+
+
+def _projector_algebroid(
+    N: VectorValuedForm, torsion: VectorValuedForm
+) -> TangentAlgebroid:
+    """idempotent_algebroid once N^2 = N and involutivity hold and T_N is known."""
     chart = N.chart
-    torsion = nijenhuis_torsion(N)
     # N T_N = T_N is forced by the involutivity of the image.
     if _compose_endo_with_two_form(N, torsion) != torsion:
         raise StructureError("internal: N T_N = T_N failed for an accepted N")
@@ -191,28 +201,46 @@ def complement_operator(N: VectorValuedForm) -> DerivationDeg1:
 # ---------------------------------------------------------------------------
 
 
-def complex_projectors(
-    J: VectorValuedForm, eps: Fraction | int = 1
-) -> tuple[VectorValuedForm, VectorValuedForm]:
-    """The projectors p± = (Id ∓ (i/eps) J)/2 on the complexified chart.
-
-    Requires J^2 = -eps^2 Id. The torsion relation
-    T_{p+} = -(1/(4 eps^2)) T_J is validated structurally.
-    """
+def _require_square(
+    E: VectorValuedForm, eps: Fraction | int, sign: int, error: type, name: str
+) -> Fraction:
+    """Check eps != 0 and E^2 = sign * eps^2 Id; returns eps as a Fraction."""
     eps = Fraction(eps)
     if eps == 0:
-        raise NotAlmostComplexError("eps must be nonzero")
-    chart = J.chart
-    minus_eps2 = chart.const(-(eps * eps))
-    if J.compose(J) != VectorValuedForm.identity(chart).scaled(minus_eps2):
-        raise NotAlmostComplexError(f"endomorphism does not satisfy J^2 = -{eps * eps} Id")
-    cchart = chart.complexify()
-    Jc = complexify_vvf(J)
+        raise error("eps must be nonzero")
+    chart = E.chart
+    square = sign * eps * eps
+    if E.compose(E) != VectorValuedForm.identity(chart).scaled(chart.const(square)):
+        raise error(f"endomorphism does not satisfy {name}^2 = {square} Id")
+    return eps
+
+
+def _require_integrable(E: VectorValuedForm, structure: str) -> None:
+    """Raise TorsionNotZeroError naming the first nonzero entry of T_E."""
+    torsion = nijenhuis_torsion(E)
+    names = E.chart.coord_names
+    for j, comp in enumerate(torsion.components):
+        for key in sorted(comp.coeffs):
+            value = comp.coeffs[key]
+            if not value.is_zero:
+                args = ",".join(f"e_{names[a]}" for a in key)
+                raise TorsionNotZeroError(
+                    f"almost-{structure} structure is not integrable: torsion nonzero, "
+                    f"T({args}) has d/d{names[j]} component {value}"
+                )
+
+
+def _complex_projectors(
+    J: VectorValuedForm, eps: Fraction
+) -> tuple[VectorValuedForm, VectorValuedForm, VectorValuedForm]:
+    """p±, T_{p+} for J^2 = -eps^2 Id, with their algebra and torsion relation checked."""
+    cchart = J.chart.complexify()
     identity = VectorValuedForm.identity(cchart)
-    i_over_eps = cchart.scalar("i") * cchart.const(1 / eps)
+    Jc = complexify_vvf(J)
+    iJ = Jc.scaled(cchart.scalar("i") * cchart.const(1 / eps))
     half = cchart.const(Fraction(1, 2))
-    p_plus = (identity - Jc.scaled(i_over_eps)).scaled(half)
-    p_minus = (identity + Jc.scaled(i_over_eps)).scaled(half)
+    p_plus = (identity - iJ).scaled(half)
+    p_minus = (identity + iJ).scaled(half)
     for p in (p_plus, p_minus):
         if p.compose(p) != p:
             raise StructureError("internal: projector is not idempotent")
@@ -221,51 +249,41 @@ def complex_projectors(
     relation = nijenhuis_torsion(Jc).scaled(
         cchart.const(Fraction(-1, 4) / (eps * eps))
     )
-    if nijenhuis_torsion(p_plus) != relation:
+    torsion = nijenhuis_torsion(p_plus)
+    if torsion != relation:
         raise StructureError("internal: torsion relation for p+ failed")
+    return p_plus, p_minus, torsion
+
+
+def complex_projectors(
+    J: VectorValuedForm, eps: Fraction | int = 1
+) -> tuple[VectorValuedForm, VectorValuedForm]:
+    """The projectors p± = (Id ∓ (i/eps) J)/2 on the complexified chart.
+
+    Requires J^2 = -eps^2 Id. The torsion relation
+    T_{p+} = -(1/(4 eps^2)) T_J is validated structurally.
+    """
+    eps = _require_square(J, eps, -1, NotAlmostComplexError, "J")
+    p_plus, p_minus, _ = _complex_projectors(J, eps)
     return p_plus, p_minus
-
-
-def _first_nonzero_entry(form: VectorValuedForm) -> str:
-    chart = form.chart
-    for j, comp in enumerate(form.components):
-        for key in sorted(comp.coeffs):
-            value = comp.coeffs[key]
-            if not value.is_zero:
-                args = ",".join(f"e_{chart.coord_names[a]}" for a in key)
-                return f"T({args}) has d/d{chart.coord_names[j]} component {value}"
-    return ""
 
 
 def complex_algebroid(
     J: VectorValuedForm, eps: Fraction | int = 1
 ) -> TangentAlgebroid:
-    """The algebroid with anchor p+ on the complexified chart; requires T_J = 0."""
-    eps_f = Fraction(eps)
-    chart = J.chart
-    if eps_f == 0 or J.compose(J) != VectorValuedForm.identity(chart).scaled(
-        chart.const(-(eps_f * eps_f))
-    ):
-        raise NotAlmostComplexError(
-            f"endomorphism does not satisfy J^2 = -{eps_f * eps_f} Id"
-        )
-    torsion = nijenhuis_torsion(J)
-    if not torsion.is_zero:
-        raise TorsionNotZeroError(
-            "almost-complex structure is not integrable: torsion nonzero, "
-            + _first_nonzero_entry(torsion)
-        )
-    p_plus, p_minus = complex_projectors(J, eps)
-    alg = idempotent_algebroid(p_plus)
+    """The algebroid with anchor p+ on the complexified chart; requires T_J = 0.
+
+    The image of p+ is the holomorphic distribution, so the involutivity
+    check of the idempotent construction is the closure p-[p+ X, p+ Y] = 0
+    (p- = Id - p+ is checked with the projector algebra).
+    """
+    eps = _require_square(J, eps, -1, NotAlmostComplexError, "J")
+    _require_integrable(J, "complex")
+    p_plus, _, torsion = _complex_projectors(J, eps)
+    _require_image_involutive(p_plus)
+    alg = _projector_algebroid(p_plus, torsion)
     if not alg.correction.is_zero:
         raise StructureError("internal: T_{p+} must vanish for integrable J")
-    cchart = alg.chart
-    basis = cchart.basis_vectors()
-    # Holomorphic involutivity: p^-[p^+ e_a, p^+ e_b] = 0.
-    for a, b in itertools.combinations(range(cchart.dim), 2):
-        br = lie_bracket(p_plus.apply(basis[a]), p_plus.apply(basis[b]))
-        if not p_minus.apply(br).is_zero:
-            raise StructureError("internal: holomorphic fields fail to close")
     return alg
 
 
@@ -273,19 +291,9 @@ def product_algebroid(
     P: VectorValuedForm, eps: Fraction | int = 1
 ) -> TangentAlgebroid:
     """The algebroid with anchor p- = (Id - P/eps)/2; requires P^2 = eps^2 Id, T_P = 0."""
-    eps = Fraction(eps)
-    if eps == 0:
-        raise NotAlmostProductError("eps must be nonzero")
+    eps = _require_square(P, eps, 1, NotAlmostProductError, "P")
+    _require_integrable(P, "product")
     chart = P.chart
-    eps2 = chart.const(eps * eps)
-    if P.compose(P) != VectorValuedForm.identity(chart).scaled(eps2):
-        raise NotAlmostProductError(f"endomorphism does not satisfy P^2 = {eps * eps} Id")
-    torsion = nijenhuis_torsion(P)
-    if not torsion.is_zero:
-        raise TorsionNotZeroError(
-            "almost-product structure is not integrable: torsion nonzero, "
-            + _first_nonzero_entry(torsion)
-        )
     half = chart.const(Fraction(1, 2))
     p_minus = (
         VectorValuedForm.identity(chart)
@@ -323,6 +331,12 @@ def adapted_frames(
     reduction over the rational-function field.
     """
     _require_idempotent(gamma)
+    return _adapted_frames(gamma)
+
+
+def _adapted_frames(
+    gamma: VectorValuedForm,
+) -> tuple[list[VectorField], list[VectorField]]:
     chart = gamma.chart
     gmat = gamma.matrix()
     hmat = (VectorValuedForm.identity(chart) - gamma).matrix()
@@ -360,9 +374,8 @@ def foliation_connection(gamma: VectorValuedForm) -> FoliationData:
     the Lie bracket.
     """
     alg = idempotent_algebroid(gamma)
-    chart = gamma.chart
-    curvature = nijenhuis_torsion(gamma)
-    horizontal, vertical = adapted_frames(gamma)
+    curvature = -alg.correction
+    horizontal, vertical = _adapted_frames(gamma)
     table: list[tuple[str, VectorField]] = []
     for a, b in itertools.combinations(range(len(horizontal)), 2):
         residual = alg.bracket(horizontal[a], horizontal[b])
@@ -573,7 +586,7 @@ def connection_algebroid(gamma: VectorValuedForm) -> TangentAlgebroid:
     v = (identity - gamma).scaled(half)
     alg = idempotent_algebroid(v)
     t_gamma = nijenhuis_torsion(gamma)
-    if nijenhuis_torsion(v) != t_gamma.scaled(quarter):
+    if -alg.correction != t_gamma.scaled(quarter):
         raise StructureError("internal: T_v = T_Gamma/4 failed")
     basis = chart.basis_vectors()
     for a, b in itertools.combinations(range(chart.dim), 2):

@@ -1,10 +1,16 @@
 """CLI layer: manifest loading, check dispatch, report formats, exit codes."""
 
+import importlib
 import json
 import pathlib
+import pkgutil
+from collections import Counter
 
 import pytest
 
+import fncalc
+from fncalc import calculus, cli, structures
+from fncalc.calculus import VectorValuedForm
 from fncalc.cli import (
     EXIT_ERROR,
     EXIT_FAIL,
@@ -17,6 +23,10 @@ from fncalc.cli import (
 )
 
 MANIFESTS = pathlib.Path(__file__).resolve().parent.parent / "manifests"
+#: "manifest construction" -> exit code and stdout of ``fncalc build … --format json``.
+BUILD_GOLDEN = json.loads(
+    (pathlib.Path(__file__).resolve().parent / "build_golden.json").read_text()
+)
 
 
 def write_manifest(tmp_path, doc) -> str:
@@ -271,6 +281,155 @@ class TestHostileManifests:
         assert code == EXIT_ERROR
         assert captured.err.startswith("error: ") and captured.out == ""
 
+    def test_manifest_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_bytes(b'{"chart": {"coords": ["\xff"]}}')
+        code = main(["verify", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+    def test_json_nested_past_the_decoder_limit(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text('{"checks": ' + "[" * 100000 + "]" * 100000 + "}")
+        code = main(["verify", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+    @pytest.mark.parametrize("value", [True, False], ids=["true", "false"])
+    def test_boolean_rank(self, tmp_path, capsys, value):
+        doc = {
+            "chart": {"coords": ["x"]},
+            "bundle_algebroids": {"B": {"rank": value, "anchor": [["1"]]}},
+        }
+        self.assert_manifest_error(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize("value", [True, False], ids=["true", "false"])
+    def test_boolean_form_degree(self, tmp_path, capsys, value):
+        doc = n_manifest(forms={"F": {"degree": value, "entries": {}}})
+        self.assert_manifest_error(tmp_path, capsys, doc)
+
+    def test_crash_in_a_check_exits_two(self, tmp_path, capsys, monkeypatch):
+        def crash(N):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "nijenhuis_torsion", crash)
+        doc = n_manifest(checks=[{"kind": "torsion", "endo": "N"}])
+        code = main(["verify", write_manifest(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.err == "error: internal error: RuntimeError('boom')\n"
+        assert captured.out == ""
+
+
+J_ROWS = [["0", "-1"], ["1", "0"]]
+P_ROWS = [["1", "0"], ["0", "-1"]]
+
+
+class TestEps:
+    """``eps`` of a complex or product check is a nonzero integer or fraction string."""
+
+    @staticmethod
+    def run(tmp_path, capsys, kind, eps):
+        doc = {
+            "chart": {"coords": ["x", "y"]},
+            "probe_degree": 0,
+            "endomorphisms": {"E": J_ROWS if kind == "complex" else P_ROWS},
+            "checks": [{"kind": kind, "endo": "E", "eps": eps}],
+        }
+        code = main(["verify", write_manifest(tmp_path, doc), "--format", "json"])
+        return code, json.loads(capsys.readouterr().out)["checks"][0]
+
+    @pytest.mark.parametrize("kind", ["complex", "product"])
+    @pytest.mark.parametrize("eps", [True, False], ids=["true", "false"])
+    def test_boolean_rejected(self, tmp_path, capsys, kind, eps):
+        code, record = self.run(tmp_path, capsys, kind, eps)
+        assert code == EXIT_ERROR
+        assert record["status"] == "error"
+        assert record["message"] == f"bad eps value {eps!r}"
+
+    @pytest.mark.parametrize("kind", ["complex", "product"])
+    @pytest.mark.parametrize("eps", [0, "0", "0/3"], ids=["int", "string", "fraction"])
+    def test_zero_rejected_with_one_message(self, tmp_path, capsys, kind, eps):
+        code, record = self.run(tmp_path, capsys, kind, eps)
+        assert code == EXIT_ERROR
+        assert record["message"] == "eps must be nonzero"
+
+    @pytest.mark.parametrize("kind", ["complex", "product"])
+    @pytest.mark.parametrize("eps", [1, -1, "1/1"], ids=["one", "minus-one", "fraction"])
+    def test_unit_accepted(self, tmp_path, capsys, kind, eps):
+        code, record = self.run(tmp_path, capsys, kind, eps)
+        assert code == EXIT_PASS
+        assert record["status"] == "pass"
+
+
+def _count_calls(monkeypatch) -> Counter:
+    """Count nijenhuis_torsion, VectorValuedForm.compose and tangent_data_for_chart.
+
+    Module functions are wrapped at every fncalc module that binds them.
+    """
+    counts = Counter()
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    modules = [fncalc] + [
+        importlib.import_module(f"fncalc.{info.name}")
+        for info in pkgutil.iter_modules(fncalc.__path__)
+    ]
+    for key, fn in (
+        ("torsion", calculus.nijenhuis_torsion),
+        ("tangent_data", structures.tangent_data_for_chart),
+    ):
+        wrapper = counting(key, fn)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+    monkeypatch.setattr(
+        VectorValuedForm, "compose", counting("compose", VectorValuedForm.compose)
+    )
+    return counts
+
+
+#: (manifest, check name) -> (torsions, compositions) counted during the check;
+#: ``None`` leaves a count unpinned.
+CHECK_COUNTS = {
+    ("f1_complex.json", "complex-J0"): (3, 4),
+    ("f1_complex.json", "complex-J1"): (3, 4),
+    ("f2_idempotent.json", "idempotent-N"): (1, 1),
+    ("f3_product.json", "product-P0"): (2, 2),
+    ("f3_product.json", "product-P1"): (2, 2),
+    ("f4_foliation.json", "foliation-gamma"): (4, 2),
+    ("f4_foliation.json", "idempotent-gamma"): (1, 1),
+    ("f5_tangent.json", "tangent-S0"): (2, None),
+    ("f5_tangent.json", "tangent-S1"): (2, None),
+}
+
+
+@pytest.mark.parametrize("manifest_name", sorted({m for m, _ in CHECK_COUNTS}))
+def test_each_guard_runs_once(monkeypatch, manifest_name):
+    """Constructions compute each torsion and composition once per check."""
+    counts = _count_calls(monkeypatch)
+    manifest = load_manifest(str(MANIFESTS / manifest_name), probe_degree=0)
+    assert counts["tangent_data"] == (manifest_name == "f5_tangent.json")
+    for descriptor in manifest.checks:
+        key = (manifest_name, descriptor["name"])
+        if key not in CHECK_COUNTS:
+            continue
+        counts.clear()
+        assert run_check(manifest, descriptor).status == "pass"
+        torsions, compositions = CHECK_COUNTS[key]
+        assert counts["torsion"] == torsions, key
+        if compositions is not None:
+            assert counts["compose"] == compositions, key
+        assert counts["tangent_data"] == 0, key
+
 
 class TestSubcommands:
     def test_torsion_command(self, tmp_path, capsys):
@@ -308,6 +467,18 @@ class TestSubcommands:
         alg = fragment["algebroids"]["idempotent:N"]
         assert alg["anchor_matrix"][0] == ["1", "0", "0", "-z"]
         assert alg["correction"]["entries"] == {"3,4": ["-1", "0", "0", "0"]}
+
+    @pytest.mark.parametrize("case", sorted(BUILD_GOLDEN))
+    def test_build_output_is_pinned(self, capsys, case):
+        """``build --format json`` output and exit code, as captured in build_golden.json."""
+        manifest_name, construction = case.split()
+        code = main(
+            ["build", str(MANIFESTS / manifest_name), construction, "--format", "json"]
+        )
+        assert (code, capsys.readouterr().out) == (
+            BUILD_GOLDEN[case]["exit"],
+            BUILD_GOLDEN[case]["stdout"],
+        )
 
     def test_build_unknown_construction_exit_two(self, tmp_path, capsys):
         code = main(

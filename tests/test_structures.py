@@ -25,6 +25,7 @@ from fncalc.structures import (
     NotIdempotentError,
     NotSemisprayError,
     TorsionNotZeroError,
+    adapted_frames,
     bigrade,
     bracket_full_form,
     complement_operator,
@@ -185,6 +186,17 @@ class TestFoliation:
 
     def test_bracket_table(self):
         assert foliation_connection(gamma0()).table_passed
+
+    def test_adapted_frames(self):
+        g = gamma0()
+        horizontal, vertical = adapted_frames(g)
+        assert all(g.apply(X).is_zero for X in horizontal)
+        assert all(g.apply(Y) == Y for Y in vertical)
+        assert (len(horizontal), len(vertical)) == (2, 1)
+        data = foliation_connection(g)
+        assert (data.horizontal, data.vertical) == (tuple(horizontal), tuple(vertical))
+        with pytest.raises(NotIdempotentError):
+            adapted_frames(J0())
 
     def test_d_component_cohomology(self):
         d10, d2m1, d01 = d_components(gamma0())
