@@ -7,17 +7,14 @@ decide mathematical equality, so every identity check is exact.
 """
 
 from .scalar import (
-    ChartPoint,
     DivisionByZeroError,
     ExprSyntaxError,
     GaussianRational,
     ImaginaryNotAllowedError,
-    PoleError,
     ScalarError,
     ScalarExpr,
     UnknownVariableError,
     parse_expr,
-    random_point,
 )
 from .calculus import (
     CalculusError,

@@ -184,12 +184,6 @@ def check_cohomology(D: DerivationDeg1) -> CohomologyReport:
     chart = D.chart
     half = chart.const(Fraction(1, 2))
     cond1 = fn_bracket(K, K).scaled(half) + _insert_into_vvf(L, K)
-    # Same tensor through the torsion route: T_K + K∘L must agree.
-    alt = nijenhuis_torsion(K) + _compose_endo_with_two_form(K, L)
-    if cond1 != alt:
-        raise AlgebroidError(
-            "internal inconsistency: (1/2)[K,K]_FN + i_L K differs from T_K + K∘L"
-        )
     cond2 = fn_bracket(K, L) + rn_bracket(L, L).scaled(half)
     return CohomologyReport(cond1, cond2)
 

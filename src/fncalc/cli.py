@@ -43,10 +43,10 @@ from .scalar import ScalarError, ScalarExpr
 from .structures import (
     StructureError,
     TangentChartData,
+    _d_components,
     complex_algebroid,
     connection_algebroid,
     connection_from_semispray,
-    d_components,
     foliation_connection,
     idempotent_algebroid,
     product_algebroid,
@@ -59,6 +59,12 @@ __all__ = ["Manifest", "ManifestError", "load_manifest", "run_check", "emit", "m
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
+
+#: Largest probe degree a manifest or ``--probe-degree`` may ask for. A random
+#: probe field of degree d has C(n+d, n) terms per component on an n-chart,
+#: and the axioms check brackets them twice, so the cost grows with a high
+#: power of d; the fixtures use 2.
+MAX_PROBE_DEGREE = 10
 
 #: Check-descriptor keys that name a manifest object, in label order:
 #: key -> (Manifest attribute, noun for error messages).
@@ -293,6 +299,8 @@ def load_manifest(
         raise ManifestError(f"{path}: not UTF-8: {exc}") from exc
     except RecursionError:
         raise ManifestError(f"{path}: JSON nested too deeply") from None
+    except ValueError:  # more digits than int() converts
+        raise ManifestError(f"{path}: integer literal too long") from None
     _expect(isinstance(doc, dict), f"{path}: top level must be an object")
 
     chart_spec = doc.get("chart")
@@ -318,7 +326,10 @@ def load_manifest(
 
     seed = _int_field("seed", 0, seed)
     probe_degree = _int_field("probe_degree", 2, probe_degree)
-    _expect(probe_degree >= 0, f"{path}: probe_degree must be nonnegative")
+    _expect(
+        0 <= probe_degree <= MAX_PROBE_DEGREE,
+        f"{path}: probe_degree must be between 0 and {MAX_PROBE_DEGREE}",
+    )
     points = _int_field("points", 5, None)
 
     def _section(name: str) -> dict[str, Any]:
@@ -589,7 +600,7 @@ def _check_foliation(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]
     gamma = _lookup(manifest, d, "endo")
     data = foliation_connection(gamma)
     records = _records_labelled_vectors("bracket_table", data.bracket_table)
-    d10, d2m1, d01 = d_components(gamma)
+    _, d2m1, d01 = _d_components(gamma, data.curvature)
     for label, piece in (("d_{2,-1}", d2m1), ("d_{0,1}", d01)):
         report = check_cohomology(piece)
         records += _records_vvf(f"{label}.condition1", report.condition1)

@@ -18,18 +18,18 @@ is embedded into Z[i], and equality and hashing compare values across the
 two domains.
 
 Polynomial arithmetic is delegated to sympy's sparse polynomial rings over
-the ``ZZ`` and ``ZZ_I`` domains; everything user-facing (parsing,
-evaluation, the ``GaussianRational`` value type) is defined here.
+the ``ZZ`` and ``ZZ_I`` domains; everything user-facing (parsing, printing,
+the ``GaussianRational`` constant type) is defined here. Scalars are never
+evaluated at points: every identity is decided on canonical forms.
 """
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import comb, lcm
 from typing import Sequence
 
 from sympy.polys.domains import ZZ, ZZ_I
@@ -41,15 +41,12 @@ __all__ = [
     "ExprSyntaxError",
     "UnknownVariableError",
     "DivisionByZeroError",
-    "PoleError",
     "ImaginaryNotAllowedError",
     "GaussianRational",
-    "ChartPoint",
     "CoordinateRing",
     "coordinate_ring",
     "ScalarExpr",
     "parse_expr",
-    "random_point",
 ]
 
 
@@ -71,10 +68,6 @@ class DivisionByZeroError(ScalarError):
     pass
 
 
-class PoleError(ScalarError):
-    """The denominator vanishes at the evaluation point."""
-
-
 class ImaginaryNotAllowedError(ScalarError):
     """The imaginary unit was used on a chart declared real."""
 
@@ -94,20 +87,8 @@ class GaussianRational:
     def of(re, im=0) -> "GaussianRational":
         return GaussianRational(Fraction(re), Fraction(im))
 
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
         n = other.re * other.re + other.im * other.im
@@ -117,28 +98,6 @@ class GaussianRational:
             (self.re * other.re + self.im * other.im) / n,
             (self.im * other.re - self.re * other.im) / n,
         )
-
-    def __pow__(self, exponent: int) -> "GaussianRational":
-        if exponent < 0:
-            return GaussianRational(_FRACTION_ONE) / self ** (-exponent)
-        out = GaussianRational(_FRACTION_ONE)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -150,16 +109,6 @@ class GaussianRational:
         mag = abs(self.im)
         imag = "i" if mag == 1 else f"{mag}*i"
         return f"{self.re}{sign}{imag}"
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    """A rational point of a coordinate chart."""
-
-    coordinates: tuple[GaussianRational, ...]
-
-    def __len__(self) -> int:
-        return len(self.coordinates)
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -449,20 +398,6 @@ class ScalarExpr:
         num, den = _unit_normal(self.ring, num, den)
         return ScalarExpr(self.ring, num, den, _canonical=True)
 
-    def eval_at(self, point: ChartPoint) -> GaussianRational:
-        """Exact evaluation; raises :class:`PoleError` on a vanishing denominator."""
-        coords = point.coordinates
-        if len(coords) != len(self.ring.names):
-            raise ScalarError(
-                f"point of length {len(coords)} on a chart of dimension "
-                f"{len(self.ring.names)}"
-            )
-        den = _eval_poly(self.den, self.ring, coords)
-        if den.is_zero():
-            raise PoleError(f"denominator of {self} vanishes at the point")
-        num = _eval_poly(self.num, self.ring, coords)
-        return num / den
-
     def __str__(self) -> str:
         # The same value over Q or Q(i), with a monic denominator.
         lc = _from_domain(self.den.LC, self.ring)
@@ -476,19 +411,6 @@ class ScalarExpr:
 
     def __repr__(self) -> str:
         return f"ScalarExpr({self})"
-
-
-def _eval_poly(
-    poly, ring: CoordinateRing, coords: Sequence[GaussianRational]
-) -> GaussianRational:
-    total = GaussianRational()
-    for monom, coeff in poly.terms():
-        value = _from_domain(coeff, ring)
-        for exp, coord in zip(monom, coords):
-            if exp:
-                value = value * coord**exp
-        total = total + value
-    return total
 
 
 def _is_atomic(s: str) -> bool:
@@ -539,8 +461,8 @@ def _poly_str(poly, ring: CoordinateRing, scale: GaussianRational) -> str:
 # factor := '-' factor | base ('^' uint)?
 # base   := int | 'i' | var | '(' expr ')'
 #
-# Parentheses and unary minus nest at most MAX_NESTING deep, and an exponent
-# is at most MAX_EXPONENT.
+# Parentheses and unary minus nest at most MAX_NESTING deep, an exponent is
+# at most MAX_EXPONENT, and no operation may build more than MAX_TERMS terms.
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -575,6 +497,25 @@ MAX_NESTING = 100
 #: (``ScalarExpr.__pow__``) are not bounded.
 MAX_EXPONENT = 64
 
+#: Most terms, numerator and denominator together, that one parsed operation
+#: may build. Each operation is bounded before it runs: a product, a quotient
+#: or a sum over different denominators by the product of the operands' term
+#: counts, a sum over one denominator by their sum, and p^k by
+#: C(t+k-1, k) for a t-term p. An exponent within MAX_EXPONENT can still expand
+#: far: ``(x+y+z+w+1)^64`` has 814,385 terms and would stall a check, so it
+#: raises ExprSyntaxError. Fixture entries have fewer than 10 terms.
+MAX_TERMS = 2000
+
+
+def _terms(value: ScalarExpr) -> int:
+    return len(value.num) + len(value.den)
+
+
+def _power_terms(poly, exponent: int) -> int:
+    """An upper bound on the terms of ``poly**exponent``: the monomials of
+    degree ``exponent`` in as many symbols as ``poly`` has terms."""
+    return comb(len(poly) + exponent - 1, exponent) if poly else 0
+
 
 def _int_literal(text: str, pos: int) -> int:
     try:
@@ -601,6 +542,13 @@ class _Parser:
         self.depth -= 1
         return result
 
+    def bounded(self, terms: int, pos: int) -> None:
+        """Refuse an operation that may build more than MAX_TERMS terms."""
+        if terms > MAX_TERMS:
+            raise ExprSyntaxError(
+                f"expression may expand to more than {MAX_TERMS} terms", pos
+            )
+
     def peek(self):
         return self.tokens[self.idx]
 
@@ -625,10 +573,14 @@ class _Parser:
     def expr(self) -> ScalarExpr:
         value = self.term()
         while True:
-            kind, op, _ = self.peek()
+            kind, op, pos = self.peek()
             if kind == "op" and op in "+-":
                 self.advance()
                 rhs = self.term()
+                if value.den == rhs.den:
+                    self.bounded(_terms(value) + _terms(rhs), pos)
+                else:
+                    self.bounded(_terms(value) * _terms(rhs), pos)
                 value = value + rhs if op == "+" else value - rhs
             else:
                 return value
@@ -640,6 +592,7 @@ class _Parser:
             if kind == "op" and op in "*/":
                 self.advance()
                 rhs = self.factor()
+                self.bounded(_terms(value) * _terms(rhs), pos)
                 if op == "*":
                     value = value * rhs
                 else:
@@ -669,6 +622,10 @@ class _Parser:
                 raise ExprSyntaxError(
                     f"exponent {exponent} is larger than {MAX_EXPONENT}", pos
                 )
+            self.bounded(
+                _power_terms(base.num, exponent) + _power_terms(base.den, exponent),
+                pos,
+            )
             return base**exponent
         return base
 
@@ -711,14 +668,3 @@ def parse_expr(
     ring = coordinate_ring(tuple(variables), allow_imaginary)
     return _Parser(_tokenize(text), ring).parse()
 
-
-def random_point(dim: int, seed: int, bound: int = 7) -> ChartPoint:
-    """A deterministic pseudo-random rational point; same seed, same point."""
-    if dim < 1 or bound < 1:
-        raise ValueError("dim and bound must be positive")
-    rng = random.Random(seed)
-    coords = tuple(
-        GaussianRational(Fraction(rng.randint(-bound, bound), rng.randint(1, bound)))
-        for _ in range(dim)
-    )
-    return ChartPoint(coords)

@@ -9,7 +9,12 @@ by the construction itself where cheap, and by the test suite everywhere.
 
 Each call evaluates every precondition and ``internal:`` guard once: the
 complex, product, foliation and connection algebroids reduce to the
-idempotent one and reuse what it checked or computed (N^2 = N, T_N).
+idempotent one and reuse what it checked or computed (N^2 = N, T_N). A guard
+that is equivalent to a precondition the same call has checked counts as
+that precondition and is not evaluated again: the projector of a complex,
+product or connection structure E is idempotent exactly when E^2 is the
+required multiple of Id, so it is not re-checked, and T_{p+} of a complex
+structure is not re-derived from T_J once T_J = 0 is known.
 """
 
 from __future__ import annotations
@@ -230,42 +235,21 @@ def _require_integrable(E: VectorValuedForm, structure: str) -> None:
                 )
 
 
-def _complex_projectors(
-    J: VectorValuedForm, eps: Fraction
-) -> tuple[VectorValuedForm, VectorValuedForm, VectorValuedForm]:
-    """p±, T_{p+} for J^2 = -eps^2 Id, with their algebra and torsion relation checked."""
-    cchart = J.chart.complexify()
-    identity = VectorValuedForm.identity(cchart)
-    Jc = complexify_vvf(J)
-    iJ = Jc.scaled(cchart.scalar("i") * cchart.const(1 / eps))
-    half = cchart.const(Fraction(1, 2))
-    p_plus = (identity - iJ).scaled(half)
-    p_minus = (identity + iJ).scaled(half)
-    for p in (p_plus, p_minus):
-        if p.compose(p) != p:
-            raise StructureError("internal: projector is not idempotent")
-    if p_plus + p_minus != identity or not p_plus.compose(p_minus).is_zero:
-        raise StructureError("internal: projector algebra failed")
-    relation = nijenhuis_torsion(Jc).scaled(
-        cchart.const(Fraction(-1, 4) / (eps * eps))
-    )
-    torsion = nijenhuis_torsion(p_plus)
-    if torsion != relation:
-        raise StructureError("internal: torsion relation for p+ failed")
-    return p_plus, p_minus, torsion
-
-
 def complex_projectors(
     J: VectorValuedForm, eps: Fraction | int = 1
 ) -> tuple[VectorValuedForm, VectorValuedForm]:
     """The projectors p± = (Id ∓ (i/eps) J)/2 on the complexified chart.
 
-    Requires J^2 = -eps^2 Id. The torsion relation
-    T_{p+} = -(1/(4 eps^2)) T_J is validated structurally.
+    Requires J^2 = -eps^2 Id, which is equivalent to the projector algebra
+    p±^2 = p±, p+ p- = 0; p+ + p- = Id holds by construction. Their torsion
+    satisfies T_{p+} = -(1/(4 eps^2)) T_J, which the test suite pins.
     """
     eps = _require_square(J, eps, -1, NotAlmostComplexError, "J")
-    p_plus, p_minus, _ = _complex_projectors(J, eps)
-    return p_plus, p_minus
+    cchart = J.chart.complexify()
+    identity = VectorValuedForm.identity(cchart)
+    iJ = complexify_vvf(J).scaled(cchart.scalar("i") * cchart.const(1 / eps))
+    half = cchart.const(Fraction(1, 2))
+    return (identity - iJ).scaled(half), (identity + iJ).scaled(half)
 
 
 def complex_algebroid(
@@ -274,14 +258,12 @@ def complex_algebroid(
     """The algebroid with anchor p+ on the complexified chart; requires T_J = 0.
 
     The image of p+ is the holomorphic distribution, so the involutivity
-    check of the idempotent construction is the closure p-[p+ X, p+ Y] = 0
-    (p- = Id - p+ is checked with the projector algebra).
+    check of the idempotent construction is the closure p-[p+ X, p+ Y] = 0.
     """
-    eps = _require_square(J, eps, -1, NotAlmostComplexError, "J")
+    p_plus, _ = complex_projectors(J, eps)
     _require_integrable(J, "complex")
-    p_plus, _, torsion = _complex_projectors(J, eps)
     _require_image_involutive(p_plus)
-    alg = _projector_algebroid(p_plus, torsion)
+    alg = _projector_algebroid(p_plus, nijenhuis_torsion(p_plus))
     if not alg.correction.is_zero:
         raise StructureError("internal: T_{p+} must vanish for integrable J")
     return alg
@@ -299,7 +281,9 @@ def product_algebroid(
         VectorValuedForm.identity(chart)
         - P.scaled(chart.const(1 / eps))
     ).scaled(half)
-    alg = idempotent_algebroid(p_minus)
+    # p-^2 = p- is equivalent to P^2 = eps^2 Id
+    _require_image_involutive(p_minus)
+    alg = _projector_algebroid(p_minus, nijenhuis_torsion(p_minus))
     if not alg.correction.is_zero:
         raise StructureError("internal: T_{p-} must vanish for integrable P")
     return alg
@@ -459,8 +443,14 @@ def d_components(
     """
     _require_idempotent(gamma)
     _require_image_involutive(gamma)
+    return _d_components(gamma, nijenhuis_torsion(gamma))
+
+
+def _d_components(
+    gamma: VectorValuedForm, curvature: VectorValuedForm
+) -> tuple[DerivationDeg1, DerivationDeg1, DerivationDeg1]:
+    """d_components once gamma is an accepted projector with curvature T_gamma."""
     chart = gamma.chart
-    curvature = nijenhuis_torsion(gamma)
     two = chart.const(2)
     d10 = DerivationDeg1(
         VectorValuedForm.identity(chart) - gamma, curvature.scaled(two)
@@ -557,15 +547,15 @@ def is_semispray(tc: TangentChartData, S: VectorField) -> bool:
 def connection_from_semispray(
     tc: TangentChartData, S: VectorField
 ) -> VectorValuedForm:
-    """The connection Gamma = -L_S J of a semispray, with its axioms verified."""
+    """The connection Gamma = -L_S J of a semispray, with J Gamma = J = -Gamma J verified.
+
+    Gamma^2 = Id holds for every semispray; :func:`connection_algebroid`
+    checks it of the connection it is given.
+    """
     if not is_semispray(tc, S):
         raise NotSemisprayError("field is not a semispray: J S != C")
-    chart = tc.chart
     J = tc.vertical_endomorphism
     gamma = -fn_bracket(VectorValuedForm.from_vector_field(S), J)
-    identity = VectorValuedForm.identity(chart)
-    if gamma.compose(gamma) != identity:
-        raise NotConnectionError("Gamma^2 != Id")
     if J.compose(gamma) != J or gamma.compose(J) != -J:
         raise NotConnectionError("J Gamma = J = -Gamma J failed")
     return gamma
@@ -584,7 +574,9 @@ def connection_algebroid(gamma: VectorValuedForm) -> TangentAlgebroid:
     half = chart.const(Fraction(1, 2))
     quarter = chart.const(Fraction(1, 4))
     v = (identity - gamma).scaled(half)
-    alg = idempotent_algebroid(v)
+    # v^2 = v is equivalent to Gamma^2 = Id
+    _require_image_involutive(v)
+    alg = _projector_algebroid(v, nijenhuis_torsion(v))
     t_gamma = nijenhuis_torsion(gamma)
     if -alg.correction != t_gamma.scaled(quarter):
         raise StructureError("internal: T_v = T_Gamma/4 failed")

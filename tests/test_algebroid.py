@@ -1,6 +1,7 @@
 """Algebroid layer: derivation correspondence, axiom checks, bundle algebroids."""
 
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from fncalc.algebroid import (
     NotCohomologyError,
     SingularAnchorError,
     TangentAlgebroid,
+    _compose_endo_with_two_form,
     algebroid_from_derivation,
     check_axioms,
     check_bundle_axioms,
@@ -24,14 +26,19 @@ from fncalc.algebroid import (
     verify_trivial_isomorphism,
 )
 from fncalc.calculus import (
+    Chart,
     DerivationDeg1,
     VectorValuedForm,
     lie_bracket,
     nijenhuis_torsion,
 )
+from fncalc.cli import _RECIPES, _build, load_manifest
 from fncalc.fixtures import J0, J1, J2, N0, chart_r2
 from fncalc.linalg import inverse
-from fncalc.randgen import random_scalar
+from fncalc.randgen import random_scalar, random_vvf
+from fncalc.structures import StructureError, d_components
+
+MANIFESTS = pathlib.Path(__file__).resolve().parent.parent / "manifests"
 
 
 def n0_algebroid() -> TangentAlgebroid:
@@ -81,6 +88,63 @@ class TestIdempotentFixture:
             algebroid_from_derivation(
                 DerivationDeg1(alg.anchor, VectorValuedForm.zero(ch, 2))
             )
+
+
+class TestConditionOneTorsionRoute:
+    """(1/2)[K,K]_FN + i_L K = T_K + K∘L: condition 1 as ``check_cohomology``
+    computes it agrees with the torsion route, for every (K, L)."""
+
+    @staticmethod
+    def assert_routes_agree(K: VectorValuedForm, L: VectorValuedForm) -> None:
+        cond1 = check_cohomology(DerivationDeg1(K, L)).condition1
+        assert cond1 == nijenhuis_torsion(K) + _compose_endo_with_two_form(K, L)
+
+    def test_fixture_algebroids(self):
+        count = 0
+        for path in sorted(MANIFESTS.glob("*.json")):
+            for alg in load_manifest(str(path)).algebroids.values():
+                self.assert_routes_agree(alg.anchor, alg.correction)
+                count += 1
+        assert count == 5
+
+    def test_recipe_algebroids(self):
+        """Every algebroid a fixture check builds, and the foliation d-pieces."""
+        built = []
+        for path in sorted(MANIFESTS.glob("*.json")):
+            manifest = load_manifest(str(path))
+            for d in manifest.checks:
+                if d["kind"] in _RECIPES:
+                    try:
+                        alg = _build(manifest, d)[0]
+                    except StructureError:  # negative_error's rejected inputs
+                        continue
+                    built.append((d["name"], alg.anchor, alg.correction))
+                elif d["kind"] == "foliation":
+                    for piece in d_components(manifest.endomorphisms[d["endo"]]):
+                        built.append((d["name"], piece.K, piece.L))
+        for _, K, L in built:
+            self.assert_routes_agree(K, L)
+        assert sorted(name for name, *_ in built) == [
+            "complex-J0",
+            "complex-J1",
+            *["foliation-gamma"] * 3,
+            "idempotent-N",
+            "idempotent-gamma",
+            "product-P0",
+            "product-P1",
+            "tangent-S0",
+            "tangent-S1",
+        ]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+    def test_seeded_random_pairs(self, dim, is_complex):
+        chart = Chart(("x", "y", "z")[:dim], is_complex)
+        rng = random.Random(100 * dim + is_complex)
+        for _ in range(3):
+            K = random_vvf(chart, 1, rng)
+            L = random_vvf(chart, 2, rng)
+            self.assert_routes_agree(K, L)
 
 
 class TestInvertibleAnchor:

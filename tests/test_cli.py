@@ -1,12 +1,15 @@
 """CLI layer: manifest loading, check dispatch, report formats, exit codes."""
 
+import contextlib
 import importlib
+import io
 import json
 import pathlib
 import pkgutil
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fncalc
 from fncalc import calculus, cli, structures
@@ -15,6 +18,7 @@ from fncalc.cli import (
     EXIT_ERROR,
     EXIT_FAIL,
     EXIT_PASS,
+    MAX_PROBE_DEGREE,
     ManifestError,
     emit,
     load_manifest,
@@ -267,8 +271,20 @@ class TestHostileManifests:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("seed", True), ("probe_degree", False), ("points", True), ("probe_degree", -3)],
-        ids=["seed-bool", "probe_degree-bool", "points-bool", "probe_degree-negative"],
+        [
+            ("seed", True),
+            ("probe_degree", False),
+            ("points", True),
+            ("probe_degree", -3),
+            ("probe_degree", 400),
+        ],
+        ids=[
+            "seed-bool",
+            "probe_degree-bool",
+            "points-bool",
+            "probe_degree-negative",
+            "probe_degree-too-large",
+        ],
     )
     def test_bad_integer_field(self, tmp_path, capsys, field, value):
         doc = n_manifest(**{field: value})
@@ -280,6 +296,25 @@ class TestHostileManifests:
         captured = capsys.readouterr()
         assert code == EXIT_ERROR
         assert captured.err.startswith("error: ") and captured.out == ""
+
+    def test_probe_degree_option_above_the_limit(self, tmp_path, capsys):
+        path = write_manifest(tmp_path, n_manifest())
+        code = main(["verify", path, "--probe-degree", str(MAX_PROBE_DEGREE)])
+        assert code == EXIT_PASS
+        capsys.readouterr()
+        code = main(["verify", path, "--probe-degree", str(MAX_PROBE_DEGREE + 1)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+    def test_expression_past_the_term_limit(self, tmp_path, capsys):
+        # the exponent passes MAX_EXPONENT, but the power has 814,385 terms
+        text = "(x+y+z+w+1)^64"
+        doc = n_manifest(
+            endomorphisms={"N": [[text, "0", "0", "0"], *N_ROWS[1:]]},
+            checks=[{"kind": "torsion", "endo": "N"}],
+        )
+        self.assert_manifest_error(tmp_path, capsys, doc)
 
     def test_manifest_that_is_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "m.json"
@@ -296,6 +331,15 @@ class TestHostileManifests:
         captured = capsys.readouterr()
         assert code == EXIT_ERROR
         assert captured.err.startswith("error: ") and captured.out == ""
+
+    def test_integer_past_the_conversion_limit(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text('{"chart": {"coords": ["x"]}, "seed": ' + "9" * 5000 + "}")
+        code = main(["verify", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.err.endswith(": integer literal too long\n")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("value", [True, False], ids=["true", "false"])
     def test_boolean_rank(self, tmp_path, capsys, value):
@@ -321,6 +365,77 @@ class TestHostileManifests:
         assert code == EXIT_ERROR
         assert captured.err == "error: internal error: RuntimeError('boom')\n"
         assert captured.out == ""
+
+
+FIXTURE_DOCS = {
+    path.name: json.loads(path.read_text()) for path in sorted(MANIFESTS.glob("*.json"))
+}
+#: Replacement values for a "type swap" and a "huge integer" mutation.
+SWAPS = [None, True, False, 0, -1, 1.5, "", "x", [], {}, ["x"], {"x": "1"}]
+HUGE = [10**40, -(10**40), 2**63, 10**400, str(10**40), "x^" + "9" * 40]
+#: Odd names for coordinates, objects, keys and references.
+ODD_NAMES = ["", "i", "x y", "é", "1", "_", "checks", "__class__", "N" * 300, "\u0000"]
+
+
+def _mutate(data, doc):
+    """Change one node of a manifest, reached by a random walk from the root:
+    swap its type, nest it deeply, make it a huge integer, give it an odd
+    name, or drop it."""
+    parent, key, node = None, None, doc
+    for _ in range(data.draw(st.integers(0, 6))):
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(keys))
+        parent, node = node, node[key]
+    kind = data.draw(st.sampled_from(["swap", "nest", "huge", "name", "drop"]))
+    if kind == "name" and isinstance(parent, dict):
+        del parent[key]
+        parent[data.draw(st.sampled_from(ODD_NAMES))] = node
+        return doc
+    if kind == "drop" and parent is not None:
+        del parent[key]
+        return doc
+    if kind == "swap":
+        new = data.draw(st.sampled_from(SWAPS))
+    elif kind == "nest":
+        new = node
+        for _ in range(data.draw(st.sampled_from([2, 50, 500]))):
+            new = [new] if data.draw(st.booleans()) else {"a": new}
+    elif kind == "huge":
+        new = data.draw(st.sampled_from(HUGE))
+    elif kind == "name":
+        new = data.draw(st.sampled_from(ODD_NAMES))
+    else:
+        new = {}
+    if parent is None:
+        return new
+    parent[key] = new
+    return doc
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.data())
+def test_mutated_fixture_manifests(tmp_path_factory, data):
+    """Whatever a fixture manifest is mutated into, verify exits 0, 1 or 2 with
+    no traceback, and its JSON report parses whenever it exits 0 or 1."""
+    name = data.draw(st.sampled_from(sorted(FIXTURE_DOCS)))
+    doc = json.loads(json.dumps(FIXTURE_DOCS[name]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate(data, doc)
+    path = tmp_path_factory.mktemp("fuzz") / "m.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path), "--format", "json", "--probe-degree", "0"])
+    assert code in (EXIT_PASS, EXIT_FAIL, EXIT_ERROR)
+    assert "Traceback" not in err.getvalue()
+    if code in (EXIT_PASS, EXIT_FAIL):
+        json.loads(out.getvalue())
 
 
 J_ROWS = [["0", "-1"], ["1", "0"]]
@@ -397,18 +512,21 @@ def _count_calls(monkeypatch) -> Counter:
     return counts
 
 
-#: (manifest, check name) -> (torsions, compositions) counted during the check;
-#: ``None`` leaves a count unpinned.
+#: (manifest, check name) -> (torsions, compositions) counted during the check.
 CHECK_COUNTS = {
-    ("f1_complex.json", "complex-J0"): (3, 4),
-    ("f1_complex.json", "complex-J1"): (3, 4),
+    ("f1_complex.json", "complex-J0"): (2, 1),
+    ("f1_complex.json", "complex-J1"): (2, 1),
     ("f2_idempotent.json", "idempotent-N"): (1, 1),
-    ("f3_product.json", "product-P0"): (2, 2),
-    ("f3_product.json", "product-P1"): (2, 2),
-    ("f4_foliation.json", "foliation-gamma"): (4, 2),
+    ("f2_idempotent.json", "cohomology-A"): (0, 0),
+    ("f2_idempotent.json", "cohomology-D2"): (0, 0),
+    ("f3_product.json", "product-P0"): (2, 1),
+    ("f3_product.json", "product-P1"): (2, 1),
+    ("f4_foliation.json", "foliation-gamma"): (1, 1),
     ("f4_foliation.json", "idempotent-gamma"): (1, 1),
-    ("f5_tangent.json", "tangent-S0"): (2, None),
-    ("f5_tangent.json", "tangent-S1"): (2, None),
+    ("f5_tangent.json", "tangent-S0"): (2, 3),
+    ("f5_tangent.json", "tangent-S1"): (2, 3),
+    ("f6_invertible.json", "cohomology-A"): (0, 0),
+    ("negative_fail.json", "cohomology-J2-zero"): (0, 0),
 }
 
 
@@ -418,16 +536,14 @@ def test_each_guard_runs_once(monkeypatch, manifest_name):
     counts = _count_calls(monkeypatch)
     manifest = load_manifest(str(MANIFESTS / manifest_name), probe_degree=0)
     assert counts["tangent_data"] == (manifest_name == "f5_tangent.json")
+    status = "fail" if manifest_name == "negative_fail.json" else "pass"
     for descriptor in manifest.checks:
         key = (manifest_name, descriptor["name"])
         if key not in CHECK_COUNTS:
             continue
         counts.clear()
-        assert run_check(manifest, descriptor).status == "pass"
-        torsions, compositions = CHECK_COUNTS[key]
-        assert counts["torsion"] == torsions, key
-        if compositions is not None:
-            assert counts["compose"] == compositions, key
+        assert run_check(manifest, descriptor).status == status
+        assert (counts["torsion"], counts["compose"]) == CHECK_COUNTS[key], key
         assert counts["tangent_data"] == 0, key
 
 

@@ -103,6 +103,11 @@ class TestComplex:
             cchart = p_plus.chart
             cT = nijenhuis_torsion(complexify_vvf(J))
             assert nijenhuis_torsion(p_plus) == cT.scaled(cchart.const(quarter))
+            # the projector algebra, which J^2 = -Id implies
+            assert p_plus + p_minus == VectorValuedForm.identity(cchart)
+            assert p_plus.compose(p_plus) == p_plus
+            assert p_minus.compose(p_minus) == p_minus
+            assert p_plus.compose(p_minus).is_zero
 
     def test_integrable_structures_give_algebroids(self):
         for J in (J0(), J1()):
