@@ -61,9 +61,9 @@ EXIT_FAIL = 1
 EXIT_ERROR = 2
 
 #: Largest probe degree a manifest or ``--probe-degree`` may ask for. A random
-#: probe field of degree d has C(n+d, n) terms per component on an n-chart,
-#: and the axioms check brackets them twice, so the cost grows with a high
-#: power of d; the fixtures use 2.
+#: probe field of degree d has C(n+d, n) terms per component on an n-chart.
+#: A failing axioms check brackets the probes twice, so its cost grows with a
+#: high power of d; the fixtures use 2.
 MAX_PROBE_DEGREE = 10
 
 #: Check-descriptor keys that name a manifest object, in label order:
@@ -317,19 +317,22 @@ def load_manifest(
     except (ScalarError, ValueError) as exc:  # duplicate, reserved or malformed names
         raise ManifestError(f"{path}: {exc}") from exc
 
-    def _int_field(name: str, default: int, override: int | None) -> int:
+    def _int_field(
+        name: str, default: int, override: int | None, top: int | None = None
+    ) -> int:
+        """The manifest's own field, validated even when ``override`` replaces it."""
+        values = [doc.get(name, default)]
+        _expect(_is_int(values[0]), f"{path}: {name} must be an integer")
         if override is not None:
-            return override
-        value = doc.get(name, default)
-        _expect(_is_int(value), f"{path}: {name} must be an integer")
-        return value
+            values.append(override)
+        _expect(
+            top is None or all(0 <= v <= top for v in values),
+            f"{path}: {name} must be between 0 and {top}",
+        )
+        return values[-1]
 
     seed = _int_field("seed", 0, seed)
-    probe_degree = _int_field("probe_degree", 2, probe_degree)
-    _expect(
-        0 <= probe_degree <= MAX_PROBE_DEGREE,
-        f"{path}: probe_degree must be between 0 and {MAX_PROBE_DEGREE}",
-    )
+    probe_degree = _int_field("probe_degree", 2, probe_degree, MAX_PROBE_DEGREE)
     points = _int_field("points", 5, None)
 
     def _section(name: str) -> dict[str, Any]:

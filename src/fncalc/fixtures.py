@@ -6,7 +6,7 @@ image of ∂_j.
 
 from __future__ import annotations
 
-from .calculus import Chart, VectorField, VectorValuedForm
+from .calculus import Chart, VectorValuedForm
 
 __all__ = [
     "chart_r2",

@@ -36,9 +36,7 @@ from .calculus import (
     contracted_bracket,
     exterior_d,
     fn_bracket,
-    insertion,
     lie_bracket,
-    lie_derivative,
     nijenhuis_torsion,
 )
 from .linalg import column_space_basis

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from fncalc.algebroid import (
+    AxiomReport,
     BundleAlgebroid,
     LinearConnection,
     NotCohomologyError,
@@ -35,7 +36,7 @@ from fncalc.calculus import (
 from fncalc.cli import _RECIPES, _build, load_manifest
 from fncalc.fixtures import J0, J1, J2, N0, chart_r2
 from fncalc.linalg import inverse
-from fncalc.randgen import random_scalar, random_vvf
+from fncalc.randgen import random_scalar, random_vector_field, random_vvf
 from fncalc.structures import StructureError, d_components
 
 MANIFESTS = pathlib.Path(__file__).resolve().parent.parent / "manifests"
@@ -90,6 +91,47 @@ class TestIdempotentFixture:
             )
 
 
+def fixture_algebroids() -> list[tuple[str, TangentAlgebroid]]:
+    """The algebroids the fixture manifests declare, by manifest and name."""
+    return [
+        (f"{path.stem}:{name}", alg)
+        for path in sorted(MANIFESTS.glob("*.json"))
+        for name, alg in load_manifest(str(path)).algebroids.items()
+    ]
+
+
+def recipe_algebroids() -> list[tuple[str, TangentAlgebroid]]:
+    """Every algebroid a fixture check builds, and the foliation d-pieces."""
+    built = []
+    for path in sorted(MANIFESTS.glob("*.json")):
+        manifest = load_manifest(str(path))
+        for d in manifest.checks:
+            if d["kind"] in _RECIPES:
+                try:
+                    built.append((d["name"], _build(manifest, d)[0]))
+                except StructureError:  # negative_error's rejected inputs
+                    continue
+            elif d["kind"] == "foliation":
+                for piece in d_components(manifest.endomorphisms[d["endo"]]):
+                    built.append((d["name"], TangentAlgebroid(piece.K, piece.L)))
+    return built
+
+
+def seeded_pairs(dim: int, is_complex: bool, count: int = 3):
+    """``count`` seeded random (K, L) on a real or complexified chart."""
+    chart = Chart(("x", "y", "z")[:dim], is_complex)
+    rng = random.Random(100 * dim + is_complex)
+    return [(random_vvf(chart, 1, rng), random_vvf(chart, 2, rng)) for _ in range(count)]
+
+
+def seeded_charts(test):
+    """Parametrize ``test`` over real and complexified charts of dimension 2 and 3."""
+    test = pytest.mark.parametrize(
+        "is_complex", [False, True], ids=["real", "complex"]
+    )(test)
+    return pytest.mark.parametrize("dim", [2, 3])(test)
+
+
 class TestConditionOneTorsionRoute:
     """(1/2)[K,K]_FN + i_L K = T_K + K∘L: condition 1 as ``check_cohomology``
     computes it agrees with the torsion route, for every (K, L)."""
@@ -100,31 +142,16 @@ class TestConditionOneTorsionRoute:
         assert cond1 == nijenhuis_torsion(K) + _compose_endo_with_two_form(K, L)
 
     def test_fixture_algebroids(self):
-        count = 0
-        for path in sorted(MANIFESTS.glob("*.json")):
-            for alg in load_manifest(str(path)).algebroids.values():
-                self.assert_routes_agree(alg.anchor, alg.correction)
-                count += 1
-        assert count == 5
+        algebroids = fixture_algebroids()
+        for _, alg in algebroids:
+            self.assert_routes_agree(alg.anchor, alg.correction)
+        assert len(algebroids) == 5
 
     def test_recipe_algebroids(self):
-        """Every algebroid a fixture check builds, and the foliation d-pieces."""
-        built = []
-        for path in sorted(MANIFESTS.glob("*.json")):
-            manifest = load_manifest(str(path))
-            for d in manifest.checks:
-                if d["kind"] in _RECIPES:
-                    try:
-                        alg = _build(manifest, d)[0]
-                    except StructureError:  # negative_error's rejected inputs
-                        continue
-                    built.append((d["name"], alg.anchor, alg.correction))
-                elif d["kind"] == "foliation":
-                    for piece in d_components(manifest.endomorphisms[d["endo"]]):
-                        built.append((d["name"], piece.K, piece.L))
-        for _, K, L in built:
-            self.assert_routes_agree(K, L)
-        assert sorted(name for name, *_ in built) == [
+        built = recipe_algebroids()
+        for _, alg in built:
+            self.assert_routes_agree(alg.anchor, alg.correction)
+        assert sorted(name for name, _ in built) == [
             "complex-J0",
             "complex-J1",
             *["foliation-gamma"] * 3,
@@ -136,15 +163,152 @@ class TestConditionOneTorsionRoute:
             "tangent-S1",
         ]
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+    @seeded_charts
     def test_seeded_random_pairs(self, dim, is_complex):
-        chart = Chart(("x", "y", "z")[:dim], is_complex)
-        rng = random.Random(100 * dim + is_complex)
-        for _ in range(3):
-            K = random_vvf(chart, 1, rng)
-            L = random_vvf(chart, 2, rng)
+        for K, L in seeded_pairs(dim, is_complex):
             self.assert_routes_agree(K, L)
+
+
+def direct_probes(chart: Chart, probe_degree: int, seed: int, n_random_fields: int):
+    """The probe fields as ``check_axioms`` draws them, then a scalar f for the
+    Leibniz residual from the same rng."""
+    rng = random.Random(seed)
+    probes = [(f"e{j + 1}", e) for j, e in enumerate(chart.basis_vectors())]
+    for t in range(n_random_fields):
+        probes.append((f"r{t + 1}", random_vector_field(chart, rng, probe_degree)))
+    f = random_scalar(chart, rng, probe_degree, allow_imaginary=chart.is_complexified)
+    return probes, f
+
+
+def direct_leibniz(alg: TangentAlgebroid, probes, f):
+    """[[X,fY]] - f[[X,Y]] - (KX)(f)Y at each probe pair."""
+    return [
+        (
+            f"({la},{lb})",
+            alg.bracket(X, Y.scaled(f))
+            - alg.bracket(X, Y).scaled(f)
+            - Y.scaled(alg.anchor.apply(X)(f)),
+        )
+        for (la, X), (lb, Y) in itertools.combinations(probes, 2)
+    ]
+
+
+def direct_axioms(
+    alg: TangentAlgebroid, probe_degree: int = 2, seed: int = 0, n_random_fields: int = 2
+) -> AxiomReport:
+    """The axiom residuals with every probe bracketed: the reference for
+    ``check_axioms``, which decides them on the frame."""
+    probes, f = direct_probes(alg.chart, probe_degree, seed, n_random_fields)
+    jacobi = [
+        (
+            f"({la},{lb},{lc})",
+            alg.bracket(X, alg.bracket(Y, Z))
+            + alg.bracket(Y, alg.bracket(Z, X))
+            + alg.bracket(Z, alg.bracket(X, Y)),
+        )
+        for (la, X), (lb, Y), (lc, Z) in itertools.combinations(probes, 3)
+    ]
+    anchor = [
+        (
+            f"({la},{lb})",
+            alg.anchor.apply(alg.bracket(X, Y))
+            - lie_bracket(alg.anchor.apply(X), alg.anchor.apply(Y)),
+        )
+        for (la, X), (lb, Y) in itertools.combinations(probes, 2)
+    ]
+    leibniz = direct_leibniz(alg, probes, f)
+    return AxiomReport(tuple(jacobi), tuple(leibniz), tuple(anchor))
+
+
+def bundle_of_lie_algebras(dim: int, is_complex: bool) -> TangentAlgebroid:
+    """Zero anchor and a seeded random L: A = 0, but Jacobi fails on the frame."""
+    chart = Chart(("x", "y", "z")[:dim], is_complex)
+    L = random_vvf(chart, 2, random.Random(7 * dim + is_complex), degree=1)
+    return TangentAlgebroid(VectorValuedForm.zero(chart, 1), L)
+
+
+class TestAxiomsOnTheFrame:
+    """``check_axioms`` decides on the coordinate frame: Leibniz holds for every
+    (K, L), the anchor residual is a tensor, and so is the Jacobiator once the
+    anchor residual vanishes."""
+
+    @staticmethod
+    def all_algebroids():
+        algebroids = [alg for _, alg in fixture_algebroids() + recipe_algebroids()]
+        for dim, is_complex in itertools.product((2, 3), (False, True)):
+            algebroids += [TangentAlgebroid(K, L) for K, L in seeded_pairs(dim, is_complex)]
+        return algebroids
+
+    def test_leibniz_residual_vanishes(self):
+        """Computed directly, so drift in ``contracted_bracket`` is caught."""
+        for seed, alg in enumerate(self.all_algebroids()):
+            probes, f = direct_probes(alg.chart, 1, seed, 2)
+            for label, residual in direct_leibniz(alg, probes, f):
+                assert residual.is_zero, label
+
+    def test_frame_anchor_records_are_minus_condition_one(self):
+        for alg in self.all_algebroids():
+            K, L = alg.anchor, alg.correction
+            condition1 = nijenhuis_torsion(K) + _compose_endo_with_two_form(K, L)
+            records = dict(check_axioms(alg, probe_degree=0).anchor_morphism)
+            basis = alg.chart.basis_vectors()
+            for a, b in itertools.combinations(range(alg.chart.dim), 2):
+                expected = -condition1(basis[a], basis[b])
+                assert records[f"(e{a + 1},e{b + 1})"] == expected
+
+    def test_verdict_equals_cohomology_verdict(self):
+        algebroids = self.all_algebroids() + [
+            bundle_of_lie_algebras(3, is_complex) for is_complex in (False, True)
+        ]
+        verdicts = []
+        for alg in algebroids:
+            cohomology = check_cohomology(DerivationDeg1(alg.anchor, alg.correction))
+            verdict = check_axioms(alg, probe_degree=0).passed
+            assert verdict == cohomology.passed
+            verdicts.append(verdict)
+        # f2's A and D2, f6's A, and every recipe algebroid but the d_{1,0}
+        # piece of foliation-gamma, which is not square-zero
+        assert verdicts.count(True) == 13
+
+    def test_negative_fail_records_equal_direct_evaluation(self):
+        manifest = load_manifest(str(MANIFESTS / "negative_fail.json"))
+        alg = manifest.algebroids["Abad"]
+        for seed in (manifest.seed, 7):
+            report = check_axioms(alg, manifest.probe_degree, seed)
+            assert not report.passed
+            assert report == direct_axioms(alg, manifest.probe_degree, seed)
+
+    @seeded_charts
+    def test_failing_records_equal_direct_evaluation(self, dim, is_complex):
+        (K, L), *_ = seeded_pairs(dim, is_complex, count=1)
+        cases = [TangentAlgebroid(K, L), bundle_of_lie_algebras(dim, is_complex)]
+        for alg in cases:
+            report = check_axioms(alg, probe_degree=1, seed=dim)
+            assert report == direct_axioms(alg, probe_degree=1, seed=dim)
+        assert not check_axioms(cases[0], probe_degree=0).passed
+        # a bundle of Lie algebras of rank 3 fails Jacobi on the frame alone
+        assert check_axioms(cases[1], probe_degree=0).passed == (dim == 2)
+
+    def test_isomorphism_records_equal_direct_evaluation(self):
+        def direct(alg, seed, probe_degree):
+            chart = alg.chart
+            phi = VectorValuedForm.from_matrix(chart, inverse(alg.anchor.matrix(), chart))
+            probes, _ = direct_probes(chart, probe_degree, seed, 1)
+            return [
+                (
+                    f"({la},{lb})",
+                    phi.apply(lie_bracket(X, Y)) - alg.bracket(phi.apply(X), phi.apply(Y)),
+                )
+                for (la, X), (lb, Y) in itertools.combinations(probes, 2)
+            ]
+
+        K = J2()
+        good = invertible_algebroid(K)
+        bad = TangentAlgebroid(K, VectorValuedForm.zero(K.chart, 2))
+        for alg in (good, bad):
+            for seed in (0, 7):
+                assert verify_trivial_isomorphism(alg, seed, 2) == direct(alg, seed, 2)
+        assert any(not r.is_zero for _, r in verify_trivial_isomorphism(bad))
 
 
 class TestInvertibleAnchor:

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fncalc
 from fncalc import calculus, cli, structures
+from fncalc.algebroid import TangentAlgebroid
 from fncalc.calculus import VectorValuedForm
 from fncalc.cli import (
     EXIT_ERROR,
@@ -290,6 +291,25 @@ class TestHostileManifests:
         doc = n_manifest(**{field: value})
         self.assert_manifest_error(tmp_path, capsys, doc)
 
+    @pytest.mark.parametrize(
+        ("field", "value", "option"),
+        [
+            ("probe_degree", True, "--probe-degree"),
+            ("probe_degree", 400, "--probe-degree"),
+            ("seed", "7", "--seed"),
+        ],
+        ids=["probe_degree-bool", "probe_degree-too-large", "seed-string"],
+    )
+    def test_bad_integer_field_under_an_option(
+        self, tmp_path, capsys, field, value, option
+    ):
+        """An option replaces a manifest field only after the field is validated."""
+        path = write_manifest(tmp_path, n_manifest(**{field: value}))
+        code = main(["verify", path, option, "0"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.err.startswith("error: ") and captured.out == ""
+
     def test_negative_probe_degree_option(self, tmp_path, capsys):
         path = write_manifest(tmp_path, n_manifest())
         code = main(["verify", path, "--probe-degree", "-1"])
@@ -545,6 +565,48 @@ def test_each_guard_runs_once(monkeypatch, manifest_name):
         assert run_check(manifest, descriptor).status == status
         assert (counts["torsion"], counts["compose"]) == CHECK_COUNTS[key], key
         assert counts["tangent_data"] == 0, key
+
+
+#: (manifest, check name) -> TangentAlgebroid.bracket calls of the passing
+#: check at the manifest's probe degree: C(n,2) frame pairs and 3·C(n,3) frame
+#: Jacobi terms for the axioms of a rank-n algebroid (1 at rank 2, 18 at rank
+#: 4), plus the closed-form bracket guards of the construction; C(n,2) for an
+#: isomorphism check.
+BRACKET_COUNTS = {
+    ("f1_complex.json", "complex-J0"): 2,
+    ("f1_complex.json", "complex-J1"): 2,
+    ("f2_idempotent.json", "idempotent-N"): 24,
+    ("f2_idempotent.json", "axioms-A"): 18,
+    ("f3_product.json", "product-P0"): 2,
+    ("f3_product.json", "product-P1"): 2,
+    ("f4_foliation.json", "idempotent-gamma"): 9,
+    ("f5_tangent.json", "tangent-S0"): 3,
+    ("f5_tangent.json", "tangent-S1"): 3,
+    ("f6_invertible.json", "axioms-A"): 18,
+    ("f6_invertible.json", "isomorphism-A"): 6,
+}
+
+
+@pytest.mark.parametrize("manifest_name", sorted({m for m, _ in BRACKET_COUNTS}))
+def test_passing_algebroid_checks_bracket_only_the_frame(monkeypatch, manifest_name):
+    """A passing axioms, recipe or isomorphism check brackets no random probe."""
+    calls = Counter()
+    bracket = TangentAlgebroid.bracket
+
+    def counting(self, X, Y):
+        calls["bracket"] += 1
+        return bracket(self, X, Y)
+
+    monkeypatch.setattr(TangentAlgebroid, "bracket", counting)
+    manifest = load_manifest(str(MANIFESTS / manifest_name))
+    assert manifest.probe_degree == 2
+    for descriptor in manifest.checks:
+        key = (manifest_name, descriptor["name"])
+        if key not in BRACKET_COUNTS:
+            continue
+        calls.clear()
+        assert run_check(manifest, descriptor).status == "pass"
+        assert calls["bracket"] == BRACKET_COUNTS[key], key
 
 
 class TestSubcommands:
