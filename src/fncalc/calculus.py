@@ -650,9 +650,15 @@ def graded_commutator_on(
     op2: tuple[Callable[[KForm], KForm], int],
     omega: KForm,
 ) -> KForm:
-    """[D1, D2] omega for two operators given with their declared degrees."""
+    """[D1, D2] omega for two operators given with their declared degrees.
+
+    When ``op1 is op2`` the composition D D omega runs once: [D, D] omega is
+    twice it for an odd D and the zero form of its degree for an even one.
+    """
     (f1, d1), (f2, d2) = op1, op2
     first = f1(f2(omega))
+    if op1 is op2:
+        return first + first if d1 % 2 else first._like({})
     second = f2(f1(omega))
     if (d1 * d2) % 2 == 0:
         return first - second
@@ -669,16 +675,9 @@ def rn_bracket(A: VectorValuedForm, B: VectorValuedForm) -> VectorValuedForm:
     _check_chart(A, B)
     chart = A.chart
     degree = A.degree + B.degree - 1
-    da, db = A.degree - 1, B.degree - 1
-    comps = []
-    for j in range(chart.dim):
-        comps.append(
-            graded_commutator_on(
-                (lambda w, A=A: insertion(A, w), da),
-                (lambda w, B=B: insertion(B, w), db),
-                chart.dx(j),
-            )
-        )
+    op_a = (lambda w: insertion(A, w), A.degree - 1)
+    op_b = op_a if B is A else (lambda w: insertion(B, w), B.degree - 1)
+    comps = [graded_commutator_on(op_a, op_b, chart.dx(j)) for j in range(chart.dim)]
     return VectorValuedForm(chart, degree, comps)
 
 
@@ -687,15 +686,12 @@ def fn_bracket(A: VectorValuedForm, B: VectorValuedForm) -> VectorValuedForm:
     _check_chart(A, B)
     chart = A.chart
     degree = A.degree + B.degree
-    comps = []
-    for j in range(chart.dim):
-        comps.append(
-            graded_commutator_on(
-                (lambda w, A=A: lie_derivative(A, w), A.degree),
-                (lambda w, B=B: lie_derivative(B, w), B.degree),
-                chart.coordinate_function(j),
-            )
-        )
+    op_a = (lambda w: lie_derivative(A, w), A.degree)
+    op_b = op_a if B is A else (lambda w: lie_derivative(B, w), B.degree)
+    comps = [
+        graded_commutator_on(op_a, op_b, chart.coordinate_function(j))
+        for j in range(chart.dim)
+    ]
     return VectorValuedForm(chart, degree, comps)
 
 

@@ -17,24 +17,31 @@ and Z[i], so a real scalar that meets a Z[i] scalar on the same coordinates
 is embedded into Z[i], and equality and hashing compare values across the
 two domains.
 
-Polynomial arithmetic is delegated to sympy's sparse polynomial rings over
-the ``ZZ`` and ``ZZ_I`` domains; everything user-facing (parsing, printing,
-the ``GaussianRational`` constant type) is defined here. Scalars are never
+A polynomial is a ``dict`` from a packed monomial to its nonzero
+coefficient, a Python ``int`` over Z and a sympy ``ZZ_I`` element over Z[i]
+(Monagan and Pearce, "Polynomial Division Using Dynamic Arrays, Heaps, and
+Packed Exponent Vectors", CASC 2007). The packed key holds the total degree
+in its top field and one ``EXPONENT_BITS``-bit field per coordinate below
+it, so a monomial product is one integer addition and integer order is
+graded-lex order. Sums, products, powers and derivatives are computed here.
+The only step that needs a multivariate gcd, cancelling a non-constant
+denominator, is handed to sympy's ``PolyElement.cancel``. sympy is imported
+when that first happens, or when the first ring over Z[i] is built, so a
+real chart with polynomial scalars never loads it. Parsing, printing and
+the ``GaussianRational`` constant type are defined here. Scalars are never
 evaluated at points: every identity is decided on canonical forms.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 from typing import Sequence
-
-from sympy.polys.domains import ZZ, ZZ_I
-from sympy.polys.orderings import grlex
-from sympy.polys.rings import ring as _sympy_ring
 
 __all__ = [
     "ScalarError",
@@ -111,7 +118,63 @@ class GaussianRational:
         return f"{self.re}{sign}{imag}"
 
 
+# ---------------------------------------------------------------------------
+# Coefficient domains. Both offer the part of sympy's domain interface the
+# kernel uses (``one``, ``gcd``, ``quo``, ``canonical_unit``), plus ``of_int``
+# for an integer as a coefficient.
+# ---------------------------------------------------------------------------
+
+
+class _Integers:
+    """Z, with Python ``int`` coefficients."""
+
+    one = 1
+    gcd = staticmethod(math.gcd)
+    quo = staticmethod(operator.floordiv)  # only ever an exact division
+    of_int = staticmethod(int)
+
+    @staticmethod
+    def canonical_unit(c: int) -> int:
+        return -1 if c < 0 else 1
+
+    @property
+    def sympy_domain(self):
+        from sympy.polys.domains import ZZ
+
+        return ZZ
+
+
+class _GaussianIntegers:
+    """Z[i], with sympy's ``ZZ_I`` elements as coefficients."""
+
+    def __init__(self):
+        from sympy.polys.domains import ZZ_I
+
+        self.sympy_domain = ZZ_I
+        self.one = ZZ_I.one
+        self.gcd = ZZ_I.gcd
+        self.quo = ZZ_I.quo
+        self.canonical_unit = ZZ_I.canonical_unit
+        # ``new`` skips the conversion that ``ZZ_I(k)`` and ``c * k`` pay
+        self.of_parts = ZZ_I.dtype.new
+        self.of_int = lambda k: self.of_parts(k, 0)
+
+
+_INTEGERS = _Integers()
+
+
+@lru_cache(maxsize=None)
+def _gaussian_integers() -> _GaussianIntegers:
+    return _GaussianIntegers()
+
+
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+#: Width in bits of each field of a packed monomial. A product or power of
+#: total degree 2**EXPONENT_BITS or more raises ScalarError, so no field ever
+#: carries into the next.
+EXPONENT_BITS = 16
+_FIELD_MASK = (1 << EXPONENT_BITS) - 1
 
 
 class CoordinateRing:
@@ -120,10 +183,13 @@ class CoordinateRing:
     ``allow_imaginary`` picks the coefficient domain: the Gaussian integers
     Z[i] when true (a complexified chart), the integers Z when false (a real
     chart). Scalars over it are fractions of its polynomials, so they range
-    over Q(i)(x) or Q(x). Instances are cached per variable tuple and domain
-    so that polynomial elements of the same chart always belong to the
-    identical sympy ring object; ``zero`` and ``one`` are the ring's shared
-    constant scalars.
+    over Q(i)(x) or Q(x). With B = EXPONENT_BITS, the monomial
+    x_1^e_1 ... x_n^e_n is the key (e_1 + ... + e_n) * 2^(B n) plus
+    e_j * 2^(B (n - j)) for each j (see ``monomial``), so comparing keys
+    compares total degrees first, then exponents from x_1 on: graded-lex
+    order. Instances are cached per variable tuple and domain,
+    so that all scalars of a chart share one ring; ``zero`` and ``one`` are
+    the ring's shared constant scalars.
     """
 
     def __init__(self, names: tuple[str, ...], allow_imaginary: bool = True):
@@ -136,14 +202,46 @@ class CoordinateRing:
             raise ValueError(f"duplicate variable names in {names}")
         if not names:
             raise ValueError("empty variable tuple")
+        n = len(names)
         self.names = names
         self.allow_imaginary = allow_imaginary
-        self.domain = ZZ_I if allow_imaginary else ZZ
-        self.ring, *gens = _sympy_ring(list(names), self.domain, grlex)
-        self.gens = tuple(gens)
-        one = self.ring.one
-        self.zero = ScalarExpr(self, self.ring.zero, one, _canonical=True)
+        self.domain = _gaussian_integers() if allow_imaginary else _INTEGERS
+        #: the bit offset of each coordinate's exponent field
+        self._shifts = {
+            name: (n - 1 - j) * EXPONENT_BITS for j, name in enumerate(names)
+        }
+        self._degree_shift = n * EXPONENT_BITS
+        #: the least key of total degree 2**EXPONENT_BITS
+        self._key_limit = 1 << (self._degree_shift + EXPONENT_BITS)
+        self._sympy_ring = None
+        one = {0: self.domain.one}
+        self.zero = ScalarExpr(self, {}, one, _canonical=True)
         self.one = ScalarExpr(self, one, one, _canonical=True)
+
+    def monomial(self, exponents: Sequence[int]) -> int:
+        """The packed key of the monomial with these exponents."""
+        key = sum(exponents) << self._degree_shift
+        for e, shift in zip(exponents, self._shifts.values()):
+            key |= e << shift
+        return key
+
+    def exponents(self, key: int) -> tuple[int, ...]:
+        """The exponents of the monomial ``key``."""
+        return tuple((key >> shift) & _FIELD_MASK for shift in self._shifts.values())
+
+    def _to_sympy(self, poly: dict):
+        if self._sympy_ring is None:
+            from sympy.polys.orderings import grlex
+            from sympy.polys.rings import ring
+
+            domain = self.domain.sympy_domain
+            self._sympy_ring = ring(list(self.names), domain, grlex)[0]
+        exponents = self.exponents
+        return self._sympy_ring.from_dict({exponents(m): c for m, c in poly.items()})
+
+    def _from_sympy(self, poly) -> dict:
+        monomial = self.monomial
+        return {monomial(e): c for e, c in poly.items()}
 
     def __repr__(self) -> str:
         return f"CoordinateRing{self.names}"
@@ -157,13 +255,151 @@ def coordinate_ring(
     return CoordinateRing(names, allow_imaginary)
 
 
+# ---------------------------------------------------------------------------
+# Polynomials: dicts from packed monomial to nonzero coefficient, never
+# mutated once built, so scalars may share them.
+# ---------------------------------------------------------------------------
+
+
+def _add(a: dict, b: dict) -> dict:
+    if len(a) < len(b):
+        a, b = b, a
+    out = dict(a)
+    get = out.get
+    for m, c in b.items():
+        s = get(m)
+        if s is None:
+            out[m] = c
+        else:
+            s = s + c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
+def _sub(a: dict, b: dict) -> dict:
+    out = dict(a)
+    get = out.get
+    for m, c in b.items():
+        s = get(m)
+        if s is None:
+            out[m] = -c
+        else:
+            s = s - c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
+def _neg(a: dict) -> dict:
+    return {m: -c for m, c in a.items()}
+
+
+def _scale(a: dict, k) -> dict:
+    """``a`` times the nonzero constant ``k``."""
+    return {m: c * k for m, c in a.items()}
+
+
+def _too_large(ring: CoordinateRing) -> ScalarError:
+    return ScalarError(
+        f"polynomial of total degree 2^{EXPONENT_BITS} or more on {ring}"
+    )
+
+
+def _mul(ring: CoordinateRing, a: dict, b: dict) -> dict:
+    """``a * b``, refused before a field could carry: the sum of the largest
+    keys is at least the key of the true top-degree product, and equal to it
+    when nothing carries, so it reaches the limit exactly when the product's
+    total degree would."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        ((mb, cb),) = b.items()
+        if len(a) == 1:  # e.g. two constant denominators
+            ((ma, ca),) = a.items()
+            m = ma + mb
+            if m >= ring._key_limit:
+                raise _too_large(ring)
+            return {m: ca * cb}
+        if max(a) + mb >= ring._key_limit:
+            raise _too_large(ring)
+        if mb:
+            return {m + mb: c * cb for m, c in a.items()}
+        return {m: c * cb for m, c in a.items()}
+    if not b:
+        return {}
+    if max(a) + max(b) >= ring._key_limit:
+        raise _too_large(ring)
+    out: dict = {}
+    get = out.get
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = ma + mb
+            s = get(m)
+            if s is None:
+                out[m] = ca * cb
+            else:
+                s = s + ca * cb
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+    return out
+
+
+def _pow(ring: CoordinateRing, a: dict, k: int) -> dict:
+    """``a**k`` for k >= 1, by repeated squaring."""
+    if not a:
+        return {}
+    if max(a) * k >= ring._key_limit:
+        raise _too_large(ring)
+    if len(a) == 1:
+        ((m, c),) = a.items()
+        return {m * k: c**k}
+    result = None
+    while True:
+        if k & 1:
+            result = a if result is None else _mul(ring, result, a)
+        k >>= 1
+        if not k:
+            return result
+        a = _mul(ring, a, a)
+
+
+def _diff(ring: CoordinateRing, a: dict, var: str) -> dict:
+    """The derivative of ``a`` by the coordinate ``var``."""
+    shift = ring._shifts[var]
+    step = (1 << shift) + (1 << ring._degree_shift)
+    of_int = ring.domain.of_int
+    out = {}
+    for m, c in a.items():
+        e = (m >> shift) & _FIELD_MASK
+        if e:
+            out[m - step] = c if e == 1 else c * of_int(e)
+    return out
+
+
+def _is_ground(poly: dict) -> bool:
+    """Whether the nonzero ``poly`` is a constant."""
+    return len(poly) == 1 and 0 in poly
+
+
+def _lc(poly: dict):
+    """The graded-lex leading coefficient."""
+    return poly[max(poly)]
+
+
 def _from_domain(coeff, ring: CoordinateRing) -> GaussianRational:
     if ring.allow_imaginary:
         return GaussianRational(Fraction(coeff.x), Fraction(coeff.y))
     return GaussianRational(Fraction(coeff))
 
 
-def _hash_terms(poly, ring: CoordinateRing) -> frozenset:
+def _hash_terms(poly: dict, ring: CoordinateRing) -> frozenset:
     """The terms of ``poly`` with each real Z[i] coefficient hashed as its Z value."""
     if ring.allow_imaginary:
         return frozenset(
@@ -172,38 +408,40 @@ def _hash_terms(poly, ring: CoordinateRing) -> frozenset:
     return frozenset(poly.items())
 
 
-def _unit_normal(ring: CoordinateRing, num, den):
+def _unit_normal(ring: CoordinateRing, num: dict, den: dict):
     """``num/den`` times the unit that makes LC(den) canonical (positive over Z,
     first quadrant over Z[i]); for a pair that is already coprime."""
-    unit = ring.domain.canonical_unit(den.LC)
+    unit = ring.domain.canonical_unit(_lc(den))
     if unit == ring.domain.one:
         return num, den
-    return num.mul_ground(unit), den.mul_ground(unit)
+    return _scale(num, unit), _scale(den, unit)
 
 
-def _reduce(ring: CoordinateRing, num, den):
+def _reduce(ring: CoordinateRing, num: dict, den: dict):
     """The canonical form of ``num/den``: coprime with a canonical LC(den)."""
-    if not den.is_ground:
+    if not _is_ground(den):
         # sympy cancels over Z or Z[i], content included, and makes LC(den)
         # a canonical unit multiple.
-        return num.cancel(den)
+        num, den = ring._to_sympy(num).cancel(ring._to_sympy(den))
+        return ring._from_sympy(num), ring._from_sympy(den)
     domain = ring.domain
     one = domain.one
-    (d,) = den.values()
+    d = den[0]
     if d == one:
         return num, den
     if not num:
-        return num, ring.ring.one
+        return num, ring.one.den
     # A constant denominator only shares a constant with num: its content.
     gcd = domain.gcd
     g = d
-    for c in num.itercoeffs():
+    for c in num.values():
         g = gcd(g, c)
         if g == one:
             break
     if g != one:
-        num = num.quo_ground(g)
-        den = ring.ring.ground_new(domain.quo(d, g))
+        quo = domain.quo
+        num = {m: quo(c, g) for m, c in num.items()}
+        den = {0: quo(d, g)}
     return _unit_normal(ring, num, den)
 
 
@@ -221,7 +459,9 @@ class ScalarExpr:
 
     __slots__ = ("ring", "num", "den")
 
-    def __init__(self, ring: CoordinateRing, num, den, *, _canonical=False):
+    def __init__(
+        self, ring: CoordinateRing, num: dict, den: dict, *, _canonical=False
+    ):
         if not den:
             raise DivisionByZeroError("zero denominator")
         if not _canonical:
@@ -244,17 +484,20 @@ class ScalarExpr:
         # an integer numerator over the lcm of the denominators
         d = lcm(re.denominator, im.denominator)
         num = re.numerator * (d // re.denominator)
+        domain = ring.domain
         if im:
-            num = ZZ_I(num, im.numerator * (d // im.denominator))
-        new = ring.ring.ground_new
-        return ScalarExpr(ring, new(num), new(d))
+            num = domain.of_parts(num, im.numerator * (d // im.denominator))
+        else:
+            num = domain.of_int(num)
+        return ScalarExpr(ring, {0: num} if num else {}, {0: domain.of_int(d)})
 
     @staticmethod
     def variable(ring: CoordinateRing, name: str) -> "ScalarExpr":
         if name not in ring.names:
             raise UnknownVariableError(f"unknown variable {name!r}")
-        gen = ring.gens[ring.names.index(name)]
-        return ScalarExpr(ring, gen, ring.ring.one, _canonical=True)
+        key = (1 << ring._degree_shift) | (1 << ring._shifts[name])
+        one = ring.one.den
+        return ScalarExpr(ring, {key: one[0]}, one, _canonical=True)
 
     @staticmethod
     def imaginary_unit(ring: CoordinateRing) -> "ScalarExpr":
@@ -276,10 +519,14 @@ class ScalarExpr:
             )
         # Integers coprime over Z stay coprime over Z[i], and a positive
         # leading coefficient is canonical over both.
+        if ring.allow_imaginary:
+            convert = ring.domain.of_int
+        else:
+            convert = operator.attrgetter("x")
         return ScalarExpr(
             ring,
-            self.num.set_ring(ring.ring),
-            self.den.set_ring(ring.ring),
+            {m: convert(c) for m, c in self.num.items()},
+            {m: convert(c) for m, c in self.den.items()},
             _canonical=True,
         )
 
@@ -293,52 +540,61 @@ class ScalarExpr:
     def __add__(self, other: "ScalarExpr") -> "ScalarExpr":
         if self.ring is not other.ring:
             self, other = self._unify(other)
+        ring = self.ring
         if self.den == other.den:
-            return ScalarExpr(self.ring, self.num + other.num, self.den)
+            return ScalarExpr(ring, _add(self.num, other.num), self.den)
         return ScalarExpr(
-            self.ring,
-            self.num * other.den + other.num * self.den,
-            self.den * other.den,
+            ring,
+            _add(_mul(ring, self.num, other.den), _mul(ring, other.num, self.den)),
+            _mul(ring, self.den, other.den),
         )
 
     def __sub__(self, other: "ScalarExpr") -> "ScalarExpr":
         if self.ring is not other.ring:
             self, other = self._unify(other)
+        ring = self.ring
         if self.den == other.den:
-            return ScalarExpr(self.ring, self.num - other.num, self.den)
+            return ScalarExpr(ring, _sub(self.num, other.num), self.den)
         return ScalarExpr(
-            self.ring,
-            self.num * other.den - other.num * self.den,
-            self.den * other.den,
+            ring,
+            _sub(_mul(ring, self.num, other.den), _mul(ring, other.num, self.den)),
+            _mul(ring, self.den, other.den),
         )
 
     def __neg__(self) -> "ScalarExpr":
-        return ScalarExpr(self.ring, -self.num, self.den, _canonical=True)
+        return ScalarExpr(self.ring, _neg(self.num), self.den, _canonical=True)
 
     def __mul__(self, other: "ScalarExpr") -> "ScalarExpr":
         if self.ring is not other.ring:
             self, other = self._unify(other)
-        return ScalarExpr(self.ring, self.num * other.num, self.den * other.den)
+        ring = self.ring
+        return ScalarExpr(
+            ring, _mul(ring, self.num, other.num), _mul(ring, self.den, other.den)
+        )
 
     def __truediv__(self, other: "ScalarExpr") -> "ScalarExpr":
         if self.ring is not other.ring:
             self, other = self._unify(other)
         if not other.num:
             raise DivisionByZeroError("division by zero rational function")
-        return ScalarExpr(self.ring, self.num * other.den, self.den * other.num)
+        ring = self.ring
+        return ScalarExpr(
+            ring, _mul(ring, self.num, other.den), _mul(ring, self.den, other.num)
+        )
 
     def __pow__(self, exponent: int) -> "ScalarExpr":
         # Powers of a coprime pair stay coprime; only the unit of LC(den) moves.
         if exponent == 0:
-            return self.ring.one  # 0^0 included, which sympy refuses
+            return self.ring.one  # 0^0 included
+        ring = self.ring
         if exponent < 0:
             if not self.num:
                 raise DivisionByZeroError("division by zero rational function")
-            num, den = self.den ** -exponent, self.num ** -exponent
+            num, den = _pow(ring, self.den, -exponent), _pow(ring, self.num, -exponent)
         else:
-            num, den = self.num**exponent, self.den**exponent
-        num, den = _unit_normal(self.ring, num, den)
-        return ScalarExpr(self.ring, num, den, _canonical=True)
+            num, den = _pow(ring, self.num, exponent), _pow(ring, self.den, exponent)
+        num, den = _unit_normal(ring, num, den)
+        return ScalarExpr(ring, num, den, _canonical=True)
 
     # -- queries -------------------------------------------------------
 
@@ -350,9 +606,9 @@ class ScalarExpr:
     def has_imaginary(self) -> bool:
         if not self.ring.allow_imaginary:
             return False
-        return any(
-            c.y != 0 for _, c in self.num.terms()
-        ) or any(c.y != 0 for _, c in self.den.terms())
+        return any(c.y for c in self.num.values()) or any(
+            c.y for c in self.den.values()
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScalarExpr):
@@ -377,32 +633,36 @@ class ScalarExpr:
     def partial(self, var: str) -> "ScalarExpr":
         """Exact partial derivative: of the numerator over a constant
         denominator, by the quotient rule otherwise."""
-        if var not in self.ring.names:
+        ring = self.ring
+        if var not in ring.names:
             raise UnknownVariableError(f"unknown variable {var!r}")
-        gen = self.ring.gens[self.ring.names.index(var)]
-        dn = self.num.diff(gen)
-        if self.den.is_ground:
-            return ScalarExpr(self.ring, dn, self.den)
-        dd = self.den.diff(gen)
+        num, den = self.num, self.den
+        dn = _diff(ring, num, var)
+        if _is_ground(den):
+            return ScalarExpr(ring, dn, den)
+        dd = _diff(ring, den, var)
         return ScalarExpr(
-            self.ring, dn * self.den - self.num * dd, self.den * self.den
+            ring,
+            _sub(_mul(ring, dn, den), _mul(ring, num, dd)),
+            _mul(ring, den, den),
         )
 
     def conjugate(self) -> "ScalarExpr":
-        if not self.ring.allow_imaginary:
+        ring = self.ring
+        if not ring.allow_imaginary:
             return self
-        poly = self.ring.ring.from_terms
-        num = poly([(m, ZZ_I(c.x, -c.y)) for m, c in self.num.terms()])
-        den = poly([(m, ZZ_I(c.x, -c.y)) for m, c in self.den.terms()])
+        new = ring.domain.of_parts
+        num = {m: new(c.x, -c.y) for m, c in self.num.items()}
+        den = {m: new(c.x, -c.y) for m, c in self.den.items()}
         # conjugation keeps the pair coprime
-        num, den = _unit_normal(self.ring, num, den)
-        return ScalarExpr(self.ring, num, den, _canonical=True)
+        num, den = _unit_normal(ring, num, den)
+        return ScalarExpr(ring, num, den, _canonical=True)
 
     def __str__(self) -> str:
         # The same value over Q or Q(i), with a monic denominator.
-        lc = _from_domain(self.den.LC, self.ring)
+        lc = _from_domain(_lc(self.den), self.ring)
         num = _poly_str(self.num, self.ring, lc)
-        if self.den.is_ground:
+        if _is_ground(self.den):
             return num
         den = _poly_str(self.den, self.ring, lc)
         num_s = num if _is_atomic(num) else f"({num})"
@@ -417,19 +677,18 @@ def _is_atomic(s: str) -> bool:
     return "+" not in s[1:] and "-" not in s[1:] and "/" not in s and "*" not in s
 
 
-def _poly_str(poly, ring: CoordinateRing, scale: GaussianRational) -> str:
+def _poly_str(poly: dict, ring: CoordinateRing, scale: GaussianRational) -> str:
     """``poly`` divided by ``scale``, with Q or Q(i) coefficients."""
     if not poly:
         return "0"
-    order = ring.ring.order
     one = GaussianRational(_FRACTION_ONE)
     parts = []
-    for monom, coeff in sorted(poly.terms(), key=lambda t: order(t[0]), reverse=True):
-        gr = _from_domain(coeff, ring)
+    for monom in sorted(poly, reverse=True):
+        gr = _from_domain(poly[monom], ring)
         if scale != one:
             gr = gr / scale
         factors = []
-        for name, exp in zip(ring.names, monom):
+        for name, exp in zip(ring.names, ring.exponents(monom)):
             if exp == 1:
                 factors.append(name)
             elif exp > 1:

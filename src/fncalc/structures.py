@@ -243,6 +243,12 @@ def complex_projectors(
     satisfies T_{p+} = -(1/(4 eps^2)) T_J, which the test suite pins.
     """
     eps = _require_square(J, eps, -1, NotAlmostComplexError, "J")
+    return _projectors(J, eps)
+
+
+def _projectors(
+    J: VectorValuedForm, eps: Fraction
+) -> tuple[VectorValuedForm, VectorValuedForm]:
     cchart = J.chart.complexify()
     identity = VectorValuedForm.identity(cchart)
     iJ = complexify_vvf(J).scaled(cchart.scalar("i") * cchart.const(1 / eps))
@@ -257,9 +263,12 @@ def complex_algebroid(
 
     The image of p+ is the holomorphic distribution, so the involutivity
     check of the idempotent construction is the closure p-[p+ X, p+ Y] = 0.
+    Both conditions on J are checked on J's own chart, so a J that fails
+    them never builds the complexified one.
     """
-    p_plus, _ = complex_projectors(J, eps)
+    eps = _require_square(J, eps, -1, NotAlmostComplexError, "J")
     _require_integrable(J, "complex")
+    p_plus, _ = _projectors(J, eps)
     _require_image_involutive(p_plus)
     alg = _projector_algebroid(p_plus, nijenhuis_torsion(p_plus))
     if not alg.correction.is_zero:

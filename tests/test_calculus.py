@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from fncalc import calculus
 from fncalc.calculus import (
     CalculusError,
     Chart,
@@ -17,6 +18,7 @@ from fncalc.calculus import (
     exterior_d,
     fn_bracket,
     fn_decompose,
+    graded_commutator_on,
     insertion,
     lie_bracket,
     lie_derivative,
@@ -177,6 +179,48 @@ def test_fn_bracket_graded_symmetry():
     X = VectorValuedForm.from_vector_field(random_vector_field(ch, rng))
     Y = VectorValuedForm.from_vector_field(random_vector_field(ch, rng))
     assert fn_bracket(X, Y) == -fn_bracket(Y, X)
+
+
+@pytest.mark.parametrize("complexified", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_self_brackets_compose_once(complexified, degree, monkeypatch):
+    """[D, D] on one operator object composes once and equals the graded
+    commutator of two copies of D, which composes both ways; so do
+    [A, A]_FN and [A, A]_RN, which pass one object for both sides. The
+    chart has room for the forms L_A L_A x^j of degree 2 deg A."""
+    chart = Chart(("x", "y", "z", "w")[: max(2, 2 * degree)], complexified)
+    A = random_vvf(chart, degree, random.Random(20 + degree), degree=1)
+    if degree < 2:  # a rational A of degree 2 on four coordinates takes minutes
+        A = A.scaled(chart.scalar("1/(x^2+1)"))
+    lie = (lambda w: lie_derivative(A, w), degree)
+    ins = (lambda w: insertion(A, w), degree - 1)
+    functions = [chart.coordinate_function(j) for j in range(chart.dim)]
+    differentials = [chart.dx(j) for j in range(chart.dim)]
+    expected = {}
+    for name, op, omegas in (("fn", lie, functions), ("rn", ins, differentials)):
+        copy = (lambda w, f=op[0]: f(w), op[1])
+        expected[name] = [graded_commutator_on(op, copy, w) for w in omegas]
+        once = [graded_commutator_on(op, op, w) for w in omegas]
+        assert once == expected[name]
+        assert [w.degree for w in once] == [w.degree for w in expected[name]]
+
+    calls = []
+
+    def counted(op):
+        def wrapper(K, omega):
+            calls.append(op.__name__)
+            return op(K, omega)
+
+        return wrapper
+
+    monkeypatch.setattr(calculus, "lie_derivative", counted(lie_derivative))
+    monkeypatch.setattr(calculus, "insertion", counted(insertion))
+    assert list(fn_bracket(A, A).components) == expected["fn"]
+    assert calls.count("lie_derivative") == 2 * chart.dim
+    if degree:  # [A, A]_RN has degree 2 deg A - 1
+        calls.clear()
+        assert list(rn_bracket(A, A).components) == expected["rn"]
+        assert calls == ["insertion"] * (2 * chart.dim)
 
 
 def test_torsion_is_half_fn_self_bracket():

@@ -1,11 +1,15 @@
 """CLI layer: manifest loading, check dispatch, report formats, exit codes."""
 
 import contextlib
+import copy
 import importlib
 import io
 import json
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -336,6 +340,13 @@ class TestHostileManifests:
         )
         self.assert_manifest_error(tmp_path, capsys, doc)
 
+    def test_degree_past_the_monomial_field_width(self, tmp_path, capsys):
+        # each exponent passes MAX_EXPONENT and the power has one term, but
+        # x^262144 does not fit a packed monomial
+        text = "((x^64)^64)^64"
+        doc = n_manifest(endomorphisms={"N": [[text, "0", "0", "0"], *N_ROWS[1:]]})
+        self.assert_manifest_error(tmp_path, capsys, doc)
+
     def test_manifest_that_is_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_bytes(b'{"chart": {"coords": ["\xff"]}}')
@@ -417,7 +428,8 @@ def _mutate(data, doc):
         del parent[key]
         return doc
     if kind == "swap":
-        new = data.draw(st.sampled_from(SWAPS))
+        # a copy: a later mutation may walk into the swapped-in node
+        new = copy.deepcopy(data.draw(st.sampled_from(SWAPS)))
     elif kind == "nest":
         new = node
         for _ in range(data.draw(st.sampled_from([2, 50, 500]))):
@@ -669,3 +681,37 @@ class TestSubcommands:
         code = main(["build", write_manifest(tmp_path, n_manifest()), "complex:N"])
         assert code == EXIT_ERROR
         capsys.readouterr()
+
+
+SYMPY_FREE_VERIFY = """
+import contextlib, io, sys
+import fncalc.cli
+assert "sympy" not in sys.modules, "importing fncalc.cli loaded sympy"
+manifests, expected = sys.argv[1], {"f3_product": 0, "negative_error": 2, "bundle": 0}
+for name, code in expected.items():
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        got = fncalc.cli.main(["verify", f"{manifests}/{name}.json", "--format", "json"])
+    assert got == code, (name, got)
+    assert "sympy" not in sys.modules, f"verifying {name} loaded sympy"
+with contextlib.redirect_stdout(io.StringIO()):
+    got = fncalc.cli.main(["verify", f"{manifests}/f1_complex.json", "--format", "json"])
+assert got == 0, got
+assert "sympy" in sys.modules
+"""
+
+
+def test_real_chart_verify_never_imports_sympy():
+    """Real charts with polynomial scalars need no gcd and no Gaussian
+    coefficients, so a fresh process verifies them without loading sympy;
+    a complexified chart then loads it on first use."""
+    src = str(pathlib.Path(fncalc.__file__).resolve().parent.parent)
+    old = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + old if old else ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", SYMPY_FREE_VERIFY, str(MANIFESTS)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

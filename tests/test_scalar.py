@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.domains import QQ, QQ_I, ZZ, ZZ_I
 from sympy.polys.orderings import grlex
 from sympy.polys.rings import PolyElement, ring as sympy_ring
 
@@ -13,6 +13,7 @@ from fncalc.calculus import Chart, fn_bracket, nijenhuis_torsion
 from fncalc.randgen import random_vvf
 
 from fncalc.scalar import (
+    EXPONENT_BITS,
     MAX_EXPONENT,
     MAX_NESTING,
     MAX_TERMS,
@@ -23,6 +24,14 @@ from fncalc.scalar import (
     ScalarError,
     ScalarExpr,
     UnknownVariableError,
+    _add,
+    _diff,
+    _lc,
+    _mul,
+    _neg,
+    _pow,
+    _sub,
+    coordinate_ring,
     parse_expr,
 )
 
@@ -394,7 +403,7 @@ class TestIntegerKernel:
         assert half == expr("1/(1-i)")
         half_gr = GaussianRational.of(Fraction(1, 2), Fraction(1, 2))
         assert half == ScalarExpr.constant(half.ring, half_gr)
-        assert half.den.LC == half.ring.domain(1, 1)
+        assert half.den == {0: ZZ_I(1, 1)}
 
     def test_partial_over_a_constant_denominator(self):
         f = expr("x^2/2", allow_imaginary=False)
@@ -404,13 +413,115 @@ class TestIntegerKernel:
     def test_denominator_content(self):
         f = expr("1/(2*x+2)", allow_imaginary=False)
         assert str(f) == "(1/2)/(x + 1)"
-        assert f.den == 2 * f.ring.gens[0] + 2 and f.num == 1
+        x = f.ring.monomial((1, 0))
+        assert f.den == {x: 2, 0: 2} and f.num == {0: 1}
         assert str(expr("(2+4*i)*x/(3*x*i+6)")) == "((4/3-2/3*i)*x)/(x - 2*i)"
 
     def test_shared_zero_and_one(self):
         chart, again = Chart(("x", "y")), Chart(("x", "y"))
         assert chart.zero is again.zero and chart.one is again.one
         assert chart.zero == chart.const(0) and chart.one == chart.const(1)
+
+
+# ---------------------------------------------------------------------------
+# The packed-monomial kernel against sympy's sparse polynomials
+
+
+def unpack(key: int, n: int) -> tuple[int, ...]:
+    """The exponents of a packed monomial: the total degree in the top field,
+    then one EXPONENT_BITS-bit field per coordinate, the first one highest."""
+    mask = (1 << EXPONENT_BITS) - 1
+    exps = tuple((key >> (EXPONENT_BITS * (n - 1 - j))) & mask for j in range(n))
+    assert key >> (EXPONENT_BITS * n) == sum(exps)
+    return exps
+
+
+def poly_terms(n: int, gaussian: bool):
+    """{exponent tuple: nonzero coefficient} with up to 6 terms."""
+    small = st.integers(-5, 5)
+    coeff = st.builds(ZZ_I, small, small) if gaussian else small
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * n), coeff.filter(bool), max_size=6
+    )
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_packed_kernel_matches_sympy(n, gaussian):
+    names = ("x", "y", "z", "w")[:n]
+    ring = coordinate_ring(names, gaussian)
+    R = sympy_ring(list(names), ZZ_I if gaussian else ZZ, grlex)[0]
+
+    def back(poly):
+        assert all(poly.values()), "a stored coefficient is zero"
+        return R.from_dict({unpack(m, n): c for m, c in poly.items()})
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        poly_terms(n, gaussian),
+        poly_terms(n, gaussian),
+        st.integers(0, n - 1),
+        st.integers(1, 5),
+    )
+    def check(ta, tb, j, k):
+        a = {ring.monomial(e): c for e, c in ta.items()}
+        b = {ring.monomial(e): c for e, c in tb.items()}
+        pa, pb = R.from_dict(ta), R.from_dict(tb)
+        assert back(a) == pa
+        assert back(_mul(ring, a, b)) == pa * pb
+        assert back(_add(a, b)) == pa + pb
+        assert back(_sub(a, b)) == pa - pb
+        assert back(_neg(a)) == -pa
+        assert back(_diff(ring, a, names[j])) == pa.diff(R.gens[j])
+        assert back(_pow(ring, a, k)) == pa**k
+        if a:
+            assert unpack(max(a), n) == pa.LM and _lc(a) == pa.LC
+        assert [unpack(m, n) for m in sorted(a)] == sorted(pa.keys(), key=grlex)
+
+    check()
+
+
+class TestDegreeGuard:
+    """No product or power reaches total degree 2**EXPONENT_BITS: its
+    monomial fields would carry into each other."""
+
+    TOP = 2**EXPONENT_BITS - 1
+
+    @pytest.mark.parametrize("gaussian", [False, True], ids=["real", "complex"])
+    def test_power_at_the_field_width_raises(self, gaussian):
+        x = expr("x", allow_imaginary=gaussian)
+        with pytest.raises(ScalarError):
+            x ** 2**EXPONENT_BITS
+        with pytest.raises(ScalarError):
+            expr("x + y", allow_imaginary=gaussian) ** 2**EXPONENT_BITS
+        with pytest.raises(ScalarError):
+            x ** -(2**EXPONENT_BITS)
+
+    @pytest.mark.parametrize("gaussian", [False, True], ids=["real", "complex"])
+    def test_products_at_the_field_width_raise(self, gaussian):
+        x, y = expr("x", allow_imaginary=gaussian), expr("y", allow_imaginary=gaussian)
+        top = x**self.TOP
+        for text in ("x", "y", "x + 1", "y/(y + 1)"):
+            with pytest.raises(ScalarError):
+                top * expr(text, allow_imaginary=gaussian)
+        with pytest.raises(ScalarError):
+            (y**self.TOP) * y
+        half = x ** 2 ** (EXPONENT_BITS - 1)
+        with pytest.raises(ScalarError):
+            half * half
+
+    @pytest.mark.parametrize("gaussian", [False, True], ids=["real", "complex"])
+    def test_the_largest_degree_differentiates(self, gaussian):
+        x = expr("x", allow_imaginary=gaussian)
+        top = x**self.TOP
+        assert str(top) == f"x^{self.TOP}"
+        assert str(top.partial("x")) == f"{self.TOP}*x^{self.TOP - 1}"
+        assert top.partial("y").is_zero
+        y = expr("y", allow_imaginary=gaussian)
+        assert str(top * y.partial("y")) == f"x^{self.TOP}"
+        assert str(top.partial("x").partial("x")) == (
+            f"{self.TOP * (self.TOP - 1)}*x^{self.TOP - 2}"
+        )
 
 
 def test_real_polynomial_fn_identity_runs_no_gcd(monkeypatch):
