@@ -20,7 +20,6 @@ from .calculus import (
     CalculusError,
     Chart,
     ChartMismatchError,
-    DecompositionError,
     DerivationDeg1,
     KForm,
     VectorField,

@@ -136,34 +136,17 @@ def _insert_into_vvf(
 def derivation_from_algebroid(alg: TangentAlgebroid) -> DerivationDeg1:
     """The de Rham-type operator of the algebroid, rebuilt from generator actions.
 
-    Df(X) = (KX)f and (Dα)(X,Y) = KX(α(Y)) - KY(α(X)) - α([[X,Y]]); the
-    returned FN pair reproduces (anchor, correction) exactly, which the
-    decomposition round-trip re-verifies.
+    Df(X) = (KX)f and (Dα)(X,Y) = KX(α(Y)) - KY(α(X)) - α([[X,Y]]). So D x^j
+    is row j of the anchor, and (D dx^j)(e_a, e_b) = -[[e_a, e_b]]^j because
+    dx^j takes constant values on the frame: one bracket per frame pair. The
+    returned FN pair reproduces (anchor, correction) exactly.
     """
     chart = alg.chart
     basis = chart.basis_vectors()
-    kmat = alg.anchor.matrix()
-    # D x^j is the 1-form X -> (KX)(x^j), i.e. row j of the anchor matrix.
-    act_f = [
-        KForm(chart, 1, {(m,): kmat[j][m] for m in range(chart.dim)})
-        for j in range(chart.dim)
-    ]
-    act_d = []
-    for j in range(chart.dim):
-        coeffs = {}
-        for a, b in itertools.combinations(range(chart.dim), 2):
-            X, Y = basis[a], basis[b]
-            kx, ky = alg.anchor.apply(X), alg.anchor.apply(Y)
-            # alpha = dx^j, so alpha(Y) = Y^j.
-            value = (
-                kx(Y.components[j])
-                - ky(X.components[j])
-                - alg.bracket(X, Y).components[j]
-            )
-            if not value.is_zero:
-                coeffs[(a, b)] = value
-        act_d.append(KForm(chart, 2, coeffs))
-    return fn_decompose(chart, act_f, act_d)
+    act_d = VectorValuedForm.on_frame(
+        chart, 2, lambda a, b: -alg.bracket(basis[a], basis[b])
+    )
+    return fn_decompose(chart, alg.anchor.components, act_d.components)
 
 
 @dataclass(frozen=True)
@@ -229,38 +212,19 @@ def _probes(
     return probes
 
 
-def _expand_bilinear(
-    frame: Mapping[tuple[int, int], VectorField], X: VectorField, Y: VectorField
-) -> VectorField:
-    """B(X,Y) = Σ_{a<b} (X^a Y^b - X^b Y^a) B(e_a,e_b) for an alternating tensor B.
-
-    ``frame`` holds the nonzero values B(e_a, e_b), a < b.
-    """
-    out = VectorField.zero(X.chart)
-    for (a, b), value in frame.items():
-        coeff = X.components[a] * Y.components[b] - X.components[b] * Y.components[a]
-        if not coeff.is_zero:
-            out = out + value.scaled(coeff)
-    return out
-
-
 def check_axioms(
-    alg: TangentAlgebroid,
-    probe_degree: int = 2,
-    seed: int = 0,
-    n_random_fields: int = 2,
+    alg: TangentAlgebroid, probe_degree: int = 2, seed: int = 0
 ) -> AxiomReport:
     """Jacobi, Leibniz and anchor-morphism residuals at the probe fields.
 
-    The probes are the coordinate frame plus ``n_random_fields`` seeded
-    polynomial fields of degree ``probe_degree``. The verdict is decided on
-    the frame:
+    The probes are the coordinate frame plus two seeded polynomial fields
+    r1, r2 of degree ``probe_degree``. The verdict is decided on the frame:
 
     - Leibniz holds identically for [[X,Y]] = [X,Y]_K - L(X,Y), for every
       K and L, so each Leibniz residual is zero;
     - the anchor residual A(X,Y) = K[[X,Y]] - [KX,KY] is C^∞-bilinear
-      (on the frame it is minus condition 1, T_K + K∘L), so each probe
-      record is the frame expansion of A;
+      (on the frame it is minus condition 1, T_K + K∘L), so it is built as
+      a frame form and each probe record is A(X,Y);
     - once A = 0 the Jacobiator is C^∞-trilinear and alternating, so its
       values on frame triples decide it (there are none below rank 3).
 
@@ -268,20 +232,21 @@ def check_axioms(
     while A ≠ 0 the Jacobiator is not a tensor.
     """
     chart = alg.chart
-    probes = _probes(chart, random.Random(seed), probe_degree, n_random_fields)
+    probes = _probes(chart, random.Random(seed), probe_degree, 2)
     basis = chart.basis_vectors()
     brackets = {
         (a, b): alg.bracket(basis[a], basis[b])
         for a, b in itertools.combinations(range(chart.dim), 2)
     }
     images = [alg.anchor.apply(e) for e in basis]
-    anchor_frame = {}
-    for (a, b), value in brackets.items():
-        residual = alg.anchor.apply(value) - lie_bracket(images[a], images[b])
-        if not residual.is_zero:
-            anchor_frame[(a, b)] = residual
+    A = VectorValuedForm.on_frame(
+        chart,
+        2,
+        lambda a, b: alg.anchor.apply(brackets[(a, b)])
+        - lie_bracket(images[a], images[b]),
+    )
 
-    tensorial = not anchor_frame and all(
+    tensorial = A.is_zero and all(
         (
             alg.bracket(basis[a], brackets[(b, c)])
             + alg.bracket(basis[b], -brackets[(a, c)])
@@ -306,7 +271,7 @@ def check_axioms(
     anchor = []
     for (la, X), (lb, Y) in itertools.combinations(probes, 2):
         leibniz.append((f"({la},{lb})", zero))
-        anchor.append((f"({la},{lb})", _expand_bilinear(anchor_frame, X, Y)))
+        anchor.append((f"({la},{lb})", A(X, Y)))
 
     return AxiomReport(tuple(jacobi), tuple(leibniz), tuple(anchor))
 
@@ -330,8 +295,8 @@ def verify_trivial_isomorphism(
     """Residuals of phi([X,Y]) - [[phi X, phi Y]] for phi = K^{-1}.
 
     The probes are the frame and one seeded field r1. Because K phi = Id,
-    the residual is C^∞-bilinear, so it is computed on frame pairs and
-    each probe record is its frame expansion.
+    the residual is C^∞-bilinear, so it is built as a frame form and each
+    probe record is its value on the probe pair.
     """
     chart = alg.chart
     try:
@@ -341,13 +306,11 @@ def verify_trivial_isomorphism(
     probes = _probes(chart, random.Random(seed), probe_degree, 1)
     # [e_a, e_b] = 0, so the residual on a frame pair is -[[phi e_a, phi e_b]].
     images = [phi.apply(e) for e in chart.basis_vectors()]
-    frame = {}
-    for a, b in itertools.combinations(range(chart.dim), 2):
-        residual = -alg.bracket(images[a], images[b])
-        if not residual.is_zero:
-            frame[(a, b)] = residual
+    residual = VectorValuedForm.on_frame(
+        chart, 2, lambda a, b: -alg.bracket(images[a], images[b])
+    )
     return [
-        (f"({la},{lb})", _expand_bilinear(frame, X, Y))
+        (f"({la},{lb})", residual(X, Y))
         for (la, X), (lb, Y) in itertools.combinations(probes, 2)
     ]
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -65,6 +66,14 @@ EXIT_ERROR = 2
 #: A failing axioms check brackets the probes twice, so its cost grows with a
 #: high power of d; the fixtures use 2.
 MAX_PROBE_DEGREE = 10
+
+#: Most digits of an ``eps`` numerator or denominator: reports print eps^2,
+#: and str() refuses integers past 4,300 digits by default.
+MAX_EPS_DIGITS = 2000
+#: An ``eps`` string: an integer or a fraction with a nonzero denominator.
+_EPS_SYNTAX = re.compile(
+    rf"[+-]?[0-9]{{1,{MAX_EPS_DIGITS}}}(/(?!0*\Z)[0-9]{{1,{MAX_EPS_DIGITS}}})?"
+)
 
 #: Check-descriptor keys that name a manifest object, in label order:
 #: key -> (Manifest attribute, noun for error messages).
@@ -518,13 +527,10 @@ def _lookup(manifest: Manifest, d: dict[str, Any], key: str) -> Any:
 
 def _eps_of(d: dict[str, Any]) -> Fraction:
     raw = d.get("eps", 1)
-    if _is_int(raw):
+    if _is_int(raw) and abs(raw) < 10**MAX_EPS_DIGITS:
         return Fraction(raw)
-    if isinstance(raw, str):
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            pass
+    if isinstance(raw, str) and _EPS_SYNTAX.fullmatch(raw):
+        return Fraction(raw)
     raise ManifestError(f"bad eps value {raw!r}")
 
 
@@ -776,16 +782,16 @@ def _build_algebroid(manifest: Manifest, construction: str) -> TangentAlgebroid:
 def _cmd_build(manifest: Manifest, args) -> tuple[str, int]:
     try:
         alg = _build_algebroid(manifest, args.construction)
+        built = {
+            "anchor_matrix": _matrix_strings(alg.anchor),
+            "correction": _form_fragment(alg.correction),
+        }
     except _CHECK_ERRORS as exc:
         if args.format == "json":
             doc = {"error": str(exc), "status": "error"}
             return json.dumps(doc, sort_keys=True, indent=2) + "\n", EXIT_ERROR
         return f"error: {exc}\n", EXIT_ERROR
     chart = alg.chart
-    built = {
-        "anchor_matrix": _matrix_strings(alg.anchor),
-        "correction": _form_fragment(alg.correction),
-    }
     fragment = {
         "algebroids": {args.construction: built},
         "chart": {

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -661,10 +662,16 @@ class ScalarExpr:
     def __str__(self) -> str:
         # The same value over Q or Q(i), with a monic denominator.
         lc = _from_domain(_lc(self.den), self.ring)
-        num = _poly_str(self.num, self.ring, lc)
-        if _is_ground(self.den):
+        try:
+            num = _poly_str(self.num, self.ring, lc)
+            den = None if _is_ground(self.den) else _poly_str(self.den, self.ring, lc)
+        except ValueError:  # a coefficient past int()'s string conversion limit
+            raise ScalarError(
+                "coefficient too long to print: more than "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
+        if den is None:
             return num
-        den = _poly_str(self.den, self.ring, lc)
         num_s = num if _is_atomic(num) else f"({num})"
         den_s = den if _is_atomic(den) else f"({den})"
         return f"{num_s}/{den_s}"

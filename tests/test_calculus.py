@@ -264,6 +264,9 @@ def test_contracted_bracket_formula():
 
 
 def test_fn_decompose_round_trip():
+    """(K, L) is recovered from the actions of L_K + i_L, and any 1-form
+    actions on the x^j with 2-form actions on the dx^j are those of the
+    decomposed derivation."""
     ch = chart_r3()
     rng = random.Random(12)
     K = random_vvf(ch, 1, rng)
@@ -278,6 +281,16 @@ def test_fn_decompose_round_trip():
     D = fn_decompose(ch, functions, differentials)
     assert D.K == K
     assert D.L == L
+
+    for dim, is_complex, seed in itertools.product((2, 3, 4), (False, True), range(4)):
+        ch = Chart(("x", "y", "z", "w")[:dim], is_complex)
+        rng = random.Random(seed)
+        functions = [random_kform(ch, 1, rng, degree=1) for _ in range(dim)]
+        differentials = [random_kform(ch, 2, rng, degree=1) for _ in range(dim)]
+        D = fn_decompose(ch, functions, differentials)
+        for j in range(dim):
+            assert D(ch.coordinate_function(j)) == functions[j]
+            assert D(ch.dx(j)) == differentials[j]
 
 
 def test_fn_decompose_rejects_malformed_actions():

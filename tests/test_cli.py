@@ -510,6 +510,86 @@ class TestEps:
         assert code == EXIT_PASS
         assert record["status"] == "pass"
 
+    @pytest.mark.parametrize("kind", ["complex", "product"])
+    @pytest.mark.parametrize(
+        "eps",
+        ["1e2", "1.5", " 1", "1_0", "1/0", "1/", "1e2200", "1e10000000"],
+    )
+    def test_other_notation_rejected(self, tmp_path, capsys, kind, eps):
+        code, record = self.run(tmp_path, capsys, kind, eps)
+        assert code == EXIT_ERROR
+        assert record["message"] == f"bad eps value {eps!r}"
+
+    @pytest.mark.parametrize(
+        "eps",
+        [10**2000, "1" + "0" * 2000, "1/" + "7" * 2001],
+        ids=["int", "string", "denominator"],
+    )
+    def test_past_the_digit_limit_rejected(self, tmp_path, capsys, eps):
+        """eps^2 would not print; the other checks keep their records."""
+        doc = {
+            "chart": {"coords": ["x", "y"]},
+            "endomorphisms": {"J": J_ROWS},
+            "checks": [
+                {"kind": "torsion", "endo": "J"},
+                {"kind": "complex", "endo": "J", "eps": eps},
+            ],
+        }
+        code = main(["verify", write_manifest(tmp_path, doc), "--format", "json"])
+        captured = capsys.readouterr()
+        torsion, complex_check = json.loads(captured.out)["checks"]
+        assert code == EXIT_ERROR and captured.err == ""
+        assert torsion["status"] == "pass"
+        assert complex_check["status"] == "error"
+        assert complex_check["message"] == f"bad eps value {eps!r}"
+
+    def test_longest_eps_accepted(self, tmp_path, capsys):
+        """At the digit limit eps^2 still prints, in the square condition."""
+        eps = "1" + "0" * 1999
+        code, record = self.run(tmp_path, capsys, "complex", eps)
+        assert code == EXIT_ERROR
+        assert record["message"] == f"endomorphism does not satisfy J^2 = -1{'0' * 3998} Id"
+
+
+class TestOversizedCoefficients:
+    """A value too long to print is an error of its own check only."""
+
+    BIG = "7" * 3000
+    MESSAGE = (
+        "coefficient too long to print: more than "
+        f"{sys.get_int_max_str_digits()} digits"
+    )
+
+    def manifest(self, tmp_path):
+        doc = {
+            "chart": {"coords": ["x", "y"]},
+            "endomorphisms": {
+                "S": [["0", "x"], ["y", "0"]],
+                "N": [["0", f"{self.BIG}*x^2"], [f"{self.BIG}*y", "0"]],
+            },
+            "algebroids": {"A": {"anchor": "N", "correction": "auto:torsion"}},
+            "checks": [
+                {"kind": "torsion", "endo": "S"},
+                {"kind": "torsion", "endo": "N"},
+            ],
+        }
+        return write_manifest(tmp_path, doc)
+
+    def test_verify_keeps_the_other_records(self, tmp_path, capsys):
+        code = main(["verify", self.manifest(tmp_path), "--format", "json"])
+        captured = capsys.readouterr()
+        small, big = json.loads(captured.out)["checks"]
+        assert code == EXIT_ERROR and captured.err == ""
+        assert small["status"] == "fail" and small["residuals"]
+        assert big["status"] == "error"
+        assert big["message"] == self.MESSAGE
+
+    def test_build_reports_an_error(self, tmp_path, capsys):
+        code = main(["build", self.manifest(tmp_path), "A"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR and captured.err == ""
+        assert captured.out == f"error: {self.MESSAGE}\n"
+
 
 def _count_calls(monkeypatch) -> Counter:
     """Count nijenhuis_torsion, VectorValuedForm.compose and tangent_data_for_chart.
@@ -583,12 +663,13 @@ def test_each_guard_runs_once(monkeypatch, manifest_name):
 #: check at the manifest's probe degree: C(n,2) frame pairs and 3·C(n,3) frame
 #: Jacobi terms for the axioms of a rank-n algebroid (1 at rank 2, 18 at rank
 #: 4), plus the closed-form bracket guards of the construction; C(n,2) for an
-#: isomorphism check.
+#: isomorphism or a decompose check.
 BRACKET_COUNTS = {
     ("f1_complex.json", "complex-J0"): 2,
     ("f1_complex.json", "complex-J1"): 2,
     ("f2_idempotent.json", "idempotent-N"): 24,
     ("f2_idempotent.json", "axioms-A"): 18,
+    ("f2_idempotent.json", "decompose-A"): 6,
     ("f3_product.json", "product-P0"): 2,
     ("f3_product.json", "product-P1"): 2,
     ("f4_foliation.json", "idempotent-gamma"): 9,
@@ -596,6 +677,7 @@ BRACKET_COUNTS = {
     ("f5_tangent.json", "tangent-S1"): 3,
     ("f6_invertible.json", "axioms-A"): 18,
     ("f6_invertible.json", "isomorphism-A"): 6,
+    ("f6_invertible.json", "decompose-A"): 6,
 }
 
 
