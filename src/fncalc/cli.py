@@ -75,6 +75,12 @@ _EPS_SYNTAX = re.compile(
     rf"[+-]?[0-9]{{1,{MAX_EPS_DIGITS}}}(/(?!0*\Z)[0-9]{{1,{MAX_EPS_DIGITS}}})?"
 )
 
+#: Longest name a manifest may give an object or a check, or use to refer to
+#: one: check records echo names, so a longer one is refused.
+MAX_NAME_LENGTH = 256
+#: Most characters of a bad raw value that an error message quotes.
+MAX_QUOTED = 64
+
 #: Check-descriptor keys that name a manifest object, in label order:
 #: key -> (Manifest attribute, noun for error messages).
 _OBJECTS = {
@@ -144,6 +150,15 @@ def _expect(condition: bool, message: str) -> None:
         raise ManifestError(message)
 
 
+def _quote(raw: Any) -> str:
+    """``repr(raw)``, or for a longer value its first MAX_QUOTED characters
+    and its length."""
+    text = raw if isinstance(raw, str) else repr(raw)
+    if len(text) <= MAX_QUOTED:
+        return repr(raw)
+    return f"{text[:MAX_QUOTED]!r}... ({len(text)} characters)"
+
+
 def _is_int(value: Any) -> bool:
     # bool is a subclass of int, but true is no number
     return isinstance(value, int) and not isinstance(value, bool)
@@ -179,12 +194,14 @@ def _parse_multi_index(key: str, degree: int, dim: int, where: str) -> tuple[int
     try:
         parts = tuple(int(p) for p in key.split(","))
     except ValueError:
-        raise ManifestError(f"{where}: bad multi-index {key!r}") from None
-    _expect(len(parts) == degree, f"{where}: multi-index {key!r} needs {degree} entries")
+        raise ManifestError(f"{where}: bad multi-index {_quote(key)}") from None
+    _expect(
+        len(parts) == degree, f"{where}: multi-index {_quote(key)} needs {degree} entries"
+    )
     idx = tuple(p - 1 for p in parts)
     _expect(
         all(0 <= p < dim for p in idx) and all(a < b for a, b in zip(idx, idx[1:])),
-        f"{where}: multi-index {key!r} must be increasing 1-based coordinates",
+        f"{where}: multi-index {_quote(key)} must be increasing 1-based coordinates",
     )
     return idx
 
@@ -201,7 +218,7 @@ def _parse_form(chart: Chart, spec: Any, where: str) -> VectorValuedForm:
         idx = _parse_multi_index(key, degree, chart.dim, where)
         _expect(
             isinstance(value, list) and len(value) == chart.dim,
-            f"{where}: entry {key!r} needs {chart.dim} components",
+            f"{where}: entry {_quote(key)} needs {chart.dim} components",
         )
         for j, text in enumerate(value):
             s = _parse_scalar(chart, text, f"{where}[{key}][{j + 1}]")
@@ -221,7 +238,7 @@ def _resolve_correction(
 ) -> VectorValuedForm:
     if spec in forms:
         form = forms[spec]
-        _expect(form.degree == 2, f"{where}: correction {spec!r} must have degree 2")
+        _expect(form.degree == 2, f"{where}: correction {_quote(spec)} must have degree 2")
         return form
     if spec == "auto:zero":
         return VectorValuedForm.zero(chart, 2)
@@ -232,19 +249,19 @@ def _resolve_correction(
             return invertible_algebroid(anchor).correction
         except SingularAnchorError as exc:
             raise ManifestError(f"{where}: {exc}") from exc
-    raise ManifestError(f"{where}: unknown correction {spec!r}")
+    raise ManifestError(f"{where}: unknown correction {_quote(spec)}")
 
 
 def _parse_structure_key(key: str, rank: int, where: str) -> tuple[int, int, int]:
     if not (key.startswith("c[") and key.endswith("]")):
-        raise ManifestError(f"{where}: structure key {key!r} must look like c[a,b,c]")
+        raise ManifestError(f"{where}: structure key {_quote(key)} must look like c[a,b,c]")
     try:
         a, b, c = (int(p) for p in key[2:-1].split(","))
     except ValueError:
-        raise ManifestError(f"{where}: bad structure key {key!r}") from None
+        raise ManifestError(f"{where}: bad structure key {_quote(key)}") from None
     _expect(
         all(1 <= p <= rank for p in (a, b, c)),
-        f"{where}: indices in {key!r} out of range",
+        f"{where}: indices in {_quote(key)} out of range",
     )
     return a - 1, b - 1, c - 1
 
@@ -347,6 +364,10 @@ def load_manifest(
     def _section(name: str) -> dict[str, Any]:
         value = doc.get(name) or {}
         _expect(isinstance(value, dict), f"{path}: {name} must be an object")
+        _expect(
+            all(len(key) <= MAX_NAME_LENGTH for key in value),
+            f"{path}: {name} has a name longer than {MAX_NAME_LENGTH} characters",
+        )
         return value
 
     endos = {}
@@ -361,7 +382,7 @@ def load_manifest(
         _expect(isinstance(spec, dict), f"{where}: expected an object")
         anchor_name = spec.get("anchor")
         _expect(isinstance(anchor_name, str), f"{where}: anchor must be a name")
-        _expect(anchor_name in endos, f"{where}: unknown anchor {anchor_name!r}")
+        _expect(anchor_name in endos, f"{where}: unknown anchor {_quote(anchor_name)}")
         anchor = endos[anchor_name]
         correction_spec = spec.get("correction", "auto:zero")
         _expect(isinstance(correction_spec, str), f"{where}: correction must be a name")
@@ -399,11 +420,13 @@ def load_manifest(
     for k, descriptor in enumerate(checks):
         _expect(isinstance(descriptor, dict), f"{path}: checks[{k}] must be an object")
         kind = descriptor.get("kind")
-        _expect(kind in CHECK_KINDS, f"{path}: checks[{k}] has unknown kind {kind!r}")
+        _expect(kind in CHECK_KINDS, f"{path}: checks[{k}] has unknown kind {_quote(kind)}")
         for key in ("name", *_OBJECTS):
+            value = descriptor.get(key, "")
+            _expect(isinstance(value, str), f"{path}: checks[{k}].{key} must be a string")
             _expect(
-                isinstance(descriptor.get(key, ""), str),
-                f"{path}: checks[{k}].{key} must be a string",
+                len(value) <= MAX_NAME_LENGTH,
+                f"{path}: checks[{k}].{key} is longer than {MAX_NAME_LENGTH} characters",
             )
 
     manifest = Manifest(
@@ -521,7 +544,7 @@ def _lookup(manifest: Manifest, d: dict[str, Any], key: str) -> Any:
     objects = getattr(manifest, section)
     name = d.get(key)
     if name not in objects:
-        raise ManifestError(f"unknown {noun} {name!r}")
+        raise ManifestError(f"unknown {noun} {_quote(name)}")
     return objects[name]
 
 
@@ -531,7 +554,7 @@ def _eps_of(d: dict[str, Any]) -> Fraction:
         return Fraction(raw)
     if isinstance(raw, str) and _EPS_SYNTAX.fullmatch(raw):
         return Fraction(raw)
-    raise ManifestError(f"bad eps value {raw!r}")
+    raise ManifestError(f"bad eps value {_quote(raw)}")
 
 
 def _idempotent(manifest: Manifest, N: VectorValuedForm, d: dict[str, Any]):
@@ -771,11 +794,11 @@ def _build_algebroid(manifest: Manifest, construction: str) -> TangentAlgebroid:
     recipe, colon, name = construction.partition(":")
     if not colon:
         raise ManifestError(
-            f"unknown construction {construction!r}; use a named algebroid or "
+            f"unknown construction {_quote(construction)}; use a named algebroid or "
             "recipe:object (recipes: " + ", ".join(_RECIPES) + ")"
         )
     if recipe not in _RECIPES:
-        raise ManifestError(f"unknown recipe {recipe!r}")
+        raise ManifestError(f"unknown recipe {_quote(recipe)}")
     return _build(manifest, {"kind": recipe, _RECIPES[recipe][0]: name})[0]
 
 

@@ -18,17 +18,17 @@ is embedded into Z[i], and equality and hashing compare values across the
 two domains.
 
 A polynomial is a ``dict`` from a packed monomial to its nonzero
-coefficient, a Python ``int`` over Z and a sympy ``ZZ_I`` element over Z[i]
-(Monagan and Pearce, "Polynomial Division Using Dynamic Arrays, Heaps, and
-Packed Exponent Vectors", CASC 2007). The packed key holds the total degree
-in its top field and one ``EXPONENT_BITS``-bit field per coordinate below
-it, so a monomial product is one integer addition and integer order is
-graded-lex order. Sums, products, powers and derivatives are computed here.
-The only step that needs a multivariate gcd, cancelling a non-constant
-denominator, is handed to sympy's ``PolyElement.cancel``. sympy is imported
-when that first happens, or when the first ring over Z[i] is built, so a
-real chart with polynomial scalars never loads it. Parsing, printing and
-the ``GaussianRational`` constant type are defined here. Scalars are never
+coefficient, a Python ``int`` over Z and a ``_GaussianInt`` (a pair of
+``int``) over Z[i] (Monagan and Pearce, "Polynomial Division Using Dynamic
+Arrays, Heaps, and Packed Exponent Vectors", CASC 2007). The packed key
+holds the total degree in its top field and one ``EXPONENT_BITS``-bit field
+per coordinate below it, so a monomial product is one integer addition and
+integer order is graded-lex order. All arithmetic is done here, with no
+dependency beyond the standard library: sums, products, powers,
+derivatives, and the multivariate gcd that cancels a non-constant
+denominator (the subresultant pseudo-remainder sequence, recursive in the
+coordinates, the same code over Z and Z[i]). Parsing, printing and the
+``GaussianRational`` constant type are defined here too. Scalars are never
 evaluated at points: every identity is decided on canonical forms.
 """
 
@@ -120,9 +120,9 @@ class GaussianRational:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient domains. Both offer the part of sympy's domain interface the
-# kernel uses (``one``, ``gcd``, ``quo``, ``canonical_unit``), plus ``of_int``
-# for an integer as a coefficient.
+# Coefficient domains. Both offer ``one``, ``gcd`` (normalised by
+# ``canonical_unit``), ``quo`` and ``canonical_unit``, plus ``of_int`` for an
+# integer as a coefficient.
 # ---------------------------------------------------------------------------
 
 
@@ -138,35 +138,96 @@ class _Integers:
     def canonical_unit(c: int) -> int:
         return -1 if c < 0 else 1
 
-    @property
-    def sympy_domain(self):
-        from sympy.polys.domains import ZZ
 
-        return ZZ
+class _GaussianInt:
+    """The Gaussian integer x + y*i, with ``int`` parts ``x`` and ``y``."""
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: int, y: int):
+        self.x = x
+        self.y = y
+
+    def __add__(self, other: "_GaussianInt") -> "_GaussianInt":
+        return _GaussianInt(self.x + other.x, self.y + other.y)
+
+    def __sub__(self, other: "_GaussianInt") -> "_GaussianInt":
+        return _GaussianInt(self.x - other.x, self.y - other.y)
+
+    def __mul__(self, other: "_GaussianInt") -> "_GaussianInt":
+        x, y = other.x, other.y
+        return _GaussianInt(self.x * x - self.y * y, self.x * y + self.y * x)
+
+    def __neg__(self) -> "_GaussianInt":
+        return _GaussianInt(-self.x, -self.y)
+
+    def __pow__(self, k: int) -> "_GaussianInt":
+        result, base = _GaussianInt(1, 0), self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
+
+    def __bool__(self) -> bool:
+        return bool(self.x or self.y)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _GaussianInt):
+            return NotImplemented
+        return self.x == other.x and self.y == other.y
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
+
+    def __repr__(self) -> str:
+        return f"_GaussianInt({self.x}, {self.y})"
 
 
 class _GaussianIntegers:
-    """Z[i], with sympy's ``ZZ_I`` elements as coefficients."""
+    """Z[i], with ``_GaussianInt`` coefficients. A gcd is first-quadrant:
+    ``canonical_unit(c)`` is the power of i that turns ``c`` into quadrant 0,
+    the quadrant of the positive reals and of 0, as sympy's ``ZZ_I`` does."""
 
-    def __init__(self):
-        from sympy.polys.domains import ZZ_I
+    one = _GaussianInt(1, 0)
+    of_parts = _GaussianInt
+    #: the powers of i, so that ``_UNITS[-q]`` turns quadrant q into quadrant 0
+    _UNITS = (one, _GaussianInt(0, 1), _GaussianInt(-1, 0), _GaussianInt(0, -1))
 
-        self.sympy_domain = ZZ_I
-        self.one = ZZ_I.one
-        self.gcd = ZZ_I.gcd
-        self.quo = ZZ_I.quo
-        self.canonical_unit = ZZ_I.canonical_unit
-        # ``new`` skips the conversion that ``ZZ_I(k)`` and ``c * k`` pay
-        self.of_parts = ZZ_I.dtype.new
-        self.of_int = lambda k: self.of_parts(k, 0)
+    @staticmethod
+    def of_int(k: int) -> _GaussianInt:
+        return _GaussianInt(k, 0)
+
+    @staticmethod
+    def quo(a: _GaussianInt, b: _GaussianInt) -> _GaussianInt:
+        """a / b rounded to the nearest Gaussian integer, ties rounded up."""
+        x, y = b.x, b.y
+        n = x * x + y * y
+        re, im = a.x * x + a.y * y, a.y * x - a.x * y
+        return _GaussianInt((2 * re + n) // (2 * n), (2 * im + n) // (2 * n))
+
+    def canonical_unit(self, c: _GaussianInt) -> _GaussianInt:
+        x, y = c.x, c.y
+        if y > 0:
+            quadrant = 0 if x > 0 else 1
+        elif y < 0:
+            quadrant = 2 if x < 0 else 3
+        else:
+            quadrant = 0 if x >= 0 else 2
+        return self._UNITS[-quadrant]
+
+    def gcd(self, a: _GaussianInt, b: _GaussianInt) -> _GaussianInt:
+        """Euclid's algorithm with the remainder of the rounded quotient."""
+        quo = self.quo
+        while b:
+            a, b = b, a - quo(a, b) * b
+        return a * self.canonical_unit(a)
 
 
 _INTEGERS = _Integers()
-
-
-@lru_cache(maxsize=None)
-def _gaussian_integers() -> _GaussianIntegers:
-    return _GaussianIntegers()
+_GAUSSIAN_INTEGERS = _GaussianIntegers()
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -206,7 +267,7 @@ class CoordinateRing:
         n = len(names)
         self.names = names
         self.allow_imaginary = allow_imaginary
-        self.domain = _gaussian_integers() if allow_imaginary else _INTEGERS
+        self.domain = _GAUSSIAN_INTEGERS if allow_imaginary else _INTEGERS
         #: the bit offset of each coordinate's exponent field
         self._shifts = {
             name: (n - 1 - j) * EXPONENT_BITS for j, name in enumerate(names)
@@ -214,7 +275,6 @@ class CoordinateRing:
         self._degree_shift = n * EXPONENT_BITS
         #: the least key of total degree 2**EXPONENT_BITS
         self._key_limit = 1 << (self._degree_shift + EXPONENT_BITS)
-        self._sympy_ring = None
         one = {0: self.domain.one}
         self.zero = ScalarExpr(self, {}, one, _canonical=True)
         self.one = ScalarExpr(self, one, one, _canonical=True)
@@ -229,20 +289,6 @@ class CoordinateRing:
     def exponents(self, key: int) -> tuple[int, ...]:
         """The exponents of the monomial ``key``."""
         return tuple((key >> shift) & _FIELD_MASK for shift in self._shifts.values())
-
-    def _to_sympy(self, poly: dict):
-        if self._sympy_ring is None:
-            from sympy.polys.orderings import grlex
-            from sympy.polys.rings import ring
-
-            domain = self.domain.sympy_domain
-            self._sympy_ring = ring(list(self.names), domain, grlex)[0]
-        exponents = self.exponents
-        return self._sympy_ring.from_dict({exponents(m): c for m, c in poly.items()})
-
-    def _from_sympy(self, poly) -> dict:
-        monomial = self.monomial
-        return {monomial(e): c for e, c in poly.items()}
 
     def __repr__(self) -> str:
         return f"CoordinateRing{self.names}"
@@ -418,27 +464,246 @@ def _unit_normal(ring: CoordinateRing, num: dict, den: dict):
     return _scale(num, unit), _scale(den, unit)
 
 
+# ---------------------------------------------------------------------------
+# Greatest common divisors, by one deterministic recursive algorithm for Z
+# and Z[i] alike. A polynomial split in a main coordinate v is a dict
+# {degree in v: coefficient}, each coefficient a packed polynomial free of v.
+# The gcd is the gcd of the contents (the gcds of the coefficients) times the
+# primitive part of the last nonzero remainder of the subresultant
+# pseudo-remainder sequence of the primitive parts in v. Unlike the primitive
+# sequence it needs no gcd at each step, only exact divisions (Brown, "On
+# Euclid's algorithm and the computation of polynomial greatest common
+# divisors", J. ACM 1971).
+# ---------------------------------------------------------------------------
+
+
+def _is_one(ring: CoordinateRing, poly: dict) -> bool:
+    return len(poly) == 1 and poly.get(0) == ring.domain.one
+
+
+def _content(domain, poly: dict, g):
+    """The gcd of the constant ``g`` and the coefficients of ``poly``."""
+    one, gcd = domain.one, domain.gcd
+    for c in poly.values():
+        if g == one:
+            break
+        g = gcd(g, c)
+    return g
+
+
+def _field_mins(ring: CoordinateRing, poly: dict, key: int) -> int:
+    """The largest monomial dividing ``key`` and every monomial of ``poly``."""
+    out = 0
+    for shift in ring._shifts.values():
+        e = (key >> shift) & _FIELD_MASK
+        for m in poly:
+            if not e:
+                break
+            e = min(e, (m >> shift) & _FIELD_MASK)
+        out += e << shift | e << ring._degree_shift
+    return out
+
+
+def _used_shifts(ring: CoordinateRing, poly: dict) -> list:
+    """The field offsets of the coordinates that occur in ``poly``, x_1 first."""
+    used = 0
+    for m in poly:
+        used |= m
+    return [s for s in ring._shifts.values() if (used >> s) & _FIELD_MASK]
+
+
+def _degree(poly: dict, shift: int) -> int:
+    """The degree of ``poly`` in the coordinate at ``shift``."""
+    return max((m >> shift) & _FIELD_MASK for m in poly)
+
+
+def _split(ring: CoordinateRing, poly: dict, shift: int) -> dict:
+    """``poly`` as {degree in the coordinate at ``shift``: coefficient}."""
+    step = (1 << shift) + (1 << ring._degree_shift)
+    out: dict = {}
+    for m, c in poly.items():
+        e = (m >> shift) & _FIELD_MASK
+        part = out.get(e)
+        if part is None:
+            out[e] = part = {}
+        part[m - e * step] = c
+    return out
+
+
+def _join(ring: CoordinateRing, parts: dict, shift: int) -> dict:
+    """The inverse of ``_split``."""
+    step = (1 << shift) + (1 << ring._degree_shift)
+    return {m + e * step: c for e, part in parts.items() for m, c in part.items()}
+
+
+def _exact_quo(ring: CoordinateRing, a: dict, b: dict) -> dict:
+    """``a / b`` for a ``b`` that divides ``a``: each step divides the
+    leading term of the remainder by the leading term of ``b``. Each step
+    lowers the leading monomial, so a remainder that falls below LM(b)
+    stops a division that was not exact."""
+    quo = ring.domain.quo
+    if len(b) == 1:
+        ((mb, cb),) = b.items()
+        if cb == ring.domain.one:
+            return {m - mb: c for m, c in a.items()}
+        return {m - mb: quo(c, cb) for m, c in a.items()}
+    mb = max(b)
+    cb = b[mb]
+    rest = [(m, c) for m, c in b.items() if m != mb]
+    r = dict(a)
+    get = r.get
+    out = {}
+    while r:
+        m = max(r)
+        if m < mb:
+            raise ArithmeticError("inexact polynomial division")
+        q = quo(r.pop(m), cb)
+        mq = m - mb
+        out[mq] = q
+        for m2, c2 in rest:
+            k = mq + m2
+            s = get(k)
+            if s is None:
+                r[k] = -(q * c2)
+            else:
+                s = s - q * c2
+                if s:
+                    r[k] = s
+                else:
+                    del r[k]
+    return out
+
+
+def _prem(ring: CoordinateRing, a: dict, b: dict) -> dict:
+    """The pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b, for ``a`` and
+    ``b`` split in one coordinate and deg a >= deg b."""
+    n = max(b)
+    lb = b[n]
+    lower = [(e, p) for e, p in b.items() if e != n]
+    r = dict(a)
+    steps = max(a) - n + 1
+    while r:
+        d = max(r)
+        if d < n:
+            break
+        steps -= 1
+        lr = r.pop(d)
+        r = {e: _mul(ring, p, lb) for e, p in r.items()}
+        for e, p in lower:
+            k = e + d - n
+            t = _mul(ring, p, lr)
+            s = r.get(k)
+            if s is None:
+                r[k] = _neg(t)
+            else:
+                s = _sub(s, t)
+                if s:
+                    r[k] = s
+                else:
+                    del r[k]
+    if steps and r:
+        scale = _pow(ring, lb, steps)
+        r = {e: _mul(ring, p, scale) for e, p in r.items()}
+    return r
+
+
+def _last_subresultant(ring: CoordinateRing, f: dict, g: dict) -> dict:
+    """The last nonzero polynomial of the subresultant PRS of ``f`` and ``g``,
+    split in one coordinate with deg f >= deg g: a multiple of their gcd by
+    a factor free of that coordinate. Every division in it is exact."""
+    m = max(g)
+    d = max(f) - m
+    h = _prem(ring, f, g)
+    if not d & 1:
+        h = {e: _neg(p) for e, p in h.items()}
+    lc = g[m]
+    c = _neg(_pow(ring, lc, d)) if d else {0: -ring.domain.one}
+    while h:
+        k = max(h)
+        f, g, m, d = g, h, k, m - k
+        b = _neg(_mul(ring, lc, _pow(ring, c, d)))
+        h = {e: _exact_quo(ring, p, b) for e, p in _prem(ring, f, g).items()}
+        lc = g[k]
+        if d > 1:
+            c = _exact_quo(ring, _pow(ring, _neg(lc), d), _pow(ring, c, d - 1))
+        else:
+            c = _neg(lc)
+    return g
+
+
+def _coeff_gcd(ring: CoordinateRing, parts: dict) -> dict:
+    """The gcd of the coefficients of a split polynomial, the shortest first."""
+    g = None
+    for p in sorted(parts.values(), key=len):
+        g = p if g is None else _gcd(ring, g, p)
+        if _is_one(ring, g):
+            return g
+    return _monic(ring, g)
+
+
+def _primitive(ring: CoordinateRing, parts: dict) -> tuple[dict, dict]:
+    """The content of a split polynomial and its primitive part."""
+    content = _coeff_gcd(ring, parts)
+    if _is_one(ring, content):
+        return content, parts
+    return content, {e: _exact_quo(ring, p, content) for e, p in parts.items()}
+
+
+def _monic(ring: CoordinateRing, poly: dict) -> dict:
+    """``poly`` times the unit that makes its leading coefficient canonical."""
+    unit = ring.domain.canonical_unit(_lc(poly))
+    return poly if unit == ring.domain.one else _scale(poly, unit)
+
+
+def _gcd(ring: CoordinateRing, a: dict, b: dict) -> dict:
+    """The gcd of the nonzero ``a`` and ``b``, content included, with a
+    canonical leading coefficient."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:  # a monomial times a constant
+        ((m, c),) = a.items()
+        return {_field_mins(ring, b, m) if m else 0: _content(ring.domain, b, c)}
+    used_a, used_b = _used_shifts(ring, a), _used_shifts(ring, b)
+    if used_a != used_b:
+        # The gcd has degree 0 in a coordinate that only one of them has, so
+        # it divides that one's coefficients in the coordinate.
+        shift = next(s for s in used_a + used_b if (s in used_a) != (s in used_b))
+        if shift in used_a:
+            a = _coeff_gcd(ring, _split(ring, a, shift))
+        else:
+            b = _coeff_gcd(ring, _split(ring, b, shift))
+        return _gcd(ring, a, b)
+    # The main coordinate is one of least degree, the first of them on a tie.
+    shift = min(used_a, key=lambda s: max(_degree(a, s), _degree(b, s)))
+    ca, pa = _primitive(ring, _split(ring, a, shift))
+    cb, pb = _primitive(ring, _split(ring, b, shift))
+    content = _gcd(ring, ca, cb)
+    if max(pa) < max(pb):
+        pa, pb = pb, pa
+    last = _last_subresultant(ring, pa, pb)
+    if max(last) == 0:  # primitive parts with no common factor
+        return content
+    return _monic(ring, _mul(ring, content, _join(ring, _primitive(ring, last)[1], shift)))
+
+
 def _reduce(ring: CoordinateRing, num: dict, den: dict):
     """The canonical form of ``num/den``: coprime with a canonical LC(den)."""
+    if not num:
+        return num, ring.one.den
     if not _is_ground(den):
-        # sympy cancels over Z or Z[i], content included, and makes LC(den)
-        # a canonical unit multiple.
-        num, den = ring._to_sympy(num).cancel(ring._to_sympy(den))
-        return ring._from_sympy(num), ring._from_sympy(den)
+        # The gcd is content included, so the quotients are coprime over Z or
+        # Z[i]; a one-term num or den makes it a monomial at once.
+        g = _gcd(ring, num, den)
+        if not _is_one(ring, g):
+            num, den = _exact_quo(ring, num, g), _exact_quo(ring, den, g)
+        return _unit_normal(ring, num, den)
     domain = ring.domain
     one = domain.one
     d = den[0]
     if d == one:
         return num, den
-    if not num:
-        return num, ring.one.den
     # A constant denominator only shares a constant with num: its content.
-    gcd = domain.gcd
-    g = d
-    for c in num.values():
-        g = gcd(g, c)
-        if g == one:
-            break
+    g = _content(domain, num, d)
     if g != one:
         quo = domain.quo
         num = {m: quo(c, g) for m, c in num.items()}

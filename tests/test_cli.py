@@ -1,5 +1,6 @@
 """CLI layer: manifest loading, check dispatch, report formats, exit codes."""
 
+import ast
 import contextlib
 import copy
 import importlib
@@ -23,7 +24,9 @@ from fncalc.cli import (
     EXIT_ERROR,
     EXIT_FAIL,
     EXIT_PASS,
+    MAX_NAME_LENGTH,
     MAX_PROBE_DEGREE,
+    MAX_QUOTED,
     ManifestError,
     emit,
     load_manifest,
@@ -242,6 +245,78 @@ class TestHostileManifests:
     )
     def test_non_string_name_in_check(self, tmp_path, capsys, descriptor):
         self.assert_manifest_error(tmp_path, capsys, n_manifest(checks=[descriptor]))
+
+    LONG = "N" * (MAX_NAME_LENGTH + 1)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            n_manifest(endomorphisms={"N": N_ROWS, LONG: N_ROWS}),
+            n_manifest(forms={LONG: {"degree": 0, "entries": {"": "1"}}}),
+            n_manifest(checks=[{"kind": "torsion", "endo": "N", "name": LONG}]),
+            n_manifest(checks=[{"kind": "torsion", "endo": LONG}]),
+            n_manifest(checks=[{"kind": "axioms", "algebroid": LONG}]),
+        ],
+        ids=["endomorphism", "form", "check", "endo-reference", "algebroid-reference"],
+    )
+    def test_name_longer_than_the_limit(self, tmp_path, capsys, doc):
+        code = main(["verify", write_manifest(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR and captured.out == ""
+        assert f"longer than {MAX_NAME_LENGTH} characters" in captured.err
+        assert self.LONG not in captured.err
+
+    HUGE = "Q" * 1_000_000
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            n_manifest(algebroids={"A": {"anchor": HUGE}}),
+            n_manifest(algebroids={"A": {"anchor": "N", "correction": HUGE}}),
+            n_manifest(checks=[{"kind": HUGE}]),
+            n_manifest(forms={"F": {"degree": 1, "entries": {HUGE: ["1"] * 4}}}),
+        ],
+        ids=["anchor", "correction", "kind", "multi-index"],
+    )
+    def test_error_quotes_a_huge_value_in_part(self, tmp_path, capsys, doc):
+        code = main(["verify", write_manifest(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR and captured.out == ""
+        assert f"{'Q' * MAX_QUOTED!r}... (1000000 characters)" in captured.err
+        assert len(captured.err) < 300
+
+    def test_name_at_the_limit(self, tmp_path, capsys):
+        name = "N" * MAX_NAME_LENGTH
+        doc = n_manifest(
+            endomorphisms={name: N_ROWS},
+            checks=[{"kind": "torsion", "endo": name, "name": name}],
+        )
+        code = main(["verify", write_manifest(tmp_path, doc), "--format", "json"])
+        (record,) = json.loads(capsys.readouterr().out)["checks"]
+        assert code == EXIT_FAIL
+        assert record["name"] == name and record["construction"] == f"torsion:{name}"
+
+    def test_unknown_name_is_quoted_in_part(self, tmp_path, capsys):
+        missing = "M" * MAX_NAME_LENGTH
+        doc = n_manifest(checks=[{"kind": "torsion", "endo": missing}])
+        code = main(["verify", write_manifest(tmp_path, doc), "--format", "json"])
+        (record,) = json.loads(capsys.readouterr().out)["checks"]
+        assert code == EXIT_ERROR
+        assert record["message"] == (
+            f"unknown endomorphism {missing[:MAX_QUOTED]!r}... ({MAX_NAME_LENGTH} characters)"
+        )
+
+    def test_report_stays_small_for_a_huge_eps(self, tmp_path, capsys):
+        eps = "1" * 1_000_000
+        doc = n_manifest(checks=[{"kind": "complex", "endo": "N", "eps": eps}])
+        code = main(["verify", write_manifest(tmp_path, doc), "--format", "json"])
+        out = capsys.readouterr().out
+        (record,) = json.loads(out)["checks"]
+        assert code == EXIT_ERROR
+        assert record["message"] == (
+            f"bad eps value {eps[:MAX_QUOTED]!r}... (1000000 characters)"
+        )
+        assert len(out) < 1000
 
     def test_non_string_algebroid_anchor(self, tmp_path, capsys):
         doc = n_manifest(algebroids={"A": {"anchor": ["N"]}})
@@ -541,7 +616,11 @@ class TestEps:
         assert code == EXIT_ERROR and captured.err == ""
         assert torsion["status"] == "pass"
         assert complex_check["status"] == "error"
-        assert complex_check["message"] == f"bad eps value {eps!r}"
+        # a longer value is quoted by its first MAX_QUOTED characters
+        text = eps if isinstance(eps, str) else repr(eps)
+        assert complex_check["message"] == (
+            f"bad eps value {text[:MAX_QUOTED]!r}... ({len(text)} characters)"
+        )
 
     def test_longest_eps_accepted(self, tmp_path, capsys):
         """At the digit limit eps^2 still prints, in the square condition."""
@@ -766,26 +845,27 @@ class TestSubcommands:
 
 
 SYMPY_FREE_VERIFY = """
-import contextlib, io, sys
+import contextlib, io, json, pathlib, sys
 import fncalc.cli
 assert "sympy" not in sys.modules, "importing fncalc.cli loaded sympy"
-manifests, expected = sys.argv[1], {"f3_product": 0, "negative_error": 2, "bundle": 0}
-for name, code in expected.items():
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        got = fncalc.cli.main(["verify", f"{manifests}/{name}.json", "--format", "json"])
-    assert got == code, (name, got)
+manifests = pathlib.Path(sys.argv[1])
+expected = {"negative_fail": 1, "negative_error": 2}
+names = sorted(path.stem for path in manifests.glob("*.json"))
+assert len(names) == 9, names
+for name in names:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        got = fncalc.cli.main(["verify", str(manifests / f"{name}.json"), "--format", "json"])
+    assert got == expected.get(name, 0), (name, got)
+    assert json.loads(out.getvalue())["probe_degree"] == 2, name
     assert "sympy" not in sys.modules, f"verifying {name} loaded sympy"
-with contextlib.redirect_stdout(io.StringIO()):
-    got = fncalc.cli.main(["verify", f"{manifests}/f1_complex.json", "--format", "json"])
-assert got == 0, got
-assert "sympy" in sys.modules
 """
 
 
-def test_real_chart_verify_never_imports_sympy():
-    """Real charts with polynomial scalars need no gcd and no Gaussian
-    coefficients, so a fresh process verifies them without loading sympy;
-    a complexified chart then loads it on first use."""
+def test_verify_never_imports_sympy():
+    """The scalar kernel does its own arithmetic over Z and Z[i], gcds
+    included, so a fresh process verifies all 9 fixture manifests, at their
+    default probe degree, without loading sympy."""
     src = str(pathlib.Path(fncalc.__file__).resolve().parent.parent)
     old = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + old if old else ""))
@@ -797,3 +877,21 @@ def test_real_chart_verify_never_imports_sympy():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_module_imports_sympy():
+    """sympy is only the tests' reference oracle: no module of the package
+    imports it, at top level or inside a function."""
+    package = pathlib.Path(fncalc.__file__).resolve().parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "sympy" or m.startswith("sympy.") for m in modules):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import QQ, QQ_I, ZZ, ZZ_I
 from sympy.polys.orderings import grlex
-from sympy.polys.rings import PolyElement, ring as sympy_ring
+from sympy.polys.rings import ring as sympy_ring
+
+import fncalc.scalar
 
 from fncalc.calculus import Chart, fn_bracket, nijenhuis_torsion
 from fncalc.randgen import random_vvf
@@ -24,12 +26,15 @@ from fncalc.scalar import (
     ScalarError,
     ScalarExpr,
     UnknownVariableError,
+    _GAUSSIAN_INTEGERS,
+    _GaussianInt,
     _add,
     _diff,
     _lc,
     _mul,
     _neg,
     _pow,
+    _reduce,
     _sub,
     coordinate_ring,
     parse_expr,
@@ -403,7 +408,7 @@ class TestIntegerKernel:
         assert half == expr("1/(1-i)")
         half_gr = GaussianRational.of(Fraction(1, 2), Fraction(1, 2))
         assert half == ScalarExpr.constant(half.ring, half_gr)
-        assert half.den == {0: ZZ_I(1, 1)}
+        assert half.den == {0: _GaussianInt(1, 1)}
 
     def test_partial_over_a_constant_denominator(self):
         f = expr("x^2/2", allow_imaginary=False)
@@ -436,12 +441,17 @@ def unpack(key: int, n: int) -> tuple[int, ...]:
     return exps
 
 
-def poly_terms(n: int, gaussian: bool):
-    """{exponent tuple: nonzero coefficient} with up to 6 terms."""
+def to_sympy(c):
+    """A kernel coefficient as a sympy ``ZZ`` or ``ZZ_I`` element."""
+    return ZZ_I(c.x, c.y) if isinstance(c, _GaussianInt) else c
+
+
+def poly_terms(n: int, gaussian: bool, max_size: int = 6, top: int = 4):
+    """{exponent tuple: nonzero coefficient} with up to ``max_size`` terms."""
     small = st.integers(-5, 5)
-    coeff = st.builds(ZZ_I, small, small) if gaussian else small
+    coeff = st.builds(_GaussianInt, small, small) if gaussian else small
     return st.dictionaries(
-        st.tuples(*[st.integers(0, 4)] * n), coeff.filter(bool), max_size=6
+        st.tuples(*[st.integers(0, top)] * n), coeff.filter(bool), max_size=max_size
     )
 
 
@@ -454,7 +464,7 @@ def test_packed_kernel_matches_sympy(n, gaussian):
 
     def back(poly):
         assert all(poly.values()), "a stored coefficient is zero"
-        return R.from_dict({unpack(m, n): c for m, c in poly.items()})
+        return R.from_dict({unpack(m, n): to_sympy(c) for m, c in poly.items()})
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -466,7 +476,7 @@ def test_packed_kernel_matches_sympy(n, gaussian):
     def check(ta, tb, j, k):
         a = {ring.monomial(e): c for e, c in ta.items()}
         b = {ring.monomial(e): c for e, c in tb.items()}
-        pa, pb = R.from_dict(ta), R.from_dict(tb)
+        pa, pb = (R.from_dict({e: to_sympy(c) for e, c in t.items()}) for t in (ta, tb))
         assert back(a) == pa
         assert back(_mul(ring, a, b)) == pa * pb
         assert back(_add(a, b)) == pa + pb
@@ -475,8 +485,131 @@ def test_packed_kernel_matches_sympy(n, gaussian):
         assert back(_diff(ring, a, names[j])) == pa.diff(R.gens[j])
         assert back(_pow(ring, a, k)) == pa**k
         if a:
-            assert unpack(max(a), n) == pa.LM and _lc(a) == pa.LC
+            assert unpack(max(a), n) == pa.LM and to_sympy(_lc(a)) == pa.LC
         assert [unpack(m, n) for m in sorted(a)] == sorted(pa.keys(), key=grlex)
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# The own Gaussian integers and cancel against sympy's ZZ_I and
+# ``PolyElement.cancel``, which stay the reference.
+
+gaussian_ints = st.builds(_GaussianInt, st.integers(-40, 40), st.integers(-40, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gaussian_ints, gaussian_ints, st.integers(0, 5))
+def test_gaussian_integers_match_sympy(a, b, k):
+    Z = _GAUSSIAN_INTEGERS
+    sa, sb = to_sympy(a), to_sympy(b)
+    for ours, ref in ((a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb),
+                      (-a, -sa), (a**k, sa**k)):
+        assert to_sympy(ours) == ref
+    assert bool(a) == bool(sa) and (a == b) == (sa == sb)
+    assert hash(a) == hash(_GaussianInt(a.x, a.y))
+    assert to_sympy(Z.canonical_unit(a)) == ZZ_I.canonical_unit(sa)
+    assert to_sympy(Z.gcd(a, b)) == ZZ_I.gcd(sa, sb)
+    if b:
+        assert to_sympy(Z.quo(a, b)) == ZZ_I.quo(sa, sb)
+        assert Z.quo(a * b, b) == a
+
+
+def cancel_matches_sympy(names, gaussian, num_terms, den_terms):
+    """``_reduce`` and sympy's ``PolyElement.cancel`` give the same
+    (num, den) dicts, canonical unit included."""
+    n = len(names)
+    ring = coordinate_ring(names, gaussian)
+    R = sympy_ring(list(names), ZZ_I if gaussian else ZZ, grlex)[0]
+    num = {ring.monomial(e): c for e, c in num_terms.items()}
+    den = {ring.monomial(e): c for e, c in den_terms.items()}
+    ref = R.from_dict({unpack(m, n): to_sympy(c) for m, c in num.items()}).cancel(
+        R.from_dict({unpack(m, n): to_sympy(c) for m, c in den.items()})
+    )
+    got = _reduce(ring, num, den)
+    assert [{unpack(m, n): to_sympy(c) for m, c in p.items()} for p in got] == [
+        dict(p) for p in ref
+    ]
+
+
+def expand(ring_names, gaussian, *factors):
+    """The product of the factors, each {exponent tuple: coefficient}."""
+    ring = coordinate_ring(ring_names, gaussian)
+    of = ring.domain.of_int if gaussian else int
+    out = {0: of(1)}
+    for f in factors:
+        packed = {
+            ring.monomial(e): (c if isinstance(c, _GaussianInt) else of(c))
+            for e, c in f.items()
+        }
+        out = _mul(ring, out, packed)
+    return {unpack(m, len(ring_names)): c for m, c in out.items()}
+
+
+GI = _GaussianInt(0, 1)
+ONE_PLUS_I = _GaussianInt(1, 1)
+ONE, TWO = ("x",), ("x", "y")
+
+
+@pytest.mark.parametrize(
+    "names, gaussian, num, den",
+    [
+        # x + i and x^2 + 1 = (x + i)(x - i)
+        (ONE, True, [{(1,): 1, (0,): GI}, {(1,): 3, (0,): 2}],
+         [{(1,): 1, (0,): GI}, {(1,): 1, (0,): -GI}]),
+        (ONE, True, [{(2,): 1, (0,): 1}], [{(1,): 1, (0,): GI}, {(1,): 2, (0,): 5}]),
+        (TWO, True, [{(1, 0): 1, (0, 1): GI}, {(1, 1): 1}],
+         [{(2, 0): 1, (0, 2): 1}]),
+        # a content of 1 + i, and 2 = -i (1 + i)^2
+        (TWO, True, [{(0, 0): ONE_PLUS_I}, {(1, 0): 1, (0, 1): -1}],
+         [{(0, 0): 2}, {(1, 1): 1, (0, 0): GI}]),
+        (ONE, True, [{(1,): ONE_PLUS_I, (0,): _GaussianInt(1, -1)}],
+         [{(0,): ONE_PLUS_I}, {(1,): 1, (0,): 3}]),
+        # zero and one-term numerators
+        (TWO, True, [{}], [{(1, 0): 1, (0, 1): GI}]),
+        (TWO, False, [{}], [{(1, 0): 2, (0, 1): -4}]),
+        (TWO, True, [{(2, 1): _GaussianInt(2, 2)}], [{(1, 0): 2, (1, 1): 4}]),
+        (TWO, False, [{(3, 2): -6}], [{(1, 3): 4, (2, 0): 10}]),
+        (ONE, False, [{(1,): 1}, {(1,): 1, (0,): 1}], [{(1,): 1}]),
+        # a gcd that is only content
+        (TWO, False, [{(1, 0): 6, (0, 1): 4}], [{(2, 0): -10, (0, 0): 2}]),
+        (TWO, True, [{(1, 0): _GaussianInt(3, 3)}, {(0, 1): 1, (0, 0): 1}],
+         [{(1, 1): _GaussianInt(0, 6), (0, 0): 3}]),
+        # a coordinate in only one of them
+        (TWO, False, [{(1, 0): 2, (0, 0): 2}, {(0, 1): 1, (0, 0): 1}],
+         [{(2, 0): 3, (0, 0): 3}, {(1, 0): 1, (0, 0): -1}]),
+    ],
+    ids=[
+        "x+i", "x^2+1", "x^2+y^2", "content-1+i-over-2", "content-1+i",
+        "zero-complex", "zero-real", "one-term-complex", "one-term-real",
+        "one-term-den", "content-only-real", "content-only-complex",
+        "coordinate-in-one",
+    ],
+)
+def test_cancel_pinned_cases_match_sympy(names, gaussian, num, den):
+    cancel_matches_sympy(names, gaussian, expand(names, gaussian, *num),
+                         expand(names, gaussian, *den))
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cancel_matches_sympy(n, gaussian):
+    names = ("x", "y", "z", "w")[:n]
+    # sympy's cancel over Z[i] takes seconds on larger factors in 3 or 4
+    # coordinates
+    factor = poly_terms(n, gaussian, max_size=4 if n < 3 else 3, top=2 if n < 3 else 1)
+    nonzero = factor.filter(bool)
+
+    @settings(max_examples=40, deadline=None)
+    @given(factor, nonzero, nonzero, st.sampled_from([(), (1, 1), (2,)]))
+    def check(f, h, g, power):
+        # a planted common factor g, sometimes squared or shared twice
+        num, den = [f, g], [h, g]
+        if power:
+            num.append(g)
+            den.extend([g] * (len(power) - 1))
+        cancel_matches_sympy(names, gaussian, expand(names, gaussian, *num),
+                             expand(names, gaussian, *den))
 
     check()
 
@@ -527,15 +660,15 @@ class TestDegreeGuard:
 def test_real_polynomial_fn_identity_runs_no_gcd(monkeypatch):
     """(1/2)[N,N]_FN = T_N on a real polynomial endomorphism cancels nothing."""
     calls = []
-    cancel = PolyElement.cancel
+    gcd = fncalc.scalar._gcd
 
-    def counting_cancel(self, other):
+    def counting_gcd(ring, a, b):
         calls.append(1)
-        return cancel(self, other)
+        return gcd(ring, a, b)
 
     chart = Chart(("x", "y", "z"))
     N = random_vvf(chart, 1, random.Random(3), degree=2)
-    monkeypatch.setattr(PolyElement, "cancel", counting_cancel)
+    monkeypatch.setattr(fncalc.scalar, "_gcd", counting_gcd)
     half = chart.const(Fraction(1, 2))
     assert fn_bracket(N, N).scaled(half) == nijenhuis_torsion(N)
     assert calls == []
