@@ -218,18 +218,24 @@ def check_axioms(
     """Jacobi, Leibniz and anchor-morphism residuals at the probe fields.
 
     The probes are the coordinate frame plus two seeded polynomial fields
-    r1, r2 of degree ``probe_degree``. The verdict is decided on the frame:
+    r1, r2 of degree ``probe_degree``. Every record comes from frame values,
+    so only the frame is bracketed: C(n,2) pairs and 3·C(n,3) Jacobi terms.
 
     - Leibniz holds identically for [[X,Y]] = [X,Y]_K - L(X,Y), for every
-      K and L, so each Leibniz residual is zero;
-    - the anchor residual A(X,Y) = K[[X,Y]] - [KX,KY] is C^∞-bilinear
+      K and L, so each Leibniz residual is zero.
+    - The anchor residual A(X,Y) = K[[X,Y]] - [KX,KY] is C^∞-bilinear
       (on the frame it is minus condition 1, T_K + K∘L), so it is built as
-      a frame form and each probe record is A(X,Y);
-    - once A = 0 the Jacobiator is C^∞-trilinear and alternating, so its
-      values on frame triples decide it (there are none below rank 3).
+      a frame form and each probe record is A(X,Y).
+    - The Jacobiator Jac(X,Y,Z) = [[X,[[Y,Z]]]] + cyclic is alternating,
+      and Jac(X,Y,fZ) = f·Jac(X,Y,Z) - A(X,Y)(f)·Z. Expanding each argument
+      in the frame gives
 
-    Only a failing check brackets the probe fields, for its Jacobi records;
-    while A ≠ 0 the Jacobiator is not a tensor.
+          Jac(X,Y,Z) = J(X,Y,Z) - ∂_{A(X,Y)}Z - ∂_{A(Y,Z)}X - ∂_{A(Z,X)}Y,
+
+      where J is the alternating 3-form with J(e_a,e_b,e_c) = Jac(e_a,e_b,e_c)
+      and ∂_V W is the componentwise derivative Σ_c V(W^c) e_c. Once A = 0
+      the Jacobiator is the tensor J (there are no frame triples below
+      rank 3), so the verdict is decided on the frame.
     """
     chart = alg.chart
     probes = _probes(chart, random.Random(seed), probe_degree, 2)
@@ -245,33 +251,33 @@ def check_axioms(
         lambda a, b: alg.anchor.apply(brackets[(a, b)])
         - lie_bracket(images[a], images[b]),
     )
-
-    tensorial = A.is_zero and all(
-        (
-            alg.bracket(basis[a], brackets[(b, c)])
-            + alg.bracket(basis[b], -brackets[(a, c)])
-            + alg.bracket(basis[c], brackets[(a, b)])
-        ).is_zero
-        for a, b, c in itertools.combinations(range(chart.dim), 3)
+    J = VectorValuedForm.on_frame(
+        chart,
+        3,
+        lambda a, b, c: alg.bracket(basis[a], brackets[(b, c)])
+        - alg.bracket(basis[b], brackets[(a, c)])
+        + alg.bracket(basis[c], brackets[(a, b)]),
     )
-    zero = VectorField.zero(chart)
-    jacobi = []
-    for (la, X), (lb, Y), (lc, Z) in itertools.combinations(probes, 3):
-        if tensorial:
-            residual = zero
-        else:
-            residual = (
-                alg.bracket(X, alg.bracket(Y, Z))
-                + alg.bracket(Y, alg.bracket(Z, X))
-                + alg.bracket(Z, alg.bracket(X, Y))
-            )
-        jacobi.append((f"({la},{lb},{lc})", residual))
 
+    zero = VectorField.zero(chart)
     leibniz = []
     anchor = []
-    for (la, X), (lb, Y) in itertools.combinations(probes, 2):
+    values = {}  # A on probe pairs, in both orders: A(Y,X) = -A(X,Y)
+    for (i, (la, X)), (j, (lb, Y)) in itertools.combinations(enumerate(probes), 2):
+        values[(i, j)] = A(X, Y)
+        values[(j, i)] = -values[(i, j)]
         leibniz.append((f"({la},{lb})", zero))
-        anchor.append((f"({la},{lb})", A(X, Y)))
+        anchor.append((f"({la},{lb})", values[(i, j)]))
+
+    jacobi = []
+    for i, j, k in itertools.combinations(range(len(probes)), 3):
+        (la, X), (lb, Y), (lc, Z) = probes[i], probes[j], probes[k]
+        residual = J(X, Y, Z)  # minus ∂_{A(X,Y)}Z, ∂_{A(Y,Z)}X and ∂_{A(Z,X)}Y
+        for pair, W in (((i, j), Z), ((j, k), X), ((k, i), Y)):
+            V = values[pair]
+            if not V.is_zero:
+                residual = residual - VectorField(chart, [V(c) for c in W.components])
+        jacobi.append((f"({la},{lb},{lc})", residual))
 
     return AxiomReport(tuple(jacobi), tuple(leibniz), tuple(anchor))
 

@@ -715,10 +715,8 @@ def nijenhuis_torsion(N: VectorValuedForm) -> VectorValuedForm:
 
     # [e_a, e_b] = 0 for coordinate fields, so the N^2 term drops out here.
     def value(a: int, b: int) -> VectorField:
-        return (
-            lie_bracket(images[a], images[b])
-            - N.apply(lie_bracket(images[a], basis[b]))
-            - N.apply(lie_bracket(basis[a], images[b]))
+        return lie_bracket(images[a], images[b]) - N.apply(
+            lie_bracket(images[a], basis[b]) + lie_bracket(basis[a], images[b])
         )
 
     return VectorValuedForm.on_frame(chart, 2, value)

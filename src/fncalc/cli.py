@@ -63,8 +63,9 @@ EXIT_ERROR = 2
 
 #: Largest probe degree a manifest or ``--probe-degree`` may ask for. A random
 #: probe field of degree d has C(n+d, n) terms per component on an n-chart.
-#: A failing axioms check brackets the probes twice, so its cost grows with a
-#: high power of d; the fixtures use 2.
+#: The Jacobi records of a failing axioms check hold 3x3 minors of probe
+#: components, so their size and cost grow with a power of d; the fixtures
+#: use 2.
 MAX_PROBE_DEGREE = 10
 
 #: Most digits of an ``eps`` numerator or denominator: reports print eps^2,

@@ -193,25 +193,31 @@ def direct_leibniz(alg: TangentAlgebroid, probes, f):
     ]
 
 
+def jacobiator(alg: TangentAlgebroid, X, Y, Z):
+    """[[X,[[Y,Z]]]] + [[Y,[[Z,X]]]] + [[Z,[[X,Y]]]], by brackets alone."""
+    return (
+        alg.bracket(X, alg.bracket(Y, Z))
+        + alg.bracket(Y, alg.bracket(Z, X))
+        + alg.bracket(Z, alg.bracket(X, Y))
+    )
+
+
+def anchor_residual(alg: TangentAlgebroid, X, Y):
+    """K[[X,Y]] - [KX,KY], by brackets alone."""
+    K = alg.anchor
+    return K.apply(alg.bracket(X, Y)) - lie_bracket(K.apply(X), K.apply(Y))
+
+
 def direct_axioms(alg: TangentAlgebroid, probe_degree: int = 2, seed: int = 0) -> AxiomReport:
     """The axiom residuals with every probe bracketed: the reference for
-    ``check_axioms``, which decides them on the frame."""
+    ``check_axioms``, which gets them from frame values."""
     probes, f = direct_probes(alg.chart, probe_degree, seed, 2)
     jacobi = [
-        (
-            f"({la},{lb},{lc})",
-            alg.bracket(X, alg.bracket(Y, Z))
-            + alg.bracket(Y, alg.bracket(Z, X))
-            + alg.bracket(Z, alg.bracket(X, Y)),
-        )
+        (f"({la},{lb},{lc})", jacobiator(alg, X, Y, Z))
         for (la, X), (lb, Y), (lc, Z) in itertools.combinations(probes, 3)
     ]
     anchor = [
-        (
-            f"({la},{lb})",
-            alg.anchor.apply(alg.bracket(X, Y))
-            - lie_bracket(alg.anchor.apply(X), alg.anchor.apply(Y)),
-        )
+        (f"({la},{lb})", anchor_residual(alg, X, Y))
         for (la, X), (lb, Y) in itertools.combinations(probes, 2)
     ]
     leibniz = direct_leibniz(alg, probes, f)
@@ -271,21 +277,47 @@ class TestAxiomsOnTheFrame:
     def test_negative_fail_records_equal_direct_evaluation(self):
         manifest = load_manifest(str(MANIFESTS / "negative_fail.json"))
         alg = manifest.algebroids["Abad"]
-        for seed in (manifest.seed, 7):
-            report = check_axioms(alg, manifest.probe_degree, seed)
-            assert not report.passed
-            assert report == direct_axioms(alg, manifest.probe_degree, seed)
+        for probe_degree in (0, manifest.probe_degree, 3):
+            for seed in (manifest.seed, 7):
+                report = check_axioms(alg, probe_degree, seed)
+                assert not report.passed
+                assert report == direct_axioms(alg, probe_degree, seed)
 
     @seeded_charts
     def test_failing_records_equal_direct_evaluation(self, dim, is_complex):
         (K, L), *_ = seeded_pairs(dim, is_complex, count=1)
         cases = [TangentAlgebroid(K, L), bundle_of_lie_algebras(dim, is_complex)]
         for alg in cases:
-            report = check_axioms(alg, probe_degree=1, seed=dim)
-            assert report == direct_axioms(alg, probe_degree=1, seed=dim)
+            for probe_degree in (0, 1, 2):
+                report = check_axioms(alg, probe_degree, seed=dim)
+                assert report == direct_axioms(alg, probe_degree, seed=dim)
         assert not check_axioms(cases[0], probe_degree=0).passed
         # a bundle of Lie algebras of rank 3 fails Jacobi on the frame alone
         assert check_axioms(cases[1], probe_degree=0).passed == (dim == 2)
+
+    @seeded_charts
+    def test_jacobiator_expansion_identities(self, dim, is_complex):
+        """Jac(X,Y,fZ) = f·Jac(X,Y,Z) - A(X,Y)(f)·Z and Jac is alternating,
+        computed by brackets alone: ``check_axioms`` expands its Jacobi
+        records in the frame with these two identities."""
+        rng = random.Random(10 * dim + is_complex)
+        cases = [TangentAlgebroid(K, L) for K, L in seeded_pairs(dim, is_complex)]
+        cases.append(bundle_of_lie_algebras(dim, is_complex))
+        drifts = []
+        for alg in cases:
+            chart = alg.chart
+            X, Y, Z = (random_vector_field(chart, rng, 1) for _ in range(3))
+            f = random_scalar(chart, rng, 1, allow_imaginary=is_complex)
+            jac = jacobiator(alg, X, Y, Z)
+            drift = Z.scaled(anchor_residual(alg, X, Y)(f))
+            assert (jacobiator(alg, X, Y, Z.scaled(f)) - jac.scaled(f) + drift).is_zero
+            assert jacobiator(alg, X, Z, Y) == -jac
+            assert jacobiator(alg, Y, X, Z) == -jac
+            drifts.append(drift)
+        # the seeded pairs fail, so the anchor term is exercised; the bundle
+        # of Lie algebras has a zero anchor
+        assert any(not drift.is_zero for drift in drifts[:-1])
+        assert drifts[-1].is_zero
 
     def test_isomorphism_records_equal_direct_evaluation(self):
         def direct(alg, seed, probe_degree):

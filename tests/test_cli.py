@@ -760,9 +760,8 @@ BRACKET_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("manifest_name", sorted({m for m, _ in BRACKET_COUNTS}))
-def test_passing_algebroid_checks_bracket_only_the_frame(monkeypatch, manifest_name):
-    """A passing axioms, recipe or isomorphism check brackets no random probe."""
+def _count_brackets(monkeypatch) -> Counter:
+    """Count TangentAlgebroid.bracket calls under ``"bracket"``."""
     calls = Counter()
     bracket = TangentAlgebroid.bracket
 
@@ -771,6 +770,13 @@ def test_passing_algebroid_checks_bracket_only_the_frame(monkeypatch, manifest_n
         return bracket(self, X, Y)
 
     monkeypatch.setattr(TangentAlgebroid, "bracket", counting)
+    return calls
+
+
+@pytest.mark.parametrize("manifest_name", sorted({m for m, _ in BRACKET_COUNTS}))
+def test_passing_algebroid_checks_bracket_only_the_frame(monkeypatch, manifest_name):
+    """A passing axioms, recipe or isomorphism check brackets no random probe."""
+    calls = _count_brackets(monkeypatch)
     manifest = load_manifest(str(MANIFESTS / manifest_name))
     assert manifest.probe_degree == 2
     for descriptor in manifest.checks:
@@ -780,6 +786,20 @@ def test_passing_algebroid_checks_bracket_only_the_frame(monkeypatch, manifest_n
         calls.clear()
         assert run_check(manifest, descriptor).status == "pass"
         assert calls["bracket"] == BRACKET_COUNTS[key], key
+
+
+@pytest.mark.parametrize("probe_degree", [0, 2, 4])
+def test_failing_axioms_check_brackets_only_the_frame(monkeypatch, probe_degree):
+    """A failing axioms check gets its Jacobi records from frame values: the
+    rank-4 ``axioms-N-zero`` makes the 18 frame brackets of a passing one at
+    every probe degree, and brackets no probe triple."""
+    calls = _count_brackets(monkeypatch)
+    manifest = load_manifest(
+        str(MANIFESTS / "negative_fail.json"), probe_degree=probe_degree
+    )
+    (descriptor,) = [d for d in manifest.checks if d["name"] == "axioms-N-zero"]
+    assert run_check(manifest, descriptor).status == "fail"
+    assert calls["bracket"] == 18
 
 
 class TestSubcommands:
