@@ -27,6 +27,7 @@ from .calculus import (
     KForm,
     VectorField,
     VectorValuedForm,
+    _sum_terms,
     contracted_bracket,
     fn_bracket,
     fn_decompose,
@@ -101,26 +102,19 @@ class TangentAlgebroid:
     def bracket(self, X: VectorField, Y: VectorField) -> VectorField:
         return contracted_bracket(self.anchor, X, Y) - self.correction(X, Y)
 
-    @staticmethod
-    def trivial(chart: Chart) -> "TangentAlgebroid":
-        return TangentAlgebroid(
-            VectorValuedForm.identity(chart), VectorValuedForm.zero(chart, 2)
-        )
-
 
 def _compose_endo_with_two_form(
     K: VectorValuedForm, L: VectorValuedForm
 ) -> VectorValuedForm:
     """(K∘L)(X,Y) = K(L(X,Y)) as a vector-valued 2-form."""
     chart = K.chart
-    kmat = K.matrix()
     comps = []
-    for j in range(chart.dim):
-        acc = KForm.zero(chart, L.degree)
-        for m in range(chart.dim):
-            if not kmat[j][m].is_zero:
-                acc = acc + L.components[m].scaled(kmat[j][m])
-        comps.append(acc)
+    for row in K.matrix():  # component j is Σ_m K^j_m L^m, one sum per multi-index
+        terms: dict = {}
+        for k, component in zip(row, L.components):
+            for key, value in component.coeffs.items():
+                terms.setdefault(key, []).append((k, value, False))
+        comps.append(KForm(chart, L.degree, _sum_terms(chart, terms)))
     return VectorValuedForm(chart, L.degree, comps)
 
 
@@ -441,14 +435,13 @@ def check_bundle_axioms(balg: BundleAlgebroid) -> BundleAxiomReport:
 
     anchor = []
     for a, b in itertools.combinations(range(rank), 2):
-        bracket_image = VectorField.zero(chart)
-        for d in range(rank):
-            coeff = balg.structure_component(a, b, d)
-            if not coeff.is_zero:
-                bracket_image = bracket_image + balg.anchor_field(d).scaled(coeff)
-        residual = bracket_image - lie_bracket(
-            balg.anchor_field(a), balg.anchor_field(b)
-        )
+        # q[[s_a, s_b]] = Σ_d c_ab^d q(s_d)
+        coeffs = [balg.structure_component(a, b, d) for d in range(rank)]
+        image = VectorField(chart, [
+            ScalarExpr.sum_of_products(chart.ring, zip(coeffs, column, itertools.repeat(False)))
+            for column in zip(*balg.anchor)
+        ])
+        residual = image - lie_bracket(balg.anchor_field(a), balg.anchor_field(b))
         anchor.append((f"(s{a + 1},s{b + 1})", residual))
 
     jacobi = []

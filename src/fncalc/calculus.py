@@ -167,11 +167,12 @@ class VectorField:
 
     def __call__(self, f: ScalarExpr) -> ScalarExpr:
         """Directional derivative X(f)."""
-        out = self.chart.zero
-        for comp, name in zip(self.components, self.chart.coord_names):
-            if not comp.is_zero:
-                out = out + comp * f.partial(name)
-        return out
+        # a Q(i) function on a real chart's field has a Q(i) derivative
+        ring = f.ring if f.ring.allow_imaginary else self.chart.ring
+        pairs = zip(self.components, self.chart.coord_names)
+        return ScalarExpr.sum_of_products(
+            ring, ((c, f.partial(name), False) for c, name in pairs if not c.is_zero)
+        )
 
     @property
     def is_zero(self) -> bool:
@@ -287,8 +288,9 @@ class KForm:
             )
         )
 
-    def __call__(self, *fields: VectorField) -> ScalarExpr:
-        """Multilinear antisymmetric evaluation on vector fields."""
+    def __call__(self, *fields: VectorField, _minors=None) -> ScalarExpr:
+        """Multilinear antisymmetric evaluation on vector fields; ``_minors``
+        holds det(X^a, Y^b, ...) by multi-index (a, b, ...) across calls."""
         if len(fields) != self.degree:
             raise CalculusError(
                 f"degree-{self.degree} form evaluated on {len(fields)} fields"
@@ -296,15 +298,12 @@ class KForm:
         _require_coordinate_form(self, "evaluation on vector fields")
         for X in fields:
             _check_chart(self, X)
-        if self.degree == 0:
-            return self.coeffs.get((), self.chart.zero)
-        out = self.chart.zero
-        for key, value in self.coeffs.items():
-            minor = [[X.components[j] for j in key] for X in fields]
-            d = det(minor, self.chart)
-            if not d.is_zero:
-                out = out + value * d
-        return out
+        minors = {} if _minors is None else _minors
+        for key in self.coeffs.keys() - minors.keys():
+            minors[key] = det([[X.components[j] for j in key] for X in fields], self.chart)
+        return ScalarExpr.sum_of_products(
+            self.chart.ring, ((v, minors[key], False) for key, v in self.coeffs.items())
+        )
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -338,22 +337,21 @@ def _require_coordinate_form(omega: KForm, operation: str) -> None:
 
 
 def det(matrix: Sequence[Sequence[ScalarExpr]], chart: Chart) -> ScalarExpr:
-    """Cofactor determinant; matrices here stay at desk scale (<= 6)."""
+    """Cofactor determinant over the chart's ring; matrices stay small (<= 6)."""
     n = len(matrix)
     if n == 0:
         return chart.one
     if n == 1:
         return matrix[0][0]
     if n == 2:
-        return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
-    out = chart.zero
+        (a, b), (c, d) = matrix
+        return ScalarExpr.sum_of_products(chart.ring, ((a, d, False), (b, c, True)))
+    terms = []
     for col, head in enumerate(matrix[0]):
-        if head.is_zero:
-            continue
-        minor = [row[:col] + row[col + 1 :] for row in matrix[1:]]
-        term = head * det(minor, chart)
-        out = out - term if col % 2 else out + term
-    return out
+        if not head.is_zero:
+            minor = [row[:col] + row[col + 1 :] for row in matrix[1:]]
+            terms.append((head, det(minor, chart), col % 2 == 1))
+    return ScalarExpr.sum_of_products(chart.ring, terms)
 
 
 class VectorValuedForm:
@@ -483,7 +481,10 @@ class VectorValuedForm:
         return hash((self.chart, self.degree, self.components))
 
     def __call__(self, *fields: VectorField) -> VectorField:
-        return VectorField(self.chart, [c(*fields) for c in self.components])
+        minors: dict = {}
+        return VectorField(
+            self.chart, [c(*fields, _minors=minors) for c in self.components]
+        )
 
     def apply(self, X: VectorField) -> VectorField:
         """Endomorphism action; degree-1 convenience alias."""
@@ -500,9 +501,8 @@ class VectorValuedForm:
         n = self.chart.dim
         prod = [
             [
-                sum(
-                    (a[i][k] * b[k][j] for k in range(n)),
-                    start=self.chart.zero,
+                ScalarExpr.sum_of_products(
+                    self.chart.ring, ((a[i][k], b[k][j], False) for k in range(n))
                 )
                 for j in range(n)
             ]
@@ -550,73 +550,71 @@ class DerivationDeg1:
 
 
 def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]):
-    """Sorted merge of two increasing index tuples with the shuffle sign."""
+    """Sorted merge of two increasing index tuples with the shuffle sign: one
+    transposition per pair of a left index above a right one."""
     if set(left) & set(right):
         return None, 0
-    combined = left + right
-    order = sorted(range(len(combined)), key=lambda t: combined[t])
-    inversions = sum(
-        1
-        for a in range(len(order))
-        for b in range(a + 1, len(order))
-        if order[a] > order[b]
-    )
-    return tuple(sorted(combined)), -1 if inversions % 2 else 1
+    inversions = sum(a > b for a in left for b in right)
+    return tuple(sorted(left + right)), -1 if inversions % 2 else 1
+
+
+def _wedge_terms(terms: dict, a: Mapping, b: list) -> None:
+    """Add the terms of ``a`` ∧ ``b`` to ``terms`` by multi-index, for the
+    coefficient map ``a`` and (multi-index, coefficient, negate) triples ``b``."""
+    for ka, va in a.items():
+        for kb, vb, negate in b:
+            key, sign = _merge_sign(ka, kb)
+            if sign:
+                terms.setdefault(key, []).append((va, vb, (sign < 0) != negate))
+
+
+def _sum_terms(chart: Chart, terms: dict) -> dict:
+    """One sum of products per multi-index of ``terms``."""
+    return {k: ScalarExpr.sum_of_products(chart.ring, t) for k, t in terms.items()}
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
     _check_generators(a, b)
-    out: dict[tuple[int, ...], ScalarExpr] = {}
-    for ka, va in a.coeffs.items():
-        for kb, vb in b.coeffs.items():
-            key, sign = _merge_sign(ka, kb)
-            if sign == 0:
-                continue
-            term = va * vb
-            if sign < 0:
-                term = -term
-            out[key] = out[key] + term if key in out else term
-    return KForm(a.chart, a.degree + b.degree, out, a.generators)
+    terms: dict = {}
+    _wedge_terms(terms, a.coeffs, [(k, v, False) for k, v in b.coeffs.items()])
+    return KForm(a.chart, a.degree + b.degree, _sum_terms(a.chart, terms), a.generators)
 
 
 def exterior_d(a: KForm) -> KForm:
     _require_coordinate_form(a, "exterior_d")
     chart = a.chart
-    out: dict[tuple[int, ...], ScalarExpr] = {}
+    terms: dict = {}
     for key, value in a.coeffs.items():
         for j, name in enumerate(chart.coord_names):
-            dv = value.partial(name)
-            if dv.is_zero:
-                continue
             merged, sign = _merge_sign((j,), key)
-            if sign == 0:
-                continue
-            term = dv if sign > 0 else -dv
-            out[merged] = out[merged] + term if merged in out else term
-    return KForm(chart, a.degree + 1, out)
+            if sign:
+                term = (value.partial(name), chart.one, sign < 0)
+                terms.setdefault(merged, []).append(term)
+    return KForm(chart, a.degree + 1, _sum_terms(chart, terms))
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
+    """[X, Y]^j = Σ_i X^i ∂_i Y^j - Y^i ∂_i X^j, one sum of 2n products per j."""
     _check_chart(X, Y)
+    chart = X.chart
+    frame = list(zip(X.components, Y.components, chart.coord_names))
+
+    def terms(Xj, Yj):
+        for Xi, Yi, name in frame:
+            if not Xi.is_zero:
+                yield Xi, Yj.partial(name), False
+            if not Yi.is_zero:
+                yield Yi, Xj.partial(name), True
+
     return VectorField(
-        X.chart,
-        [X(Yj) - Y(Xj) for Xj, Yj in zip(X.components, Y.components)],
+        chart,
+        [ScalarExpr.sum_of_products(chart.ring, terms(Xj, Yj)) for Xj, Yj, _ in frame],
     )
 
 
 # ---------------------------------------------------------------------------
 # Insertion and Lie derivative
 # ---------------------------------------------------------------------------
-
-
-def _contract_coordinate(omega: KForm, m: int) -> KForm:
-    """i_{∂_m} omega: drop m from each multi-index, with sign (-1)^(its position)."""
-    out: dict[tuple[int, ...], ScalarExpr] = {}
-    for key, value in omega.coeffs.items():
-        if m in key:
-            pos = key.index(m)
-            out[key[:pos] + key[pos + 1 :]] = -value if pos % 2 else value
-    return KForm(omega.chart, omega.degree - 1, out)
 
 
 def insertion(K: VectorValuedForm, omega: KForm) -> KForm:
@@ -630,13 +628,19 @@ def insertion(K: VectorValuedForm, omega: KForm) -> KForm:
     _check_chart(K, omega)
     _require_coordinate_form(omega, "insertion")
     chart = K.chart
-    out = KForm.zero(chart, max(K.degree + omega.degree - 1, 0))
-    if omega.degree == 0:
-        return out
+    degree = max(K.degree + omega.degree - 1, 0)
+    # the wedge terms of every m, gathered by multi-index, one sum per index
+    terms: dict = {}
     for m, component in enumerate(K.components):
         if not component.is_zero:
-            out = out + wedge(component, _contract_coordinate(omega, m))
-    return out
+            # i_{∂_m} omega: m dropped from each multi-index, negated at odd positions
+            contracted = []
+            for key, value in omega.coeffs.items():
+                if m in key:
+                    pos = key.index(m)
+                    contracted.append((key[:pos] + key[pos + 1 :], value, pos % 2 == 1))
+            _wedge_terms(terms, component.coeffs, contracted)
+    return KForm(chart, degree, _sum_terms(chart, terms))
 
 
 def lie_derivative(K: VectorValuedForm, omega: KForm) -> KForm:

@@ -479,8 +479,6 @@ def _records_vvf(slot: str, form: VectorValuedForm) -> list[dict[str, str]]:
     for j, comp in enumerate(form.components):
         for key in sorted(comp.coeffs):
             value = comp.coeffs[key]
-            if value.is_zero:
-                continue
             out.append(
                 {
                     "basis": f"{_pair_label(chart, key)}->{_basis_label(chart, j)}",
@@ -506,8 +504,6 @@ def _records_fiber_form(slot: str, label: str, form: KForm) -> list[dict[str, st
     out = []
     for key in sorted(form.coeffs):
         value = form.coeffs[key]
-        if value.is_zero:
-            continue
         basis = label + "->(" + ",".join(f"s{a + 1}" for a in key) + ")"
         out.append({"basis": basis, "slot": slot, "value": str(value)})
     return out

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 
 from .calculus import Chart, KForm, VectorField, VectorValuedForm
-from .scalar import GaussianRational, ScalarExpr
+from .scalar import ImaginaryNotAllowedError, ScalarExpr
 
 __all__ = [
     "random_scalar",
@@ -25,10 +24,7 @@ __all__ = [
 def _monomials(dim: int, degree: int):
     for total in range(degree + 1):
         for exps in itertools.combinations_with_replacement(range(dim), total):
-            counts = [0] * dim
-            for e in exps:
-                counts[e] += 1
-            yield tuple(counts)
+            yield tuple(exps.count(j) for j in range(dim))
 
 
 def random_scalar(
@@ -39,19 +35,18 @@ def random_scalar(
     allow_imaginary: bool = False,
 ) -> ScalarExpr:
     """A random polynomial with small integer (or Gaussian) coefficients."""
-    out = chart.zero
+    ring = chart.ring
+    num = {}
     for monom in _monomials(chart.dim, degree):
         c = rng.randint(-2, 2)
         ci = rng.randint(-2, 2) if allow_imaginary else 0
-        if c == 0 and ci == 0:
-            continue
-        coeff = chart.const(GaussianRational(Fraction(c), Fraction(ci)))
-        term = coeff
-        for name, exp in zip(chart.coord_names, monom):
-            if exp:
-                term = term * ScalarExpr.variable(chart.ring, name) ** exp
-        out = out + term
-    return out
+        if ci:
+            if not ring.allow_imaginary:
+                raise ImaginaryNotAllowedError("a Gaussian coefficient on a real chart")
+            num[ring.monomial(monom)] = ring.domain.of_parts(c, ci)
+        elif c:
+            num[ring.monomial(monom)] = ring.domain.of_int(c)
+    return ScalarExpr(ring, num, ring.one.den)
 
 
 def random_vector_field(

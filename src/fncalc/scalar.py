@@ -23,7 +23,10 @@ coefficient, a Python ``int`` over Z and a ``_GaussianInt`` (a pair of
 Arrays, Heaps, and Packed Exponent Vectors", CASC 2007). The packed key
 holds the total degree in its top field and one ``EXPONENT_BITS``-bit field
 per coordinate below it, so a monomial product is one integer addition and
-integer order is graded-lex order. All arithmetic is done here, with no
+integer order is graded-lex order. Products accumulate in place: a sum of
+products Σ ±a·b adds every product that shares a denominator into one
+polynomial and reduces it once (``ScalarExpr.sum_of_products``), instead of
+building and copying a scalar per term. All arithmetic is done here, with no
 dependency beyond the standard library: sums, products, powers,
 derivatives, and the multivariate gcd that cancels a non-constant
 denominator (the subresultant pseudo-remainder sequence, recursive in the
@@ -81,7 +84,6 @@ class ImaginaryNotAllowedError(ScalarError):
 
 
 _FRACTION_ZERO = Fraction(0)
-_FRACTION_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -108,15 +110,17 @@ class GaussianRational:
         )
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        im = "i" if self.im == 1 else ("-i" if self.im == -1 else f"{self.im}*i")
-        if self.re == 0:
-            return im
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
-        imag = "i" if mag == 1 else f"{mag}*i"
-        return f"{self.re}{sign}{imag}"
+        return _complex_str(self.re, self.im)
+
+
+def _complex_str(re, im) -> str:
+    """re + im*i, for ``int`` or ``Fraction`` parts."""
+    if im == 0:
+        return str(re)
+    imag = "i" if abs(im) == 1 else f"{abs(im)}*i"
+    if re == 0:
+        return imag if im > 0 else f"-{imag}"
+    return f"{re}{'+' if im > 0 else '-'}{imag}"
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +312,10 @@ def coordinate_ring(
 # ---------------------------------------------------------------------------
 
 
-def _add(a: dict, b: dict) -> dict:
+def _add(a: dict, b: dict, negate: bool = False) -> dict:
+    """``a + b``, or ``a - b`` with ``negate``."""
+    if negate:
+        b = _neg(b)
     if len(a) < len(b):
         a, b = b, a
     out = dict(a)
@@ -319,22 +326,6 @@ def _add(a: dict, b: dict) -> dict:
             out[m] = c
         else:
             s = s + c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-    return out
-
-
-def _sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    get = out.get
-    for m, c in b.items():
-        s = get(m)
-        if s is None:
-            out[m] = -c
-        else:
-            s = s - c
             if s:
                 out[m] = s
             else:
@@ -357,11 +348,35 @@ def _too_large(ring: CoordinateRing) -> ScalarError:
     )
 
 
+def _mul_into(ring: CoordinateRing, out: dict, a: dict, b: dict, negate: bool) -> None:
+    """Add ``a * b``, or ``-(a * b)`` with ``negate``, into ``out`` in place,
+    refused before a field could carry: the sum of the largest keys is at least
+    the key of the true top-degree product, and equal to it when nothing
+    carries, so it reaches the limit exactly when the product's degree would."""
+    if not a or not b:
+        return
+    if len(a) < len(b):
+        a, b = b, a
+    if max(a) + max(b) >= ring._key_limit:
+        raise _too_large(ring)
+    b = [(m, -c) for m, c in b.items()] if negate else list(b.items())
+    get = out.get
+    for ma, ca in a.items():
+        for mb, cb in b:
+            m = ma + mb
+            s = get(m)
+            if s is None:
+                out[m] = ca * cb
+            else:
+                s = s + ca * cb
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+
+
 def _mul(ring: CoordinateRing, a: dict, b: dict) -> dict:
-    """``a * b``, refused before a field could carry: the sum of the largest
-    keys is at least the key of the true top-degree product, and equal to it
-    when nothing carries, so it reaches the limit exactly when the product's
-    total degree would."""
+    """``a * b``, refused by the same key limit as ``_mul_into``."""
     if len(a) < len(b):
         a, b = b, a
     if len(b) == 1:
@@ -377,24 +392,8 @@ def _mul(ring: CoordinateRing, a: dict, b: dict) -> dict:
         if mb:
             return {m + mb: c * cb for m, c in a.items()}
         return {m: c * cb for m, c in a.items()}
-    if not b:
-        return {}
-    if max(a) + max(b) >= ring._key_limit:
-        raise _too_large(ring)
     out: dict = {}
-    get = out.get
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = ma + mb
-            s = get(m)
-            if s is None:
-                out[m] = ca * cb
-            else:
-                s = s + ca * cb
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+    _mul_into(ring, out, a, b, False)
     return out
 
 
@@ -589,18 +588,12 @@ def _prem(ring: CoordinateRing, a: dict, b: dict) -> dict:
         steps -= 1
         lr = r.pop(d)
         r = {e: _mul(ring, p, lb) for e, p in r.items()}
-        for e, p in lower:
+        for e, p in lower:  # every part of r is a fresh product: add in place
             k = e + d - n
-            t = _mul(ring, p, lr)
-            s = r.get(k)
-            if s is None:
-                r[k] = _neg(t)
-            else:
-                s = _sub(s, t)
-                if s:
-                    r[k] = s
-                else:
-                    del r[k]
+            part = r.setdefault(k, {})
+            _mul_into(ring, part, p, lr, True)
+            if not part:
+                del r[k]
     if steps and r:
         scale = _pow(ring, lb, steps)
         r = {e: _mul(ring, p, scale) for e, p in r.items()}
@@ -803,29 +796,22 @@ class ScalarExpr:
         ring = other.ring if other.ring.allow_imaginary else self.ring
         return self.in_ring(ring), other.in_ring(ring)
 
-    def __add__(self, other: "ScalarExpr") -> "ScalarExpr":
+    def _plus(self, other: "ScalarExpr", negate: bool) -> "ScalarExpr":
+        """``self + other``, or ``self - other`` with ``negate``."""
         if self.ring is not other.ring:
             self, other = self._unify(other)
         ring = self.ring
         if self.den == other.den:
-            return ScalarExpr(ring, _add(self.num, other.num), self.den)
-        return ScalarExpr(
-            ring,
-            _add(_mul(ring, self.num, other.den), _mul(ring, other.num, self.den)),
-            _mul(ring, self.den, other.den),
-        )
+            return ScalarExpr(ring, _add(self.num, other.num, negate), self.den)
+        num = _mul(ring, self.num, other.den)
+        _mul_into(ring, num, other.num, self.den, negate)
+        return ScalarExpr(ring, num, _mul(ring, self.den, other.den))
+
+    def __add__(self, other: "ScalarExpr") -> "ScalarExpr":
+        return self._plus(other, False)
 
     def __sub__(self, other: "ScalarExpr") -> "ScalarExpr":
-        if self.ring is not other.ring:
-            self, other = self._unify(other)
-        ring = self.ring
-        if self.den == other.den:
-            return ScalarExpr(ring, _sub(self.num, other.num), self.den)
-        return ScalarExpr(
-            ring,
-            _sub(_mul(ring, self.num, other.den), _mul(ring, other.num, self.den)),
-            _mul(ring, self.den, other.den),
-        )
+        return self._plus(other, True)
 
     def __neg__(self) -> "ScalarExpr":
         return ScalarExpr(self.ring, _neg(self.num), self.den, _canonical=True)
@@ -861,6 +847,28 @@ class ScalarExpr:
             num, den = _pow(ring, self.num, exponent), _pow(ring, self.den, exponent)
         num, den = _unit_normal(ring, num, den)
         return ScalarExpr(ring, num, den, _canonical=True)
+
+    @staticmethod
+    def sum_of_products(ring: CoordinateRing, terms) -> "ScalarExpr":
+        """Σ ±a·b over ``ring`` for ``terms`` of ``(a, b, negate)``, each
+        operand moved into ``ring`` by ``in_ring``. The products that share a
+        denominator accumulate into one numerator, reduced once, and these
+        groups are then added: with every denominator 1, one polynomial."""
+        groups: dict = {}
+        for a, b, negate in terms:
+            if a.num and b.num:
+                if a.ring is not ring:
+                    a = a.in_ring(ring)
+                if b.ring is not ring:
+                    b = b.in_ring(ring)
+                den = _mul(ring, a.den, b.den)
+                key = frozenset(den.items())
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = (den, {})
+                _mul_into(ring, group[1], a.num, b.num, negate)
+        parts = [ScalarExpr(ring, num, den) for den, num in groups.values()]
+        return sum(parts[1:], parts[0]) if parts else ring.zero
 
     # -- queries -------------------------------------------------------
 
@@ -906,12 +914,9 @@ class ScalarExpr:
         dn = _diff(ring, num, var)
         if _is_ground(den):
             return ScalarExpr(ring, dn, den)
-        dd = _diff(ring, den, var)
-        return ScalarExpr(
-            ring,
-            _sub(_mul(ring, dn, den), _mul(ring, num, dd)),
-            _mul(ring, den, den),
-        )
+        dn = _mul(ring, dn, den)
+        _mul_into(ring, dn, num, _diff(ring, den, var), True)
+        return ScalarExpr(ring, dn, _mul(ring, den, den))
 
     def conjugate(self) -> "ScalarExpr":
         ring = self.ring
@@ -926,7 +931,7 @@ class ScalarExpr:
 
     def __str__(self) -> str:
         # The same value over Q or Q(i), with a monic denominator.
-        lc = _from_domain(_lc(self.den), self.ring)
+        lc = _lc(self.den)
         try:
             num = _poly_str(self.num, self.ring, lc)
             den = None if _is_ground(self.den) else _poly_str(self.den, self.ring, lc)
@@ -949,16 +954,22 @@ def _is_atomic(s: str) -> bool:
     return "+" not in s[1:] and "-" not in s[1:] and "/" not in s and "*" not in s
 
 
-def _poly_str(poly: dict, ring: CoordinateRing, scale: GaussianRational) -> str:
-    """``poly`` divided by ``scale``, with Q or Q(i) coefficients."""
+def _poly_str(poly: dict, ring: CoordinateRing, lc) -> str:
+    """``poly`` divided by the domain constant ``lc``, with Q or Q(i)
+    coefficients; integer ones, as they are, when ``lc`` is one."""
     if not poly:
         return "0"
-    one = GaussianRational(_FRACTION_ONE)
+    monoms = sorted(poly, reverse=True)
+    if lc != ring.domain.one:
+        scale = _from_domain(lc, ring)
+        values = [_from_domain(poly[m], ring) / scale for m in monoms]
+        values = [(gr.re, gr.im) for gr in values]
+    elif ring.allow_imaginary:
+        values = [(poly[m].x, poly[m].y) for m in monoms]
+    else:
+        values = [(poly[m], 0) for m in monoms]
     parts = []
-    for monom in sorted(poly, reverse=True):
-        gr = _from_domain(poly[monom], ring)
-        if scale != one:
-            gr = gr / scale
+    for monom, (re, im) in zip(monoms, values):
         factors = []
         for name, exp in zip(ring.names, ring.exponents(monom)):
             if exp == 1:
@@ -967,14 +978,13 @@ def _poly_str(poly: dict, ring: CoordinateRing, scale: GaussianRational) -> str:
                 factors.append(f"{name}^{exp}")
         mono = "*".join(factors)
         if not mono:
-            parts.append(str(gr))
-            continue
-        if gr == one:
+            parts.append(_complex_str(re, im))
+        elif im == 0 and re == 1:
             parts.append(mono)
-        elif gr == -one:
+        elif im == 0 and re == -1:
             parts.append(f"-{mono}")
         else:
-            c = str(gr)
+            c = _complex_str(re, im)
             if "+" in c[1:] or "-" in c[1:]:
                 c = f"({c})"
             parts.append(f"{c}*{mono}")

@@ -32,10 +32,10 @@ from fncalc.scalar import (
     _diff,
     _lc,
     _mul,
+    _mul_into,
     _neg,
     _pow,
     _reduce,
-    _sub,
     coordinate_ring,
     parse_expr,
 )
@@ -480,7 +480,7 @@ def test_packed_kernel_matches_sympy(n, gaussian):
         assert back(a) == pa
         assert back(_mul(ring, a, b)) == pa * pb
         assert back(_add(a, b)) == pa + pb
-        assert back(_sub(a, b)) == pa - pb
+        assert back(_add(a, b, True)) == pa - pb
         assert back(_neg(a)) == -pa
         assert back(_diff(ring, a, names[j])) == pa.diff(R.gens[j])
         assert back(_pow(ring, a, k)) == pa**k
@@ -675,3 +675,115 @@ def test_real_polynomial_fn_identity_runs_no_gcd(monkeypatch):
     # the counter itself sees a real gcd
     expr("x/(2*x)", allow_imaginary=False)
     assert calls
+
+
+# ---------------------------------------------------------------------------
+# The fused sum of products against the pairwise fold Σ ±a·b
+
+
+def fold(ring, terms) -> ScalarExpr:
+    """Σ ±a·b one ``ScalarExpr`` at a time, as ``out = out + a * b``."""
+    out = ring.zero
+    for a, b, negate in terms:
+        out = out - a * b if negate else out + a * b
+    return out
+
+
+def operands(gaussian: bool):
+    """Values of expression trees, with zero and each kind of denominator
+    (1, a constant, a polynomial); over Z[i] some operands are real."""
+    real = st.builds(lambda t: kernel_value(t, False), trees(False))
+    if not gaussian:
+        return real
+    return st.one_of(st.builds(lambda t: kernel_value(t, True), trees(True)), real)
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["real", "complex"])
+def test_sum_of_products_matches_pairwise_fold(gaussian):
+    ring = coordinate_ring(VARS, gaussian)
+    zero = st.just(ring.zero)
+    operand = st.one_of(operands(gaussian), zero)
+    term = st.tuples(operand, operand, st.booleans())
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(term, max_size=6))
+    def check(terms):
+        got, want = ScalarExpr.sum_of_products(ring, terms), fold(ring, terms)
+        assert got.ring is ring
+        assert (got.num, got.den) == (want.num, want.den)
+        # every term and its negation cancel to the canonical zero
+        undone = ScalarExpr.sum_of_products(
+            ring, terms + [(a, b, not negate) for a, b, negate in terms]
+        )
+        assert (undone.num, undone.den) == ({}, ring.one.den)
+
+    check()
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["real", "complex"])
+def test_sum_of_products_pinned_cases(gaussian):
+    ring = coordinate_ring(VARS, gaussian)
+
+    def e(text: str) -> ScalarExpr:
+        return expr(text, allow_imaginary=gaussian)
+
+    assert ScalarExpr.sum_of_products(ring, []) is ring.zero
+    assert ScalarExpr.sum_of_products(ring, [(ring.zero, e("x"), False)]) is ring.zero
+    # x/(x+1) + 1/(x+1) = 1, and (1/2)*x - x/2 = 0 over a constant denominator
+    terms = [(e("x"), e("1/(x+1)"), False), (e("1"), e("1/(x+1)"), False)]
+    assert ScalarExpr.sum_of_products(ring, terms) == ring.one
+    terms = [(e("1/2"), e("x"), False), (e("x"), e("1/2"), True)]
+    assert ScalarExpr.sum_of_products(ring, terms).is_zero
+    # three denominators: 1, 3 and x+1 share nothing
+    terms = [(e("x"), e("y"), False), (e("1/3"), e("y"), True), (e("x"), e("1/(x+1)"), False)]
+    got, want = ScalarExpr.sum_of_products(ring, terms), fold(ring, terms)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert got == e("x*y - y/3 + x/(x+1)")
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["real", "complex"])
+def test_sum_of_products_key_limit(gaussian):
+    ring = coordinate_ring(VARS, gaussian)
+    x = expr("x", allow_imaginary=gaussian)
+    top = x ** (2**EXPONENT_BITS - 1)
+    for other in (x, expr("x + y", allow_imaginary=gaussian), expr("y/(y + 1)", allow_imaginary=gaussian)):
+        for terms in ([(top, other, False)], [(x, x, False), (other, top, True)]):
+            with pytest.raises(ScalarError):
+                fold(ring, terms)
+            with pytest.raises(ScalarError):
+                ScalarExpr.sum_of_products(ring, terms)
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["real", "complex"])
+def test_mul_and_mul_into_agree_on_one_term_fast_paths(gaussian):
+    ring = coordinate_ring(VARS, gaussian)
+    of = ring.domain.of_int
+    x, y = ring.monomial((1, 0)), ring.monomial((0, 1))
+    c = _GaussianInt(2, -3) if gaussian else 5
+    polys = [
+        {},
+        {0: of(3)},
+        {x: c},
+        {x: of(2), y: of(-1), 0: of(7)},
+        {x + y: c, y: of(4)},
+    ]
+    for a in polys:
+        for b in polys:
+            product = _mul(ring, a, b)
+            for negate in (False, True):
+                out: dict = {}
+                _mul_into(ring, out, a, b, negate)
+                assert out == (_neg(product) if negate else product)
+            # accumulating onto a copy of -a*b leaves nothing
+            out = _neg(product)
+            _mul_into(ring, out, a, b, False)
+            assert out == {}
+    top = {ring.monomial((2**EXPONENT_BITS - 1, 0)): of(1)}
+    for b in ({x: c}, {0: of(3)}, {x: of(1), y: of(1)}):
+        if 0 in b:
+            assert _mul(ring, top, b) == {max(top): b[0]}
+            continue
+        with pytest.raises(ScalarError):
+            _mul(ring, top, b)
+        with pytest.raises(ScalarError):
+            _mul_into(ring, {}, top, b, False)
