@@ -31,7 +31,6 @@ from .calculus import (
     contracted_bracket,
     fn_bracket,
     fn_decompose,
-    insertion,
     lie_bracket,
     nijenhuis_torsion,
     rn_bracket,
@@ -62,6 +61,7 @@ __all__ = [
     "nabla_K",
     "delta_torsion",
     "verify_connection_decomposition",
+    "SymmetricCrossCheck",
     "symmetric_connection_cross_check",
 ]
 
@@ -118,15 +118,6 @@ def _compose_endo_with_two_form(
     return VectorValuedForm(chart, L.degree, comps)
 
 
-def _insert_into_vvf(
-    L: VectorValuedForm, K: VectorValuedForm
-) -> VectorValuedForm:
-    """i_L K, inserting L componentwise into the coefficient forms of K."""
-    chart = K.chart
-    comps = [insertion(L, c) for c in K.components]
-    return VectorValuedForm(chart, comps[0].degree, comps)
-
-
 def derivation_from_algebroid(alg: TangentAlgebroid) -> DerivationDeg1:
     """The de Rham-type operator of the algebroid, rebuilt from generator actions.
 
@@ -159,7 +150,8 @@ def check_cohomology(D: DerivationDeg1) -> CohomologyReport:
     K, L = D.K, D.L
     chart = D.chart
     half = chart.const(Fraction(1, 2))
-    cond1 = fn_bracket(K, K).scaled(half) + _insert_into_vvf(L, K)
+    # i_L K = K∘L for the vector-valued 1-form K
+    cond1 = fn_bracket(K, K).scaled(half) + _compose_endo_with_two_form(K, L)
     cond2 = fn_bracket(K, L) + rn_bracket(L, L).scaled(half)
     return CohomologyReport(cond1, cond2)
 

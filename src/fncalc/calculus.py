@@ -47,6 +47,7 @@ __all__ = [
     "nijenhuis_torsion",
     "contracted_bracket",
     "fn_decompose",
+    "complexify_vvf",
 ]
 
 

@@ -55,7 +55,15 @@ from .structures import (
     tangent_data_for_chart,
 )
 
-__all__ = ["Manifest", "ManifestError", "load_manifest", "run_check", "emit", "main"]
+__all__ = [
+    "Manifest",
+    "ManifestError",
+    "CheckRecord",
+    "load_manifest",
+    "run_check",
+    "emit",
+    "main",
+]
 
 EXIT_PASS = 0
 EXIT_FAIL = 1

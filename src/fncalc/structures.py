@@ -3,18 +3,17 @@ tangent-bundle algebroids, with the side identities each one is known to satisfy
 
 Every construction validates its structural preconditions exactly (raising a
 typed error on violation) and returns a :class:`TangentAlgebroid` or the
-relevant operator data; the accompanying theorems (torsion relations,
-bracket closed forms, cohomology of the decomposition pieces) are verified
-by the construction itself where cheap, and by the test suite everywhere.
+relevant operator data. Identities that hold for every input (torsion
+relations such as T_{λE+μ·Id} = λ²T_E, bracket closed forms, the split of d
+and of a form by a projector) are pinned by the test suite and not checked
+at run time.
 
-Each call evaluates every precondition and ``internal:`` guard once: the
-complex, product, foliation and connection algebroids reduce to the
-idempotent one and reuse what it checked or computed (N^2 = N, T_N). A guard
-that is equivalent to a precondition the same call has checked counts as
-that precondition and is not evaluated again: the projector of a complex,
+Each call evaluates every precondition once. A projector's torsion T_N is
+computed once and also decides the involutivity of its image, since
+(Id-N)T_N(e_a, e_b) = (Id-N)[N e_a, N e_b]. The projector of a complex,
 product or connection structure E is idempotent exactly when E^2 is the
-required multiple of Id, so it is not re-checked, and T_{p+} of a complex
-structure is not re-derived from T_J once T_J = 0 is known.
+required multiple of Id, so it is not re-checked; an integrable complex or
+product structure needs no projector torsion at all.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .calculus import (
     VectorValuedForm,
     complexify_vvf,
     contracted_bracket,
-    exterior_d,
     fn_bracket,
     lie_bracket,
     nijenhuis_torsion,
@@ -52,11 +50,13 @@ __all__ = [
     "NotSemisprayError",
     "NotConnectionError",
     "idempotent_algebroid",
+    "bracket_full_form",
     "idempotent_tensorial_operator",
     "complement_operator",
     "complex_projectors",
     "complex_algebroid",
     "product_algebroid",
+    "product_bracket_form",
     "FoliationData",
     "foliation_connection",
     "BigradedForm",
@@ -122,22 +122,23 @@ def _require_idempotent(N: VectorValuedForm) -> None:
         raise NotIdempotentError("endomorphism does not satisfy N^2 = N")
 
 
-def _require_image_involutive(N: VectorValuedForm) -> None:
-    """Check (Id-N)[N e_a, N e_b] = 0 on basis images.
+def _projector_torsion(N: VectorValuedForm) -> VectorValuedForm:
+    """T_N of an idempotent N; ImageNotInvolutiveError unless Im N is involutive.
 
     Basis images generate Im N as a module, and Leibniz correction terms of
-    module generators stay inside the distribution, so the basis check
-    decides involutivity. Membership of v in Im N is decided by Nv = v,
-    exact for idempotents.
+    module generators stay inside the distribution, so (Id-N)[N e_a, N e_b]
+    = 0 on frame pairs decides involutivity. For a projector that vector is
+    (Id-N)T_N(e_a, e_b), so the first nonzero frame pair of T_N - N∘T_N is
+    the first bracket that leaves the image.
     """
-    chart = N.chart
-    basis = chart.basis_vectors()
-    images = [N.apply(e) for e in basis]
-    for a, b in itertools.combinations(range(chart.dim), 2):
-        br = lie_bracket(images[a], images[b])
-        residual = br - N.apply(br)
-        if not residual.is_zero:
-            raise ImageNotInvolutiveError((a, b), residual)
+    torsion = nijenhuis_torsion(N)
+    residual = torsion - _compose_endo_with_two_form(N, torsion)
+    pairs = [key for comp in residual.components for key in comp.coeffs]
+    if pairs:
+        a, b = min(pairs)
+        basis = N.chart.basis_vectors()
+        raise ImageNotInvolutiveError((a, b), residual(basis[a], basis[b]))
+    return torsion
 
 
 def bracket_full_form(
@@ -152,38 +153,13 @@ def bracket_full_form(
 def idempotent_algebroid(N: VectorValuedForm) -> TangentAlgebroid:
     """Anchor N, bracket [X,Y]_N + T_N(X,Y), for idempotent N with involutive image."""
     _require_idempotent(N)
-    _require_image_involutive(N)
-    return _projector_algebroid(N, nijenhuis_torsion(N))
-
-
-def _projector_algebroid(
-    N: VectorValuedForm, torsion: VectorValuedForm
-) -> TangentAlgebroid:
-    """idempotent_algebroid once N^2 = N and involutivity hold and T_N is known."""
-    chart = N.chart
-    # N T_N = T_N is forced by the involutivity of the image.
-    if _compose_endo_with_two_form(N, torsion) != torsion:
-        raise StructureError("internal: N T_N = T_N failed for an accepted N")
-    alg = TangentAlgebroid(N, -torsion)
-    basis = chart.basis_vectors()
-    for a, b in itertools.combinations(range(chart.dim), 2):
-        if alg.bracket(basis[a], basis[b]) != bracket_full_form(
-            N, basis[a], basis[b]
-        ):
-            raise StructureError(
-                "internal: closed-form bracket disagrees with [X,Y]_N + T_N"
-            )
-    return alg
+    return TangentAlgebroid(N, -_projector_torsion(N))
 
 
 def idempotent_tensorial_operator(N: VectorValuedForm) -> DerivationDeg1:
     """The purely tensorial square-zero operator i_{-T_N} of an accepted idempotent."""
     _require_idempotent(N)
-    _require_image_involutive(N)
-    chart = N.chart
-    return DerivationDeg1(
-        VectorValuedForm.zero(chart, 1), -nijenhuis_torsion(N)
-    )
+    return DerivationDeg1(VectorValuedForm.zero(N.chart, 1), -_projector_torsion(N))
 
 
 def complement_operator(N: VectorValuedForm) -> DerivationDeg1:
@@ -194,8 +170,6 @@ def complement_operator(N: VectorValuedForm) -> DerivationDeg1:
         raise TorsionNotZeroError("complement operator requires T_N = 0")
     chart = N.chart
     complement = VectorValuedForm.identity(chart) - N
-    if not nijenhuis_torsion(complement).is_zero:
-        raise StructureError("internal: T_{Id-N} must vanish when T_N does")
     return DerivationDeg1(complement, VectorValuedForm.zero(chart, 2))
 
 
@@ -259,27 +233,28 @@ def _projectors(
 def complex_algebroid(
     J: VectorValuedForm, eps: Fraction | int = 1
 ) -> TangentAlgebroid:
-    """The algebroid with anchor p+ on the complexified chart; requires T_J = 0.
+    """The algebroid with anchor p+ and correction 0 on the complexified chart.
 
-    The image of p+ is the holomorphic distribution, so the involutivity
-    check of the idempotent construction is the closure p-[p+ X, p+ Y] = 0.
-    Both conditions on J are checked on J's own chart, so a J that fails
-    them never builds the complexified one.
+    Requires J^2 = -eps^2 Id and T_J = 0. Then T_{p+} = -T_J/(4 eps^2) = 0,
+    so the holomorphic distribution Im p+ is involutive and the idempotent
+    algebroid of p+ has correction -T_{p+} = 0. Both conditions on J are
+    checked on J's own chart, so a J that fails them never builds the
+    complexified one.
     """
     eps = _require_square(J, eps, -1, NotAlmostComplexError, "J")
     _require_integrable(J, "complex")
     p_plus, _ = _projectors(J, eps)
-    _require_image_involutive(p_plus)
-    alg = _projector_algebroid(p_plus, nijenhuis_torsion(p_plus))
-    if not alg.correction.is_zero:
-        raise StructureError("internal: T_{p+} must vanish for integrable J")
-    return alg
+    return TangentAlgebroid(p_plus, VectorValuedForm.zero(p_plus.chart, 2))
 
 
 def product_algebroid(
     P: VectorValuedForm, eps: Fraction | int = 1
 ) -> TangentAlgebroid:
-    """The algebroid with anchor p- = (Id - P/eps)/2; requires P^2 = eps^2 Id, T_P = 0."""
+    """The algebroid with anchor p- = (Id - P/eps)/2 and correction 0.
+
+    Requires P^2 = eps^2 Id and T_P = 0. Then T_{p-} = T_P/(4 eps^2) = 0, so
+    Im p- is involutive and the idempotent algebroid of p- has correction 0.
+    """
     eps = _require_square(P, eps, 1, NotAlmostProductError, "P")
     _require_integrable(P, "product")
     chart = P.chart
@@ -288,12 +263,7 @@ def product_algebroid(
         VectorValuedForm.identity(chart)
         - P.scaled(chart.const(1 / eps))
     ).scaled(half)
-    # p-^2 = p- is equivalent to P^2 = eps^2 Id
-    _require_image_involutive(p_minus)
-    alg = _projector_algebroid(p_minus, nijenhuis_torsion(p_minus))
-    if not alg.correction.is_zero:
-        raise StructureError("internal: T_{p-} must vanish for integrable P")
-    return alg
+    return TangentAlgebroid(p_minus, VectorValuedForm.zero(chart, 2))
 
 
 def product_bracket_form(
@@ -406,7 +376,7 @@ def bigrade(omega: KForm, gamma: VectorValuedForm) -> list[BigradedForm]:
 
     The (p, q)-component feeds every argument through Id-gamma except for q
     of them, which go through gamma, summed over all argument subsets. The
-    components sum to the original form exactly.
+    components sum to the original form, which the test suite pins.
     """
     _require_idempotent(gamma)
     chart = omega.chart
@@ -431,11 +401,6 @@ def bigrade(omega: KForm, gamma: VectorValuedForm) -> list[BigradedForm]:
         component = KForm(chart, d, coeffs)
         if not component.is_zero:
             out.append(BigradedForm(component, p, q))
-    total = KForm.zero(chart, d)
-    for item in out:
-        total = total + item.form
-    if total != omega:
-        raise StructureError("internal: bigraded components do not sum back")
     return out
 
 
@@ -445,12 +410,11 @@ def d_components(
     """FN pairs of the three bigraded pieces of d: (d_{1,0}, d_{2,-1}, d_{0,1}).
 
     d_{1,0} = L_{Id-gamma} + i_{2R}, d_{2,-1} = i_{-R}, d_{0,1} = L_gamma + i_{-R},
-    with R the curvature of the projector. Their generator actions are
-    re-verified to sum to the exterior differential.
+    with R the curvature of the projector. That they sum to the exterior
+    differential holds for every projector and is pinned by the test suite.
     """
     _require_idempotent(gamma)
-    _require_image_involutive(gamma)
-    return _d_components(gamma, nijenhuis_torsion(gamma))
+    return _d_components(gamma, _projector_torsion(gamma))
 
 
 def _d_components(
@@ -464,13 +428,6 @@ def _d_components(
     )
     d2m1 = DerivationDeg1(VectorValuedForm.zero(chart, 1), -curvature)
     d01 = DerivationDeg1(gamma, -curvature)
-    for j in range(chart.dim):
-        for generator in (chart.coordinate_function(j), chart.dx(j)):
-            total = d10(generator) + d2m1(generator) + d01(generator)
-            if total != exterior_d(generator):
-                raise StructureError(
-                    "internal: bigraded components of d do not sum to d"
-                )
     return d10, d2m1, d01
 
 
@@ -506,8 +463,9 @@ def tangent_data_for_chart(chart: Chart) -> TangentChartData:
     """Tangent-bundle data on an even chart, fiber coordinates second.
 
     With the first n coordinates as base and the last n as fiber:
-    J(∂x^i) = ∂u^i, J(∂u^i) = 0, C = Σ u^i ∂u^i. Verifies J^2 = 0,
-    J C = 0, T_J = 0 and L_C J = -J.
+    J(∂x^i) = ∂u^i, J(∂u^i) = 0, C = Σ u^i ∂u^i. J^2 = 0, J C = 0,
+    T_J = 0 and L_C J = -J hold on every such chart; the test suite pins
+    them.
     """
     if chart.dim % 2 or chart.dim == 0:
         raise StructureError("a tangent chart needs an even, positive dimension")
@@ -521,14 +479,6 @@ def tangent_data_for_chart(chart: Chart) -> TangentChartData:
         chart,
         [zero] * n + [chart.coordinate(n + i) for i in range(n)],
     )
-    if not J.compose(J).is_zero:
-        raise StructureError("internal: J^2 = 0 failed")
-    if not J.apply(C).is_zero:
-        raise StructureError("internal: J C = 0 failed")
-    if not nijenhuis_torsion(J).is_zero:
-        raise StructureError("internal: T_J = 0 failed")
-    if fn_bracket(VectorValuedForm.from_vector_field(C), J) != -J:
-        raise StructureError("internal: L_C J = -J failed")
     return TangentChartData(chart, J, C)
 
 
@@ -571,28 +521,13 @@ def connection_from_semispray(
 def connection_algebroid(gamma: VectorValuedForm) -> TangentAlgebroid:
     """The algebroid of the vertical projector v = (Id - Gamma)/2 of a connection.
 
-    Asserts the closed-form bracket ([A,B] - [A,B]_Gamma)/2 + T_Gamma(A,B)/4
-    and the torsion relation T_v = T_Gamma/4.
+    Its bracket is ([A,B] - [A,B]_Gamma)/2 + T_Gamma(A,B)/4 and T_v =
+    T_Gamma/4 for every connection; the test suite pins both.
     """
     chart = gamma.chart
     identity = VectorValuedForm.identity(chart)
     if gamma.compose(gamma) != identity:
         raise NotConnectionError("Gamma^2 != Id")
-    half = chart.const(Fraction(1, 2))
-    quarter = chart.const(Fraction(1, 4))
-    v = (identity - gamma).scaled(half)
     # v^2 = v is equivalent to Gamma^2 = Id
-    _require_image_involutive(v)
-    alg = _projector_algebroid(v, nijenhuis_torsion(v))
-    t_gamma = nijenhuis_torsion(gamma)
-    if -alg.correction != t_gamma.scaled(quarter):
-        raise StructureError("internal: T_v = T_Gamma/4 failed")
-    basis = chart.basis_vectors()
-    for a, b in itertools.combinations(range(chart.dim), 2):
-        A, B = basis[a], basis[b]
-        closed = (
-            lie_bracket(A, B) - contracted_bracket(gamma, A, B)
-        ).scaled(half) + t_gamma(A, B).scaled(quarter)
-        if alg.bracket(A, B) != closed:
-            raise StructureError("internal: closed-form connection bracket failed")
-    return alg
+    v = (identity - gamma).scaled(chart.const(Fraction(1, 2)))
+    return TangentAlgebroid(v, -_projector_torsion(v))

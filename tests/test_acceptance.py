@@ -31,6 +31,7 @@ from fncalc.calculus import (
     DerivationDeg1,
     VectorValuedForm,
     complexify_vvf,
+    contracted_bracket,
     exterior_d,
     fn_bracket,
     lie_bracket,
@@ -221,14 +222,16 @@ def test_criterion_07_foliation_suite():
 
 
 def test_criterion_08_tangent_suite():
-    for n in (1, 2):
-        tc = tangent_chart(n)  # verifies J^2=0, T_J=0, L_C J = -J internally
-        J = tc.vertical_endomorphism
+    for n in (1, 2, 3):
+        tc = tangent_chart(n)
+        J, C = tc.vertical_endomorphism, tc.liouville
         assert J.compose(J).is_zero
+        assert J.apply(C).is_zero
         assert nijenhuis_torsion(J).is_zero
+        assert fn_bracket(VectorValuedForm.from_vector_field(C), J) == -J
     tc = tangent_chart(1)
     ch = tc.chart
-    quarter = ch.const(Fraction(1, 4))
+    half, quarter = ch.const(Fraction(1, 2)), ch.const(Fraction(1, 4))
     rng = random.Random(800)
     u = ch.coordinate(1)
     sprays = [
@@ -243,14 +246,21 @@ def test_criterion_08_tangent_suite():
         assert gamma.compose(gamma) == identity
         assert J.compose(gamma) == J
         assert gamma.compose(J) == -J
-        alg = connection_algebroid(gamma)  # asserts T_v = T_Gamma/4 and the bracket form
-        assert nijenhuis_torsion(alg.anchor) == nijenhuis_torsion(gamma).scaled(quarter)
+        alg = connection_algebroid(gamma)
+        t_gamma = nijenhuis_torsion(gamma)
+        assert nijenhuis_torsion(alg.anchor) == t_gamma.scaled(quarter)
+        for a, b in itertools.combinations(range(ch.dim), 2):
+            A, B = ch.basis_vector(a), ch.basis_vector(b)
+            closed = (
+                lie_bracket(A, B) - contracted_bracket(gamma, A, B)
+            ).scaled(half) + t_gamma(A, B).scaled(quarter)
+            assert alg.bracket(A, B) == closed
         assert check_axioms(alg).passed
     flat = connection_from_semispray(tc, sprays[0])
     assert flat == VectorValuedForm.from_matrix(
         ch, [[ch.one, ch.zero], [ch.zero, -ch.one]]
     )
-    report(8, "tangent identities, three sprays, flat case Gamma = diag(1,-1)")
+    report(8, "tangent identities, three sprays and their brackets, flat case Gamma = diag(1,-1)")
 
 
 def test_criterion_09_bundle_algebroid():

@@ -336,6 +336,26 @@ def test_complexified_torsion_splits():
         assert cT(Z, W) == expected
 
 
+@pytest.mark.parametrize("complexified", [False, True], ids=["real", "complex"])
+def test_torsion_of_shift_by_identity_scales_by_square(complexified):
+    """T_{λE+μ·Id} = λ²T_E; (λ, μ) are those of Id-N, p- and v = (Id-Γ)/2, and of
+    p+ = (Id-iJ)/2 on a complexified chart."""
+    rng = random.Random(16)
+    pairs = [("-1", "1"), ("1/2", "1/2"), ("-1/2", "1/2")]
+    if complexified:
+        pairs.append(("-i/2", "1/2"))
+    for dim in (2, 3):
+        chart = Chart(("x", "y", "z")[:dim], complexified)
+        identity = VectorValuedForm.identity(chart)
+        E = random_vvf(chart, 1, rng)
+        T = nijenhuis_torsion(E)
+        assert not T.is_zero
+        for lam_text, mu_text in pairs:
+            lam, mu = chart.scalar(lam_text), chart.scalar(mu_text)
+            shifted = E.scaled(lam) + identity.scaled(mu)
+            assert nijenhuis_torsion(shifted) == T.scaled(lam * lam), (dim, lam_text)
+
+
 def test_imaginary_coefficient_rejected_on_real_chart():
     ch = chart_r2()
     cch = ch.complexify()

@@ -12,6 +12,7 @@ from fncalc.calculus import (
     VectorField,
     VectorValuedForm,
     complexify_vvf,
+    contracted_bracket,
     exterior_d,
     lie_bracket,
     nijenhuis_torsion,
@@ -76,8 +77,17 @@ class TestIdempotent:
             ],
         )
         assert N.compose(N) == N
-        with pytest.raises(ImageNotInvolutiveError):
+        with pytest.raises(ImageNotInvolutiveError) as raised:
             idempotent_algebroid(N)
+        # the error names the first frame pair whose bracket leaves the image
+        images = [N.apply(e) for e in ch.basis_vectors()]
+        for pair in itertools.combinations(range(ch.dim), 2):
+            br = lie_bracket(images[pair[0]], images[pair[1]])
+            residual = br - N.apply(br)
+            if not residual.is_zero:
+                break
+        assert (raised.value.pair, raised.value.residual) == (pair, residual)
+        assert not residual.is_zero
 
     def test_tensorial_operator_squares_to_zero(self):
         op = idempotent_tensorial_operator(N0())
@@ -251,7 +261,7 @@ class TestFoliation:
 class TestTangent:
     def test_vertical_structure_identities(self):
         for n in (1, 2):
-            tc = tangent_chart(n)  # the constructor verifies the identities
+            tc = tangent_chart(n)
             J = tc.vertical_endomorphism
             assert J.compose(J).is_zero
             assert nijenhuis_torsion(J).is_zero
@@ -299,6 +309,14 @@ class TestTangent:
         S = semispray(tc, force)
         gamma = connection_from_semispray(tc, S)
         alg = connection_algebroid(gamma)
-        quarter = ch.const(Fraction(1, 4))
-        assert nijenhuis_torsion(alg.anchor) == nijenhuis_torsion(gamma).scaled(quarter)
+        half, quarter = ch.const(Fraction(1, 2)), ch.const(Fraction(1, 4))
+        t_gamma = nijenhuis_torsion(gamma)
+        assert not t_gamma.is_zero
+        assert nijenhuis_torsion(alg.anchor) == t_gamma.scaled(quarter)
+        for a, b in itertools.combinations(range(ch.dim), 2):
+            A, B = ch.basis_vector(a), ch.basis_vector(b)
+            closed = (
+                lie_bracket(A, B) - contracted_bracket(gamma, A, B)
+            ).scaled(half) + t_gamma(A, B).scaled(quarter)
+            assert alg.bracket(A, B) == closed
         assert check_axioms(alg).passed
