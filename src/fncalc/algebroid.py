@@ -7,8 +7,13 @@ A :class:`BundleAlgebroid` is a trivialized rank-r bundle given by anchor
 functions and antisymmetric structure functions, with its own de Rham-type
 operator on fiber forms. A fiber form is a :class:`~fncalc.calculus.KForm`
 over the ``rank`` generators η^0..η^{r-1} of the dual frame
-(``KForm(chart, degree, coeffs, rank)``), so it shares the wedge product of
+(``KForm(chart, degree, coeffs, rank)``), so it shares the wedge terms of
 tangent forms.
+
+On the coordinate frame a tangent algebroid is the rank-n bundle algebroid
+with anchors K e_a and structure functions [[e_a, e_b]], so both axiom
+checks evaluate the same two structure equations
+(:func:`_structure_residuals`).
 """
 
 from __future__ import annotations
@@ -28,13 +33,13 @@ from .calculus import (
     VectorField,
     VectorValuedForm,
     _sum_terms,
+    _wedge_terms,
     contracted_bracket,
     fn_bracket,
     fn_decompose,
     lie_bracket,
     nijenhuis_torsion,
     rn_bracket,
-    wedge,
 )
 from .linalg import SingularMatrixError, inverse
 from .randgen import random_vector_field
@@ -103,21 +108,6 @@ class TangentAlgebroid:
         return contracted_bracket(self.anchor, X, Y) - self.correction(X, Y)
 
 
-def _compose_endo_with_two_form(
-    K: VectorValuedForm, L: VectorValuedForm
-) -> VectorValuedForm:
-    """(K∘L)(X,Y) = K(L(X,Y)) as a vector-valued 2-form."""
-    chart = K.chart
-    comps = []
-    for row in K.matrix():  # component j is Σ_m K^j_m L^m, one sum per multi-index
-        terms: dict = {}
-        for k, component in zip(row, L.components):
-            for key, value in component.coeffs.items():
-                terms.setdefault(key, []).append((k, value, False))
-        comps.append(KForm(chart, L.degree, _sum_terms(chart, terms)))
-    return VectorValuedForm(chart, L.degree, comps)
-
-
 def derivation_from_algebroid(alg: TangentAlgebroid) -> DerivationDeg1:
     """The de Rham-type operator of the algebroid, rebuilt from generator actions.
 
@@ -151,7 +141,7 @@ def check_cohomology(D: DerivationDeg1) -> CohomologyReport:
     chart = D.chart
     half = chart.const(Fraction(1, 2))
     # i_L K = K∘L for the vector-valued 1-form K
-    cond1 = fn_bracket(K, K).scaled(half) + _compose_endo_with_two_form(K, L)
+    cond1 = fn_bracket(K, K).scaled(half) + K.compose(L)
     cond2 = fn_bracket(K, L) + rn_bracket(L, L).scaled(half)
     return CohomologyReport(cond1, cond2)
 
@@ -205,10 +195,14 @@ def check_axioms(
 
     The probes are the coordinate frame plus two seeded polynomial fields
     r1, r2 of degree ``probe_degree``. Every record comes from frame values,
-    so only the frame is bracketed: C(n,2) pairs and 3·C(n,3) Jacobi terms.
+    so only the C(n,2) frame pairs are bracketed.
 
     - Leibniz holds identically for [[X,Y]] = [X,Y]_K - L(X,Y), for every
-      K and L, so each Leibniz residual is zero.
+      K and L, so each Leibniz residual is zero. So on the frame the
+      algebroid is the rank-n bundle algebroid with anchors q_a = K e_a and
+      structure functions c_ab = [[e_a, e_b]], and the frame values of A and
+      J below are its two structure equations (:func:`_structure_residuals`):
+      J comes from the c_ab and their q-derivatives, with no further bracket.
     - The anchor residual A(X,Y) = K[[X,Y]] - [KX,KY] is C^∞-bilinear
       (on the frame it is minus condition 1, T_K + K∘L), so it is built as
       a frame form and each probe record is A(X,Y).
@@ -226,24 +220,14 @@ def check_axioms(
     chart = alg.chart
     probes = _probes(chart, random.Random(seed), probe_degree, 2)
     basis = chart.basis_vectors()
-    brackets = {
-        (a, b): alg.bracket(basis[a], basis[b])
-        for a, b in itertools.combinations(range(chart.dim), 2)
-    }
-    images = [alg.anchor.apply(e) for e in basis]
-    A = VectorValuedForm.on_frame(
-        chart,
-        2,
-        lambda a, b: alg.anchor.apply(brackets[(a, b)])
-        - lie_bracket(images[a], images[b]),
+    pairs = itertools.combinations(range(chart.dim), 2)
+    structure = {(a, b): alg.bracket(basis[a], basis[b]).components for a, b in pairs}
+    anchors = list(zip(*alg.anchor.matrix()))  # q_a = K e_a, column a
+    residuals, jacobiators = _structure_residuals(
+        BundleAlgebroid(chart, chart.dim, anchors, structure)
     )
-    J = VectorValuedForm.on_frame(
-        chart,
-        3,
-        lambda a, b, c: alg.bracket(basis[a], brackets[(b, c)])
-        - alg.bracket(basis[b], brackets[(a, c)])
-        + alg.bracket(basis[c], brackets[(a, b)]),
-    )
+    A = VectorValuedForm.on_frame(chart, 2, lambda *key: residuals[key])
+    J = VectorValuedForm.on_frame(chart, 3, lambda *key: VectorField(chart, jacobiators[key]))
 
     zero = VectorField.zero(chart)
     leibniz = []
@@ -275,10 +259,8 @@ def invertible_algebroid(K: VectorValuedForm) -> TangentAlgebroid:
         inv = inverse(K.matrix(), chart)
     except SingularMatrixError as exc:
         raise SingularAnchorError(str(exc)) from exc
-    torsion = nijenhuis_torsion(K)
     kinv = VectorValuedForm.from_matrix(chart, inv)
-    correction = -_compose_endo_with_two_form(kinv, torsion)
-    return TangentAlgebroid(K, correction)
+    return TangentAlgebroid(K, -kinv.compose(nijenhuis_torsion(K)))
 
 
 def verify_trivial_isomorphism(
@@ -361,38 +343,67 @@ class BundleAlgebroid:
 
 
 def bundle_de_rham(balg: BundleAlgebroid, omega: KForm) -> KForm:
-    """The degree-1 derivation generated by Df(A) = qA(f) and the bracket rule."""
+    """The degree-1 derivation generated by Df(A) = qA(f) and the bracket rule.
+
+    With Df = Σ_a q(s_a)(f) η^a and Dη^c = -Σ_{a<b} c_ab^c η^a ∧ η^b,
+    D(f η^I) = Df ∧ η^I + f Σ_t (-1)^t Dη^{I_t} ∧ η^{I∖I_t}, accumulated as
+    one sum of products per multi-index.
+    """
     chart, rank = balg.chart, balg.rank
     if omega.chart != chart or omega.generators != rank:
         raise AlgebroidError("form does not match the bundle algebroid")
-    out = KForm(chart, omega.degree + 1, generators=rank)
-    d_eta = [
-        KForm(
-            chart,
-            2,
-            {
-                (a, b): -balg.structure_component(a, b, c)
-                for a, b in itertools.combinations(range(rank), 2)
-            },
-            rank,
-        )
-        for c in range(rank)
-    ]
+    anchors = [balg.anchor_field(a) for a in range(rank)]
+    structure: list[dict] = [{} for _ in range(rank)]  # c_ab^c by (a, b) for each c
+    for pair, comps in balg.structure.items():
+        for c, value in enumerate(comps):
+            structure[c][pair] = value
+    terms: dict = {}
     for key, value in omega.coeffs.items():
-        # Leading term: (D value) ∧ η^key with Df = Σ_a q(s_a)(f) η^a.
-        df = KForm(
-            chart, 1, {(a,): balg.anchor_field(a)(value) for a in range(rank)}, rank
-        )
-        out = out + wedge(df, KForm(chart, len(key), {key: chart.one}, rank))
-        # Internal terms: value · η^{key<t} ∧ Dη^{key_t} ∧ η^{key>t}.
+        df = {(a,): q(value) for a, q in enumerate(anchors)}
+        _wedge_terms(terms, df, [(key, chart.one, False)])
         for t, c in enumerate(key):
-            left = KForm(chart, t, {key[:t]: chart.one}, rank)
-            right = KForm(chart, len(key) - t - 1, {key[t + 1 :]: chart.one}, rank)
-            piece = wedge(wedge(left, d_eta[c]), right)
-            if t % 2:
-                piece = -piece
-            out = out + piece.scaled(value)
-    return out
+            rest = key[:t] + key[t + 1 :]
+            _wedge_terms(terms, structure[c], [(rest, value, t % 2 == 0)])  # -(-1)^t
+    return KForm(chart, omega.degree + 1, _sum_terms(chart, terms), rank)
+
+
+def _structure_residuals(balg: BundleAlgebroid) -> tuple[dict, dict]:
+    """The two structure equations of a bundle algebroid on its frame.
+
+    By pair a < b, the anchor residual field Σ_d c_ab^d q_d - [q_a, q_b]. By
+    triple a < b < c, the r components of the Jacobiator
+    Σ_cyclic q_x(c_yz^d) + Σ_e c_yz^e c_xe^d, each one sum of products.
+    """
+    chart, rank = balg.chart, balg.rank
+    ring, names = chart.ring, chart.coord_names
+    coef = {
+        (a, b): [balg.structure_component(a, b, d) for d in range(rank)]
+        for a in range(rank)
+        for b in range(rank)
+    }
+    anchor = {}
+    for a, b in itertools.combinations(range(rank), 2):
+        image = VectorField(chart, [
+            ScalarExpr.sum_of_products(ring, zip(coef[a, b], column, itertools.repeat(False)))
+            for column in zip(*balg.anchor)
+        ])
+        anchor[a, b] = image - lie_bracket(balg.anchor_field(a), balg.anchor_field(b))
+
+    def jacobiator(a: int, b: int, c: int, d: int):
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            f = coef[y, z][d]
+            if not f.is_zero:
+                for q, name in zip(balg.anchor[x], names):
+                    if not q.is_zero:
+                        yield q, f.partial(name), False
+            for e in range(rank):
+                yield coef[y, z][e], coef[x, e][d], False
+
+    jacobi = {
+        key: [ScalarExpr.sum_of_products(ring, jacobiator(*key, d)) for d in range(rank)]
+        for key in itertools.combinations(range(rank), 3)
+    }
+    return anchor, jacobi
 
 
 @dataclass(frozen=True)
@@ -425,33 +436,16 @@ def check_bundle_axioms(balg: BundleAlgebroid) -> BundleAxiomReport:
         eta = KForm(chart, 1, {(c,): chart.one}, rank)
         d2_cov.append((f"eta{c + 1}", bundle_de_rham(balg, bundle_de_rham(balg, eta))))
 
-    anchor = []
-    for a, b in itertools.combinations(range(rank), 2):
-        # q[[s_a, s_b]] = Σ_d c_ab^d q(s_d)
-        coeffs = [balg.structure_component(a, b, d) for d in range(rank)]
-        image = VectorField(chart, [
-            ScalarExpr.sum_of_products(chart.ring, zip(coeffs, column, itertools.repeat(False)))
-            for column in zip(*balg.anchor)
-        ])
-        residual = image - lie_bracket(balg.anchor_field(a), balg.anchor_field(b))
-        anchor.append((f"(s{a + 1},s{b + 1})", residual))
-
-    jacobi = []
-    for a, b, c in itertools.combinations(range(rank), 3):
-        for d in range(rank):
-            total = chart.zero
-            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                total = total + balg.anchor_field(x)(
-                    balg.structure_component(y, z, d)
-                )
-                for e in range(rank):
-                    total = total + balg.structure_component(
-                        y, z, e
-                    ) * balg.structure_component(x, e, d)
-            jacobi.append((f"(s{a + 1},s{b + 1},s{c + 1})->s{d + 1}", total))
-
+    anchor, jacobi = _structure_residuals(balg)
     return BundleAxiomReport(
-        tuple(d2_fun), tuple(d2_cov), tuple(anchor), tuple(jacobi)
+        tuple(d2_fun),
+        tuple(d2_cov),
+        tuple((f"(s{a + 1},s{b + 1})", r) for (a, b), r in anchor.items()),
+        tuple(
+            (f"(s{a + 1},s{b + 1},s{c + 1})->s{d + 1}", total)
+            for (a, b, c), totals in jacobi.items()
+            for d, total in enumerate(totals)
+        ),
     )
 
 

@@ -494,22 +494,20 @@ class VectorValuedForm:
         return self(X)
 
     def compose(self, other: "VectorValuedForm") -> "VectorValuedForm":
-        """Endomorphism composition self∘other of two degree-1 forms."""
-        if self.degree != 1 or other.degree != 1:
-            raise CalculusError("compose() requires degree-1 forms")
+        """K∘L = K(L(X1..Xk)) for the endomorphism K = self and a vector-valued
+        form L of any degree: (K∘L)^j = Σ_m K^j_m L^m, one sum per multi-index."""
+        if self.degree != 1:
+            raise CalculusError("compose() requires a degree-1 left factor")
         _check_chart(self, other)
-        a, b = self.matrix(), other.matrix()
-        n = self.chart.dim
-        prod = [
-            [
-                ScalarExpr.sum_of_products(
-                    self.chart.ring, ((a[i][k], b[k][j], False) for k in range(n))
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return VectorValuedForm.from_matrix(self.chart, prod)
+        chart = self.chart
+        comps = []
+        for row in self.matrix():
+            terms: dict = {}
+            for k, component in zip(row, other.components):
+                for key, value in component.coeffs.items():
+                    terms.setdefault(key, []).append((k, value, False))
+            comps.append(KForm(chart, other.degree, _sum_terms(chart, terms)))
+        return VectorValuedForm(chart, other.degree, comps)
 
     def __str__(self) -> str:
         names = self.chart.coord_names

@@ -43,7 +43,6 @@ from .calculus import (
 from .scalar import ScalarError, ScalarExpr
 from .structures import (
     StructureError,
-    TangentChartData,
     _d_components,
     complex_algebroid,
     connection_algebroid,
@@ -119,8 +118,6 @@ class Manifest:
     bundle_algebroids: dict[str, BundleAlgebroid]
     sprays: dict[str, VectorField]
     checks: list[dict[str, Any]] = field(default_factory=list)
-    #: Tangent-bundle data of the chart, built once when the manifest has sprays.
-    _tangent: TangentChartData | None = field(default=None, init=False, repr=False)
 
 
 @dataclass
@@ -401,7 +398,6 @@ def load_manifest(
     for name, spec in _section("bundle_algebroids").items():
         bundles[name] = _parse_bundle(chart, spec, f"bundle_algebroids.{name}")
     sprays = {}
-    tangent = None
     spray_specs = _section("sprays")
     if spray_specs:
         _expect(
@@ -438,7 +434,7 @@ def load_manifest(
                 f"{path}: checks[{k}].{key} is longer than {MAX_NAME_LENGTH} characters",
             )
 
-    manifest = Manifest(
+    return Manifest(
         path=path,
         chart=chart,
         seed=seed,
@@ -451,8 +447,6 @@ def load_manifest(
         sprays=sprays,
         checks=checks,
     )
-    manifest._tangent = tangent
-    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +572,7 @@ def _invertible(manifest: Manifest, K: VectorValuedForm, d: dict[str, Any]):
 
 
 def _tangent(manifest: Manifest, S: VectorField, d: dict[str, Any]):
-    # a Manifest built without load_manifest has no tangent data yet
-    tc = manifest._tangent or tangent_data_for_chart(manifest.chart)
-    gamma = connection_from_semispray(tc, S)
+    gamma = connection_from_semispray(tangent_data_for_chart(manifest.chart), S)
     return connection_algebroid(gamma), {"connection_matrix": _matrix_strings(gamma)}
 
 

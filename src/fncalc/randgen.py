@@ -11,7 +11,7 @@ import itertools
 import random
 
 from .calculus import Chart, KForm, VectorField, VectorValuedForm
-from .scalar import ImaginaryNotAllowedError, ScalarExpr
+from .scalar import ScalarExpr
 
 __all__ = [
     "random_scalar",
@@ -27,22 +27,15 @@ def _monomials(dim: int, degree: int):
             yield tuple(exps.count(j) for j in range(dim))
 
 
-def random_scalar(
-    chart: Chart,
-    rng: random.Random,
-    degree: int = 2,
-    *,
-    allow_imaginary: bool = False,
-) -> ScalarExpr:
-    """A random polynomial with small integer (or Gaussian) coefficients."""
+def random_scalar(chart: Chart, rng: random.Random, degree: int = 2) -> ScalarExpr:
+    """A random polynomial with small integer coefficients, Gaussian ones on a
+    complexified chart."""
     ring = chart.ring
     num = {}
     for monom in _monomials(chart.dim, degree):
         c = rng.randint(-2, 2)
-        ci = rng.randint(-2, 2) if allow_imaginary else 0
+        ci = rng.randint(-2, 2) if chart.is_complexified else 0
         if ci:
-            if not ring.allow_imaginary:
-                raise ImaginaryNotAllowedError("a Gaussian coefficient on a real chart")
             num[ring.monomial(monom)] = ring.domain.of_parts(c, ci)
         elif c:
             num[ring.monomial(monom)] = ring.domain.of_int(c)
@@ -52,22 +45,14 @@ def random_scalar(
 def random_vector_field(
     chart: Chart, rng: random.Random, degree: int = 2
 ) -> VectorField:
-    allow = chart.is_complexified
-    return VectorField(
-        chart,
-        [
-            random_scalar(chart, rng, degree, allow_imaginary=allow)
-            for _ in range(chart.dim)
-        ],
-    )
+    return VectorField(chart, [random_scalar(chart, rng, degree) for _ in range(chart.dim)])
 
 
 def random_kform(
     chart: Chart, form_degree: int, rng: random.Random, degree: int = 2
 ) -> KForm:
-    allow = chart.is_complexified
     coeffs = {
-        key: random_scalar(chart, rng, degree, allow_imaginary=allow)
+        key: random_scalar(chart, rng, degree)
         for key in itertools.combinations(range(chart.dim), form_degree)
     }
     return KForm(chart, form_degree, coeffs)

@@ -14,7 +14,6 @@ from fncalc.algebroid import (
     NotCohomologyError,
     SingularAnchorError,
     TangentAlgebroid,
-    _compose_endo_with_two_form,
     algebroid_from_derivation,
     check_axioms,
     check_bundle_axioms,
@@ -119,7 +118,7 @@ def recipe_algebroids() -> list[tuple[str, TangentAlgebroid]]:
 
 def seeded_pairs(dim: int, is_complex: bool, count: int = 3):
     """``count`` seeded random (K, L) on a real or complexified chart."""
-    chart = Chart(("x", "y", "z")[:dim], is_complex)
+    chart = Chart(("x", "y", "z", "w")[:dim], is_complex)
     rng = random.Random(100 * dim + is_complex)
     return [(random_vvf(chart, 1, rng), random_vvf(chart, 2, rng)) for _ in range(count)]
 
@@ -139,7 +138,7 @@ class TestConditionOneTorsionRoute:
     @staticmethod
     def assert_routes_agree(K: VectorValuedForm, L: VectorValuedForm) -> None:
         cond1 = check_cohomology(DerivationDeg1(K, L)).condition1
-        assert cond1 == nijenhuis_torsion(K) + _compose_endo_with_two_form(K, L)
+        assert cond1 == nijenhuis_torsion(K) + K.compose(L)
 
     def test_fixture_algebroids(self):
         algebroids = fixture_algebroids()
@@ -176,7 +175,7 @@ def direct_probes(chart: Chart, probe_degree: int, seed: int, n_random_fields: i
     probes = [(f"e{j + 1}", e) for j, e in enumerate(chart.basis_vectors())]
     for t in range(n_random_fields):
         probes.append((f"r{t + 1}", random_vector_field(chart, rng, probe_degree)))
-    f = random_scalar(chart, rng, probe_degree, allow_imaginary=chart.is_complexified)
+    f = random_scalar(chart, rng, probe_degree)
     return probes, f
 
 
@@ -226,7 +225,7 @@ def direct_axioms(alg: TangentAlgebroid, probe_degree: int = 2, seed: int = 0) -
 
 def bundle_of_lie_algebras(dim: int, is_complex: bool) -> TangentAlgebroid:
     """Zero anchor and a seeded random L: A = 0, but Jacobi fails on the frame."""
-    chart = Chart(("x", "y", "z")[:dim], is_complex)
+    chart = Chart(("x", "y", "z", "w")[:dim], is_complex)
     L = random_vvf(chart, 2, random.Random(7 * dim + is_complex), degree=1)
     return TangentAlgebroid(VectorValuedForm.zero(chart, 1), L)
 
@@ -253,7 +252,7 @@ class TestAxiomsOnTheFrame:
     def test_frame_anchor_records_are_minus_condition_one(self):
         for alg in self.all_algebroids():
             K, L = alg.anchor, alg.correction
-            condition1 = nijenhuis_torsion(K) + _compose_endo_with_two_form(K, L)
+            condition1 = nijenhuis_torsion(K) + K.compose(L)
             records = dict(check_axioms(alg, probe_degree=0).anchor_morphism)
             basis = alg.chart.basis_vectors()
             for a, b in itertools.combinations(range(alg.chart.dim), 2):
@@ -283,8 +282,14 @@ class TestAxiomsOnTheFrame:
                 assert not report.passed
                 assert report == direct_axioms(alg, probe_degree, seed)
 
-    @seeded_charts
+    @pytest.mark.parametrize(
+        "dim, is_complex",
+        [(2, False), (2, True), (3, False), (3, True), (4, False)],
+        ids=["real-2", "complex-2", "real-3", "complex-3", "real-4"],
+    )
     def test_failing_records_equal_direct_evaluation(self, dim, is_complex):
+        """At rank 4 each frame pair meets two frame triples, so the Jacobi
+        records use the structure functions of overlapping pairs."""
         (K, L), *_ = seeded_pairs(dim, is_complex, count=1)
         cases = [TangentAlgebroid(K, L), bundle_of_lie_algebras(dim, is_complex)]
         for alg in cases:
@@ -292,7 +297,7 @@ class TestAxiomsOnTheFrame:
                 report = check_axioms(alg, probe_degree, seed=dim)
                 assert report == direct_axioms(alg, probe_degree, seed=dim)
         assert not check_axioms(cases[0], probe_degree=0).passed
-        # a bundle of Lie algebras of rank 3 fails Jacobi on the frame alone
+        # a bundle of Lie algebras of rank 3 or 4 fails Jacobi on the frame alone
         assert check_axioms(cases[1], probe_degree=0).passed == (dim == 2)
 
     @seeded_charts
@@ -307,7 +312,7 @@ class TestAxiomsOnTheFrame:
         for alg in cases:
             chart = alg.chart
             X, Y, Z = (random_vector_field(chart, rng, 1) for _ in range(3))
-            f = random_scalar(chart, rng, 1, allow_imaginary=is_complex)
+            f = random_scalar(chart, rng, 1)
             jac = jacobiator(alg, X, Y, Z)
             drift = Z.scaled(anchor_residual(alg, X, Y)(f))
             assert (jacobiator(alg, X, Y, Z.scaled(f)) - jac.scaled(f) + drift).is_zero
@@ -411,7 +416,43 @@ def _jacobi_violating_bundle(rng: random.Random) -> BundleAlgebroid:
             return balg
 
 
+def seeded_bundle(rank: int, is_complex: bool) -> BundleAlgebroid:
+    """Random affine anchors and structure functions: a failing bundle."""
+    chart = Chart(("x", "y"), is_complex)
+    rng = random.Random(10 * rank + is_complex)
+    anchor = [[random_scalar(chart, rng, 1) for _ in range(chart.dim)] for _ in range(rank)]
+    structure = {
+        pair: [random_scalar(chart, rng, 1) for _ in range(rank)]
+        for pair in itertools.combinations(range(rank), 2)
+    }
+    return BundleAlgebroid(chart, rank, anchor, structure)
+
+
 class TestBundleAlgebroid:
+    @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_d_squared_is_minus_the_structure_residuals(self, rank, is_complex):
+        """D^2 x^i(s_a, s_b) = -A^i(s_a, s_b) and D^2 η^c = -Jac^c: the operator
+        route of ``bundle_de_rham`` against the structure equations."""
+        balg = seeded_bundle(rank, is_complex)
+        report = check_bundle_axioms(balg)
+        zero = balg.chart.zero
+        anchor = dict(report.anchor_morphism)
+        jacobi = dict(report.jacobi)
+        assert not report.passed and anchor
+        for i, (_, d2) in enumerate(report.d2_on_coordinates):
+            assert d2.degree == 2 and d2.generators == rank
+            for a, b in itertools.combinations(range(rank), 2):
+                residual = anchor[f"(s{a + 1},s{b + 1})"].components[i]
+                assert d2.coeffs.get((a, b), zero) == -residual
+        for c, (_, d2) in enumerate(report.d2_on_covectors):
+            assert d2.degree == 3
+            for a, b, e in itertools.combinations(range(rank), 3):
+                residual = jacobi[f"(s{a + 1},s{b + 1},s{e + 1})->s{c + 1}"]
+                assert d2.coeffs.get((a, b, e), zero) == -residual
+        assert len(jacobi) == rank * (rank == 3)
+        assert any(not r.is_zero for r in jacobi.values()) == (rank == 3)
+
     def test_constant_structure_passes(self):
         report = check_bundle_axioms(_constant_bundle())
         assert report.passed

@@ -136,6 +136,23 @@ def test_insertion_matches_shuffle_sum(complexified):
                 assert insertion(K, omega) == expected, (dim, g, p)
 
 
+@pytest.mark.parametrize("complexified", [False, True], ids=["real", "complex"])
+def test_compose_applies_the_endomorphism_to_values(complexified):
+    """(K∘L)(X1..Xk) = K(L(X1..Xk)) on random probe fields, for L of degree
+    0, 1 and 2: one composition for a right factor of any degree."""
+    rng = random.Random(13)
+    for dim in (2, 3):
+        chart = Chart(("x", "y", "z")[:dim], complexified)
+        K = random_vvf(chart, 1, rng, degree=1)
+        for k in (0, 1, 2):
+            L = random_vvf(chart, k, rng, degree=1)
+            KL = K.compose(L)
+            assert KL.degree == k
+            for _ in range(2):
+                fields = [random_vector_field(chart, rng, 1) for _ in range(k)]
+                assert KL(*fields) == K.apply(L(*fields)), (dim, k)
+
+
 def test_lie_derivative_identity_is_d():
     ch = chart_r2()
     rng = random.Random(5)

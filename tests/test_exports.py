@@ -1,8 +1,11 @@
-"""Public surface: every name a fncalc module lists in ``__all__`` resolves, and
-every public class or function a module defines is listed there."""
+"""Public surface: every name a fncalc module lists in ``__all__`` resolves,
+every public class or function a module defines is listed there, and every
+name a module imports is used or re-exported."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -36,3 +39,21 @@ def test_public_definitions_are_exported(module_name):
     ]
     unlisted = sorted(name for name in public if name not in exported)
     assert not unlisted, f"{module_name} defines public names outside __all__: {unlisted}"
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_imported_names_are_used(module_name):
+    """A name a module (not the package ``__init__``, which re-exports)
+    imports at top level is read in that module or listed in its ``__all__``."""
+    module = importlib.import_module(module_name)
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add((alias.asname or alias.name).split(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(imported - used - set(getattr(module, "__all__", ())))
+    assert not unused, f"{module_name} imports names it never uses: {unused}"

@@ -320,3 +320,16 @@ class TestTangent:
             ).scaled(half) + t_gamma(A, B).scaled(quarter)
             assert alg.bracket(A, B) == closed
         assert check_axioms(alg).passed
+        # J Gamma = J, Gamma J = -J and Gamma^2 = Id hold for every semispray,
+        # rational forces included: connection_from_semispray checks only J S = C
+        for n in (1, 2):
+            tc = tangent_chart(n)
+            ch, J = tc.chart, tc.vertical_endomorphism
+            for _ in range(6):
+                force = []
+                for _ in range(n):
+                    q = random_scalar(ch, rng, 1)
+                    force.append(random_scalar(ch, rng, 2) / (ch.one + q * q))
+                gamma = connection_from_semispray(tc, semispray(tc, force))
+                assert J.compose(gamma) == J and gamma.compose(J) == -J
+                assert gamma.compose(gamma) == VectorValuedForm.identity(ch)
