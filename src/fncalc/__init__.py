@@ -20,14 +20,12 @@ from .calculus import (
     CalculusError,
     Chart,
     ChartMismatchError,
-    DerivationDeg1,
     KForm,
     VectorField,
     VectorValuedForm,
     contracted_bracket,
     exterior_d,
     fn_bracket,
-    fn_decompose,
     insertion,
     lie_bracket,
     lie_derivative,
@@ -42,16 +40,15 @@ from .algebroid import (
     BundleAxiomReport,
     CohomologyReport,
     LinearConnection,
-    NotCohomologyError,
     SingularAnchorError,
     TangentAlgebroid,
-    algebroid_from_derivation,
     bundle_de_rham,
     check_axioms,
     check_bundle_axioms,
     check_cohomology,
     delta_torsion,
     derivation_from_algebroid,
+    fn_decompose,
     invertible_algebroid,
     verify_connection_decomposition,
     verify_trivial_isomorphism,

@@ -1,8 +1,8 @@
-"""Lie algebroids on a chart and their correspondence with cohomology operators.
+"""Lie algebroids on a chart and the degree-1 derivations that define them.
 
-Two presentations are supported. A :class:`TangentAlgebroid` lives on the
-chart's tangent bundle and is given by an anchor endomorphism K and a
-vector-valued 2-form correction L, with bracket [[X,Y]] = [X,Y]_K - L(X,Y).
+A :class:`TangentAlgebroid` is the pair (K, L) of a degree-1 derivation
+D = L_K + i_L on the chart's forms, with bracket [[X,Y]] = [X,Y]_K - L(X,Y);
+it is a Lie algebroid on the tangent bundle exactly when D^2 = 0.
 A :class:`BundleAlgebroid` is a trivialized rank-r bundle given by anchor
 functions and antisymmetric structure functions, with its own de Rham-type
 operator on fiber forms. A fiber form is a :class:`~fncalc.calculus.KForm`
@@ -10,10 +10,10 @@ over the ``rank`` generators η^0..η^{r-1} of the dual frame
 (``KForm(chart, degree, coeffs, rank)``), so it shares the wedge terms of
 tangent forms.
 
-On the coordinate frame a tangent algebroid is the rank-n bundle algebroid
-with anchors K e_a and structure functions [[e_a, e_b]], so both axiom
-checks evaluate the same two structure equations
-(:func:`_structure_residuals`).
+On the coordinate frame a tangent algebroid is a rank-n bundle algebroid
+(:func:`_frame_bundle`), so both axiom checks evaluate the same two structure
+equations (:func:`_structure_residuals`), and a connection's E-torsion is
+:func:`delta_torsion` on either.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .calculus import (
     CalculusError,
     Chart,
     ChartMismatchError,
-    DerivationDeg1,
     KForm,
     VectorField,
     VectorValuedForm,
@@ -36,8 +35,9 @@ from .calculus import (
     _wedge_terms,
     contracted_bracket,
     fn_bracket,
-    fn_decompose,
+    insertion,
     lie_bracket,
+    lie_derivative,
     nijenhuis_torsion,
     rn_bracket,
 )
@@ -47,11 +47,10 @@ from .scalar import ScalarExpr
 
 __all__ = [
     "AlgebroidError",
-    "NotCohomologyError",
     "SingularAnchorError",
     "TangentAlgebroid",
+    "fn_decompose",
     "derivation_from_algebroid",
-    "algebroid_from_derivation",
     "CohomologyReport",
     "check_cohomology",
     "AxiomReport",
@@ -79,17 +78,13 @@ class SingularAnchorError(AlgebroidError):
     pass
 
 
-class NotCohomologyError(AlgebroidError):
-    """Carries the failing tensor residuals of the square-zero conditions."""
-
-    def __init__(self, report: "CohomologyReport"):
-        super().__init__("derivation is not a cohomology operator")
-        self.report = report
-
-
 @dataclass(frozen=True)
 class TangentAlgebroid:
-    """Anchor K plus correction L; bracket [[X,Y]] = [X,Y]_K - L(X,Y)."""
+    """The degree-1 derivation D = L_K + i_L by its anchor K and correction L.
+
+    D defines the bracket [[X,Y]] = [X,Y]_K - L(X,Y); the pair is a Lie
+    algebroid exactly when D^2 = 0 (:func:`check_cohomology`).
+    """
 
     anchor: VectorValuedForm  # degree 1
     correction: VectorValuedForm  # degree 2
@@ -104,23 +99,56 @@ class TangentAlgebroid:
     def chart(self) -> Chart:
         return self.anchor.chart
 
+    def __call__(self, omega: KForm) -> KForm:
+        return lie_derivative(self.anchor, omega) + insertion(self.correction, omega)
+
     def bracket(self, X: VectorField, Y: VectorField) -> VectorField:
         return contracted_bracket(self.anchor, X, Y) - self.correction(X, Y)
 
 
-def derivation_from_algebroid(alg: TangentAlgebroid) -> DerivationDeg1:
-    """The de Rham-type operator of the algebroid, rebuilt from generator actions.
+def fn_decompose(
+    chart: Chart,
+    action_on_functions: Sequence[KForm],
+    action_on_differentials: Sequence[KForm],
+) -> TangentAlgebroid:
+    """Recover the unique pair (K, L) with D = L_K + i_L from generator actions.
+
+    ``action_on_functions[j]`` is D(x^j) (a 1-form) and
+    ``action_on_differentials[j]`` is D(dx^j) (a 2-form). K^j = D(x^j) and
+    L^j = D(dx^j) - L_K dx^j, so L_K + i_L reproduces both actions by
+    construction: (L_K + i_L) x^j = i_K dx^j = K^j and
+    (L_K + i_L) dx^j = L_K dx^j + L^j; tests/test_calculus.py pins the round trip.
+    """
+    if len(action_on_functions) != chart.dim or len(
+        action_on_differentials
+    ) != chart.dim:
+        raise AlgebroidError("one generator action per coordinate required")
+    K = VectorValuedForm(chart, 1, action_on_functions)
+    L = VectorValuedForm(
+        chart,
+        2,
+        [
+            action_on_differentials[j] - lie_derivative(K, chart.dx(j))
+            for j in range(chart.dim)
+        ],
+    )
+    return TangentAlgebroid(K, L)
+
+
+def derivation_from_algebroid(alg: TangentAlgebroid) -> TangentAlgebroid:
+    """The pair of the algebroid's de Rham-type operator, rebuilt from generator actions.
 
     Df(X) = (KX)f and (Dα)(X,Y) = KX(α(Y)) - KY(α(X)) - α([[X,Y]]). So D x^j
-    is row j of the anchor, and (D dx^j)(e_a, e_b) = -[[e_a, e_b]]^j because
-    dx^j takes constant values on the frame: one bracket per frame pair. The
-    returned FN pair reproduces (anchor, correction) exactly.
+    is row j of the anchor, and (D dx^j)(e_a, e_b) = -c_ab^j, for the frame
+    structure functions c_ab = [[e_a, e_b]] (:func:`_frame_bundle`), because
+    dx^j takes constant values on the frame. The returned pair reproduces
+    (anchor, correction) exactly.
     """
     chart = alg.chart
-    basis = chart.basis_vectors()
-    act_d = VectorValuedForm.on_frame(
-        chart, 2, lambda a, b: -alg.bracket(basis[a], basis[b])
-    )
+    frame = _frame_bundle(alg)
+    act_d = VectorValuedForm.on_frame(chart, 2, lambda a, b: VectorField(
+        chart, [-frame.structure_component(a, b, j) for j in range(chart.dim)]
+    ))
     return fn_decompose(chart, alg.anchor.components, act_d.components)
 
 
@@ -136,21 +164,15 @@ class CohomologyReport:
         return self.condition1.is_zero and self.condition2.is_zero
 
 
-def check_cohomology(D: DerivationDeg1) -> CohomologyReport:
-    K, L = D.K, D.L
-    chart = D.chart
-    half = chart.const(Fraction(1, 2))
+def check_cohomology(alg: TangentAlgebroid) -> CohomologyReport:
+    """The (K, L) pair of the derivation D^2, for D = L_K + i_L: ``alg`` is
+    a Lie algebroid exactly when both components vanish."""
+    K, L = alg.anchor, alg.correction
+    half = alg.chart.const(Fraction(1, 2))
     # i_L K = K∘L for the vector-valued 1-form K
     cond1 = fn_bracket(K, K).scaled(half) + K.compose(L)
     cond2 = fn_bracket(K, L) + rn_bracket(L, L).scaled(half)
     return CohomologyReport(cond1, cond2)
-
-
-def algebroid_from_derivation(D: DerivationDeg1) -> TangentAlgebroid:
-    report = check_cohomology(D)
-    if not report.passed:
-        raise NotCohomologyError(report)
-    return TangentAlgebroid(D.K, D.L)
 
 
 @dataclass(frozen=True)
@@ -219,13 +241,7 @@ def check_axioms(
     """
     chart = alg.chart
     probes = _probes(chart, random.Random(seed), probe_degree, 2)
-    basis = chart.basis_vectors()
-    pairs = itertools.combinations(range(chart.dim), 2)
-    structure = {(a, b): alg.bracket(basis[a], basis[b]).components for a, b in pairs}
-    anchors = list(zip(*alg.anchor.matrix()))  # q_a = K e_a, column a
-    residuals, jacobiators = _structure_residuals(
-        BundleAlgebroid(chart, chart.dim, anchors, structure)
-    )
+    residuals, jacobiators = _structure_residuals(_frame_bundle(alg))
     A = VectorValuedForm.on_frame(chart, 2, lambda *key: residuals[key])
     J = VectorValuedForm.on_frame(chart, 3, lambda *key: VectorField(chart, jacobiators[key]))
 
@@ -250,6 +266,16 @@ def check_axioms(
         jacobi.append((f"({la},{lb},{lc})", residual))
 
     return AxiomReport(tuple(jacobi), tuple(leibniz), tuple(anchor))
+
+
+def _frame_bundle(alg: TangentAlgebroid) -> BundleAlgebroid:
+    """``alg`` on the coordinate frame: the rank-n bundle algebroid with anchors
+    q_a = K e_a and structure functions c_ab = [[e_a, e_b]]."""
+    chart = alg.chart
+    basis = chart.basis_vectors()
+    pairs = itertools.combinations(range(chart.dim), 2)
+    structure = {(a, b): alg.bracket(basis[a], basis[b]).components for a, b in pairs}
+    return BundleAlgebroid(chart, chart.dim, list(zip(*alg.anchor.matrix())), structure)
 
 
 def invertible_algebroid(K: VectorValuedForm) -> TangentAlgebroid:
@@ -476,26 +502,13 @@ class LinearConnection:
             ),
         )
 
-    def covariant_section_derivative(
-        self, X: VectorField, comps: Sequence[ScalarExpr]
-    ) -> list[ScalarExpr]:
-        """Components of ∇_X (comps^a s_a)."""
-        out = []
-        for b in range(self.rank):
-            value = X(comps[b])
-            for i in range(self.chart.dim):
-                for a in range(self.rank):
-                    value = value + X.components[i] * self.gamma[i][a][b] * comps[a]
-            out.append(value)
-        return out
-
 
 def nabla_K(
     conn: LinearConnection,
     anchor: Sequence[Sequence[ScalarExpr]],
     alpha: KForm,
 ) -> KForm:
-    """(∇_K α)(A,B) for a fiber 1-form, via the wedge expansion K^j_c η^c ∧ ∇_{∂_j}.
+    """(∇_K α)(s_a, s_b) = (∇_{q_a} α)(s_b) - (∇_{q_b} α)(s_a) for a fiber 1-form.
 
     The connection acts on covectors by duality: (∇_X α)(B) = X(α(B)) - α(∇_X B).
     """
@@ -503,21 +516,22 @@ def nabla_K(
     if alpha.degree != 1:
         raise AlgebroidError("nabla_K expects a fiber 1-form")
     alpha_comps = [alpha.coeffs.get((a,), chart.zero) for a in range(rank)]
-
-    def cov_alpha(j: int, b: int) -> ScalarExpr:
-        # (∇_{∂_j} α)(s_b)
-        value = alpha_comps[b].partial(chart.coord_names[j])
-        for c in range(rank):
-            value = value - conn.gamma[j][b][c] * alpha_comps[c]
-        return value
-
+    cov = [  # (∇_{∂_j} α)(s_b) = ∂_j α_b - Σ_c Γ_{jb}^c α_c, by j then b
+        [
+            ScalarExpr.sum_of_products(chart.ring, [
+                (alpha_comps[b].partial(name), chart.one, False),
+                *((conn.gamma[j][b][c], alpha_comps[c], True) for c in range(rank)),
+            ])
+            for b in range(rank)
+        ]
+        for j, name in enumerate(chart.coord_names)
+    ]
     out: dict[tuple[int, ...], ScalarExpr] = {}
     for a, b in itertools.combinations(range(rank), 2):
-        value = chart.zero
-        for j in range(chart.dim):
-            value = value + anchor[a][j] * cov_alpha(j, b) - anchor[b][j] * cov_alpha(
-                j, a
-            )
+        value = ScalarExpr.sum_of_products(chart.ring, [
+            *((anchor[a][j], cov[j][b], False) for j in range(chart.dim)),
+            *((anchor[b][j], cov[j][a], True) for j in range(chart.dim)),
+        ])
         if not value.is_zero:
             out[(a, b)] = value
     return KForm(chart, 2, out, rank)
@@ -526,46 +540,41 @@ def nabla_K(
 def delta_torsion(
     conn: LinearConnection, balg: BundleAlgebroid
 ) -> dict[tuple[int, int], tuple[ScalarExpr, ...]]:
-    """Torsion of the induced E-connection: ∇_{qA}B - ∇_{qB}A - [[A,B]] on basis pairs."""
+    """Torsion of the induced E-connection: ∇_{qA}B - ∇_{qB}A - [[A,B]] on basis pairs,
+    component d the one sum Σ_i q_a^i Γ_{ib}^d - q_b^i Γ_{ia}^d - c_ab^d."""
     chart, rank = balg.chart, balg.rank
-    out = {}
-    for a, b in itertools.combinations(range(rank), 2):
-        comps = []
-        for d in range(rank):
-            value = -balg.structure_component(a, b, d)
-            for i in range(chart.dim):
-                value = value + balg.anchor[a][i] * conn.gamma[i][b][d]
-                value = value - balg.anchor[b][i] * conn.gamma[i][a][d]
-            comps.append(value)
-        out[(a, b)] = tuple(comps)
-    return out
+
+    def component(a: int, b: int, d: int) -> ScalarExpr:
+        return ScalarExpr.sum_of_products(chart.ring, [
+            (balg.structure_component(a, b, d), chart.one, True),
+            *((q, conn.gamma[i][b][d], False) for i, q in enumerate(balg.anchor[a])),
+            *((q, conn.gamma[i][a][d], True) for i, q in enumerate(balg.anchor[b])),
+        ])
+
+    return {
+        (a, b): tuple(component(a, b, d) for d in range(rank))
+        for a, b in itertools.combinations(range(rank), 2)
+    }
 
 
 def verify_connection_decomposition(
     conn: LinearConnection, balg: BundleAlgebroid
 ) -> list[tuple[str, KForm]]:
-    """Residuals of D = ∇_q + i_{L^∇} on the generators (functions and η^c)."""
+    """Residuals of D = ∇_q + i_{L^∇} on each η^c, with L^∇ = :func:`delta_torsion`.
+
+    On a function both sides are Σ_a q(s_a)(f) η^a by the definition of D,
+    so only the η^c test the decomposition.
+    """
     chart, rank = balg.chart, balg.rank
     torsion = delta_torsion(conn, balg)
     residuals: list[tuple[str, KForm]] = []
-    for i, name in enumerate(chart.coord_names):
-        f = KForm(chart, 0, {(): chart.coordinate(i)}, rank)
-        lhs = bundle_de_rham(balg, f)
-        rhs = KForm(
-            chart,
-            1,
-            {(a,): balg.anchor_field(a)(chart.coordinate(i)) for a in range(rank)},
-            rank,
-        )
-        residuals.append((name, lhs - rhs))
     for c in range(rank):
         eta = KForm(chart, 1, {(c,): chart.one}, rank)
-        lhs = bundle_de_rham(balg, eta)
         insertion_part = KForm(
             chart, 2, {key: comps[c] for key, comps in torsion.items()}, rank
         )
         rhs = nabla_K(conn, balg.anchor, eta) + insertion_part
-        residuals.append((f"eta{c + 1}", lhs - rhs))
+        residuals.append((f"eta{c + 1}", bundle_de_rham(balg, eta) - rhs))
     return residuals
 
 
@@ -589,50 +598,36 @@ def symmetric_connection_cross_check(
 
     Valid only when the connection itself is symmetric; otherwise the check
     is flagged as not applicable instead of reporting a spurious failure.
+    L^∇ is :func:`delta_torsion` on the frame bundle, where [e_a,e_b]_q -
+    [[e_a,e_b]] = L(e_a,e_b), so component k of the residual on (e_a, e_b)
+    is the one sum L^∇(e_a,e_b)^k - L^k_ab - (∇_b q)^k_a + (∇_a q)^k_b.
     """
-    chart = alg.chart
-    if conn.rank != chart.dim:
+    chart, n = alg.chart, alg.chart.dim
+    if conn.rank != n:
         return SymmetricCrossCheck(False, "connection rank differs from dim", ())
-    for i in range(chart.dim):
-        for j in range(chart.dim):
-            for k in range(chart.dim):
-                if conn.gamma[i][j][k] != conn.gamma[j][i][k]:
-                    return SymmetricCrossCheck(
-                        False, "connection has torsion", ()
-                    )
-    qmat = alg.anchor.matrix()
-
-    def nabla_q(i: int) -> list[list[ScalarExpr]]:
-        # (∇_i q)^k_j = ∂_i q^k_j + Γ_{im}^k q^m_j - Γ_{ij}^m q^k_m
-        out = [[chart.zero] * chart.dim for _ in range(chart.dim)]
-        for k in range(chart.dim):
-            for j in range(chart.dim):
-                value = qmat[k][j].partial(chart.coord_names[i])
-                for m in range(chart.dim):
-                    value = value + conn.gamma[i][m][k] * qmat[m][j]
-                    value = value - conn.gamma[i][j][m] * qmat[k][m]
-                out[k][j] = value
-        return out
-
-    nabla_q_all = [nabla_q(i) for i in range(chart.dim)]
+    if any(conn.gamma[i][j] != conn.gamma[j][i] for i, j in itertools.combinations(range(n), 2)):
+        return SymmetricCrossCheck(False, "connection has torsion", ())
+    qmat, one = alg.anchor.matrix(), chart.one
+    torsion = delta_torsion(conn, _frame_bundle(alg))
     basis = chart.basis_vectors()
+
+    def nabla_q(i: int, j: int, k: int, negate: bool):
+        # (∇_i q)^k_j = ∂_i q^k_j + Γ_{im}^k q^m_j - Γ_{ij}^m q^k_m
+        yield qmat[k][j].partial(chart.coord_names[i]), one, negate
+        for m in range(n):
+            yield conn.gamma[i][m][k], qmat[m][j], negate
+            yield conn.gamma[i][j][m], qmat[k][m], not negate
+
     residuals = []
-    for a, b in itertools.combinations(range(chart.dim), 2):
-        X, Y = basis[a], basis[b]
-        qx, qy = alg.anchor.apply(X), alg.anchor.apply(Y)
-        lhs = VectorField(
-            chart,
-            conn.covariant_section_derivative(qx, Y.components),
-        ) - VectorField(
-            chart,
-            conn.covariant_section_derivative(qy, X.components),
-        ) - alg.bracket(X, Y)
-        rhs = contracted_bracket(alg.anchor, X, Y) - alg.bracket(X, Y)
-        # (∇_Y q)(X) - (∇_X q)(Y) for coordinate fields reduces to the
-        # b- and a-indexed covariant derivatives of the anchor tensor.
-        corr = [
-            nabla_q_all[b][k][a] - nabla_q_all[a][k][b] for k in range(chart.dim)
+    for a, b in itertools.combinations(range(n), 2):
+        correction = alg.correction(basis[a], basis[b]).components
+        residual = [
+            ScalarExpr.sum_of_products(chart.ring, itertools.chain(
+                [(torsion[a, b][k], one, False), (correction[k], one, True)],
+                nabla_q(b, a, k, True),
+                nabla_q(a, b, k, False),
+            ))
+            for k in range(n)
         ]
-        rhs = rhs + VectorField(chart, corr)
-        residuals.append((f"(e{a + 1},e{b + 1})", lhs - rhs))
+        residuals.append((f"(e{a + 1},e{b + 1})", VectorField(chart, residual)))
     return SymmetricCrossCheck(True, "", tuple(residuals))

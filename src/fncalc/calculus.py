@@ -12,6 +12,9 @@ insertion commutator on coordinate differentials, the Frölicher-Nijenhuis
 bracket by acting with the Lie-derivative commutator on coordinate
 functions. Tensoriality of these extraction points is what makes the
 component read-off valid.
+
+A degree-1 derivation L_K + i_L is held by its pair (K, L) as a
+:class:`~fncalc.algebroid.TangentAlgebroid`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ __all__ = [
     "VectorField",
     "KForm",
     "VectorValuedForm",
-    "DerivationDeg1",
     "det",
     "wedge",
     "exterior_d",
@@ -46,7 +48,6 @@ __all__ = [
     "fn_bracket",
     "nijenhuis_torsion",
     "contracted_bracket",
-    "fn_decompose",
     "complexify_vvf",
 ]
 
@@ -522,27 +523,6 @@ class VectorValuedForm:
         return f"VectorValuedForm<{self.degree}>({self})"
 
 
-@dataclass(frozen=True)
-class DerivationDeg1:
-    """A degree-1 derivation by its FN data: D = L_K + i_L."""
-
-    K: VectorValuedForm  # degree 1
-    L: VectorValuedForm  # degree 2
-
-    def __post_init__(self):
-        if self.K.chart != self.L.chart:
-            raise ChartMismatchError("K and L live on different charts")
-        if self.K.degree != 1 or self.L.degree != 2:
-            raise CalculusError("FN data must have degrees (1, 2)")
-
-    @property
-    def chart(self) -> Chart:
-        return self.K.chart
-
-    def __call__(self, omega: KForm) -> KForm:
-        return lie_derivative(self.K, omega) + insertion(self.L, omega)
-
-
 # ---------------------------------------------------------------------------
 # Exterior algebra
 # ---------------------------------------------------------------------------
@@ -738,40 +718,6 @@ def contracted_bracket(
         + lie_bracket(X, K.apply(Y))
         - K.apply(lie_bracket(X, Y))
     )
-
-
-# ---------------------------------------------------------------------------
-# FN decomposition of degree-1 derivations
-# ---------------------------------------------------------------------------
-
-
-def fn_decompose(
-    chart: Chart,
-    action_on_functions: Sequence[KForm],
-    action_on_differentials: Sequence[KForm],
-) -> DerivationDeg1:
-    """Recover the unique pair (K, L) with D = L_K + i_L from generator actions.
-
-    ``action_on_functions[j]`` is D(x^j) (a 1-form) and
-    ``action_on_differentials[j]`` is D(dx^j) (a 2-form). K^j = D(x^j) and
-    L^j = D(dx^j) - L_K dx^j, so L_K + i_L reproduces both actions by
-    construction: (L_K + i_L) x^j = i_K dx^j = K^j and
-    (L_K + i_L) dx^j = L_K dx^j + L^j; tests/test_calculus.py pins the round trip.
-    """
-    if len(action_on_functions) != chart.dim or len(
-        action_on_differentials
-    ) != chart.dim:
-        raise CalculusError("one generator action per coordinate required")
-    K = VectorValuedForm(chart, 1, action_on_functions)
-    L = VectorValuedForm(
-        chart,
-        2,
-        [
-            action_on_differentials[j] - lie_derivative(K, chart.dx(j))
-            for j in range(chart.dim)
-        ],
-    )
-    return DerivationDeg1(K, L)
 
 
 # ---------------------------------------------------------------------------

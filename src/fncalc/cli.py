@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from .algebroid import (
-    AlgebroidError,
     BundleAlgebroid,
     SingularAnchorError,
     TangentAlgebroid,
@@ -34,7 +33,6 @@ from .algebroid import (
 from .calculus import (
     CalculusError,
     Chart,
-    DerivationDeg1,
     KForm,
     VectorField,
     VectorValuedForm,
@@ -42,7 +40,6 @@ from .calculus import (
 )
 from .scalar import ScalarError, ScalarExpr
 from .structures import (
-    StructureError,
     _d_components,
     complex_algebroid,
     connection_algebroid,
@@ -308,10 +305,7 @@ def _parse_bundle(chart: Chart, spec: Any, where: str) -> BundleAlgebroid:
             f"{where}: {key} conflicts with its antisymmetric partner",
         )
         row[c] = value
-    try:
-        return BundleAlgebroid(chart, rank, anchor, structure)
-    except AlgebroidError as exc:
-        raise ManifestError(f"{where}: {exc}") from exc
+    return BundleAlgebroid(chart, rank, anchor, structure)
 
 
 def load_manifest(
@@ -415,10 +409,7 @@ def load_manifest(
             force = [
                 _parse_scalar(chart, c, f"{where}[{i + 1}]") for i, c in enumerate(coeffs)
             ]
-            try:
-                sprays[name] = semispray(tangent, force)
-            except StructureError as exc:
-                raise ManifestError(f"{where}: {exc}") from exc
+            sprays[name] = semispray(tangent, force)
 
     checks = doc.get("checks", [])
     _expect(isinstance(checks, list), f"{path}: checks must be a list")
@@ -614,8 +605,7 @@ def _check_torsion(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
 
 
 def _check_cohomology(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
-    alg = _lookup(manifest, d, "algebroid")
-    report = check_cohomology(DerivationDeg1(alg.anchor, alg.correction))
+    report = check_cohomology(_lookup(manifest, d, "algebroid"))
     records = _records_vvf("condition1", report.condition1)
     records += _records_vvf("condition2", report.condition2)
     return records, {}
@@ -654,11 +644,11 @@ def _check_bundle(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
 def _check_decompose(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
     alg = _lookup(manifest, d, "algebroid")
     derivation = derivation_from_algebroid(alg)
-    records = _records_vvf("K_residual", derivation.K - alg.anchor)
-    records += _records_vvf("L_residual", derivation.L - alg.correction)
+    records = _records_vvf("K_residual", derivation.anchor - alg.anchor)
+    records += _records_vvf("L_residual", derivation.correction - alg.correction)
     details = {
-        "K_matrix": _matrix_strings(derivation.K),
-        "L": _form_fragment(derivation.L),
+        "K_matrix": _matrix_strings(derivation.anchor),
+        "L": _form_fragment(derivation.correction),
     }
     return records, details
 
@@ -687,7 +677,7 @@ _DISPATCH: dict[str, Callable[[Manifest, dict[str, Any]], tuple[list, dict]]] = 
 CHECK_KINDS = tuple(_DISPATCH)
 
 #: What a construction may raise on invalid input; a check reports it as an error.
-_CHECK_ERRORS = (ManifestError, CalculusError, AlgebroidError, ScalarError)
+_CHECK_ERRORS = (ManifestError, CalculusError, ScalarError)
 
 
 def _construction_label(descriptor: dict[str, Any]) -> str:

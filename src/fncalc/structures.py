@@ -27,7 +27,6 @@ from .algebroid import TangentAlgebroid
 from .calculus import (
     CalculusError,
     Chart,
-    DerivationDeg1,
     KForm,
     VectorField,
     VectorValuedForm,
@@ -156,13 +155,13 @@ def idempotent_algebroid(N: VectorValuedForm) -> TangentAlgebroid:
     return TangentAlgebroid(N, -_projector_torsion(N))
 
 
-def idempotent_tensorial_operator(N: VectorValuedForm) -> DerivationDeg1:
+def idempotent_tensorial_operator(N: VectorValuedForm) -> TangentAlgebroid:
     """The purely tensorial square-zero operator i_{-T_N} of an accepted idempotent."""
     _require_idempotent(N)
-    return DerivationDeg1(VectorValuedForm.zero(N.chart, 1), -_projector_torsion(N))
+    return TangentAlgebroid(VectorValuedForm.zero(N.chart, 1), -_projector_torsion(N))
 
 
-def complement_operator(N: VectorValuedForm) -> DerivationDeg1:
+def complement_operator(N: VectorValuedForm) -> TangentAlgebroid:
     """L_{Id-N} for a torsion-free idempotent N; a cohomology operator."""
     _require_idempotent(N)
     torsion = nijenhuis_torsion(N)
@@ -170,7 +169,7 @@ def complement_operator(N: VectorValuedForm) -> DerivationDeg1:
         raise TorsionNotZeroError("complement operator requires T_N = 0")
     chart = N.chart
     complement = VectorValuedForm.identity(chart) - N
-    return DerivationDeg1(complement, VectorValuedForm.zero(chart, 2))
+    return TangentAlgebroid(complement, VectorValuedForm.zero(chart, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +388,14 @@ def bigrade(omega: KForm, gamma: VectorValuedForm) -> list[BigradedForm]:
         p = d - q
         coeffs = {}
         for key in itertools.combinations(range(chart.dim), d):
-            value = chart.zero
+            terms = []
             for vertical_slots in itertools.combinations(range(d), q):
                 args = [
                     (v_proj if t in vertical_slots else h_proj).apply(basis[j])
                     for t, j in enumerate(key)
                 ]
-                value = value + omega(*args)
+                terms.append((omega(*args), chart.one, False))
+            value = ScalarExpr.sum_of_products(chart.ring, terms)
             if not value.is_zero:
                 coeffs[key] = value
         component = KForm(chart, d, coeffs)
@@ -406,8 +406,8 @@ def bigrade(omega: KForm, gamma: VectorValuedForm) -> list[BigradedForm]:
 
 def d_components(
     gamma: VectorValuedForm,
-) -> tuple[DerivationDeg1, DerivationDeg1, DerivationDeg1]:
-    """FN pairs of the three bigraded pieces of d: (d_{1,0}, d_{2,-1}, d_{0,1}).
+) -> tuple[TangentAlgebroid, TangentAlgebroid, TangentAlgebroid]:
+    """(K, L) pairs of the three bigraded pieces of d: (d_{1,0}, d_{2,-1}, d_{0,1}).
 
     d_{1,0} = L_{Id-gamma} + i_{2R}, d_{2,-1} = i_{-R}, d_{0,1} = L_gamma + i_{-R},
     with R the curvature of the projector. That they sum to the exterior
@@ -419,15 +419,15 @@ def d_components(
 
 def _d_components(
     gamma: VectorValuedForm, curvature: VectorValuedForm
-) -> tuple[DerivationDeg1, DerivationDeg1, DerivationDeg1]:
+) -> tuple[TangentAlgebroid, TangentAlgebroid, TangentAlgebroid]:
     """d_components once gamma is an accepted projector with curvature T_gamma."""
     chart = gamma.chart
     two = chart.const(2)
-    d10 = DerivationDeg1(
+    d10 = TangentAlgebroid(
         VectorValuedForm.identity(chart) - gamma, curvature.scaled(two)
     )
-    d2m1 = DerivationDeg1(VectorValuedForm.zero(chart, 1), -curvature)
-    d01 = DerivationDeg1(gamma, -curvature)
+    d2m1 = TangentAlgebroid(VectorValuedForm.zero(chart, 1), -curvature)
+    d01 = TangentAlgebroid(gamma, -curvature)
     return d10, d2m1, d01
 
 

@@ -28,7 +28,6 @@ from fncalc.algebroid import (
 )
 from fncalc.calculus import (
     Chart,
-    DerivationDeg1,
     VectorValuedForm,
     complexify_vvf,
     contracted_bracket,
@@ -117,8 +116,8 @@ def test_criterion_03_tensorial_square_zero_pair():
     T = nijenhuis_torsion(N)
     assert fn_bracket(N, -T).is_zero
     assert rn_bracket(T, T).is_zero
-    D1 = DerivationDeg1(N, -T)
-    D2 = DerivationDeg1(VectorValuedForm.zero(ch, 1), -T)
+    D1 = TangentAlgebroid(N, -T)
+    D2 = TangentAlgebroid(VectorValuedForm.zero(ch, 1), -T)
     assert check_cohomology(D1).passed
     assert check_cohomology(D2).passed
     report(3, "[N,-T]_FN = 0, [T,T]_RN = 0; both derivation pairs square to zero")
@@ -128,7 +127,7 @@ def test_criterion_04_square_zero_biconditional_invertible():
     K = J2()
     ch = K.chart
     T = nijenhuis_torsion(K)
-    bad = check_cohomology(DerivationDeg1(K, VectorValuedForm.zero(ch, 2)))
+    bad = check_cohomology(TangentAlgebroid(K, VectorValuedForm.zero(ch, 2)))
     assert not bad.passed
     assert bad.condition1 == T
     kinv = VectorValuedForm.from_matrix(ch, inverse(K.matrix(), ch))
@@ -143,7 +142,7 @@ def test_criterion_04_square_zero_biconditional_invertible():
             for j in range(ch.dim)
         ],
     ))
-    good = check_cohomology(DerivationDeg1(alg.anchor, alg.correction))
+    good = check_cohomology(alg)
     assert good.passed
     for a, b in itertools.combinations(range(ch.dim), 2):
         X, Y = ch.basis_vector(a), ch.basis_vector(b)

@@ -3,7 +3,6 @@
 import itertools
 import pathlib
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -11,10 +10,8 @@ from fncalc.algebroid import (
     AxiomReport,
     BundleAlgebroid,
     LinearConnection,
-    NotCohomologyError,
     SingularAnchorError,
     TangentAlgebroid,
-    algebroid_from_derivation,
     check_axioms,
     check_bundle_axioms,
     check_cohomology,
@@ -27,8 +24,8 @@ from fncalc.algebroid import (
 )
 from fncalc.calculus import (
     Chart,
-    DerivationDeg1,
     VectorValuedForm,
+    complexify_vvf,
     lie_bracket,
     nijenhuis_torsion,
 )
@@ -69,25 +66,16 @@ class TestIdempotentFixture:
 
     def test_derivation_round_trip(self):
         alg = n0_algebroid()
-        D = derivation_from_algebroid(alg)
-        assert D.K == alg.anchor
-        assert D.L == alg.correction
-        assert algebroid_from_derivation(D).anchor == alg.anchor
+        assert derivation_from_algebroid(alg) == alg
 
     def test_cohomology_pass_and_fail(self):
         alg = n0_algebroid()
-        good = check_cohomology(DerivationDeg1(alg.anchor, alg.correction))
+        good = check_cohomology(alg)
         assert good.passed
         ch = alg.chart
-        bad = check_cohomology(
-            DerivationDeg1(alg.anchor, VectorValuedForm.zero(ch, 2))
-        )
+        bad = check_cohomology(TangentAlgebroid(alg.anchor, VectorValuedForm.zero(ch, 2)))
         assert not bad.passed
         assert bad.condition1(ch.basis_vector(2), ch.basis_vector(3)) == ch.basis_vector(0)
-        with pytest.raises(NotCohomologyError):
-            algebroid_from_derivation(
-                DerivationDeg1(alg.anchor, VectorValuedForm.zero(ch, 2))
-            )
 
 
 def fixture_algebroids() -> list[tuple[str, TangentAlgebroid]]:
@@ -112,7 +100,7 @@ def recipe_algebroids() -> list[tuple[str, TangentAlgebroid]]:
                     continue
             elif d["kind"] == "foliation":
                 for piece in d_components(manifest.endomorphisms[d["endo"]]):
-                    built.append((d["name"], TangentAlgebroid(piece.K, piece.L)))
+                    built.append((d["name"], piece))
     return built
 
 
@@ -137,7 +125,7 @@ class TestConditionOneTorsionRoute:
 
     @staticmethod
     def assert_routes_agree(K: VectorValuedForm, L: VectorValuedForm) -> None:
-        cond1 = check_cohomology(DerivationDeg1(K, L)).condition1
+        cond1 = check_cohomology(TangentAlgebroid(K, L)).condition1
         assert cond1 == nijenhuis_torsion(K) + K.compose(L)
 
     def test_fixture_algebroids(self):
@@ -265,7 +253,7 @@ class TestAxiomsOnTheFrame:
         ]
         verdicts = []
         for alg in algebroids:
-            cohomology = check_cohomology(DerivationDeg1(alg.anchor, alg.correction))
+            cohomology = check_cohomology(alg)
             verdict = check_axioms(alg, probe_degree=0).passed
             assert verdict == cohomology.passed
             verdicts.append(verdict)
@@ -351,11 +339,11 @@ class TestInvertibleAnchor:
         """(K, 0) fails exactly by the torsion; (K, -K^{-1}T_K) passes."""
         K = J2()
         ch = K.chart
-        bad = check_cohomology(DerivationDeg1(K, VectorValuedForm.zero(ch, 2)))
+        bad = check_cohomology(TangentAlgebroid(K, VectorValuedForm.zero(ch, 2)))
         assert not bad.passed
         assert bad.condition1 == nijenhuis_torsion(K)
         alg = invertible_algebroid(K)
-        good = check_cohomology(DerivationDeg1(alg.anchor, alg.correction))
+        good = check_cohomology(alg)
         assert good.passed
 
     def test_bracket_is_conjugated_lie_bracket(self):
@@ -379,9 +367,7 @@ class TestInvertibleAnchor:
         """Both directions: zero torsion <=> (K, 0) is square-zero."""
         for K in (J0(), J1()):
             ch = K.chart
-            report = check_cohomology(
-                DerivationDeg1(K, VectorValuedForm.zero(ch, 2))
-            )
+            report = check_cohomology(TangentAlgebroid(K, VectorValuedForm.zero(ch, 2)))
             assert report.passed
 
     def test_singular_anchor_rejected(self):
@@ -494,7 +480,34 @@ class TestBundleAlgebroid:
         assert report.jacobi == ()
 
 
+def random_symmetric_connection(chart: Chart, rng: random.Random) -> LinearConnection:
+    """Seeded affine Christoffel symbols with Γ_{ij}^k = Γ_{ji}^k, on TM."""
+    n = chart.dim
+    gamma = [[()] * n for _ in range(n)]
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        gamma[i][j] = gamma[j][i] = tuple(random_scalar(chart, rng, 1) for _ in range(n))
+    return LinearConnection(chart, n, tuple(tuple(block) for block in gamma))
+
+
 class TestSymmetricCrossCheck:
+    @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_passes_for_random_symmetric_connections(self, dim, is_complex):
+        """The identity holds for every (K, L) once ∇ is symmetric, so the
+        Christoffel terms of ``delta_torsion`` are checked against those of ∇q
+        on connections that are not flat."""
+        algebroids = [TangentAlgebroid(K, L) for K, L in seeded_pairs(dim, is_complex, 2)]
+        if dim == 4:
+            K = complexify_vvf(J2()) if is_complex else J2()
+            algebroids.append(invertible_algebroid(K))
+        rng = random.Random(40 + 2 * dim + is_complex)
+        for alg in algebroids:
+            conn = random_symmetric_connection(alg.chart, rng)
+            result = symmetric_connection_cross_check(conn, alg)
+            assert result.applicable
+            assert len(result.residuals) == dim * (dim - 1) // 2
+            assert result.passed, [label for label, r in result.residuals if not r.is_zero]
+
     def test_applicable_and_passes_for_symmetric_connection(self):
         K = J2()
         alg = invertible_algebroid(K)

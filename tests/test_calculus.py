@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from fncalc import calculus
+from fncalc.algebroid import fn_decompose
 from fncalc.calculus import (
     CalculusError,
     Chart,
@@ -17,7 +18,6 @@ from fncalc.calculus import (
     contracted_bracket,
     exterior_d,
     fn_bracket,
-    fn_decompose,
     graded_commutator_on,
     insertion,
     lie_bracket,
@@ -296,8 +296,8 @@ def test_fn_decompose_round_trip():
         dxj = ch.dx(j)
         differentials.append(lie_derivative(K, dxj) + insertion(L, dxj))
     D = fn_decompose(ch, functions, differentials)
-    assert D.K == K
-    assert D.L == L
+    assert D.anchor == K
+    assert D.correction == L
 
     for dim, is_complex, seed in itertools.product((2, 3, 4), (False, True), range(4)):
         ch = Chart(("x", "y", "z", "w")[:dim], is_complex)

@@ -28,7 +28,6 @@ from fncalc.cli import (
     MAX_PROBE_DEGREE,
     MAX_QUOTED,
     ManifestError,
-    emit,
     load_manifest,
     main,
     run_check,
@@ -161,6 +160,38 @@ class TestRunCheck:
         m = load_manifest(write_manifest(tmp_path, n_manifest()))
         record = run_check(m, {"kind": "torsion", "endo": "nope"})
         assert record.status == "error"
+
+    def test_isomorphism_on_a_singular_anchor_is_error(self, tmp_path):
+        doc = n_manifest(algebroids={"A": {"anchor": "N", "correction": "auto:torsion"}})
+        m = load_manifest(write_manifest(tmp_path, doc))
+        record = run_check(m, {"kind": "isomorphism", "algebroid": "A"})
+        assert record.status == "error"
+        assert record.message == "matrix is singular over the function field"
+
+    def test_bundle_jacobi_records(self, tmp_path, capsys):
+        """Zero anchors with [[s1,s2]] = s1 and [[s2,s3]] = s2: the Jacobiator
+        on (s1,s2,s3) is [[s1,s2]] = s1."""
+        zero_row = ["0", "0"]
+        doc = {
+            "chart": {"coords": ["x", "y"]},
+            "bundle_algebroids": {
+                "B": {
+                    "rank": 3,
+                    "anchor": [zero_row] * 3,
+                    "structure": {"c[1,2,1]": "1", "c[2,3,2]": "1"},
+                }
+            },
+            "checks": [{"kind": "bundle", "bundle_algebroid": "B", "name": "bundle-B"}],
+        }
+        code = main(["verify", write_manifest(tmp_path, doc), "--format", "json"])
+        assert code == EXIT_FAIL
+        (record,) = json.loads(capsys.readouterr().out)["checks"]
+        jacobi = {r["basis"]: r["value"] for r in record["residuals"] if r["slot"] == "jacobi"}
+        assert jacobi == {
+            "(s1,s2,s3)->s1": "1",
+            "(s1,s2,s3)->s2": "0",
+            "(s1,s2,s3)->s3": "0",
+        }
 
 
 class TestEmitAndExitCodes:
@@ -856,6 +887,33 @@ class TestSubcommands:
             BUILD_GOLDEN[case]["exit"],
             BUILD_GOLDEN[case]["stdout"],
         )
+
+    def test_build_text_output(self, capsys):
+        path = str(MANIFESTS / "f2_idempotent.json")
+        assert main(["build", path, "idempotent:N"]) == EXIT_PASS
+        assert capsys.readouterr().out == (
+            "construction: idempotent:N\n"
+            "anchor:\n"
+            "  [1, 0, 0, -z]\n"
+            "  [0, 1, 0, 0]\n"
+            "  [0, 0, 0, 0]\n"
+            "  [0, 0, 0, 0]\n"
+            "correction:\n"
+            "  (3,4): [-1, 0, 0, 0]\n"
+        )
+        assert main(["build", path, "idempotent:Z"]) == EXIT_PASS
+        assert capsys.readouterr().out == (
+            "construction: idempotent:Z\n"
+            "anchor:\n"
+            + "  [0, 0, 0, 0]\n" * 4
+            + "correction:\n"
+            "  0\n"
+        )
+
+    def test_invertible_correction_of_a_singular_anchor_exit_two(self, tmp_path, capsys):
+        doc = n_manifest(algebroids={"A": {"anchor": "N", "correction": "auto:invertible"}})
+        assert main(["verify", write_manifest(tmp_path, doc)]) == EXIT_ERROR
+        assert "matrix is singular over the function field" in capsys.readouterr().err
 
     def test_build_unknown_construction_exit_two(self, tmp_path, capsys):
         code = main(

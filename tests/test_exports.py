@@ -1,6 +1,6 @@
 """Public surface: every name a fncalc module lists in ``__all__`` resolves,
 every public class or function a module defines is listed there, and every
-name a module imports is used or re-exported."""
+name a fncalc or test module imports is used or re-exported."""
 
 import ast
 import importlib
@@ -13,6 +13,8 @@ import pytest
 import fncalc
 
 MODULES = sorted(f"fncalc.{info.name}" for info in pkgutil.iter_modules(fncalc.__path__))
+TESTS = pathlib.Path(__file__).resolve().parent
+TEST_MODULES = sorted(f"tests.{path.stem}" for path in TESTS.glob("test_*.py"))
 
 
 @pytest.mark.parametrize("module_name", MODULES)
@@ -41,12 +43,16 @@ def test_public_definitions_are_exported(module_name):
     assert not unlisted, f"{module_name} defines public names outside __all__: {unlisted}"
 
 
-@pytest.mark.parametrize("module_name", MODULES)
+@pytest.mark.parametrize("module_name", MODULES + TEST_MODULES)
 def test_imported_names_are_used(module_name):
     """A name a module (not the package ``__init__``, which re-exports)
     imports at top level is read in that module or listed in its ``__all__``."""
-    module = importlib.import_module(module_name)
-    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    if module_name.startswith("tests."):
+        path, exported = TESTS / f"{module_name[len('tests.'):]}.py", ()
+    else:
+        module = importlib.import_module(module_name)
+        path, exported = pathlib.Path(module.__file__), getattr(module, "__all__", ())
+    tree = ast.parse(path.read_text())
     imported = set()
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -55,5 +61,5 @@ def test_imported_names_are_used(module_name):
             for alias in node.names:
                 imported.add((alias.asname or alias.name).split(".")[0])
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = sorted(imported - used - set(getattr(module, "__all__", ())))
+    unused = sorted(imported - used - set(exported))
     assert not unused, f"{module_name} imports names it never uses: {unused}"

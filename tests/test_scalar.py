@@ -117,9 +117,20 @@ class TestDomains:
 
 class TestParser:
     def test_syntax_error_position(self):
-        with pytest.raises(ExprSyntaxError) as exc:
-            expr("x+*y")
-        assert "2" in str(exc.value)
+        cases = [
+            ("x+*y", "unexpected", 2),
+            ("x $ y", "unexpected character", 2),
+            ("(x+1", "expected ')'", 4),
+            ("x)", "unexpected token", 1),
+            ("x^y", "nonnegative integer exponent", 2),
+        ]
+        for text, message, position in cases:
+            with pytest.raises(ExprSyntaxError) as exc:
+                expr(text)
+            assert exc.value.position == position, text
+            assert message in str(exc.value), text
+            assert f"(at position {position})" in str(exc.value), text
+        assert expr("x ") == expr("x")
 
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariableError):

@@ -8,8 +8,6 @@ import pytest
 
 from fncalc.algebroid import check_axioms, check_cohomology
 from fncalc.calculus import (
-    DerivationDeg1,
-    VectorField,
     VectorValuedForm,
     complexify_vvf,
     contracted_bracket,
@@ -23,6 +21,7 @@ from fncalc.structures import (
     ImageNotInvolutiveError,
     NotAlmostComplexError,
     NotAlmostProductError,
+    NotConnectionError,
     NotIdempotentError,
     NotSemisprayError,
     TorsionNotZeroError,
@@ -296,6 +295,15 @@ class TestTangent:
         assert J.compose(gamma) == J
         assert gamma.compose(J) == -J
         assert check_axioms(connection_algebroid(gamma)).passed
+
+    def test_connection_algebroid_rejects_a_non_involution(self):
+        """Γ^2 = Id is the one condition connection_algebroid checks: the vertical
+        endomorphism J (J^2 = 0) and 2·Id are not connections."""
+        tc = tangent_chart(1)
+        ch = tc.chart
+        for gamma in (tc.vertical_endomorphism, VectorValuedForm.identity(ch).scaled(ch.const(2))):
+            with pytest.raises(NotConnectionError, match="Gamma"):
+                connection_algebroid(gamma)
 
     def test_random_quadratic_spray(self):
         tc = tangent_chart(2)
