@@ -74,7 +74,6 @@ from .structures import (
     d_components,
     foliation_connection,
     idempotent_algebroid,
-    idempotent_tensorial_operator,
     is_semispray,
     product_algebroid,
     semispray,

@@ -65,8 +65,6 @@ __all__ = [
     "nabla_K",
     "delta_torsion",
     "verify_connection_decomposition",
-    "SymmetricCrossCheck",
-    "symmetric_connection_cross_check",
 ]
 
 
@@ -191,14 +189,6 @@ class AxiomReport:
             for _, residual in group
         )
 
-    def failures(self) -> list[tuple[str, VectorField]]:
-        return [
-            (label, residual)
-            for group in (self.jacobi, self.leibniz, self.anchor_morphism)
-            for label, residual in group
-            if not residual.is_zero
-        ]
-
 
 def _probes(
     chart: Chart, rng: random.Random, probe_degree: int, n_random_fields: int
@@ -278,15 +268,17 @@ def _frame_bundle(alg: TangentAlgebroid) -> BundleAlgebroid:
     return BundleAlgebroid(chart, chart.dim, list(zip(*alg.anchor.matrix())), structure)
 
 
-def invertible_algebroid(K: VectorValuedForm) -> TangentAlgebroid:
-    """The algebroid of an invertible anchor: L = -K^{-1} T_K."""
-    chart = K.chart
+def _anchor_inverse(K: VectorValuedForm) -> VectorValuedForm:
+    """K^{-1}; SingularAnchorError if the anchor is not invertible."""
     try:
-        inv = inverse(K.matrix(), chart)
+        return VectorValuedForm.from_matrix(K.chart, inverse(K.matrix(), K.chart))
     except SingularMatrixError as exc:
         raise SingularAnchorError(str(exc)) from exc
-    kinv = VectorValuedForm.from_matrix(chart, inv)
-    return TangentAlgebroid(K, -kinv.compose(nijenhuis_torsion(K)))
+
+
+def invertible_algebroid(K: VectorValuedForm) -> TangentAlgebroid:
+    """The algebroid of an invertible anchor: L = -K^{-1} T_K."""
+    return TangentAlgebroid(K, -_anchor_inverse(K).compose(nijenhuis_torsion(K)))
 
 
 def verify_trivial_isomorphism(
@@ -299,10 +291,7 @@ def verify_trivial_isomorphism(
     probe record is its value on the probe pair.
     """
     chart = alg.chart
-    try:
-        phi = VectorValuedForm.from_matrix(chart, inverse(alg.anchor.matrix(), chart))
-    except SingularMatrixError as exc:
-        raise SingularAnchorError(str(exc)) from exc
+    phi = _anchor_inverse(alg.anchor)
     probes = _probes(chart, random.Random(seed), probe_degree, 1)
     # [e_a, e_b] = 0, so the residual on a frame pair is -[[phi e_a, phi e_b]].
     images = [phi.apply(e) for e in chart.basis_vectors()]
@@ -490,18 +479,6 @@ class LinearConnection:
         ):
             raise AlgebroidError("Christoffel symbol shape mismatch")
 
-    @staticmethod
-    def flat(chart: Chart, rank: int) -> "LinearConnection":
-        zero = chart.zero
-        return LinearConnection(
-            chart,
-            rank,
-            tuple(
-                tuple(tuple(zero for _ in range(rank)) for _ in range(rank))
-                for _ in range(chart.dim)
-            ),
-        )
-
 
 def nabla_K(
     conn: LinearConnection,
@@ -576,58 +553,3 @@ def verify_connection_decomposition(
         rhs = nabla_K(conn, balg.anchor, eta) + insertion_part
         residuals.append((f"eta{c + 1}", bundle_de_rham(balg, eta) - rhs))
     return residuals
-
-
-@dataclass(frozen=True)
-class SymmetricCrossCheck:
-    """Optional tangent-bundle cross-check of the E-connection torsion formula."""
-
-    applicable: bool
-    reason: str
-    residuals: tuple[tuple[str, VectorField], ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.applicable and all(r.is_zero for _, r in self.residuals)
-
-
-def symmetric_connection_cross_check(
-    conn: LinearConnection, alg: TangentAlgebroid
-) -> SymmetricCrossCheck:
-    """For E = TM and a torsionless ∇: L^∇(X,Y) = [X,Y]_q + (∇_Y q)X - (∇_X q)Y - [[X,Y]].
-
-    Valid only when the connection itself is symmetric; otherwise the check
-    is flagged as not applicable instead of reporting a spurious failure.
-    L^∇ is :func:`delta_torsion` on the frame bundle, where [e_a,e_b]_q -
-    [[e_a,e_b]] = L(e_a,e_b), so component k of the residual on (e_a, e_b)
-    is the one sum L^∇(e_a,e_b)^k - L^k_ab - (∇_b q)^k_a + (∇_a q)^k_b.
-    """
-    chart, n = alg.chart, alg.chart.dim
-    if conn.rank != n:
-        return SymmetricCrossCheck(False, "connection rank differs from dim", ())
-    if any(conn.gamma[i][j] != conn.gamma[j][i] for i, j in itertools.combinations(range(n), 2)):
-        return SymmetricCrossCheck(False, "connection has torsion", ())
-    qmat, one = alg.anchor.matrix(), chart.one
-    torsion = delta_torsion(conn, _frame_bundle(alg))
-    basis = chart.basis_vectors()
-
-    def nabla_q(i: int, j: int, k: int, negate: bool):
-        # (∇_i q)^k_j = ∂_i q^k_j + Γ_{im}^k q^m_j - Γ_{ij}^m q^k_m
-        yield qmat[k][j].partial(chart.coord_names[i]), one, negate
-        for m in range(n):
-            yield conn.gamma[i][m][k], qmat[m][j], negate
-            yield conn.gamma[i][j][m], qmat[k][m], not negate
-
-    residuals = []
-    for a, b in itertools.combinations(range(n), 2):
-        correction = alg.correction(basis[a], basis[b]).components
-        residual = [
-            ScalarExpr.sum_of_products(chart.ring, itertools.chain(
-                [(torsion[a, b][k], one, False), (correction[k], one, True)],
-                nabla_q(b, a, k, True),
-                nabla_q(a, b, k, False),
-            ))
-            for k in range(n)
-        ]
-        residuals.append((f"(e{a + 1},e{b + 1})", VectorField(chart, residual)))
-    return SymmetricCrossCheck(True, "", tuple(residuals))

@@ -426,14 +426,6 @@ class VectorValuedForm:
             X.chart, 0, [KForm.function(X.chart, c) for c in X.components]
         )
 
-    def to_vector_field(self) -> VectorField:
-        if self.degree != 0:
-            raise CalculusError("only a degree-0 form is a vector field")
-        return VectorField(
-            self.chart,
-            [c.coeffs.get((), self.chart.zero) for c in self.components],
-        )
-
     def matrix(self) -> list[list[ScalarExpr]]:
         if self.degree != 1:
             raise CalculusError("only a degree-1 form has a matrix")

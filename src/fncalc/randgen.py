@@ -10,14 +10,12 @@ from __future__ import annotations
 import itertools
 import random
 
-from .calculus import Chart, KForm, VectorField, VectorValuedForm
+from .calculus import Chart, VectorField
 from .scalar import ScalarExpr
 
 __all__ = [
     "random_scalar",
     "random_vector_field",
-    "random_kform",
-    "random_vvf",
 ]
 
 
@@ -46,23 +44,3 @@ def random_vector_field(
     chart: Chart, rng: random.Random, degree: int = 2
 ) -> VectorField:
     return VectorField(chart, [random_scalar(chart, rng, degree) for _ in range(chart.dim)])
-
-
-def random_kform(
-    chart: Chart, form_degree: int, rng: random.Random, degree: int = 2
-) -> KForm:
-    coeffs = {
-        key: random_scalar(chart, rng, degree)
-        for key in itertools.combinations(range(chart.dim), form_degree)
-    }
-    return KForm(chart, form_degree, coeffs)
-
-
-def random_vvf(
-    chart: Chart, form_degree: int, rng: random.Random, degree: int = 2
-) -> VectorValuedForm:
-    return VectorValuedForm(
-        chart,
-        form_degree,
-        [random_kform(chart, form_degree, rng, degree) for _ in range(chart.dim)],
-    )

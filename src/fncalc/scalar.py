@@ -918,17 +918,6 @@ class ScalarExpr:
         _mul_into(ring, dn, num, _diff(ring, den, var), True)
         return ScalarExpr(ring, dn, _mul(ring, den, den))
 
-    def conjugate(self) -> "ScalarExpr":
-        ring = self.ring
-        if not ring.allow_imaginary:
-            return self
-        new = ring.domain.of_parts
-        num = {m: new(c.x, -c.y) for m, c in self.num.items()}
-        den = {m: new(c.x, -c.y) for m, c in self.den.items()}
-        # conjugation keeps the pair coprime
-        num, den = _unit_normal(ring, num, den)
-        return ScalarExpr(ring, num, den, _canonical=True)
-
     def __str__(self) -> str:
         # The same value over Q or Q(i), with a monic denominator.
         lc = _lc(self.den)

@@ -31,7 +31,6 @@ from .calculus import (
     VectorField,
     VectorValuedForm,
     complexify_vvf,
-    contracted_bracket,
     fn_bracket,
     lie_bracket,
     nijenhuis_torsion,
@@ -49,13 +48,10 @@ __all__ = [
     "NotSemisprayError",
     "NotConnectionError",
     "idempotent_algebroid",
-    "bracket_full_form",
-    "idempotent_tensorial_operator",
     "complement_operator",
     "complex_projectors",
     "complex_algebroid",
     "product_algebroid",
-    "product_bracket_form",
     "FoliationData",
     "foliation_connection",
     "BigradedForm",
@@ -68,7 +64,6 @@ __all__ = [
     "is_semispray",
     "connection_from_semispray",
     "connection_algebroid",
-    "adapted_frames",
 ]
 
 
@@ -140,25 +135,10 @@ def _projector_torsion(N: VectorValuedForm) -> VectorValuedForm:
     return torsion
 
 
-def bracket_full_form(
-    N: VectorValuedForm, X: VectorField, Y: VectorField
-) -> VectorField:
-    """The alternative closed form [NX,NY] + (Id-N)([NX,Y] + [X,NY])."""
-    nx, ny = N.apply(X), N.apply(Y)
-    middle = lie_bracket(nx, Y) + lie_bracket(X, ny)
-    return lie_bracket(nx, ny) + middle - N.apply(middle)
-
-
 def idempotent_algebroid(N: VectorValuedForm) -> TangentAlgebroid:
     """Anchor N, bracket [X,Y]_N + T_N(X,Y), for idempotent N with involutive image."""
     _require_idempotent(N)
     return TangentAlgebroid(N, -_projector_torsion(N))
-
-
-def idempotent_tensorial_operator(N: VectorValuedForm) -> TangentAlgebroid:
-    """The purely tensorial square-zero operator i_{-T_N} of an accepted idempotent."""
-    _require_idempotent(N)
-    return TangentAlgebroid(VectorValuedForm.zero(N.chart, 1), -_projector_torsion(N))
 
 
 def complement_operator(N: VectorValuedForm) -> TangentAlgebroid:
@@ -265,23 +245,12 @@ def product_algebroid(
     return TangentAlgebroid(p_minus, VectorValuedForm.zero(chart, 2))
 
 
-def product_bracket_form(
-    P: VectorValuedForm, X: VectorField, Y: VectorField, eps: Fraction | int = 1
-) -> VectorField:
-    """The closed form ([X,Y] - [X,Y]_{P/eps})/2."""
-    chart = P.chart
-    eps = Fraction(eps)
-    half = chart.const(Fraction(1, 2))
-    scaled = P.scaled(chart.const(1 / eps))
-    return (lie_bracket(X, Y) - contracted_bracket(scaled, X, Y)).scaled(half)
-
-
 # ---------------------------------------------------------------------------
 # Foliations via Ehresmann projectors
 # ---------------------------------------------------------------------------
 
 
-def adapted_frames(
+def _adapted_frames(
     gamma: VectorValuedForm,
 ) -> tuple[list[VectorField], list[VectorField]]:
     """(horizontal, vertical) frames spanning ker(gamma) and im(gamma).
@@ -290,13 +259,6 @@ def adapted_frames(
     image; a maximal independent set of each is selected by exact column
     reduction over the rational-function field.
     """
-    _require_idempotent(gamma)
-    return _adapted_frames(gamma)
-
-
-def _adapted_frames(
-    gamma: VectorValuedForm,
-) -> tuple[list[VectorField], list[VectorField]]:
     chart = gamma.chart
     gmat = gamma.matrix()
     hmat = (VectorValuedForm.identity(chart) - gamma).matrix()
@@ -319,10 +281,6 @@ class FoliationData:
     horizontal: tuple[VectorField, ...]
     vertical: tuple[VectorField, ...]
     bracket_table: tuple[tuple[str, VectorField], ...]
-
-    @property
-    def table_passed(self) -> bool:
-        return all(r.is_zero for _, r in self.bracket_table)
 
 
 def foliation_connection(gamma: VectorValuedForm) -> FoliationData:

@@ -1,0 +1,146 @@
+"""Test-side data and oracles.
+
+- :func:`endo` reads the example endomorphisms from the manifests that
+  declare them, so the matrices live in one place.
+- :func:`random_kform` and :func:`random_vvf` draw seeded polynomial forms.
+- The closed forms and the cross-check below compute, another way, what the
+  library computes; the tests compare the two exactly.
+
+Matrix convention everywhere: entry [i][j] is the ∂_i coefficient of the
+image of ∂_j.
+"""
+
+import functools
+import itertools
+import pathlib
+import random
+from fractions import Fraction
+
+from fncalc.algebroid import LinearConnection, TangentAlgebroid, _frame_bundle, delta_torsion
+from fncalc.calculus import (
+    Chart,
+    KForm,
+    VectorField,
+    VectorValuedForm,
+    contracted_bracket,
+    lie_bracket,
+)
+from fncalc.cli import load_manifest
+from fncalc.randgen import random_scalar
+from fncalc.scalar import ScalarExpr
+
+MANIFESTS = pathlib.Path(__file__).resolve().parent.parent / "manifests"
+
+#: Fixture name -> (manifest stem, endomorphism name in that manifest).
+#:
+#: - J0: constant almost-complex structure on the plane, ∂x -> ∂y, ∂y -> -∂x;
+#: - J1: complex structure ∂x -> (1+x^2)∂y, ∂y -> -(1+x^2)^{-1}∂x;
+#: - N0: idempotent with torsion on R^4, ∂x -> ∂x, ∂y -> ∂y, ∂z -> 0, ∂w -> -z∂x;
+#: - P0: constant product structure ∂x -> ∂x, ∂y -> -∂y;
+#: - P1: product structure ∂x -> ∂x + 2y∂y, ∂y -> -∂y;
+#: - gamma0: curved Ehresmann projector on R^3, ∂x -> 0, ∂y -> -x∂z, ∂z -> ∂z;
+#: - J2: non-integrable almost-complex structure on R^4,
+#:   ∂x -> ∂y, ∂y -> -∂x, ∂z -> ∂w + x∂y, ∂w -> -∂z + x∂x.
+ENDOMORPHISMS = {
+    "J0": ("f1_complex", "J0"),
+    "J1": ("f1_complex", "J1"),
+    "N0": ("f2_idempotent", "N"),
+    "P0": ("f3_product", "P0"),
+    "P1": ("f3_product", "P1"),
+    "gamma0": ("f4_foliation", "gamma"),
+    "J2": ("f6_invertible", "J2"),
+}
+
+
+@functools.cache
+def _manifest(stem: str):
+    return load_manifest(str(MANIFESTS / f"{stem}.json"))
+
+
+def endo(name: str) -> VectorValuedForm:
+    """The fixture endomorphism ``name`` (a key of :data:`ENDOMORPHISMS`)."""
+    stem, key = ENDOMORPHISMS[name]
+    return _manifest(stem).endomorphisms[key]
+
+
+def random_kform(
+    chart: Chart, form_degree: int, rng: random.Random, degree: int = 2
+) -> KForm:
+    coeffs = {
+        key: random_scalar(chart, rng, degree)
+        for key in itertools.combinations(range(chart.dim), form_degree)
+    }
+    return KForm(chart, form_degree, coeffs)
+
+
+def random_vvf(
+    chart: Chart, form_degree: int, rng: random.Random, degree: int = 2
+) -> VectorValuedForm:
+    return VectorValuedForm(
+        chart,
+        form_degree,
+        [random_kform(chart, form_degree, rng, degree) for _ in range(chart.dim)],
+    )
+
+
+def flat_connection(chart: Chart, rank: int) -> LinearConnection:
+    """The connection with all Christoffel symbols zero."""
+    block = tuple(tuple(chart.zero for _ in range(rank)) for _ in range(rank))
+    return LinearConnection(chart, rank, tuple(block for _ in range(chart.dim)))
+
+
+def bracket_full_form(
+    N: VectorValuedForm, X: VectorField, Y: VectorField
+) -> VectorField:
+    """The idempotent algebroid's bracket in the closed form
+    [NX,NY] + (Id-N)([NX,Y] + [X,NY])."""
+    nx, ny = N.apply(X), N.apply(Y)
+    middle = lie_bracket(nx, Y) + lie_bracket(X, ny)
+    return lie_bracket(nx, ny) + middle - N.apply(middle)
+
+
+def product_bracket_form(
+    P: VectorValuedForm, X: VectorField, Y: VectorField, eps: Fraction | int = 1
+) -> VectorField:
+    """The product algebroid's bracket in the closed form ([X,Y] - [X,Y]_{P/eps})/2."""
+    chart = P.chart
+    half = chart.const(Fraction(1, 2))
+    scaled = P.scaled(chart.const(1 / Fraction(eps)))
+    return (lie_bracket(X, Y) - contracted_bracket(scaled, X, Y)).scaled(half)
+
+
+def symmetric_connection_cross_check(
+    conn: LinearConnection, alg: TangentAlgebroid
+) -> list[tuple[str, VectorField]]:
+    """Residuals of L^∇(X,Y) = [X,Y]_q + (∇_Y q)X - (∇_X q)Y - [[X,Y]] on frame pairs.
+
+    The identity holds for E = TM and a symmetric ∇ of rank dim, which the
+    caller supplies. L^∇ is :func:`delta_torsion` on the frame bundle, where
+    [e_a,e_b]_q - [[e_a,e_b]] = L(e_a,e_b), so component k of the residual on
+    (e_a, e_b) is the one sum L^∇(e_a,e_b)^k - L^k_ab - (∇_b q)^k_a + (∇_a q)^k_b.
+    """
+    chart, n = alg.chart, alg.chart.dim
+    qmat, one = alg.anchor.matrix(), chart.one
+    torsion = delta_torsion(conn, _frame_bundle(alg))
+    basis = chart.basis_vectors()
+
+    def nabla_q(i: int, j: int, k: int, negate: bool):
+        # (∇_i q)^k_j = ∂_i q^k_j + Γ_{im}^k q^m_j - Γ_{ij}^m q^k_m
+        yield qmat[k][j].partial(chart.coord_names[i]), one, negate
+        for m in range(n):
+            yield conn.gamma[i][m][k], qmat[m][j], negate
+            yield conn.gamma[i][j][m], qmat[k][m], not negate
+
+    residuals = []
+    for a, b in itertools.combinations(range(n), 2):
+        correction = alg.correction(basis[a], basis[b]).components
+        residual = [
+            ScalarExpr.sum_of_products(chart.ring, itertools.chain(
+                [(torsion[a, b][k], one, False), (correction[k], one, True)],
+                nabla_q(b, a, k, True),
+                nabla_q(a, b, k, False),
+            ))
+            for k in range(n)
+        ]
+        residuals.append((f"(e{a + 1},e{b + 1})", VectorField(chart, residual)))
+    return residuals

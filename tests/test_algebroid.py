@@ -12,34 +12,38 @@ from fncalc.algebroid import (
     LinearConnection,
     SingularAnchorError,
     TangentAlgebroid,
+    _frame_bundle,
+    bundle_de_rham,
     check_axioms,
     check_bundle_axioms,
     check_cohomology,
     delta_torsion,
     derivation_from_algebroid,
     invertible_algebroid,
-    symmetric_connection_cross_check,
     verify_connection_decomposition,
     verify_trivial_isomorphism,
 )
 from fncalc.calculus import (
     Chart,
+    KForm,
     VectorValuedForm,
     complexify_vvf,
     lie_bracket,
+    lie_derivative,
     nijenhuis_torsion,
 )
 from fncalc.cli import _RECIPES, _build, load_manifest
-from fncalc.fixtures import J0, J1, J2, N0, chart_r2
 from fncalc.linalg import inverse
-from fncalc.randgen import random_scalar, random_vector_field, random_vvf
+from fncalc.randgen import random_scalar, random_vector_field
 from fncalc.structures import StructureError, d_components
+
+from helpers import endo, flat_connection, random_kform, random_vvf, symmetric_connection_cross_check
 
 MANIFESTS = pathlib.Path(__file__).resolve().parent.parent / "manifests"
 
 
 def n0_algebroid() -> TangentAlgebroid:
-    N = N0()
+    N = endo("N0")
     return TangentAlgebroid(N, -nijenhuis_torsion(N))
 
 
@@ -52,10 +56,11 @@ class TestIdempotentFixture:
     def test_axioms_pass(self):
         report = check_axioms(n0_algebroid())
         assert report.passed
-        assert report.failures() == []
+        groups = (report.jacobi, report.leibniz, report.anchor_morphism)
+        assert [label for group in groups for label, r in group if not r.is_zero] == []
 
     def test_axioms_fail_without_correction(self):
-        N = N0()
+        N = endo("N0")
         ch = N.chart
         bad = TangentAlgebroid(N, VectorValuedForm.zero(ch, 2))
         report = check_axioms(bad)
@@ -154,6 +159,37 @@ class TestConditionOneTorsionRoute:
     def test_seeded_random_pairs(self, dim, is_complex):
         for K, L in seeded_pairs(dim, is_complex):
             self.assert_routes_agree(K, L)
+
+
+class TestDerivationSquare:
+    """The paper's central identity: for D = L_K + i_L, D^2 = L_{K'} + i_{L'}
+    with K' and L' the two conditions ``check_cohomology`` reports."""
+
+    @seeded_charts
+    def test_square_on_generators(self, dim, is_complex):
+        """D^2 x^j = K'^j and D^2 dx^j = L_{K'} dx^j + L'^j, with D applied twice."""
+        for K, L in seeded_pairs(dim, is_complex):
+            D = TangentAlgebroid(K, L)
+            report = check_cohomology(D)
+            assert not report.passed  # a random pair is not an algebroid
+            chart, cond1, cond2 = D.chart, report.condition1, report.condition2
+            for j in range(dim):
+                x = KForm.function(chart, chart.coordinate(j))
+                assert D(D(x)) == cond1.components[j]
+                dx = chart.dx(j)
+                assert D(D(dx)) == lie_derivative(cond1, dx) + cond2.components[j]
+
+    @seeded_charts
+    def test_frame_bundle_de_rham_is_d(self, dim, is_complex):
+        """A rank-dim fiber form is a coordinate form, so the structure-function
+        route ``bundle_de_rham`` and the L_K + i_L route act on the same forms."""
+        rng = random.Random(200 + 10 * dim + is_complex)
+        for K, L in seeded_pairs(dim, is_complex):
+            D = TangentAlgebroid(K, L)
+            frame = _frame_bundle(D)
+            for p in range(dim + 1):
+                omega = random_kform(D.chart, p, rng)
+                assert bundle_de_rham(frame, omega) == D(omega), p
 
 
 def direct_probes(chart: Chart, probe_degree: int, seed: int, n_random_fields: int):
@@ -325,7 +361,7 @@ class TestAxiomsOnTheFrame:
                 for (la, X), (lb, Y) in itertools.combinations(probes, 2)
             ]
 
-        K = J2()
+        K = endo("J2")
         good = invertible_algebroid(K)
         bad = TangentAlgebroid(K, VectorValuedForm.zero(K.chart, 2))
         for alg in (good, bad):
@@ -337,7 +373,7 @@ class TestAxiomsOnTheFrame:
 class TestInvertibleAnchor:
     def test_square_zero_biconditional(self):
         """(K, 0) fails exactly by the torsion; (K, -K^{-1}T_K) passes."""
-        K = J2()
+        K = endo("J2")
         ch = K.chart
         bad = check_cohomology(TangentAlgebroid(K, VectorValuedForm.zero(ch, 2)))
         assert not bad.passed
@@ -347,7 +383,7 @@ class TestInvertibleAnchor:
         assert good.passed
 
     def test_bracket_is_conjugated_lie_bracket(self):
-        K = J2()
+        K = endo("J2")
         ch = K.chart
         alg = invertible_algebroid(K)
         kinv = VectorValuedForm.from_matrix(ch, inverse(K.matrix(), ch))
@@ -357,27 +393,27 @@ class TestInvertibleAnchor:
             assert alg.bracket(X, Y) == expected
 
     def test_trivial_isomorphism(self):
-        alg = invertible_algebroid(J2())
+        alg = invertible_algebroid(endo("J2"))
         assert all(r.is_zero for _, r in verify_trivial_isomorphism(alg))
 
     def test_axioms(self):
-        assert check_axioms(invertible_algebroid(J2())).passed
+        assert check_axioms(invertible_algebroid(endo("J2"))).passed
 
     def test_integrable_complex_structures_need_no_correction(self):
         """Both directions: zero torsion <=> (K, 0) is square-zero."""
-        for K in (J0(), J1()):
+        for K in (endo("J0"), endo("J1")):
             ch = K.chart
             report = check_cohomology(TangentAlgebroid(K, VectorValuedForm.zero(ch, 2)))
             assert report.passed
 
     def test_singular_anchor_rejected(self):
         with pytest.raises(SingularAnchorError):
-            invertible_algebroid(N0())
+            invertible_algebroid(endo("N0"))
 
 
 def _constant_bundle() -> BundleAlgebroid:
     """Rank 2 over the plane: q(s1) = d/dx, q(s2) = x d/dx, [[s1,s2]] = s1."""
-    ch = chart_r2()
+    ch = Chart(("x", "y"))
     anchor = [
         [ch.one, ch.zero],
         [ch.scalar("x"), ch.zero],
@@ -388,7 +424,7 @@ def _constant_bundle() -> BundleAlgebroid:
 
 def _jacobi_violating_bundle(rng: random.Random) -> BundleAlgebroid:
     """Rank 3, zero anchor, randomized constant structure breaking Jacobi."""
-    ch = chart_r2()
+    ch = Chart(("x", "y"))
     zero_row = [ch.zero, ch.zero]
     while True:
         structure = {}
@@ -445,7 +481,7 @@ class TestBundleAlgebroid:
 
     def test_flat_connection_torsion_is_minus_structure(self):
         balg = _constant_bundle()
-        conn = LinearConnection.flat(balg.chart, balg.rank)
+        conn = flat_connection(balg.chart, balg.rank)
         torsion = delta_torsion(conn, balg)
         # L(s_a, s_b) = -[[s_a, s_b]] when the covariant terms vanish
         assert torsion[(0, 1)][0] == -balg.chart.one
@@ -498,41 +534,17 @@ class TestSymmetricCrossCheck:
         on connections that are not flat."""
         algebroids = [TangentAlgebroid(K, L) for K, L in seeded_pairs(dim, is_complex, 2)]
         if dim == 4:
-            K = complexify_vvf(J2()) if is_complex else J2()
+            K = complexify_vvf(endo("J2")) if is_complex else endo("J2")
             algebroids.append(invertible_algebroid(K))
         rng = random.Random(40 + 2 * dim + is_complex)
         for alg in algebroids:
             conn = random_symmetric_connection(alg.chart, rng)
-            result = symmetric_connection_cross_check(conn, alg)
-            assert result.applicable
-            assert len(result.residuals) == dim * (dim - 1) // 2
-            assert result.passed, [label for label, r in result.residuals if not r.is_zero]
+            residuals = symmetric_connection_cross_check(conn, alg)
+            assert len(residuals) == dim * (dim - 1) // 2
+            assert [label for label, r in residuals if not r.is_zero] == []
 
     def test_applicable_and_passes_for_symmetric_connection(self):
-        K = J2()
-        alg = invertible_algebroid(K)
-        conn = LinearConnection.flat(alg.chart, alg.chart.dim)
-        result = symmetric_connection_cross_check(conn, alg)
-        assert result.applicable
-        assert result.passed
-
-    def test_flagged_for_torsionful_connection(self):
-        alg = invertible_algebroid(J2())
-        ch = alg.chart
-        gamma = [
-            [[ch.zero] * ch.dim for _ in range(ch.dim)] for _ in range(ch.dim)
-        ]
-        gamma[0][1][0] = ch.one  # asymmetric in the two lower indices
-        conn = LinearConnection(
-            ch, ch.dim, tuple(tuple(tuple(r) for r in b) for b in gamma)
-        )
-        result = symmetric_connection_cross_check(conn, alg)
-        assert not result.applicable
-        assert "torsion" in result.reason
-
-    def test_flagged_for_rank_mismatch(self):
-        balg = _constant_bundle()
-        alg = n0_algebroid()
-        conn = LinearConnection.flat(alg.chart, 2)
-        result = symmetric_connection_cross_check(conn, alg)
-        assert not result.applicable
+        alg = invertible_algebroid(endo("J2"))
+        conn = flat_connection(alg.chart, alg.chart.dim)
+        residuals = symmetric_connection_cross_check(conn, alg)
+        assert all(r.is_zero for _, r in residuals)

@@ -26,21 +26,22 @@ from fncalc.calculus import (
     rn_bracket,
     wedge,
 )
-from fncalc.fixtures import J0, J2, N0, chart_r2, chart_r3
-from fncalc.randgen import random_kform, random_scalar, random_vector_field, random_vvf
+from fncalc.randgen import random_scalar, random_vector_field
 from fncalc.scalar import ScalarError
+
+from helpers import endo, random_kform, random_vvf
 
 
 def test_d_squared_zero():
     rng = random.Random(1)
-    for chart in (chart_r2(), chart_r3()):
+    for chart in (Chart(("x", "y")), Chart(("x", "y", "z"))):
         for p in range(chart.dim):
             omega = random_kform(chart, p, rng)
             assert exterior_d(exterior_d(omega)).is_zero
 
 
 def test_d_on_function_is_differential():
-    ch = chart_r2()
+    ch = Chart(("x", "y"))
     f = KForm(ch, 0, {(): ch.scalar("x^2*y")})
     df = exterior_d(f)
     assert df.coeffs[(0,)] == ch.scalar("2*x*y")
@@ -48,7 +49,7 @@ def test_d_on_function_is_differential():
 
 
 def test_wedge_graded_commutativity():
-    ch = chart_r3()
+    ch = Chart(("x", "y", "z"))
     rng = random.Random(2)
     a = random_kform(ch, 1, rng)
     b = random_kform(ch, 1, rng)
@@ -61,7 +62,7 @@ def test_wedge_graded_commutativity():
 
 
 def test_leibniz_for_d():
-    ch = chart_r3()
+    ch = Chart(("x", "y", "z"))
     rng = random.Random(3)
     f = KForm(ch, 0, {(): random_scalar(ch, rng)})
     a = random_kform(ch, 1, rng)
@@ -72,7 +73,7 @@ def test_leibniz_for_d():
 
 def test_fiber_forms_keep_their_generator_count():
     """A form over 3 fiber generators neither mixes with nor equals a chart form."""
-    ch = chart_r2()
+    ch = Chart(("x", "y"))
     eta = KForm(ch, 1, {(2,): ch.one}, generators=3)
     with pytest.raises(CalculusError):
         KForm(ch, 1, {(2,): ch.one})
@@ -89,7 +90,7 @@ def test_fiber_forms_keep_their_generator_count():
 
 
 def test_insertion_identity_counts_degree():
-    ch = chart_r3()
+    ch = Chart(("x", "y", "z"))
     rng = random.Random(4)
     identity = VectorValuedForm.identity(ch)
     for p in range(1, ch.dim + 1):
@@ -154,7 +155,7 @@ def test_compose_applies_the_endomorphism_to_values(complexified):
 
 
 def test_lie_derivative_identity_is_d():
-    ch = chart_r2()
+    ch = Chart(("x", "y"))
     rng = random.Random(5)
     identity = VectorValuedForm.identity(ch)
     for p in range(ch.dim + 1):
@@ -164,7 +165,7 @@ def test_lie_derivative_identity_is_d():
 
 def test_lie_derivative_vector_field_cartan():
     """Degree-0 case agrees with evaluation against transported arguments."""
-    ch = chart_r2()
+    ch = Chart(("x", "y"))
     rng = random.Random(6)
     X = random_vector_field(ch, rng)
     omega = random_kform(ch, 1, rng)
@@ -176,19 +177,19 @@ def test_lie_derivative_vector_field_cartan():
 
 
 def test_fn_bracket_of_vector_fields_is_lie_bracket():
-    ch = chart_r3()
+    ch = Chart(("x", "y", "z"))
     rng = random.Random(7)
     X = random_vector_field(ch, rng)
     Y = random_vector_field(ch, rng)
     result = fn_bracket(
         VectorValuedForm.from_vector_field(X), VectorValuedForm.from_vector_field(Y)
     )
-    assert result.to_vector_field() == lie_bracket(X, Y)
+    assert result == VectorValuedForm.from_vector_field(lie_bracket(X, Y))
 
 
 def test_fn_bracket_graded_symmetry():
     """[A,B] = -(-1)^{ab} [B,A]: symmetric in odd-odd, antisymmetric in even-even."""
-    ch = chart_r2()
+    ch = Chart(("x", "y"))
     rng = random.Random(8)
     A = random_vvf(ch, 1, rng)
     B = random_vvf(ch, 1, rng)
@@ -241,7 +242,7 @@ def test_self_brackets_compose_once(complexified, degree, monkeypatch):
 
 
 def test_torsion_is_half_fn_self_bracket():
-    ch = chart_r3()
+    ch = Chart(("x", "y", "z"))
     rng = random.Random(9)
     N = random_vvf(ch, 1, rng)
     half = ch.const(Fraction(1, 2))
@@ -249,7 +250,7 @@ def test_torsion_is_half_fn_self_bracket():
 
 
 def test_torsion_fixture_value():
-    N = N0()
+    N = endo("N0")
     ch = N.chart
     T = nijenhuis_torsion(N)
     assert T(ch.basis_vector(2), ch.basis_vector(3)) == ch.basis_vector(0)
@@ -258,7 +259,7 @@ def test_torsion_fixture_value():
 
 
 def test_rn_bracket_of_endomorphisms_vanishes_for_identity():
-    ch = chart_r2()
+    ch = Chart(("x", "y"))
     rng = random.Random(10)
     A = random_vvf(ch, 1, rng)
     identity = VectorValuedForm.identity(ch)
@@ -267,7 +268,7 @@ def test_rn_bracket_of_endomorphisms_vanishes_for_identity():
 
 
 def test_contracted_bracket_formula():
-    ch = chart_r2()
+    ch = Chart(("x", "y"))
     rng = random.Random(11)
     N = random_vvf(ch, 1, rng)
     X = random_vector_field(ch, rng)
@@ -284,7 +285,7 @@ def test_fn_decompose_round_trip():
     """(K, L) is recovered from the actions of L_K + i_L, and any 1-form
     actions on the x^j with 2-form actions on the dx^j are those of the
     decomposed derivation."""
-    ch = chart_r3()
+    ch = Chart(("x", "y", "z"))
     rng = random.Random(12)
     K = random_vvf(ch, 1, rng)
     L = random_vvf(ch, 2, rng)
@@ -313,7 +314,7 @@ def test_fn_decompose_round_trip():
 def test_fn_decompose_rejects_malformed_actions():
     from fncalc.calculus import CalculusError
 
-    ch = chart_r2()
+    ch = Chart(("x", "y"))
     rng = random.Random(13)
     K = random_vvf(ch, 1, rng)
     functions = [lie_derivative(K, ch.coordinate_function(j)) for j in range(2)]
@@ -327,9 +328,9 @@ def test_fn_decompose_rejects_malformed_actions():
 
 def test_complexified_torsion_splits():
     """T of the complexified endomorphism on X+iY decomposes into real torsions."""
-    ch = chart_r2()
+    ch = Chart(("x", "y"))
     rng = random.Random(14)
-    for J in (J0(), random_vvf(ch, 1, rng)):
+    for J in (endo("J0"), random_vvf(ch, 1, rng)):
         cJ = complexify_vvf(J)
         cch = cJ.chart
         i_unit = cch.scalar("i")
@@ -374,7 +375,7 @@ def test_torsion_of_shift_by_identity_scales_by_square(complexified):
 
 
 def test_imaginary_coefficient_rejected_on_real_chart():
-    ch = chart_r2()
+    ch = Chart(("x", "y"))
     cch = ch.complexify()
     with pytest.raises(ScalarError, match="imaginary part on a real chart"):
         VectorField(ch, [cch.scalar("i*x"), ch.zero])
@@ -383,7 +384,7 @@ def test_imaginary_coefficient_rejected_on_real_chart():
 
 
 def test_real_valued_gaussian_coefficients_land_on_real_chart():
-    ch = chart_r2()
+    ch = Chart(("x", "y"))
     cch = ch.complexify()
     X = VectorField(ch, [cch.scalar("(i*x)*(i*y)"), cch.scalar("y")])
     omega = KForm(ch, 1, {(1,): cch.scalar("x/(y+1)")})
@@ -394,7 +395,7 @@ def test_real_valued_gaussian_coefficients_land_on_real_chart():
 
 
 def test_real_scalars_embed_on_complexified_chart():
-    ch = chart_r2()
+    ch = Chart(("x", "y"))
     cch = ch.complexify()
     Z = VectorField(cch, [ch.scalar("x"), ch.scalar("1/(y+1)")])
     omega = KForm(cch, 1, {(0,): ch.scalar("y")})
@@ -409,7 +410,7 @@ def test_real_scalars_embed_on_complexified_chart():
 
 
 def test_j2_torsion_value():
-    J = J2()
+    J = endo("J2")
     ch = J.chart
     T = nijenhuis_torsion(J)
     assert T(ch.basis_vector(0), ch.basis_vector(2)) == ch.basis_vector(0)

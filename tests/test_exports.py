@@ -1,5 +1,6 @@
 """Public surface: every name a fncalc module lists in ``__all__`` resolves,
-every public class or function a module defines is listed there, and every
+every public class or function a module defines is listed there, every name
+the package re-exports is listed in its submodule's ``__all__``, and every
 name a fncalc or test module imports is used or re-exported."""
 
 import ast
@@ -14,7 +15,7 @@ import fncalc
 
 MODULES = sorted(f"fncalc.{info.name}" for info in pkgutil.iter_modules(fncalc.__path__))
 TESTS = pathlib.Path(__file__).resolve().parent
-TEST_MODULES = sorted(f"tests.{path.stem}" for path in TESTS.glob("test_*.py"))
+TEST_MODULES = sorted(f"tests.{path.stem}" for path in TESTS.glob("*.py"))
 
 
 @pytest.mark.parametrize("module_name", MODULES)
@@ -41,6 +42,21 @@ def test_public_definitions_are_exported(module_name):
     ]
     unlisted = sorted(name for name in public if name not in exported)
     assert not unlisted, f"{module_name} defines public names outside __all__: {unlisted}"
+
+
+def test_package_reexports_are_exported():
+    """A name ``fncalc/__init__.py`` imports from a submodule is in that
+    submodule's ``__all__``, so a name dropped there cannot linger as a re-export."""
+    tree = ast.parse(pathlib.Path(fncalc.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    unlisted = [
+        f"{node.module}.{alias.name}"
+        for node in imports
+        for alias in node.names
+        if alias.name not in importlib.import_module(f"fncalc.{node.module}").__all__
+    ]
+    assert not unlisted, f"fncalc re-exports names outside their module's __all__: {unlisted}"
 
 
 @pytest.mark.parametrize("module_name", MODULES + TEST_MODULES)

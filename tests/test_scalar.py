@@ -12,7 +12,6 @@ from sympy.polys.rings import ring as sympy_ring
 import fncalc.scalar
 
 from fncalc.calculus import Chart, fn_bracket, nijenhuis_torsion
-from fncalc.randgen import random_vvf
 
 from fncalc.scalar import (
     EXPONENT_BITS,
@@ -39,6 +38,8 @@ from fncalc.scalar import (
     coordinate_ring,
     parse_expr,
 )
+
+from helpers import random_vvf
 
 VARS = ("x", "y")
 
@@ -68,11 +69,6 @@ class TestCanonicalForm:
     def test_imaginary_unit(self):
         assert expr("i*i") == expr("-1")
         assert expr("(1+i)*(1-i)") == expr("2")
-
-    def test_conjugate(self):
-        a = expr("(1+2*i)*x + i*y^2")
-        assert a.conjugate() == expr("(1-2*i)*x - i*y^2")
-        assert a.conjugate().conjugate() == a
 
     def test_has_imaginary(self):
         assert expr("i*x").has_imaginary

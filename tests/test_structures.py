@@ -8,6 +8,7 @@ import pytest
 
 from fncalc.algebroid import check_axioms, check_cohomology
 from fncalc.calculus import (
+    Chart,
     VectorValuedForm,
     complexify_vvf,
     contracted_bracket,
@@ -15,8 +16,7 @@ from fncalc.calculus import (
     lie_bracket,
     nijenhuis_torsion,
 )
-from fncalc.fixtures import J0, J1, J2, N0, P0, P1, chart_r2, chart_r3, gamma0
-from fncalc.randgen import random_kform, random_scalar
+from fncalc.randgen import random_scalar
 from fncalc.structures import (
     ImageNotInvolutiveError,
     NotAlmostComplexError,
@@ -25,9 +25,7 @@ from fncalc.structures import (
     NotIdempotentError,
     NotSemisprayError,
     TorsionNotZeroError,
-    adapted_frames,
     bigrade,
-    bracket_full_form,
     complement_operator,
     complex_algebroid,
     complex_projectors,
@@ -36,23 +34,23 @@ from fncalc.structures import (
     d_components,
     foliation_connection,
     idempotent_algebroid,
-    idempotent_tensorial_operator,
     is_semispray,
     product_algebroid,
-    product_bracket_form,
     semispray,
     tangent_chart,
 )
 
+from helpers import bracket_full_form, endo, product_bracket_form, random_kform
+
 
 class TestIdempotent:
     def test_n0_accepted_with_torsion_correction(self):
-        alg = idempotent_algebroid(N0())
-        assert alg.correction == -nijenhuis_torsion(N0())
+        alg = idempotent_algebroid(endo("N0"))
+        assert alg.correction == -nijenhuis_torsion(endo("N0"))
         assert check_axioms(alg).passed
 
     def test_closed_form_bracket_agrees(self):
-        N = N0()
+        N = endo("N0")
         alg = idempotent_algebroid(N)
         ch = N.chart
         for a, b in itertools.combinations(range(ch.dim), 2):
@@ -61,11 +59,11 @@ class TestIdempotent:
 
     def test_non_idempotent_rejected(self):
         with pytest.raises(NotIdempotentError):
-            idempotent_algebroid(J0())
+            idempotent_algebroid(endo("J0"))
 
     def test_non_involutive_image_rejected(self):
         # projector onto span{d/dx, d/dy - x d/dz}: brackets leave the image
-        ch = chart_r3()
+        ch = Chart(("x", "y", "z"))
         one, zero = ch.one, ch.zero
         N = VectorValuedForm.from_matrix(
             ch,
@@ -89,14 +87,14 @@ class TestIdempotent:
         assert not residual.is_zero
 
     def test_tensorial_operator_squares_to_zero(self):
-        op = idempotent_tensorial_operator(N0())
+        op = d_components(endo("N0"))[1]  # i_{-T_N}
         report = check_cohomology(op)
         assert report.passed
 
     def test_complement_operator_requires_zero_torsion(self):
         with pytest.raises(TorsionNotZeroError):
-            complement_operator(N0())
-        ch = chart_r2()
+            complement_operator(endo("N0"))
+        ch = Chart(("x", "y"))
         flat = VectorValuedForm.from_matrix(
             ch, [[ch.one, ch.zero], [ch.zero, ch.zero]]
         )
@@ -107,7 +105,7 @@ class TestIdempotent:
 class TestComplex:
     def test_projector_torsion_relation(self):
         quarter = Fraction(-1, 4)
-        for J in (J0(), J1(), J2()):
+        for J in (endo("J0"), endo("J1"), endo("J2")):
             p_plus, p_minus = complex_projectors(J)
             cchart = p_plus.chart
             cT = nijenhuis_torsion(complexify_vvf(J))
@@ -119,12 +117,12 @@ class TestComplex:
             assert p_plus.compose(p_minus).is_zero
 
     def test_integrable_structures_give_algebroids(self):
-        for J in (J0(), J1()):
+        for J in (endo("J0"), endo("J1")):
             alg = complex_algebroid(J)
             assert check_axioms(alg).passed
 
     def test_holomorphic_involutivity(self):
-        for J in (J0(), J1()):
+        for J in (endo("J0"), endo("J1")):
             p_plus, p_minus = complex_projectors(J)
             cchart = p_plus.chart
             for a, b in itertools.combinations(range(cchart.dim), 2):
@@ -136,16 +134,16 @@ class TestComplex:
 
     def test_non_integrable_rejected(self):
         with pytest.raises(TorsionNotZeroError):
-            complex_algebroid(J2())
+            complex_algebroid(endo("J2"))
 
     def test_wrong_square_rejected(self):
         with pytest.raises(NotAlmostComplexError):
-            complex_algebroid(P0())
+            complex_algebroid(endo("P0"))
 
     def test_eps_scaling(self):
-        ch = chart_r2()
+        ch = Chart(("x", "y"))
         two = ch.const(2)
-        J = J0().scaled(two)  # J^2 = -4 Id
+        J = endo("J0").scaled(two)  # J^2 = -4 Id
         with pytest.raises(NotAlmostComplexError):
             complex_projectors(J, 1)
         p_plus, _ = complex_projectors(J, 2)
@@ -155,12 +153,12 @@ class TestComplex:
 
 class TestProduct:
     def test_algebroids_pass(self):
-        for P in (P0(), P1()):
+        for P in (endo("P0"), endo("P1")):
             alg = product_algebroid(P)
             assert check_axioms(alg).passed
 
     def test_bracket_closed_form(self):
-        P = P1()
+        P = endo("P1")
         ch = P.chart
         alg = product_algebroid(P)
         for a, b in itertools.combinations(range(ch.dim), 2):
@@ -169,7 +167,7 @@ class TestProduct:
 
     def test_projector_torsion_relation_nontrivial(self):
         """T_{(Id-P)/2} = T_P/4, checked on a P with nonzero torsion."""
-        N = N0()
+        N = endo("N0")
         ch = N.chart
         P = N.scaled(ch.const(2)) - VectorValuedForm.identity(ch)
         assert P.compose(P) == VectorValuedForm.identity(ch)
@@ -180,7 +178,7 @@ class TestProduct:
         assert nijenhuis_torsion(p_minus) == T_P.scaled(ch.const(Fraction(1, 4)))
 
     def test_non_integrable_rejected(self):
-        N = N0()
+        N = endo("N0")
         ch = N.chart
         P = N.scaled(ch.const(2)) - VectorValuedForm.identity(ch)
         with pytest.raises(TorsionNotZeroError):
@@ -188,43 +186,42 @@ class TestProduct:
 
     def test_wrong_square_rejected(self):
         with pytest.raises(NotAlmostProductError):
-            product_algebroid(J0())
+            product_algebroid(endo("J0"))
 
 
 class TestFoliation:
     def test_curvature_fixture_value(self):
-        g = gamma0()
+        g = endo("gamma0")
         ch = g.chart
         data = foliation_connection(g)
         assert data.curvature(ch.basis_vector(0), ch.basis_vector(1)) == ch.basis_vector(2)
 
     def test_bracket_table(self):
-        assert foliation_connection(gamma0()).table_passed
+        table = foliation_connection(endo("gamma0")).bracket_table
+        assert all(r.is_zero for _, r in table)
 
     def test_adapted_frames(self):
-        g = gamma0()
-        horizontal, vertical = adapted_frames(g)
-        assert all(g.apply(X).is_zero for X in horizontal)
-        assert all(g.apply(Y) == Y for Y in vertical)
-        assert (len(horizontal), len(vertical)) == (2, 1)
+        g = endo("gamma0")
         data = foliation_connection(g)
-        assert (data.horizontal, data.vertical) == (tuple(horizontal), tuple(vertical))
+        assert all(g.apply(X).is_zero for X in data.horizontal)
+        assert all(g.apply(Y) == Y for Y in data.vertical)
+        assert (len(data.horizontal), len(data.vertical)) == (2, 1)
         with pytest.raises(NotIdempotentError):
-            adapted_frames(J0())
+            foliation_connection(endo("J0"))
 
     def test_d_component_cohomology(self):
-        d10, d2m1, d01 = d_components(gamma0())
+        d10, d2m1, d01 = d_components(endo("gamma0"))
         assert check_cohomology(d2m1).passed
         assert check_cohomology(d01).passed
         bad = check_cohomology(d10)
         assert not bad.passed
         # the failure of d_{1,0}^2 = 0 is measured exactly by the curvature
-        R = nijenhuis_torsion(gamma0())
+        R = nijenhuis_torsion(endo("gamma0"))
         assert bad.condition1 == R
         assert bad.condition2.is_zero
 
     def test_components_sum_to_d(self):
-        g = gamma0()
+        g = endo("gamma0")
         ch = g.chart
         d10, d2m1, d01 = d_components(g)
         rng = random.Random(17)
@@ -234,7 +231,7 @@ class TestFoliation:
             assert total == exterior_d(omega)
 
     def test_bigrade_reconstruction(self):
-        g = gamma0()
+        g = endo("gamma0")
         ch = g.chart
         rng = random.Random(18)
         for trial in range(10):
@@ -250,7 +247,7 @@ class TestFoliation:
                 assert total == omega
 
     def test_bigrade_pure_components(self):
-        g = gamma0()
+        g = endo("gamma0")
         ch = g.chart
         # dz is neither purely horizontal nor vertical for gamma0
         parts = bigrade(exterior_d(ch.coordinate_function(2)), g)
