@@ -134,20 +134,20 @@ def fn_decompose(
 
 
 def derivation_from_algebroid(alg: TangentAlgebroid) -> TangentAlgebroid:
-    """The pair of the algebroid's de Rham-type operator, rebuilt from generator actions.
+    """The pair of the algebroid's de Rham-type operator, read off its generator actions.
 
-    Df(X) = (KX)f and (Dα)(X,Y) = KX(α(Y)) - KY(α(X)) - α([[X,Y]]). So D x^j
-    is row j of the anchor, and (D dx^j)(e_a, e_b) = -c_ab^j, for the frame
-    structure functions c_ab = [[e_a, e_b]] (:func:`_frame_bundle`), because
-    dx^j takes constant values on the frame. The returned pair reproduces
-    (anchor, correction) exactly.
+    The operator is :func:`bundle_de_rham` of the rank-n frame bundle
+    (:func:`_frame_bundle`), whose fiber forms are the chart's forms. It is
+    L_K + i_L for every algebroid (tests/test_algebroid.py pins it on forms
+    of every degree), so the returned pair reproduces (anchor, correction).
     """
     chart = alg.chart
     frame = _frame_bundle(alg)
-    act_d = VectorValuedForm.on_frame(chart, 2, lambda a, b: VectorField(
-        chart, [-frame.structure_component(a, b, j) for j in range(chart.dim)]
-    ))
-    return fn_decompose(chart, alg.anchor.components, act_d.components)
+    return fn_decompose(
+        chart,
+        [bundle_de_rham(frame, chart.coordinate_function(j)) for j in range(chart.dim)],
+        [bundle_de_rham(frame, chart.dx(j)) for j in range(chart.dim)],
+    )
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .algebroid import (
     BundleAlgebroid,
@@ -175,11 +175,12 @@ def _parse_scalar(chart: Chart, text: Any, where: str) -> ScalarExpr:
         raise ManifestError(f"{where}: {exc}") from exc
 
 
-def _parse_matrix(chart: Chart, rows: Any, where: str) -> VectorValuedForm:
+def _parse_matrix(chart: Chart, rows: Any, n_rows: int, where: str) -> list[list[ScalarExpr]]:
+    """``n_rows`` rows of ``chart.dim`` expressions each, checked row by row."""
     dim = chart.dim
     _expect(
-        isinstance(rows, list) and len(rows) == dim,
-        f"{where}: expected {dim} rows",
+        isinstance(rows, list) and len(rows) == n_rows,
+        f"{where}: expected {n_rows} rows",
     )
     mat = []
     for i, row in enumerate(rows):
@@ -190,7 +191,7 @@ def _parse_matrix(chart: Chart, rows: Any, where: str) -> VectorValuedForm:
         mat.append(
             [_parse_scalar(chart, e, f"{where}[{i + 1}][{j + 1}]") for j, e in enumerate(row)]
         )
-    return VectorValuedForm.from_matrix(chart, mat)
+    return mat
 
 
 def _parse_multi_index(key: str, degree: int, dim: int, where: str) -> tuple[int, ...]:
@@ -273,20 +274,7 @@ def _parse_bundle(chart: Chart, spec: Any, where: str) -> BundleAlgebroid:
     _expect(isinstance(spec, dict), f"{where}: expected an object")
     rank = spec.get("rank")
     _expect(_is_int(rank) and rank >= 1, f"{where}: bad rank")
-    anchor_rows = spec.get("anchor")
-    _expect(
-        isinstance(anchor_rows, list) and len(anchor_rows) == rank,
-        f"{where}: anchor must have {rank} rows",
-    )
-    anchor = []
-    for a, row in enumerate(anchor_rows):
-        _expect(
-            isinstance(row, list) and len(row) == chart.dim,
-            f"{where}: anchor row {a + 1} must have {chart.dim} entries",
-        )
-        anchor.append(
-            [_parse_scalar(chart, e, f"{where}.anchor[{a + 1}][{i + 1}]") for i, e in enumerate(row)]
-        )
+    anchor = _parse_matrix(chart, spec.get("anchor"), rank, f"{where}.anchor")
     structure: dict[tuple[int, int], list[ScalarExpr]] = {}
     raw = spec.get("structure", {})
     _expect(isinstance(raw, dict), f"{where}: structure must be an object")
@@ -372,7 +360,8 @@ def load_manifest(
 
     endos = {}
     for name, rows in _section("endomorphisms").items():
-        endos[name] = _parse_matrix(chart, rows, f"endomorphisms.{name}")
+        mat = _parse_matrix(chart, rows, chart.dim, f"endomorphisms.{name}")
+        endos[name] = VectorValuedForm.from_matrix(chart, mat)
     forms = {}
     for name, spec in _section("forms").items():
         forms[name] = _parse_form(chart, spec, f"forms.{name}")
@@ -445,65 +434,39 @@ def load_manifest(
 # ---------------------------------------------------------------------------
 
 
-def _basis_label(chart: Chart, j: int) -> str:
-    return f"d/d{chart.coord_names[j]}"
-
-
-def _pair_label(chart: Chart, key: tuple[int, ...]) -> str:
-    return "(" + ",".join(f"e_{chart.coord_names[j]}" for j in key) + ")"
-
-
-def _records_vector(slot: str, label: str, v: VectorField) -> list[dict[str, str]]:
-    chart = v.chart
-    if v.is_zero:
-        return [{"basis": label, "slot": slot, "value": "0"}]
-    return [
-        {"basis": f"{label}->{_basis_label(chart, j)}", "slot": slot, "value": str(c)}
-        for j, c in enumerate(v.components)
-        if not c.is_zero
-    ]
-
-
-def _records_vvf(slot: str, form: VectorValuedForm) -> list[dict[str, str]]:
-    chart = form.chart
-    if form.is_zero:
-        return [{"basis": "", "slot": slot, "value": "0"}]
-    out = []
-    for j, comp in enumerate(form.components):
-        for key in sorted(comp.coeffs):
-            value = comp.coeffs[key]
-            out.append(
-                {
-                    "basis": f"{_pair_label(chart, key)}->{_basis_label(chart, j)}",
-                    "slot": slot,
-                    "value": str(value),
-                }
-            )
-    return out
-
-
-def _records_labelled_vectors(
-    slot: str, items: Sequence[tuple[str, VectorField]]
-) -> list[dict[str, str]]:
+def _records(slot: str, items: Iterable[tuple[str, Any]]) -> list[dict[str, str]]:
+    """The report rows of (label, residual) pairs: a scalar gives one row as is,
+    a zero tensor one "0" row, and any other tensor one row per nonzero
+    component. A vector field's row reads ``label->d/dx``, a fiber form's
+    ``label->(s1,s2)`` and a vector-valued form's ``(e_x,e_y)->d/dx``, whose
+    label is "" (form components in sorted key order)."""
     out = []
     for label, residual in items:
-        out.extend(_records_vector(slot, label, residual))
+        if isinstance(residual, ScalarExpr):
+            rows = [(label, residual)]
+        elif residual.is_zero:
+            rows = [(label, "0")]
+        elif isinstance(residual, VectorField):
+            names = residual.chart.coord_names
+            rows = [
+                (f"{label}->d/d{names[j]}", c)
+                for j, c in enumerate(residual.components)
+                if not c.is_zero
+            ]
+        elif isinstance(residual, KForm):
+            rows = [
+                (label + "->(" + ",".join(f"s{a + 1}" for a in key) + ")", value)
+                for key, value in sorted(residual.coeffs.items())
+            ]
+        else:
+            names = residual.chart.coord_names
+            rows = [
+                ("(" + ",".join(f"e_{names[i]}" for i in key) + f")->d/d{names[j]}", value)
+                for j, comp in enumerate(residual.components)
+                for key, value in sorted(comp.coeffs.items())
+            ]
+        out.extend({"basis": basis, "slot": slot, "value": str(v)} for basis, v in rows)
     return out
-
-
-def _records_fiber_form(slot: str, label: str, form: KForm) -> list[dict[str, str]]:
-    if form.is_zero:
-        return [{"basis": label, "slot": slot, "value": "0"}]
-    out = []
-    for key in sorted(form.coeffs):
-        value = form.coeffs[key]
-        basis = label + "->(" + ",".join(f"s{a + 1}" for a in key) + ")"
-        out.append({"basis": basis, "slot": slot, "value": str(value)})
-    return out
-
-
-def _records_scalar(slot: str, label: str, value: ScalarExpr) -> list[dict[str, str]]:
-    return [{"basis": label, "slot": slot, "value": str(value)}]
 
 
 def _matrix_strings(form: VectorValuedForm) -> list[list[str]]:
@@ -511,14 +474,11 @@ def _matrix_strings(form: VectorValuedForm) -> list[list[str]]:
 
 
 def _form_fragment(form: VectorValuedForm) -> dict[str, Any]:
-    chart = form.chart
-    entries: dict[str, list[str]] = {}
-    keys = set()
-    for comp in form.components:
-        keys.update(k for k, v in comp.coeffs.items() if not v.is_zero)
-    for key in sorted(keys):
+    zero = form.chart.zero
+    entries = {}
+    for key in sorted(set().union(*(comp.coeffs for comp in form.components))):
         entries[",".join(str(j + 1) for j in key)] = [
-            str(comp.coeffs.get(key, chart.zero)) for comp in form.components
+            str(comp.coeffs.get(key, zero)) for comp in form.components
         ]
     return {"degree": form.degree, "entries": entries}
 
@@ -588,10 +548,19 @@ def _build(manifest: Manifest, d: dict[str, Any]) -> tuple[TangentAlgebroid, dic
 
 def _axiom_records(manifest: Manifest, alg: TangentAlgebroid) -> list[dict[str, str]]:
     report = check_axioms(alg, probe_degree=manifest.probe_degree, seed=manifest.seed)
-    out = _records_labelled_vectors("jacobi", report.jacobi)
-    out += _records_labelled_vectors("leibniz", report.leibniz)
-    out += _records_labelled_vectors("anchor", report.anchor_morphism)
-    return out
+    return (
+        _records("jacobi", report.jacobi)
+        + _records("leibniz", report.leibniz)
+        + _records("anchor", report.anchor_morphism)
+    )
+
+
+def _cohomology_records(prefix: str, alg: TangentAlgebroid) -> list[dict[str, str]]:
+    report = check_cohomology(alg)
+    return (
+        _records(f"{prefix}condition1", [("", report.condition1)])
+        + _records(f"{prefix}condition2", [("", report.condition2)])
+    )
 
 
 def _check_recipe(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
@@ -601,14 +570,11 @@ def _check_recipe(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
 
 def _check_torsion(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
     torsion = nijenhuis_torsion(_lookup(manifest, d, "endo"))
-    return _records_vvf("torsion", torsion), {}
+    return _records("torsion", [("", torsion)]), {}
 
 
 def _check_cohomology(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
-    report = check_cohomology(_lookup(manifest, d, "algebroid"))
-    records = _records_vvf("condition1", report.condition1)
-    records += _records_vvf("condition2", report.condition2)
-    return records, {}
+    return _cohomology_records("", _lookup(manifest, d, "algebroid")), {}
 
 
 def _check_axioms(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
@@ -618,34 +584,31 @@ def _check_axioms(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
 def _check_foliation(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
     gamma = _lookup(manifest, d, "endo")
     data = foliation_connection(gamma)
-    records = _records_labelled_vectors("bracket_table", data.bracket_table)
     _, d2m1, d01 = _d_components(gamma, data.curvature)
-    for label, piece in (("d_{2,-1}", d2m1), ("d_{0,1}", d01)):
-        report = check_cohomology(piece)
-        records += _records_vvf(f"{label}.condition1", report.condition1)
-        records += _records_vvf(f"{label}.condition2", report.condition2)
-    details = {"curvature": _form_fragment(data.curvature)}
-    return records, details
+    records = (
+        _records("bracket_table", data.bracket_table)
+        + _cohomology_records("d_{2,-1}.", d2m1)
+        + _cohomology_records("d_{0,1}.", d01)
+    )
+    return records, {"curvature": _form_fragment(data.curvature)}
 
 
 def _check_bundle(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
     report = check_bundle_axioms(_lookup(manifest, d, "bundle_algebroid"))
-    records = []
-    for label, residual in report.d2_on_coordinates:
-        records.extend(_records_fiber_form("d2_on_coordinates", label, residual))
-    for label, residual in report.d2_on_covectors:
-        records.extend(_records_fiber_form("d2_on_covectors", label, residual))
-    records += _records_labelled_vectors("anchor", report.anchor_morphism)
-    for label, residual in report.jacobi:
-        records.extend(_records_scalar("jacobi", label, residual))
+    records = (
+        _records("d2_on_coordinates", report.d2_on_coordinates)
+        + _records("d2_on_covectors", report.d2_on_covectors)
+        + _records("anchor", report.anchor_morphism)
+        + _records("jacobi", report.jacobi)
+    )
     return records, {}
 
 
 def _check_decompose(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
     alg = _lookup(manifest, d, "algebroid")
     derivation = derivation_from_algebroid(alg)
-    records = _records_vvf("K_residual", derivation.anchor - alg.anchor)
-    records += _records_vvf("L_residual", derivation.correction - alg.correction)
+    records = _records("K_residual", [("", derivation.anchor - alg.anchor)])
+    records += _records("L_residual", [("", derivation.correction - alg.correction)])
     details = {
         "K_matrix": _matrix_strings(derivation.anchor),
         "L": _form_fragment(derivation.correction),
@@ -658,7 +621,7 @@ def _check_isomorphism(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dic
     residuals = verify_trivial_isomorphism(
         alg, seed=manifest.seed, probe_degree=manifest.probe_degree
     )
-    return _records_labelled_vectors("isomorphism", residuals), {}
+    return _records("isomorphism", residuals), {}
 
 
 _DISPATCH: dict[str, Callable[[Manifest, dict[str, Any]], tuple[list, dict]]] = {
@@ -711,21 +674,14 @@ def run_check(manifest: Manifest, descriptor: dict[str, Any]) -> CheckRecord:
 # ---------------------------------------------------------------------------
 
 
-def _overall_status(records: Sequence[CheckRecord]) -> str:
-    if any(r.status == "error" for r in records):
-        return "error"
-    if any(r.status == "fail" for r in records):
-        return "fail"
-    return "pass"
-
-
-def _exit_code(status: str) -> int:
-    return {"pass": EXIT_PASS, "fail": EXIT_FAIL, "error": EXIT_ERROR}[status]
+#: A report's exit code by its status, the most severe of its checks' statuses.
+_EXIT_CODES = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "error": EXIT_ERROR}
 
 
 def emit(manifest: Manifest, records: Sequence[CheckRecord], fmt: str) -> tuple[str, int]:
     """Render the report and compute the exit code."""
-    status = _overall_status(records)
+    status = max((r.status for r in records), key=_EXIT_CODES.__getitem__, default="pass")
+    code = _EXIT_CODES[status]
     if fmt == "json":
         doc = {
             "checks": [r.as_json() for r in records],
@@ -736,7 +692,7 @@ def emit(manifest: Manifest, records: Sequence[CheckRecord], fmt: str) -> tuple[
             "seed": manifest.seed,
             "status": status,
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n", _exit_code(status)
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n", code
 
     lines = [
         f"manifest: {manifest.path}",
@@ -757,7 +713,7 @@ def emit(manifest: Manifest, records: Sequence[CheckRecord], fmt: str) -> tuple[
                     f"    {residual['slot']} {residual['basis']}: {residual['value']}"
                 )
     lines += ["-" * 72, f"overall: {status}"]
-    return "\n".join(lines) + "\n", _exit_code(status)
+    return "\n".join(lines) + "\n", code
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Cofactor-based inverses are adequate here: chart dimensions stay at desk
 scale (<= 6). The determinant is :func:`fncalc.calculus.det`, which form
-evaluation also uses; it is re-exported here.
+evaluation also uses.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Sequence
 from .calculus import CalculusError, Chart, det
 from .scalar import ScalarExpr
 
-__all__ = ["det", "inverse", "column_space_basis", "SingularMatrixError"]
+__all__ = ["inverse", "column_space_basis", "SingularMatrixError"]
 
 
 class SingularMatrixError(CalculusError):

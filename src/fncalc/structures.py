@@ -274,10 +274,9 @@ def _adapted_frames(
 
 @dataclass(frozen=True)
 class FoliationData:
-    """Curvature, algebroid and bracket-table residuals of an Ehresmann projector."""
+    """Curvature, adapted frames and bracket-table residuals of an Ehresmann projector."""
 
     curvature: VectorValuedForm
-    algebroid: TangentAlgebroid
     horizontal: tuple[VectorField, ...]
     vertical: tuple[VectorField, ...]
     bracket_table: tuple[tuple[str, VectorField], ...]
@@ -310,13 +309,7 @@ def foliation_connection(gamma: VectorValuedForm) -> FoliationData:
         table.append(
             (f"(v{a + 1},v{b + 1})", alg.bracket(vertical[a], vertical[b]) - expected)
         )
-    return FoliationData(
-        curvature,
-        alg,
-        tuple(horizontal),
-        tuple(vertical),
-        tuple(table),
-    )
+    return FoliationData(curvature, tuple(horizontal), tuple(vertical), tuple(table))
 
 
 @dataclass(frozen=True)

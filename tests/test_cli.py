@@ -128,6 +128,24 @@ class TestLoadManifest:
         assert str(balg.structure_component(0, 1, 0)) == "1"
         assert str(balg.structure_component(1, 0, 0)) == "-1"
 
+    @pytest.mark.parametrize(
+        "coords, anchor, message",
+        [
+            (["x", "y", "z"], [["1", "0", "0"]] * 3, "expected 2 rows"),
+            (["x", "y"], [["1"], ["0", "1"]], "row 1 must have 2 entries"),
+        ],
+    )
+    def test_bundle_anchor_shape(self, tmp_path, coords, anchor, message):
+        """A rank-2 anchor needs 2 rows of one entry per coordinate."""
+        doc = {
+            "chart": {"coords": coords},
+            "bundle_algebroids": {"B": {"rank": 2, "anchor": anchor}},
+            "checks": [],
+        }
+        with pytest.raises(ManifestError) as exc:
+            load_manifest(write_manifest(tmp_path, doc))
+        assert str(exc.value) == f"bundle_algebroids.B.anchor: {message}"
+
 
 class TestRunCheck:
     def test_torsion_fixture_value(self, tmp_path):
@@ -243,6 +261,34 @@ class TestEmitAndExitCodes:
         path = write_manifest(tmp_path, doc)
         main(["verify", path, "--format", "json", "--seed", "11"])
         assert json.loads(capsys.readouterr().out)["seed"] == 11
+
+    @pytest.mark.parametrize("manifest_name", sorted(p.name for p in MANIFESTS.glob("*.json")))
+    def test_text_rows_match_json_records(self, capsys, manifest_name):
+        """Each check's table row carries its JSON status, and the lines under
+        it are its error message and its nonzero JSON records, in order."""
+        path = str(MANIFESTS / manifest_name)
+        main(["verify", path, "--format", "json"])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        main(["verify", path])
+        lines = capsys.readouterr().out.splitlines()
+        rows: list[tuple[str, list[str]]] = []
+        for line in lines[lines.index("-" * 72) + 1 : -2]:
+            if line.startswith("    "):
+                rows[-1][1].append(line)
+            else:
+                rows.append((line, []))
+        assert len(rows) == len(checks)
+        for (row, below), check in zip(rows, checks):
+            prefix = f"{check['name']:<28} {check['construction']:<24} "
+            assert row.startswith(prefix)
+            assert row[len(prefix) :].split()[0] == check["status"]
+            expected = [f"    error: {check['message']}"] if "message" in check else []
+            expected += [
+                f"    {r['slot']} {r['basis']}: {r['value']}"
+                for r in check["residuals"]
+                if r["value"] != "0"
+            ]
+            assert below == expected
 
 
 class TestHostileManifests:
