@@ -218,8 +218,14 @@ def _parse_form(chart: Chart, spec: Any, where: str) -> VectorValuedForm:
     entries = spec.get("entries", {})
     _expect(isinstance(entries, dict), f"{where}: entries must be an object")
     comps: list[dict[tuple[int, ...], ScalarExpr]] = [dict() for _ in range(chart.dim)]
+    keys: dict[tuple[int, ...], str] = {}
     for key, value in entries.items():
         idx = _parse_multi_index(key, degree, chart.dim, where)
+        if idx in keys:
+            raise ManifestError(
+                f"{where}: multi-indices {_quote(keys[idx])} and {_quote(key)} are the same"
+            )
+        keys[idx] = key
         _expect(
             isinstance(value, list) and len(value) == chart.dim,
             f"{where}: entry {_quote(key)} needs {chart.dim} components",

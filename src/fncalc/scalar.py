@@ -31,8 +31,10 @@ dependency beyond the standard library: sums, products, powers,
 derivatives, and the multivariate gcd that cancels a non-constant
 denominator (the subresultant pseudo-remainder sequence, recursive in the
 coordinates, the same code over Z and Z[i]). Parsing, printing and the
-``GaussianRational`` constant type are defined here too. Scalars are never
-evaluated at points: every identity is decided on canonical forms.
+``GaussianRational`` constant type are defined here too; the parser folds
+each product of integers, coordinates and powers into one (key, coefficient)
+term and adds the terms of a sum into one polynomial in place. Scalars are
+never evaluated at points: every identity is decided on canonical forms.
 """
 
 from __future__ import annotations
@@ -92,10 +94,6 @@ class GaussianRational:
 
     re: Fraction = _FRACTION_ZERO
     im: Fraction = _FRACTION_ZERO
-
-    @staticmethod
-    def of(re, im=0) -> "GaussianRational":
-        return GaussianRational(Fraction(re), Fraction(im))
 
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
@@ -319,8 +317,14 @@ def _add(a: dict, b: dict, negate: bool = False) -> dict:
     if len(a) < len(b):
         a, b = b, a
     out = dict(a)
+    _add_into(out, b.items())
+    return out
+
+
+def _add_into(out: dict, terms) -> None:
+    """Add the ``(key, coefficient)`` pairs ``terms`` into ``out`` in place."""
     get = out.get
-    for m, c in b.items():
+    for m, c in terms:
         s = get(m)
         if s is None:
             out[m] = c
@@ -330,7 +334,6 @@ def _add(a: dict, b: dict, negate: bool = False) -> dict:
                 out[m] = s
             else:
                 del out[m]
-    return out
 
 
 def _neg(a: dict) -> dict:
@@ -758,10 +761,6 @@ class ScalarExpr:
         one = ring.one.den
         return ScalarExpr(ring, {key: one[0]}, one, _canonical=True)
 
-    @staticmethod
-    def imaginary_unit(ring: CoordinateRing) -> "ScalarExpr":
-        return ScalarExpr.constant(ring, GaussianRational.of(0, 1))
-
     def in_ring(self, ring: CoordinateRing) -> "ScalarExpr":
         """This value over ``ring``: the same coordinates, over Z or Z[i].
 
@@ -991,29 +990,36 @@ def _poly_str(poly: dict, ring: CoordinateRing, lc) -> str:
 # factor := '-' factor | base ('^' uint)?
 # base   := int | 'i' | var | '(' expr ')'
 #
-# Parentheses and unary minus nest at most MAX_NESTING deep, an exponent is
-# at most MAX_EXPONENT, and no operation may build more than MAX_TERMS terms.
+# Integers are ASCII digits. Parentheses and unary minus nest at most
+# MAX_NESTING deep, an exponent is at most MAX_EXPONENT, and no operation may
+# build more than MAX_TERMS terms.
+#
+# A factor of integers, coordinates, i, powers and unary minus is a monomial
+# (key, coefficient) term, so a product of two is one key sum and one
+# multiplication; a sum adds its terms over denominator 1 into one dict.
+# The first parenthesised or divided factor, and the first term over another
+# denominator, hand the value so far to ScalarExpr arithmetic. Both paths
+# bound each operation by the same term counts at the same positions.
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
+    r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
 )
 
 
 def _tokenize(text: str):
-    pos = 0
     tokens = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad = len(text) - len(stripped)
-            raise ExprSyntaxError(f"unexpected character {text[bad]!r}", bad)
+    pos = 0
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:  # a character that starts no token
+            break
         kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
+        tokens.append((kind, m[kind], m.start(kind)))
         pos = m.end()
+    rest = text[pos:].lstrip()
+    if rest:
+        bad = len(text) - len(rest)
+        raise ExprSyntaxError(f"unexpected character {text[bad]!r}", bad)
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -1100,81 +1106,121 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected token {value!r}", pos)
         return result
 
+    def scalar(self, value) -> ScalarExpr:
+        """A parsed value as a ScalarExpr: a monomial term, or a polynomial
+        dict of the parser's own, is over denominator 1."""
+        if type(value) is tuple:
+            value = dict(self.polynomial(value))
+        if type(value) is dict:
+            return ScalarExpr(self.ring, value, self.ring.one.den, _canonical=True)
+        return value
+
+    def polynomial(self, value):
+        """The terms of a parsed value over denominator 1, or None."""
+        if type(value) is tuple:
+            return (value,) if value[1] else ()
+        return value.num.items() if value.den == self.ring.one.den else None
+
     def expr(self) -> ScalarExpr:
         value = self.term()
-        while True:
-            kind, op, pos = self.peek()
-            if kind == "op" and op in "+-":
-                self.advance()
-                rhs = self.term()
+        terms = self.polynomial(value)
+        # the sum so far while every term is over denominator 1, else None
+        num = None if terms is None else dict(terms)
+        kind, op, pos = self.peek()
+        while kind == "op" and op in "+-":
+            self.advance()
+            rhs = self.term()
+            terms = None if num is None else self.polynomial(rhs)
+            if terms is not None:
+                # the sum's terms and denominator plus the term's, as _plus counts them
+                self.bounded(len(num) + len(terms) + 2, pos)
+                _add_into(num, [(m, -c) for m, c in terms] if op == "-" else terms)
+            else:
+                if num is not None:
+                    value, num = self.scalar(num), None
+                rhs = self.scalar(rhs)
                 if value.den == rhs.den:
                     self.bounded(_terms(value) + _terms(rhs), pos)
                 else:
                     self.bounded(_terms(value) * _terms(rhs), pos)
                 value = value + rhs if op == "+" else value - rhs
-            else:
-                return value
+            kind, op, pos = self.peek()
+        return value if num is None else self.scalar(num)
 
-    def term(self) -> ScalarExpr:
+    def term(self):
+        """A product: a monomial ``(key, coefficient)`` term while every factor
+        is one, else a ScalarExpr."""
         value = self.factor()
         while True:
             kind, op, pos = self.peek()
-            if kind == "op" and op in "*/":
-                self.advance()
-                rhs = self.factor()
-                self.bounded(_terms(value) * _terms(rhs), pos)
-                if op == "*":
-                    value = value * rhs
-                else:
-                    if rhs.is_zero:
-                        raise DivisionByZeroError(
-                            f"division by zero (at position {pos})"
-                        )
-                    value = value / rhs
-            else:
+            if kind != "op" or op not in "*/":
                 return value
+            self.advance()
+            rhs = self.factor()
+            if op == "*" and type(value) is tuple and type(rhs) is tuple:
+                value = value[0] + rhs[0], value[1] * rhs[1]
+                if value[1] and value[0] >= self.ring._key_limit:  # as in _mul
+                    raise _too_large(self.ring)
+                continue
+            value, rhs = self.scalar(value), self.scalar(rhs)
+            self.bounded(_terms(value) * _terms(rhs), pos)
+            if op == "*":
+                value = value * rhs
+            else:
+                if rhs.is_zero:
+                    raise DivisionByZeroError(f"division by zero (at position {pos})")
+                value = value / rhs
 
-    def factor(self) -> ScalarExpr:
+    def factor(self):
         kind, value, pos = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return -self.nested(self.factor, pos)
+            inner = self.nested(self.factor, pos)
+            return (inner[0], -inner[1]) if type(inner) is tuple else -inner
         base = self.base()
         kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            kind, value, pos = self.peek()
-            if kind != "int":
-                raise ExprSyntaxError("expected a nonnegative integer exponent", pos)
-            self.advance()
-            exponent = _int_literal(value, pos)
-            if exponent > MAX_EXPONENT:
-                raise ExprSyntaxError(
-                    f"exponent {exponent} is larger than {MAX_EXPONENT}", pos
-                )
-            self.bounded(
-                _power_terms(base.num, exponent) + _power_terms(base.den, exponent),
-                pos,
+        if kind != "op" or value != "^":
+            return base
+        self.advance()
+        kind, value, pos = self.peek()
+        if kind != "int":
+            raise ExprSyntaxError("expected a nonnegative integer exponent", pos)
+        self.advance()
+        exponent = _int_literal(value, pos)
+        if exponent > MAX_EXPONENT:
+            raise ExprSyntaxError(
+                f"exponent {exponent} is larger than {MAX_EXPONENT}", pos
             )
-            return base**exponent
-        return base
+        if type(base) is tuple:
+            # degree at most MAX_EXPONENT, far below the key limit; 0^0 = 1
+            # as in ScalarExpr.__pow__
+            if not exponent:
+                return 0, self.ring.domain.one
+            return base[0] * exponent, base[1] ** exponent
+        self.bounded(
+            _power_terms(base.num, exponent) + _power_terms(base.den, exponent), pos
+        )
+        return base**exponent
 
-    def base(self) -> ScalarExpr:
+    def base(self):
+        """A monomial ``(key, coefficient)`` term, or a parenthesised sum."""
         kind, value, pos = self.advance()
+        ring = self.ring
         if kind == "int":
-            return ScalarExpr.constant(self.ring, _int_literal(value, pos))
+            return 0, ring.domain.of_int(_int_literal(value, pos))
         if kind == "name":
             if value == "i":
-                if not self.ring.allow_imaginary:
+                if not ring.allow_imaginary:
                     raise ImaginaryNotAllowedError(
                         f"imaginary unit at position {pos} on a real chart"
                     )
-                return ScalarExpr.imaginary_unit(self.ring)
-            if value not in self.ring.names:
+                return 0, ring.domain.of_parts(0, 1)
+            shift = ring._shifts.get(value)
+            if shift is None:
                 raise UnknownVariableError(
                     f"unknown variable {value!r} at position {pos}"
                 )
-            return ScalarExpr.variable(self.ring, value)
+            return (1 << ring._degree_shift) | (1 << shift), ring.domain.one
         if kind == "op" and value == "(":
             inner = self.nested(self.expr, pos)
             self.expect_op(")")

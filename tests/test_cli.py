@@ -537,6 +537,15 @@ class TestHostileManifests:
         doc = n_manifest(forms={"F": {"degree": value, "entries": {}}})
         self.assert_manifest_error(tmp_path, capsys, doc)
 
+    def test_repeated_form_multi_index(self, tmp_path, capsys):
+        """Two keys that read as one multi-index are refused, not overwritten."""
+        entries = {"1,2": ["x", "0", "0", "0"], "1, 2": ["y", "0", "0", "0"]}
+        doc = n_manifest(forms={"F": {"degree": 2, "entries": entries}})
+        with pytest.raises(ManifestError) as exc:
+            load_manifest(write_manifest(tmp_path, doc))
+        assert str(exc.value) == "forms.F: multi-indices '1,2' and '1, 2' are the same"
+        self.assert_manifest_error(tmp_path, capsys, doc)
+
     def test_crash_in_a_check_exits_two(self, tmp_path, capsys, monkeypatch):
         def crash(N):
             raise RuntimeError("boom")

@@ -119,6 +119,10 @@ class TestParser:
             ("(x+1", "expected ')'", 4),
             ("x)", "unexpected token", 1),
             ("x^y", "nonnegative integer exponent", 2),
+            # integers are ASCII digits only
+            ("\uff11", "unexpected character", 0),
+            ("x + \u0662*y", "unexpected character", 4),
+            ("x^\u0663", "unexpected character", 2),
         ]
         for text, message, position in cases:
             with pytest.raises(ExprSyntaxError) as exc:
@@ -187,6 +191,55 @@ class TestParser:
     def test_integer_literal_too_long(self):
         with pytest.raises(ExprSyntaxError, match="too long"):
             expr("9" * 5000)
+
+    @staticmethod
+    def flat_sum(count: int) -> str:
+        """``count`` distinct monomials ``x^a*y^b`` joined by ``+``."""
+        return " + ".join(f"x^{k // 45}*y^{k % 45}" for k in range(count))
+
+    def test_flat_sum_term_limit(self):
+        # the running sum has t + 1 terms and a monomial 2: t + 3 <= MAX_TERMS
+        assert len(expr(self.flat_sum(MAX_TERMS - 2)).num) == MAX_TERMS - 2
+        text = self.flat_sum(MAX_TERMS - 1)
+        plus = [k for k, ch in enumerate(text) if ch == "+"][MAX_TERMS - 3]
+        with pytest.raises(ExprSyntaxError, match=f"more than {MAX_TERMS} terms") as exc:
+            expr(text)
+        assert exc.value.position == plus
+
+    def test_product_with_a_long_sum_term_limit(self):
+        # 2 terms of x times 1,000 + 1 of the sum
+        with pytest.raises(ExprSyntaxError, match=f"more than {MAX_TERMS} terms") as exc:
+            expr(f"x*({self.flat_sum(1000)})")
+        assert exc.value.position == 1
+
+    def test_monomial_product_past_the_field_width(self):
+        with pytest.raises(ScalarError, match=f"total degree 2\\^{EXPONENT_BITS} or more"):
+            expr("*".join(["x^64"] * 1024))
+
+    def test_long_cancelling_chain(self):
+        text = "x" + "".join(" - x" if k % 2 else " + x" for k in range(1, 3000))
+        assert expr(text).is_zero
+        assert expr(text + " + y") == expr("y")
+
+    def test_zero_factor(self):
+        assert expr("0*x + y") == expr("y")
+        assert expr("0*x + y", allow_imaginary=False) == expr("y", allow_imaginary=False)
+
+    @pytest.mark.parametrize("gaussian", [False, True], ids=["real", "complex"])
+    def test_parsing_leaves_shared_values_alone(self, gaussian):
+        ring = coordinate_ring(VARS, gaussian)
+
+        def snapshot(value):
+            return dict(value.num), dict(value.den)
+
+        earlier = [expr(t, allow_imaginary=gaussian) for t in ("x", "1", "x + 1", "-y")]
+        before = [snapshot(v) for v in [ring.one, ring.zero] + earlier]
+        for text in (
+            "x + x", "1 + 1 + x", "x*y + x - x", "(x + 1) + x - 1", "-x + 2*x",
+            "x - x", "y + (x + 1)*(x - 1)", "x^2 + x/2 + 1", "1 - 1 + y^0",
+        ):
+            expr(text, allow_imaginary=gaussian)
+        assert [snapshot(v) for v in [ring.one, ring.zero] + earlier] == before
 
 
 # Randomized structure tests: small polynomial expressions built from a pool.
@@ -405,6 +458,83 @@ def test_kernel_matches_field_reference(gaussian):
     check()
 
 
+@st.composite
+def flat_sums(draw, gaussian: bool):
+    """``(text, tree)`` of an unparenthesised ± chain of products of integers
+    (0, 1 and multi-digit), coordinates, ``i`` on a complex chart, their
+    powers and unary minus. About one factor in ten is a parenthesised tree
+    and one in six is a divisor, so the parser hands the value so far to
+    ScalarExpr arithmetic in mid-term and in mid-sum."""
+    bases, parenthesised, divisors = FLAT_PARTS[gaussian]
+
+    def factor():
+        if draw(st.integers(0, 9)) == 0:
+            tree = draw(parenthesised)
+            text = tree_text(tree)
+        else:
+            base = draw(bases)
+            text, tree = (str(base), _c(base)) if isinstance(base, int) else (base[-1], base)
+            if draw(st.booleans()):
+                k = draw(st.integers(0, 4))
+                text, tree = f"{text}^{k}", ("^", tree, k)
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            text, tree = f"-{text}", ("-", _c(0), tree)
+        return text, tree
+
+    def term():
+        text, tree = factor()
+        for _ in range(draw(st.integers(0, 3))):
+            if draw(st.integers(0, 5)) == 0:
+                rhs_text, rhs = draw(divisors)
+                text, tree = f"{text}/{rhs_text}", ("/", tree, rhs)
+            else:
+                rhs_text, rhs = factor()
+                text, tree = f"{text}*{rhs_text}", ("*", tree, rhs)
+        return text, tree
+
+    text, tree = term()
+    for _ in range(draw(st.integers(0, 6))):
+        op = draw(st.sampled_from("+-"))
+        rhs_text, rhs = term()
+        text, tree = f"{text} {op} {rhs_text}", (op, tree, rhs)
+    return text, tree
+
+
+#: per domain: monomial bases, parenthesised factors, and divisors with their text
+FLAT_PARTS = {
+    gaussian: (
+        st.one_of(
+            st.sampled_from([X, Y, I] if gaussian else [X, Y]),
+            st.sampled_from([0, 1]),
+            st.integers(2, 10**12),
+        ),
+        trees(gaussian),
+        st.sampled_from(
+            [(tree_text(d), d) for d in (GAUSSIAN_DIVISORS if gaussian else REAL_DIVISORS)]
+            + [("x", X), ("7", _c(7)), ("y^2", ("^", Y, 2))]
+        ),
+    )
+    for gaussian in (False, True)
+}
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["real", "complex"])
+def test_flat_sums_match_field_reference(gaussian):
+    """Flat sums take the parser's monomial and in-place sum paths."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(flat_sums(gaussian), flat_sums(gaussian))
+    def check(a, b):
+        (text_a, tree_a), (text_b, tree_b) = a, b
+        va, vb = expr(text_a, allow_imaginary=gaussian), expr(text_b, allow_imaginary=gaussian)
+        ra, rb = ref_value(tree_a, gaussian), ref_value(tree_b, gaussian)
+        assert str(va) == ref_str(*ra, gaussian)
+        assert (va == vb) == (ra == rb)
+        assert va == kernel_value(tree_a, gaussian)  # every operation parenthesised
+
+    check()
+
+
 class TestIntegerKernel:
     """Pinned values of the canonical form over Z and Z[i]."""
 
@@ -413,7 +543,7 @@ class TestIntegerKernel:
         half = expr("(1+i)/2")
         assert str(half) == "1/2+1/2*i"
         assert half == expr("1/(1-i)")
-        half_gr = GaussianRational.of(Fraction(1, 2), Fraction(1, 2))
+        half_gr = GaussianRational(Fraction(1, 2), Fraction(1, 2))
         assert half == ScalarExpr.constant(half.ring, half_gr)
         assert half.den == {0: _GaussianInt(1, 1)}
 
