@@ -9,7 +9,6 @@ decide mathematical equality, so every identity check is exact.
 from .scalar import (
     DivisionByZeroError,
     ExprSyntaxError,
-    GaussianRational,
     ImaginaryNotAllowedError,
     ScalarError,
     ScalarExpr,

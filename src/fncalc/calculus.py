@@ -66,6 +66,8 @@ class Chart:
 
     ``ring`` is the chart's coordinate ring: over Z for a real chart, over
     Z[i] for a complexified one, so its scalars range over Q(x) or Q(i)(x).
+    Fields and forms take only coefficients on ``ring``: a real form reaches
+    the complexified chart through :func:`complexify_vvf`.
     """
 
     coord_names: tuple[str, ...]
@@ -124,6 +126,10 @@ def _check_chart(a, b) -> None:
         raise ChartMismatchError(f"chart mismatch: {a.chart} vs {b.chart}")
 
 
+def _off_chart(value: ScalarExpr, chart: Chart) -> ChartMismatchError:
+    return ChartMismatchError(f"coefficient on {value.ring}, not on the chart's {chart.ring}")
+
+
 class VectorField:
     """A vector field, stored by its components along the coordinate frame."""
 
@@ -135,13 +141,12 @@ class VectorField:
             raise CalculusError(
                 f"{len(components)} components on a chart of dimension {chart.dim}"
             )
-        # Scalars move onto the chart's ring: real ones embed into Q(i), and
-        # Q(i) ones with an imaginary part are refused on a real chart.
         ring = chart.ring
+        for c in components:
+            if c.ring is not ring:
+                raise _off_chart(c, chart)
         self.chart = chart
-        self.components = tuple(
-            c if c.ring is ring else c.in_ring(ring) for c in components
-        )
+        self.components = components
 
     @staticmethod
     def zero(chart: Chart) -> "VectorField":
@@ -169,11 +174,10 @@ class VectorField:
 
     def __call__(self, f: ScalarExpr) -> ScalarExpr:
         """Directional derivative X(f)."""
-        # a Q(i) function on a real chart's field has a Q(i) derivative
-        ring = f.ring if f.ring.allow_imaginary else self.chart.ring
         pairs = zip(self.components, self.chart.coord_names)
         return ScalarExpr.sum_of_products(
-            ring, ((c, f.partial(name), False) for c, name in pairs if not c.is_zero)
+            self.chart.ring,
+            ((c, f.partial(name), False) for c, name in pairs if not c.is_zero),
         )
 
     @property
@@ -231,8 +235,10 @@ class KForm:
                 raise CalculusError(f"bad multi-index {key} for degree {degree}")
             if key and (key[0] < 0 or key[-1] >= n):
                 raise CalculusError(f"multi-index {key} out of range")
+            if value.ring is not ring:
+                raise _off_chart(value, chart)
             if not value.is_zero:
-                clean[key] = value if value.ring is ring else value.in_ring(ring)
+                clean[key] = value
         self.chart = chart
         self.degree = degree
         self.coeffs = clean
@@ -720,5 +726,8 @@ def contracted_bracket(
 def complexify_vvf(K: VectorValuedForm) -> VectorValuedForm:
     """The same vector-valued form regarded on the complexified chart."""
     chart = K.chart.complexify()
-    comps = [KForm(chart, K.degree, dict(c.coeffs)) for c in K.components]
+    comps = [
+        KForm(chart, K.degree, {key: v.complexified() for key, v in c.coeffs.items()})
+        for c in K.components
+    ]
     return VectorValuedForm(chart, K.degree, comps)

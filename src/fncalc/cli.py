@@ -194,11 +194,21 @@ def _parse_matrix(chart: Chart, rows: Any, n_rows: int, where: str) -> list[list
     return mat
 
 
-def _parse_multi_index(key: str, degree: int, dim: int, where: str) -> tuple[int, ...]:
+#: comma-separated indices of ASCII digits, each with optional spaces around it
+_INDICES_RE = re.compile(r" *[0-9]+ *(?:, *[0-9]+ *)*")
+
+
+def _read_indices(text: str) -> tuple[int, ...] | None:
+    """The indices listed in ``text``, or None unless it matches ``_INDICES_RE``."""
     try:
-        parts = tuple(int(p) for p in key.split(","))
-    except ValueError:
-        raise ManifestError(f"{where}: bad multi-index {_quote(key)}") from None
+        return tuple(map(int, text.split(","))) if _INDICES_RE.fullmatch(text) else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
+def _parse_multi_index(key: str, degree: int, dim: int, where: str) -> tuple[int, ...]:
+    parts = _read_indices(key)
+    _expect(parts is not None, f"{where}: bad multi-index {_quote(key)}")
     _expect(
         len(parts) == degree, f"{where}: multi-index {_quote(key)} needs {degree} entries"
     )
@@ -265,10 +275,11 @@ def _resolve_correction(
 def _parse_structure_key(key: str, rank: int, where: str) -> tuple[int, int, int]:
     if not (key.startswith("c[") and key.endswith("]")):
         raise ManifestError(f"{where}: structure key {_quote(key)} must look like c[a,b,c]")
-    try:
-        a, b, c = (int(p) for p in key[2:-1].split(","))
-    except ValueError:
-        raise ManifestError(f"{where}: bad structure key {_quote(key)}") from None
+    parts = _read_indices(key[2:-1])
+    _expect(
+        parts is not None and len(parts) == 3, f"{where}: bad structure key {_quote(key)}"
+    )
+    a, b, c = parts
     _expect(
         all(1 <= p <= rank for p in (a, b, c)),
         f"{where}: indices in {_quote(key)} out of range",

@@ -12,10 +12,11 @@ and the leading coefficient of den, under graded-lex order, positive (or in
 the first quadrant). By Gauss's lemma this is the Q-monic form scaled by a
 constant, and only the printer divides by that constant: values print as a
 numerator over a monic denominator with rational (or Gaussian rational)
-coefficients. A real rational function has the same canonical form over Z
-and Z[i], so a real scalar that meets a Z[i] scalar on the same coordinates
-is embedded into Z[i], and equality and hashing compare values across the
-two domains.
+coefficients. A scalar's ring is fixed by its chart: arithmetic and
+``sum_of_products`` raise on operands of two rings, and scalars of two rings
+are never equal. ``ScalarExpr.complexified`` is the one crossing: it moves a
+real value to Z[i] on the same coordinates, where its canonical form is
+unchanged.
 
 A polynomial is a ``dict`` from a packed monomial to its nonzero
 coefficient, a Python ``int`` over Z and a ``_GaussianInt`` (a pair of
@@ -30,11 +31,11 @@ building and copying a scalar per term. All arithmetic is done here, with no
 dependency beyond the standard library: sums, products, powers,
 derivatives, and the multivariate gcd that cancels a non-constant
 denominator (the subresultant pseudo-remainder sequence, recursive in the
-coordinates, the same code over Z and Z[i]). Parsing, printing and the
-``GaussianRational`` constant type are defined here too; the parser folds
-each product of integers, coordinates and powers into one (key, coefficient)
-term and adds the terms of a sum into one polynomial in place. Scalars are
-never evaluated at points: every identity is decided on canonical forms.
+coordinates, the same code over Z and Z[i]). Parsing and printing are
+defined here too; the parser folds each product of integers, coordinates and
+powers into one (key, coefficient) term and adds the terms of a sum into one
+polynomial in place. Scalars are never evaluated at points: every identity is
+decided on canonical forms.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 from typing import Sequence
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "UnknownVariableError",
     "DivisionByZeroError",
     "ImaginaryNotAllowedError",
-    "GaussianRational",
     "CoordinateRing",
     "coordinate_ring",
     "ScalarExpr",
@@ -83,32 +82,6 @@ class DivisionByZeroError(ScalarError):
 
 class ImaginaryNotAllowedError(ScalarError):
     """The imaginary unit was used on a chart declared real."""
-
-
-_FRACTION_ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class GaussianRational:
-    """An exact complex number with rational real and imaginary parts."""
-
-    re: Fraction = _FRACTION_ZERO
-    im: Fraction = _FRACTION_ZERO
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise DivisionByZeroError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
-
-    def __str__(self) -> str:
-        return _complex_str(self.re, self.im)
 
 
 def _complex_str(re, im) -> str:
@@ -251,12 +224,13 @@ class CoordinateRing:
     x_1^e_1 ... x_n^e_n is the key (e_1 + ... + e_n) * 2^(B n) plus
     e_j * 2^(B (n - j)) for each j (see ``monomial``), so comparing keys
     compares total degrees first, then exponents from x_1 on: graded-lex
-    order. Instances are cached per variable tuple and domain,
-    so that all scalars of a chart share one ring; ``zero`` and ``one`` are
-    the ring's shared constant scalars.
+    order. ``coordinate_ring`` caches one instance per variable tuple and
+    domain, so that all scalars of a chart share one ring: scalars of one
+    value on two ring objects are unequal. ``zero`` and ``one`` are the ring's
+    shared constant scalars.
     """
 
-    def __init__(self, names: tuple[str, ...], allow_imaginary: bool = True):
+    def __init__(self, names: tuple[str, ...], allow_imaginary: bool):
         for name in names:
             if name == "i":
                 raise ValueError("'i' is reserved for the imaginary unit")
@@ -293,13 +267,11 @@ class CoordinateRing:
         return tuple((key >> shift) & _FIELD_MASK for shift in self._shifts.values())
 
     def __repr__(self) -> str:
-        return f"CoordinateRing{self.names}"
+        return f"CoordinateRing{self.names} over {'Z[i]' if self.allow_imaginary else 'Z'}"
 
 
 @lru_cache(maxsize=None)
-def coordinate_ring(
-    names: tuple[str, ...], allow_imaginary: bool = True
-) -> CoordinateRing:
+def coordinate_ring(names: tuple[str, ...], allow_imaginary: bool) -> CoordinateRing:
     """The cached ring of ``names`` over Z[i], or over Z if not ``allow_imaginary``."""
     return CoordinateRing(names, allow_imaginary)
 
@@ -442,19 +414,8 @@ def _lc(poly: dict):
     return poly[max(poly)]
 
 
-def _from_domain(coeff, ring: CoordinateRing) -> GaussianRational:
-    if ring.allow_imaginary:
-        return GaussianRational(Fraction(coeff.x), Fraction(coeff.y))
-    return GaussianRational(Fraction(coeff))
-
-
-def _hash_terms(poly: dict, ring: CoordinateRing) -> frozenset:
-    """The terms of ``poly`` with each real Z[i] coefficient hashed as its Z value."""
-    if ring.allow_imaginary:
-        return frozenset(
-            (m, (c.x, c.y) if c.y else c.x) for m, c in poly.items()
-        )
-    return frozenset(poly.items())
+def _mixed(a: CoordinateRing, b: CoordinateRing) -> ScalarError:
+    return ScalarError(f"mixed coordinate rings: {a} vs {b}")
 
 
 def _unit_normal(ring: CoordinateRing, num: dict, den: dict):
@@ -736,22 +697,14 @@ class ScalarExpr:
 
     @staticmethod
     def constant(ring: CoordinateRing, value) -> "ScalarExpr":
-        """The constant ``value``: an int, a ``Fraction`` or a ``GaussianRational``."""
-        if isinstance(value, GaussianRational):
-            re, im = value.re, value.im
-        else:
-            re, im = Fraction(value), _FRACTION_ZERO
-        if im and not ring.allow_imaginary:
-            raise ImaginaryNotAllowedError(f"constant {value} on a real chart")
-        # an integer numerator over the lcm of the denominators
-        d = lcm(re.denominator, im.denominator)
-        num = re.numerator * (d // re.denominator)
-        domain = ring.domain
-        if im:
-            num = domain.of_parts(num, im.numerator * (d // im.denominator))
-        else:
-            num = domain.of_int(num)
-        return ScalarExpr(ring, {0: num} if num else {}, {0: domain.of_int(d)})
+        """The constant ``value``: an int or a ``Fraction``, never a float."""
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"constant {value!r} is not an int or a Fraction")
+        # coprime integers with a positive denominator: canonical over Z and Z[i]
+        value = Fraction(value)
+        of_int = ring.domain.of_int
+        num = {0: of_int(value.numerator)} if value else {}
+        return ScalarExpr(ring, num, {0: of_int(value.denominator)}, _canonical=True)
 
     @staticmethod
     def variable(ring: CoordinateRing, name: str) -> "ScalarExpr":
@@ -761,45 +714,30 @@ class ScalarExpr:
         one = ring.one.den
         return ScalarExpr(ring, {key: one[0]}, one, _canonical=True)
 
-    def in_ring(self, ring: CoordinateRing) -> "ScalarExpr":
-        """This value over ``ring``: the same coordinates, over Z or Z[i].
+    def complexified(self) -> "ScalarExpr":
+        """This value on the same coordinates over Z[i]; itself if it is there.
 
-        Raises :class:`ScalarError` for other coordinates, and for a value
-        with an imaginary part when ``ring`` is over Z (a real chart's ring).
+        Integers coprime over Z stay coprime over Z[i], and a positive
+        leading coefficient is canonical over both, so the form is unchanged.
         """
-        if ring is self.ring:
+        if self.ring.allow_imaginary:
             return self
-        if ring.names != self.ring.names:
-            raise ScalarError(f"mixed coordinate rings: {self.ring} vs {ring}")
-        if not ring.allow_imaginary and self.has_imaginary:
-            raise ScalarError(
-                f"coefficient {self} has an imaginary part on a real chart"
-            )
-        # Integers coprime over Z stay coprime over Z[i], and a positive
-        # leading coefficient is canonical over both.
-        if ring.allow_imaginary:
-            convert = ring.domain.of_int
-        else:
-            convert = operator.attrgetter("x")
+        ring = coordinate_ring(self.ring.names, True)
+        of_int = ring.domain.of_int
         return ScalarExpr(
             ring,
-            {m: convert(c) for m, c in self.num.items()},
-            {m: convert(c) for m, c in self.den.items()},
+            {m: of_int(c) for m, c in self.num.items()},
+            {m: of_int(c) for m, c in self.den.items()},
             _canonical=True,
         )
 
     # -- arithmetic ----------------------------------------------------
 
-    def _unify(self, other: "ScalarExpr") -> tuple["ScalarExpr", "ScalarExpr"]:
-        """Both operands over one ring; a real one meeting Z[i] is embedded."""
-        ring = other.ring if other.ring.allow_imaginary else self.ring
-        return self.in_ring(ring), other.in_ring(ring)
-
     def _plus(self, other: "ScalarExpr", negate: bool) -> "ScalarExpr":
         """``self + other``, or ``self - other`` with ``negate``."""
-        if self.ring is not other.ring:
-            self, other = self._unify(other)
         ring = self.ring
+        if ring is not other.ring:
+            raise _mixed(ring, other.ring)
         if self.den == other.den:
             return ScalarExpr(ring, _add(self.num, other.num, negate), self.den)
         num = _mul(ring, self.num, other.den)
@@ -816,19 +754,19 @@ class ScalarExpr:
         return ScalarExpr(self.ring, _neg(self.num), self.den, _canonical=True)
 
     def __mul__(self, other: "ScalarExpr") -> "ScalarExpr":
-        if self.ring is not other.ring:
-            self, other = self._unify(other)
         ring = self.ring
+        if ring is not other.ring:
+            raise _mixed(ring, other.ring)
         return ScalarExpr(
             ring, _mul(ring, self.num, other.num), _mul(ring, self.den, other.den)
         )
 
     def __truediv__(self, other: "ScalarExpr") -> "ScalarExpr":
-        if self.ring is not other.ring:
-            self, other = self._unify(other)
+        ring = self.ring
+        if ring is not other.ring:
+            raise _mixed(ring, other.ring)
         if not other.num:
             raise DivisionByZeroError("division by zero rational function")
-        ring = self.ring
         return ScalarExpr(
             ring, _mul(ring, self.num, other.den), _mul(ring, self.den, other.num)
         )
@@ -849,17 +787,15 @@ class ScalarExpr:
 
     @staticmethod
     def sum_of_products(ring: CoordinateRing, terms) -> "ScalarExpr":
-        """Σ ±a·b over ``ring`` for ``terms`` of ``(a, b, negate)``, each
-        operand moved into ``ring`` by ``in_ring``. The products that share a
-        denominator accumulate into one numerator, reduced once, and these
-        groups are then added: with every denominator 1, one polynomial."""
+        """Σ ±a·b over ``ring`` for ``terms`` of ``(a, b, negate)``, every
+        operand on ``ring``. The products that share a denominator accumulate
+        into one numerator, reduced once, and these groups are then added:
+        with every denominator 1, one polynomial."""
         groups: dict = {}
         for a, b, negate in terms:
+            if a.ring is not ring or b.ring is not ring:
+                raise _mixed(ring, b.ring if a.ring is ring else a.ring)
             if a.num and b.num:
-                if a.ring is not ring:
-                    a = a.in_ring(ring)
-                if b.ring is not ring:
-                    b = b.in_ring(ring)
                 den = _mul(ring, a.den, b.den)
                 key = frozenset(den.items())
                 group = groups.get(key)
@@ -875,30 +811,17 @@ class ScalarExpr:
     def is_zero(self) -> bool:
         return not self.num
 
-    @property
-    def has_imaginary(self) -> bool:
-        if not self.ring.allow_imaginary:
-            return False
-        return any(c.y for c in self.num.values()) or any(
-            c.y for c in self.den.values()
-        )
-
     def __eq__(self, other) -> bool:
-        if not isinstance(other, ScalarExpr):
-            return False
-        if self.ring is not other.ring:
-            if self.ring.names != other.ring.names:
-                return False
-            self, other = self._unify(other)
-        return self.num == other.num and self.den == other.den
+        return (
+            isinstance(other, ScalarExpr)
+            and self.ring is other.ring
+            and self.num == other.num
+            and self.den == other.den
+        )
 
     def __hash__(self) -> int:
         return hash(
-            (
-                self.ring.names,
-                _hash_terms(self.num, self.ring),
-                _hash_terms(self.den, self.ring),
-            )
+            (self.ring, frozenset(self.num.items()), frozenset(self.den.items()))
         )
 
     # -- calculus ------------------------------------------------------
@@ -948,14 +871,16 @@ def _poly_str(poly: dict, ring: CoordinateRing, lc) -> str:
     if not poly:
         return "0"
     monoms = sorted(poly, reverse=True)
-    if lc != ring.domain.one:
-        scale = _from_domain(lc, ring)
-        values = [_from_domain(poly[m], ring) / scale for m in monoms]
-        values = [(gr.re, gr.im) for gr in values]
-    elif ring.allow_imaginary:
+    if ring.allow_imaginary:
         values = [(poly[m].x, poly[m].y) for m in monoms]
+        a, b = lc.x, lc.y
     else:
         values = [(poly[m], 0) for m in monoms]
+        a, b = lc, 0
+    if lc != ring.domain.one:
+        # c / lc = c * conj(lc) / |lc|^2, in exact rational parts
+        n = a * a + b * b
+        values = [(Fraction(x * a + y * b, n), Fraction(y * a - x * b, n)) for x, y in values]
     parts = []
     for monom, (re, im) in zip(monoms, values):
         factors = []

@@ -11,6 +11,7 @@ from fncalc.algebroid import fn_decompose
 from fncalc.calculus import (
     CalculusError,
     Chart,
+    ChartMismatchError,
     KForm,
     VectorField,
     VectorValuedForm,
@@ -27,9 +28,10 @@ from fncalc.calculus import (
     wedge,
 )
 from fncalc.randgen import random_scalar, random_vector_field
-from fncalc.scalar import ScalarError
+from fncalc.cli import load_manifest
+from fncalc.scalar import ScalarError, coordinate_ring
 
-from helpers import endo, random_kform, random_vvf
+from helpers import MANIFESTS, endo, random_kform, random_vvf
 
 
 def test_d_squared_zero():
@@ -342,7 +344,7 @@ def test_complexified_torsion_splits():
         Y2 = random_vector_field(ch, rng)
 
         def lift(v):
-            return VectorField(cch, v.components)
+            return VectorField(cch, [c.complexified() for c in v.components])
 
         Z = lift(X) + lift(Y).scaled(i_unit)
         W = lift(X2) + lift(Y2).scaled(i_unit)
@@ -377,36 +379,63 @@ def test_torsion_of_shift_by_identity_scales_by_square(complexified):
 def test_imaginary_coefficient_rejected_on_real_chart():
     ch = Chart(("x", "y"))
     cch = ch.complexify()
-    with pytest.raises(ScalarError, match="imaginary part on a real chart"):
+    with pytest.raises(ChartMismatchError, match="not on the chart's"):
         VectorField(ch, [cch.scalar("i*x"), ch.zero])
-    with pytest.raises(ScalarError, match="imaginary part on a real chart"):
+    with pytest.raises(ChartMismatchError, match="not on the chart's"):
         KForm(ch, 1, {(0,): ch.one, (1,): cch.scalar("x/(y-i)")})
 
 
-def test_real_valued_gaussian_coefficients_land_on_real_chart():
+def test_real_valued_gaussian_coefficients_rejected_on_real_chart():
+    """A value over Z[i] stays off a real chart even when it is real, zero included."""
     ch = Chart(("x", "y"))
     cch = ch.complexify()
-    X = VectorField(ch, [cch.scalar("(i*x)*(i*y)"), cch.scalar("y")])
-    omega = KForm(ch, 1, {(1,): cch.scalar("x/(y+1)")})
-    assert all(c.ring is ch.ring for c in X.components)
-    assert all(c.ring is ch.ring for c in omega.coeffs.values())
-    assert X == VectorField(ch, [ch.scalar("-x*y"), ch.scalar("y")])
-    assert omega(X) == ch.scalar("x*y/(y+1)")
+    with pytest.raises(ChartMismatchError):
+        VectorField(ch, [cch.scalar("(i*x)*(i*y)"), ch.scalar("y")])
+    with pytest.raises(ChartMismatchError):
+        KForm(ch, 1, {(1,): cch.scalar("x/(y+1)")})
+    with pytest.raises(ChartMismatchError):
+        KForm(ch, 1, {(1,): cch.zero})
+    X = VectorField(ch, [ch.scalar("-x*y"), ch.scalar("y")])
+    with pytest.raises(ScalarError, match="mixed coordinate rings"):
+        X(cch.scalar("x"))
+    assert KForm(ch, 1, {(1,): ch.scalar("x/(y+1)")})(X) == ch.scalar("x*y/(y+1)")
 
 
 def test_real_scalars_embed_on_complexified_chart():
+    """Real scalars reach a complexified chart through ``complexified`` only."""
     ch = Chart(("x", "y"))
     cch = ch.complexify()
-    Z = VectorField(cch, [ch.scalar("x"), ch.scalar("1/(y+1)")])
-    omega = KForm(cch, 1, {(0,): ch.scalar("y")})
+    real = [ch.scalar("x"), ch.scalar("1/(y+1)")]
+    with pytest.raises(ChartMismatchError):
+        VectorField(cch, real)
+    with pytest.raises(ChartMismatchError):
+        KForm(cch, 1, {(0,): ch.scalar("y")})
+    Z = VectorField(cch, [c.complexified() for c in real])
+    omega = KForm(cch, 1, {(0,): ch.scalar("y").complexified()})
     assert all(c.ring is cch.ring for c in Z.components)
-    assert all(c.ring is cch.ring for c in omega.coeffs.values())
     assert Z.scaled(cch.scalar("i")) == VectorField(
         cch, [cch.scalar("i*x"), cch.scalar("i/(y+1)")]
     )
     assert omega(Z) == cch.scalar("x*y")
-    with pytest.raises(ScalarError, match="mixed coordinate rings"):
+    with pytest.raises(ChartMismatchError):
         VectorField(cch, [Chart(("x", "z")).scalar("x"), cch.zero])
+
+
+def test_complexify_vvf_keeps_every_fixture_entry():
+    """Each endomorphism of every manifest prints the same entries on the
+    complexified chart, each on that chart's ring."""
+    count = 0
+    for path in sorted(MANIFESTS.glob("*.json")):
+        for name, N in load_manifest(str(path)).endomorphisms.items():
+            cN = complexify_vvf(N)
+            assert cN.chart.ring is coordinate_ring(N.chart.coord_names, True)
+            entries = [e for row in cN.matrix() for e in row]
+            assert all(e.ring is cN.chart.ring for e in entries)
+            assert [str(e) for e in entries] == [
+                str(e) for row in N.matrix() for e in row
+            ], (path.stem, name)
+            count += 1
+    assert count == 12  # the endomorphisms of all 9 manifests
 
 
 def test_j2_torsion_value():

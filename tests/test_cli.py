@@ -546,6 +546,38 @@ class TestHostileManifests:
         assert str(exc.value) == "forms.F: multi-indices '1,2' and '1, 2' are the same"
         self.assert_manifest_error(tmp_path, capsys, doc)
 
+    @pytest.mark.parametrize(
+        "key, degree",
+        [("\u0661, +2", 2), ("1_0", 1), ("1,\t2", 2)],
+        ids=["arabic-indic-and-plus", "underscore", "tab"],
+    )
+    def test_multi_index_reads_ascii_digits_only(self, tmp_path, capsys, key, degree):
+        doc = n_manifest(forms={"F": {"degree": degree, "entries": {key: ["x", "0", "0", "0"]}}})
+        with pytest.raises(ManifestError, match="bad multi-index"):
+            load_manifest(write_manifest(tmp_path, doc))
+        self.assert_manifest_error(tmp_path, capsys, doc)
+
+    def test_multi_index_allows_spaces_around_each_index(self, tmp_path):
+        entries = {" 1 , 2 ": ["x", "0", "0", "0"], "2,3": ["y", "0", "0", "0"]}
+        doc = n_manifest(forms={"F": {"degree": 2, "entries": entries}})
+        (component, *_) = load_manifest(write_manifest(tmp_path, doc)).forms["F"].components
+        assert {key: str(c) for key, c in component.coeffs.items()} == {(0, 1): "x", (1, 2): "y"}
+
+    @pytest.mark.parametrize(
+        "key", ["c[+1,2,1]", "c[\u0661,2,1]"], ids=["plus", "arabic-indic"]
+    )
+    def test_structure_key_reads_ascii_digits_only(self, tmp_path, capsys, key):
+        doc = {
+            "chart": {"coords": ["x", "y"]},
+            "bundle_algebroids": {
+                "B": {"rank": 2, "anchor": [["1", "0"], ["x", "0"]], "structure": {key: "1"}}
+            },
+            "checks": [],
+        }
+        with pytest.raises(ManifestError, match="bad structure key"):
+            load_manifest(write_manifest(tmp_path, doc))
+        self.assert_manifest_error(tmp_path, capsys, doc)
+
     def test_crash_in_a_check_exits_two(self, tmp_path, capsys, monkeypatch):
         def crash(N):
             raise RuntimeError("boom")

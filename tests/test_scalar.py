@@ -1,5 +1,6 @@
 """Scalar layer: canonical forms, parsing, printing."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -20,7 +21,6 @@ from fncalc.scalar import (
     MAX_TERMS,
     DivisionByZeroError,
     ExprSyntaxError,
-    GaussianRational,
     ImaginaryNotAllowedError,
     ScalarError,
     ScalarExpr,
@@ -70,27 +70,45 @@ class TestCanonicalForm:
         assert expr("i*i") == expr("-1")
         assert expr("(1+i)*(1-i)") == expr("2")
 
-    def test_has_imaginary(self):
-        assert expr("i*x").has_imaginary
-        assert not expr("x/(1+y)").has_imaginary
-        assert not expr("(i*x)*(i*y)").has_imaginary
-
 
 class TestDomains:
     def test_real_parse_is_over_q(self):
         real = expr("(x+1)/(3*y)", allow_imaginary=False)
         assert not real.ring.allow_imaginary
-        assert not real.has_imaginary
         assert expr("x").ring.allow_imaginary
 
+    @pytest.mark.parametrize("gaussian", [False, True], ids=["real", "complex"])
+    def test_rings_come_from_the_cache(self, gaussian):
+        """Equality compares rings by identity, so every path to a chart's
+        ring must reach the one cached object."""
+        ring = coordinate_ring(VARS, gaussian)
+        assert Chart(VARS, gaussian).ring is ring
+        assert expr("x", allow_imaginary=gaussian).ring is ring
+        assert expr("x", list(VARS), allow_imaginary=gaussian).ring is ring
+        assert Chart(VARS).complexify().ring is coordinate_ring(VARS, True)
+
     def test_mixed_domain_arithmetic_promotes(self):
+        """Z and Z[i] operands never mix: a real value joins a Gaussian one
+        through ``complexified``, and then gives the values mixing once gave."""
         real = expr("x/(y+1)", allow_imaginary=False)
         gauss = expr("i*y")
+        for a, b in ((real, gauss), (gauss, real)):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                with pytest.raises(ScalarError, match="mixed coordinate rings"):
+                    op(a, b)
+            with pytest.raises(ScalarError, match="mixed coordinate rings"):
+                ScalarExpr.sum_of_products(gauss.ring, [(a, b, False)])
+        # a zero operand off the ring raises too
+        terms = [(real, real, False), (real, gauss.ring.zero, True)]
+        with pytest.raises(ScalarError, match="mixed coordinate rings"):
+            ScalarExpr.sum_of_products(real.ring, terms)
+        assert real != real.complexified() and real.complexified() != real
+        lifted = real.complexified()
         for value, text in (
-            (real + gauss, "x/(y+1) + i*y"),
-            (gauss - real, "i*y - x/(y+1)"),
-            (real * gauss, "i*x*y/(y+1)"),
-            (gauss / real, "i*y*(y+1)/x"),
+            (lifted + gauss, "x/(y+1) + i*y"),
+            (gauss - lifted, "i*y - x/(y+1)"),
+            (lifted * gauss, "i*x*y/(y+1)"),
+            (gauss / lifted, "i*y*(y+1)/x"),
         ):
             assert value.ring is gauss.ring
             assert value == expr(text)
@@ -102,13 +120,14 @@ class TestDomains:
             expr("x") * expr("x", ("x", "z"))
         assert expr("x") != expr("x", ("x", "z"))
 
-    def test_in_ring(self):
-        real_ring = expr("x", allow_imaginary=False).ring
-        landed = expr("(i*x)*(i*y)").in_ring(real_ring)
-        assert landed.ring is real_ring
-        assert str(landed) == "-x*y"
-        with pytest.raises(ScalarError, match="imaginary part"):
-            expr("i*x").in_ring(real_ring)
+    def test_complexified(self):
+        real = expr("(-3*x + 1)/(2*y - 4)", allow_imaginary=False)
+        lifted = real.complexified()
+        assert lifted.ring is coordinate_ring(VARS, True)
+        assert lifted == expr("(-3*x + 1)/(2*y - 4)")
+        assert str(lifted) == str(real) == "(-3/2*x + 1/2)/(y - 2)"
+        assert lifted.complexified() is lifted
+        assert real.ring.zero.complexified() == lifted.ring.zero
 
 
 class TestParser:
@@ -265,13 +284,14 @@ real_texts = st.recursive(
 @settings(max_examples=60, deadline=None)
 @given(real_texts)
 def test_real_parse_agrees_across_domains(text):
-    """A real expression has the same value over Q and over Q(i)."""
+    """A real expression over Q, complexified, is its value over Q(i)."""
     over_q = expr(text, allow_imaginary=False)
     over_qi = expr(text, allow_imaginary=True)
-    assert over_q.ring is not over_qi.ring
-    assert str(over_q) == str(over_qi)
-    assert over_q == over_qi and over_qi == over_q
-    assert hash(over_q) == hash(over_qi)
+    lifted = over_q.complexified()
+    assert over_q != over_qi
+    assert lifted == over_qi and over_qi == lifted
+    assert str(over_q) == str(lifted) == str(over_qi)
+    assert hash(lifted) == hash(over_qi)
 
 
 @settings(max_examples=60, deadline=None)
@@ -342,29 +362,37 @@ def ref_value(tree, gaussian: bool):
 def ref_str(num, den, gaussian: bool) -> str:
     """The printed form of a monic reference pair, written out independently."""
 
-    def coeff(c) -> GaussianRational:
-        def frac(q):
-            return Fraction(int(q.numerator), int(q.denominator))
+    def frac(q) -> Fraction:
+        return Fraction(int(q.numerator), int(q.denominator))
 
-        return GaussianRational(frac(c.x), frac(c.y)) if gaussian else GaussianRational(frac(c))
+    def coeff(c) -> tuple[Fraction, Fraction]:
+        return (frac(c.x), frac(c.y)) if gaussian else (frac(c), Fraction(0))
+
+    def coeff_str(re: Fraction, im: Fraction) -> str:
+        if not im:
+            return str(re)
+        unit = "i" if abs(im) == 1 else f"{abs(im)}*i"
+        sign = "-" if im < 0 else ""
+        if not re:
+            return sign + unit
+        return f"{re}{sign or '+'}{unit}"
 
     def poly_str(poly) -> str:
         if not poly:
             return "0"
-        one = GaussianRational(Fraction(1))
         parts = []
         for monom, c in sorted(poly.terms(), key=lambda t: grlex(t[0]), reverse=True):
-            gr = coeff(c)
+            re, im = coeff(c)
             mono = "*".join(
                 name if e == 1 else f"{name}^{e}" for name, e in zip(VARS, monom) if e
             )
-            text = str(gr)
+            text = coeff_str(re, im)
             if "+" in text[1:] or "-" in text[1:]:
                 text = f"({text})"
             if not mono:
-                parts.append(str(gr))
-            elif gr in (one, -one):
-                parts.append(mono if gr == one else f"-{mono}")
+                parts.append(coeff_str(re, im))
+            elif not im and abs(re) == 1:
+                parts.append(mono if re == 1 else f"-{mono}")
             else:
                 parts.append(f"{text}*{mono}")
         return parts[0] + "".join(
@@ -452,7 +480,7 @@ def test_kernel_matches_field_reference(gaussian):
             assert va**-2 == va.ring.one / (va * va)
         if not gaussian:
             over_qi = kernel_value(a, True)
-            assert over_qi == va and hash(over_qi) == hash(va)
+            assert va.complexified() == over_qi and hash(va.complexified()) == hash(over_qi)
             assert str(over_qi) == str(va)
 
     check()
@@ -543,8 +571,7 @@ class TestIntegerKernel:
         half = expr("(1+i)/2")
         assert str(half) == "1/2+1/2*i"
         assert half == expr("1/(1-i)")
-        half_gr = GaussianRational(Fraction(1, 2), Fraction(1, 2))
-        assert half == ScalarExpr.constant(half.ring, half_gr)
+        assert half == ScalarExpr.constant(half.ring, Fraction(1, 2)) * expr("1+i")
         assert half.den == {0: _GaussianInt(1, 1)}
 
     def test_partial_over_a_constant_denominator(self):
@@ -563,6 +590,14 @@ class TestIntegerKernel:
         chart, again = Chart(("x", "y")), Chart(("x", "y"))
         assert chart.zero is again.zero and chart.one is again.one
         assert chart.zero == chart.const(0) and chart.one == chart.const(1)
+
+    def test_constants_are_exact(self):
+        chart = Chart(("x", "y"))
+        assert chart.const(Fraction(-6, 4)) == expr("-3/2", allow_imaginary=False)
+        assert chart.complexify().const(Fraction(-6, 4)) == expr("-3/2")
+        for value in (0.5, 1 / 3, "1/2"):
+            with pytest.raises(TypeError, match="not an int or a Fraction"):
+                chart.const(value)
 
 
 # ---------------------------------------------------------------------------
@@ -828,11 +863,13 @@ def fold(ring, terms) -> ScalarExpr:
 
 def operands(gaussian: bool):
     """Values of expression trees, with zero and each kind of denominator
-    (1, a constant, a polynomial); over Z[i] some operands are real."""
+    (1, a constant, a polynomial); over Z[i] some operands are real ones
+    complexified."""
     real = st.builds(lambda t: kernel_value(t, False), trees(False))
     if not gaussian:
         return real
-    return st.one_of(st.builds(lambda t: kernel_value(t, True), trees(True)), real)
+    lifted = real.map(ScalarExpr.complexified)
+    return st.one_of(st.builds(lambda t: kernel_value(t, True), trees(True)), lifted)
 
 
 @pytest.mark.parametrize("gaussian", [False, True], ids=["real", "complex"])
