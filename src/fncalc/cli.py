@@ -2,10 +2,12 @@
 
 Manifests are JSON documents describing a chart, named objects on it
 (endomorphism fields, vector-valued forms, algebroids, bundle algebroids,
-semisprays) and a list of checks. Matrix convention throughout: entry
-[i][j] is the coefficient of the i-th coordinate field in the image of the
-j-th one. Reports are deterministic; JSON output is byte-identical across
-runs for a fixed manifest and seed (timings appear only in the text format).
+semisprays) and a list of checks. Matrix convention: entry [i][j] of an
+endomorphism is the coefficient of the i-th coordinate field in the image of
+the j-th one; a bundle anchor has one row per section instead, so its entry
+[a][i] is the i-th coordinate component of q(s_a). Reports are
+deterministic; JSON output is byte-identical across runs for a fixed manifest
+and seed (timings appear only in the text format).
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
 from .algebroid import (
@@ -71,14 +72,6 @@ EXIT_ERROR = 2
 #: components, so their size and cost grow with a power of d; the fixtures
 #: use 2.
 MAX_PROBE_DEGREE = 10
-
-#: Most digits of an ``eps`` numerator or denominator: reports print eps^2,
-#: and str() refuses integers past 4,300 digits by default.
-MAX_EPS_DIGITS = 2000
-#: An ``eps`` string: an integer or a fraction with a nonzero denominator.
-_EPS_SYNTAX = re.compile(
-    rf"[+-]?[0-9]{{1,{MAX_EPS_DIGITS}}}(/(?!0*\Z)[0-9]{{1,{MAX_EPS_DIGITS}}})?"
-)
 
 #: Longest name a manifest may give an object or a check, or use to refer to
 #: one: check records echo names, so a longer one is refused.
@@ -207,7 +200,7 @@ def _read_indices(text: str) -> tuple[int, ...] | None:
 
 
 def _parse_multi_index(key: str, degree: int, dim: int, where: str) -> tuple[int, ...]:
-    parts = _read_indices(key)
+    parts = _read_indices(key) if key else ()  # "" is the multi-index of degree 0
     _expect(parts is not None, f"{where}: bad multi-index {_quote(key)}")
     _expect(
         len(parts) == degree, f"{where}: multi-index {_quote(key)} needs {degree} entries"
@@ -295,19 +288,20 @@ def _parse_bundle(chart: Chart, spec: Any, where: str) -> BundleAlgebroid:
     structure: dict[tuple[int, int], list[ScalarExpr]] = {}
     raw = spec.get("structure", {})
     _expect(isinstance(raw, dict), f"{where}: structure must be an object")
+    first: dict[tuple[int, int, int], str] = {}  # the first key of each c_ab^c, a < b
     for key, text in raw.items():
         a, b, c = _parse_structure_key(key, rank, where)
         value = _parse_scalar(chart, text, f"{where}.structure[{key}]")
         if a == b:
             _expect(value.is_zero, f"{where}: {key} must vanish (antisymmetry)")
             continue
-        lo, hi = min(a, b), max(a, b)
         if a > b:
-            value = -value
-        row = structure.setdefault((lo, hi), [chart.zero] * rank)
+            a, b, value = b, a, -value
+        row = structure.setdefault((a, b), [chart.zero] * rank)
+        earlier = first.setdefault((a, b, c), key)
         _expect(
-            row[c].is_zero or row[c] == value,
-            f"{where}: {key} conflicts with its antisymmetric partner",
+            earlier == key or row[c] == value,
+            f"{where}: structure keys {_quote(earlier)} and {_quote(key)} disagree",
         )
         row[c] = value
     return BundleAlgebroid(chart, rank, anchor, structure)
@@ -430,6 +424,11 @@ def load_manifest(
                 len(value) <= MAX_NAME_LENGTH,
                 f"{path}: checks[{k}].{key} is longer than {MAX_NAME_LENGTH} characters",
             )
+        # eps once scaled a complex or product structure; ignoring it would change the verdict
+        _expect(
+            "eps" not in descriptor,
+            f"{path}: checks[{k}].eps is no longer supported: divide the endomorphism by eps",
+        )
 
     return Manifest(
         path=path,
@@ -505,62 +504,41 @@ def _form_fragment(form: VectorValuedForm) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-def _lookup(manifest: Manifest, d: dict[str, Any], key: str) -> Any:
-    """The manifest object that descriptor ``d`` names under ``key``, e.g. ``endo``."""
+def _lookup(manifest: Manifest, key: str, name: Any) -> Any:
+    """The manifest object called ``name`` under descriptor key ``key``, e.g. ``endo``."""
     section, noun = _OBJECTS[key]
     objects = getattr(manifest, section)
-    name = d.get(key)
     if name not in objects:
         raise ManifestError(f"unknown {noun} {_quote(name)}")
     return objects[name]
 
 
-def _eps_of(d: dict[str, Any]) -> Fraction:
-    raw = d.get("eps", 1)
-    if _is_int(raw) and abs(raw) < 10**MAX_EPS_DIGITS:
-        return Fraction(raw)
-    if isinstance(raw, str) and _EPS_SYNTAX.fullmatch(raw):
-        return Fraction(raw)
-    raise ManifestError(f"bad eps value {_quote(raw)}")
-
-
-def _idempotent(manifest: Manifest, N: VectorValuedForm, d: dict[str, Any]):
+def _idempotent(N: VectorValuedForm):
     alg = idempotent_algebroid(N)
     return alg, {"correction": _form_fragment(alg.correction)}
 
 
-def _complex_or_product(manifest: Manifest, E: VectorValuedForm, d: dict[str, Any]):
-    construct = complex_algebroid if d["kind"] == "complex" else product_algebroid
-    alg = construct(E, _eps_of(d))
+def _anchored(alg: TangentAlgebroid):
     return alg, {"anchor_matrix": _matrix_strings(alg.anchor)}
 
 
-def _invertible(manifest: Manifest, K: VectorValuedForm, d: dict[str, Any]):
-    return invertible_algebroid(K), {}
-
-
-def _tangent(manifest: Manifest, S: VectorField, d: dict[str, Any]):
-    gamma = connection_from_semispray(tangent_data_for_chart(manifest.chart), S)
+def _tangent(S: VectorField):
+    gamma = connection_from_semispray(tangent_data_for_chart(S.chart), S)
     return connection_algebroid(gamma), {"connection_matrix": _matrix_strings(gamma)}
 
 
 #: Algebroid recipes, shared by ``verify`` check kinds and ``build recipe:name``
 #: (``invertible`` is a build recipe only): recipe -> (descriptor key of the
-#: object it takes, constructor returning the algebroid and the details of its
-#: check record).
-_RECIPES: dict[str, tuple[str, Callable[..., tuple[TangentAlgebroid, dict]]]] = {
+#: object it takes, function of that object returning the algebroid and the
+#: details of its check record). Each calls its constructor by its name in
+#: this module, so a wrapper installed there sees every call.
+_RECIPES: dict[str, tuple[str, Callable[[Any], tuple[TangentAlgebroid, dict]]]] = {
     "idempotent": ("endo", _idempotent),
-    "complex": ("endo", _complex_or_product),
-    "product": ("endo", _complex_or_product),
-    "invertible": ("endo", _invertible),
+    "complex": ("endo", lambda J: _anchored(complex_algebroid(J))),
+    "product": ("endo", lambda P: _anchored(product_algebroid(P))),
+    "invertible": ("endo", lambda K: (invertible_algebroid(K), {})),
     "tangent": ("spray", _tangent),
 }
-
-
-def _build(manifest: Manifest, d: dict[str, Any]) -> tuple[TangentAlgebroid, dict]:
-    """Run the recipe that descriptor ``d`` names as its kind."""
-    key, construct = _RECIPES[d["kind"]]
-    return construct(manifest, _lookup(manifest, d, key), d)
 
 
 def _axiom_records(manifest: Manifest, alg: TangentAlgebroid) -> list[dict[str, str]]:
@@ -580,26 +558,18 @@ def _cohomology_records(prefix: str, alg: TangentAlgebroid) -> list[dict[str, st
     )
 
 
-def _check_recipe(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
-    alg, details = _build(manifest, d)
-    return _axiom_records(manifest, alg), details
+def _recipe_check(recipe: str) -> tuple[str, Callable[[Manifest, Any], tuple[list, dict]]]:
+    """The check of a recipe: the axiom records of the algebroid it builds."""
+    key, construct = _RECIPES[recipe]
+
+    def check(manifest: Manifest, obj: Any) -> tuple[list, dict]:
+        alg, details = construct(obj)
+        return _axiom_records(manifest, alg), details
+
+    return key, check
 
 
-def _check_torsion(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
-    torsion = nijenhuis_torsion(_lookup(manifest, d, "endo"))
-    return _records("torsion", [("", torsion)]), {}
-
-
-def _check_cohomology(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
-    return _cohomology_records("", _lookup(manifest, d, "algebroid")), {}
-
-
-def _check_axioms(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
-    return _axiom_records(manifest, _lookup(manifest, d, "algebroid")), {}
-
-
-def _check_foliation(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
-    gamma = _lookup(manifest, d, "endo")
+def _check_foliation(manifest: Manifest, gamma: VectorValuedForm) -> tuple[list, dict]:
     data = foliation_connection(gamma)
     _, d2m1, d01 = _d_components(gamma, data.curvature)
     records = (
@@ -610,8 +580,8 @@ def _check_foliation(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]
     return records, {"curvature": _form_fragment(data.curvature)}
 
 
-def _check_bundle(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
-    report = check_bundle_axioms(_lookup(manifest, d, "bundle_algebroid"))
+def _check_bundle(manifest: Manifest, B: BundleAlgebroid) -> tuple[list, dict]:
+    report = check_bundle_axioms(B)
     records = (
         _records("d2_on_coordinates", report.d2_on_coordinates)
         + _records("d2_on_covectors", report.d2_on_covectors)
@@ -621,8 +591,7 @@ def _check_bundle(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
     return records, {}
 
 
-def _check_decompose(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
-    alg = _lookup(manifest, d, "algebroid")
+def _check_decompose(manifest: Manifest, alg: TangentAlgebroid) -> tuple[list, dict]:
     derivation = derivation_from_algebroid(alg)
     records = _records("K_residual", [("", derivation.anchor - alg.anchor)])
     records += _records("L_residual", [("", derivation.correction - alg.correction)])
@@ -633,49 +602,46 @@ def _check_decompose(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]
     return records, details
 
 
-def _check_isomorphism(manifest: Manifest, d: dict[str, Any]) -> tuple[list, dict]:
-    alg = _lookup(manifest, d, "algebroid")
+def _check_isomorphism(manifest: Manifest, alg: TangentAlgebroid) -> tuple[list, dict]:
     residuals = verify_trivial_isomorphism(
         alg, seed=manifest.seed, probe_degree=manifest.probe_degree
     )
     return _records("isomorphism", residuals), {}
 
 
-_DISPATCH: dict[str, Callable[[Manifest, dict[str, Any]], tuple[list, dict]]] = {
-    "torsion": _check_torsion,
-    "cohomology": _check_cohomology,
-    "axioms": _check_axioms,
-    "idempotent": _check_recipe,
-    "complex": _check_recipe,
-    "product": _check_recipe,
-    "foliation": _check_foliation,
-    "tangent": _check_recipe,
-    "bundle": _check_bundle,
-    "decompose": _check_decompose,
-    "isomorphism": _check_isomorphism,
+#: Check kinds: kind -> (descriptor key of the object it takes, function of
+#: the manifest and that object returning the records and details).
+_CHECKS: dict[str, tuple[str, Callable[[Manifest, Any], tuple[list, dict]]]] = {
+    "torsion": ("endo", lambda m, E: (_records("torsion", [("", nijenhuis_torsion(E))]), {})),
+    "cohomology": ("algebroid", lambda m, alg: (_cohomology_records("", alg), {})),
+    "axioms": ("algebroid", lambda m, alg: (_axiom_records(m, alg), {})),
+    "idempotent": _recipe_check("idempotent"),
+    "complex": _recipe_check("complex"),
+    "product": _recipe_check("product"),
+    "foliation": ("endo", _check_foliation),
+    "tangent": _recipe_check("tangent"),
+    "bundle": ("bundle_algebroid", _check_bundle),
+    "decompose": ("algebroid", _check_decompose),
+    "isomorphism": ("algebroid", _check_isomorphism),
 }
-CHECK_KINDS = tuple(_DISPATCH)
+CHECK_KINDS = tuple(_CHECKS)
 
 #: What a construction may raise on invalid input; a check reports it as an error.
 _CHECK_ERRORS = (ManifestError, CalculusError, ScalarError)
 
 
-def _construction_label(descriptor: dict[str, Any]) -> str:
-    kind = descriptor["kind"]
-    for key in _OBJECTS:
-        if key in descriptor:
-            return f"{kind}:{descriptor[key]}"
-    return kind
-
-
 def run_check(manifest: Manifest, descriptor: dict[str, Any]) -> CheckRecord:
-    """Execute one check descriptor; construction errors become status=error."""
-    kind = descriptor.get("kind")
-    construction = _construction_label(descriptor)
+    """Execute one check descriptor; construction errors become status=error.
+
+    The check is labelled ``kind:object`` by the object its kind takes, or
+    ``kind`` when the descriptor names none."""
+    kind = descriptor["kind"]
+    key, check = _CHECKS[kind]
+    construction = f"{kind}:{descriptor[key]}" if key in descriptor else kind
     name = descriptor.get("name", construction)
     start = time.perf_counter()
     try:
-        records, details = _DISPATCH[kind](manifest, descriptor)
+        records, details = check(manifest, _lookup(manifest, key, descriptor.get(key)))
         status = (
             "pass" if all(r["value"] == "0" for r in records) else "fail"
         )
@@ -759,7 +725,8 @@ def _build_algebroid(manifest: Manifest, construction: str) -> TangentAlgebroid:
         )
     if recipe not in _RECIPES:
         raise ManifestError(f"unknown recipe {_quote(recipe)}")
-    return _build(manifest, {"kind": recipe, _RECIPES[recipe][0]: name})[0]
+    key, construct = _RECIPES[recipe]
+    return construct(_lookup(manifest, key, name))[0]
 
 
 def _cmd_build(manifest: Manifest, args) -> tuple[str, int]:

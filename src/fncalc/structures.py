@@ -10,10 +10,12 @@ at run time.
 
 Each call evaluates every precondition once. A projector's torsion T_N is
 computed once and also decides the involutivity of its image, since
-(Id-N)T_N(e_a, e_b) = (Id-N)[N e_a, N e_b]. The projector of a complex,
-product or connection structure E is idempotent exactly when E^2 is the
-required multiple of Id, so it is not re-checked; an integrable complex or
-product structure needs no projector torsion at all.
+(Id-N)T_N(e_a, e_b) = (Id-N)[N e_a, N e_b]. Complex, product and
+connection structures all build their projector as one half-projector
+(Id - E)/2: p± from E = ±iJ, p- from E = P and v from E = Gamma. It is
+idempotent exactly when E^2 = Id, that is J^2 = -Id, P^2 = Id or
+Gamma^2 = Id, so it is not re-checked; an integrable complex or product
+structure needs no projector torsion at all.
 """
 
 from __future__ import annotations
@@ -157,18 +159,23 @@ def complement_operator(N: VectorValuedForm) -> TangentAlgebroid:
 # ---------------------------------------------------------------------------
 
 
-def _require_square(
-    E: VectorValuedForm, eps: Fraction | int, sign: int, error: type, name: str
-) -> Fraction:
-    """Check eps != 0 and E^2 = sign * eps^2 Id; returns eps as a Fraction."""
-    eps = Fraction(eps)
-    if eps == 0:
-        raise error("eps must be nonzero")
+def _require_square(E: VectorValuedForm, sign: int, error: type, name: str) -> None:
+    """Raise ``error`` unless E^2 = sign Id."""
     chart = E.chart
-    square = sign * eps * eps
-    if E.compose(E) != VectorValuedForm.identity(chart).scaled(chart.const(square)):
-        raise error(f"endomorphism does not satisfy {name}^2 = {square} Id")
-    return eps
+    if E.compose(E) != VectorValuedForm.identity(chart).scaled(chart.const(sign)):
+        raise error(f"endomorphism does not satisfy {name}^2 = {sign} Id")
+
+
+def _half(E: VectorValuedForm) -> VectorValuedForm:
+    """(Id - E)/2, which is idempotent exactly when E^2 = Id."""
+    chart = E.chart
+    return (VectorValuedForm.identity(chart) - E).scaled(chart.const(Fraction(1, 2)))
+
+
+def _times_i(J: VectorValuedForm) -> VectorValuedForm:
+    """iJ on the complexified chart."""
+    cJ = complexify_vvf(J)
+    return cJ.scaled(cJ.chart.scalar("i"))
 
 
 def _require_integrable(E: VectorValuedForm, structure: str) -> None:
@@ -186,63 +193,43 @@ def _require_integrable(E: VectorValuedForm, structure: str) -> None:
                 )
 
 
-def complex_projectors(
-    J: VectorValuedForm, eps: Fraction | int = 1
-) -> tuple[VectorValuedForm, VectorValuedForm]:
-    """The projectors p± = (Id ∓ (i/eps) J)/2 on the complexified chart.
+def complex_projectors(J: VectorValuedForm) -> tuple[VectorValuedForm, VectorValuedForm]:
+    """The projectors p± = (Id ∓ iJ)/2 on the complexified chart.
 
-    Requires J^2 = -eps^2 Id, which is equivalent to the projector algebra
+    Requires J^2 = -Id, which is equivalent to the projector algebra
     p±^2 = p±, p+ p- = 0; p+ + p- = Id holds by construction. Their torsion
-    satisfies T_{p+} = -(1/(4 eps^2)) T_J, which the test suite pins.
+    satisfies T_{p+} = -T_J/4, which the test suite pins. For J^2 = -c^2 Id,
+    pass J/c.
     """
-    eps = _require_square(J, eps, -1, NotAlmostComplexError, "J")
-    return _projectors(J, eps)
+    _require_square(J, -1, NotAlmostComplexError, "J")
+    iJ = _times_i(J)
+    return _half(iJ), _half(-iJ)
 
 
-def _projectors(
-    J: VectorValuedForm, eps: Fraction
-) -> tuple[VectorValuedForm, VectorValuedForm]:
-    cchart = J.chart.complexify()
-    identity = VectorValuedForm.identity(cchart)
-    iJ = complexify_vvf(J).scaled(cchart.scalar("i") * cchart.const(1 / eps))
-    half = cchart.const(Fraction(1, 2))
-    return (identity - iJ).scaled(half), (identity + iJ).scaled(half)
-
-
-def complex_algebroid(
-    J: VectorValuedForm, eps: Fraction | int = 1
-) -> TangentAlgebroid:
+def complex_algebroid(J: VectorValuedForm) -> TangentAlgebroid:
     """The algebroid with anchor p+ and correction 0 on the complexified chart.
 
-    Requires J^2 = -eps^2 Id and T_J = 0. Then T_{p+} = -T_J/(4 eps^2) = 0,
-    so the holomorphic distribution Im p+ is involutive and the idempotent
+    Requires J^2 = -Id and T_J = 0. Then T_{p+} = -T_J/4 = 0, so the
+    holomorphic distribution Im p+ is involutive and the idempotent
     algebroid of p+ has correction -T_{p+} = 0. Both conditions on J are
     checked on J's own chart, so a J that fails them never builds the
     complexified one.
     """
-    eps = _require_square(J, eps, -1, NotAlmostComplexError, "J")
+    _require_square(J, -1, NotAlmostComplexError, "J")
     _require_integrable(J, "complex")
-    p_plus, _ = _projectors(J, eps)
+    p_plus = _half(_times_i(J))
     return TangentAlgebroid(p_plus, VectorValuedForm.zero(p_plus.chart, 2))
 
 
-def product_algebroid(
-    P: VectorValuedForm, eps: Fraction | int = 1
-) -> TangentAlgebroid:
-    """The algebroid with anchor p- = (Id - P/eps)/2 and correction 0.
+def product_algebroid(P: VectorValuedForm) -> TangentAlgebroid:
+    """The algebroid with anchor p- = (Id - P)/2 and correction 0.
 
-    Requires P^2 = eps^2 Id and T_P = 0. Then T_{p-} = T_P/(4 eps^2) = 0, so
-    Im p- is involutive and the idempotent algebroid of p- has correction 0.
+    Requires P^2 = Id and T_P = 0. Then T_{p-} = T_P/4 = 0, so Im p- is
+    involutive and the idempotent algebroid of p- has correction 0.
     """
-    eps = _require_square(P, eps, 1, NotAlmostProductError, "P")
+    _require_square(P, 1, NotAlmostProductError, "P")
     _require_integrable(P, "product")
-    chart = P.chart
-    half = chart.const(Fraction(1, 2))
-    p_minus = (
-        VectorValuedForm.identity(chart)
-        - P.scaled(chart.const(1 / eps))
-    ).scaled(half)
-    return TangentAlgebroid(p_minus, VectorValuedForm.zero(chart, 2))
+    return TangentAlgebroid(_half(P), VectorValuedForm.zero(P.chart, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +452,6 @@ def connection_algebroid(gamma: VectorValuedForm) -> TangentAlgebroid:
     Its bracket is ([A,B] - [A,B]_Gamma)/2 + T_Gamma(A,B)/4 and T_v =
     T_Gamma/4 for every connection; the test suite pins both.
     """
-    chart = gamma.chart
-    identity = VectorValuedForm.identity(chart)
-    if gamma.compose(gamma) != identity:
-        raise NotConnectionError("Gamma^2 != Id")
-    # v^2 = v is equivalent to Gamma^2 = Id
-    v = (identity - gamma).scaled(chart.const(Fraction(1, 2)))
+    _require_square(gamma, 1, NotConnectionError, "Gamma")
+    v = _half(gamma)
     return TangentAlgebroid(v, -_projector_torsion(v))

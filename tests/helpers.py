@@ -99,14 +99,10 @@ def bracket_full_form(
     return lie_bracket(nx, ny) + middle - N.apply(middle)
 
 
-def product_bracket_form(
-    P: VectorValuedForm, X: VectorField, Y: VectorField, eps: Fraction | int = 1
-) -> VectorField:
-    """The product algebroid's bracket in the closed form ([X,Y] - [X,Y]_{P/eps})/2."""
-    chart = P.chart
-    half = chart.const(Fraction(1, 2))
-    scaled = P.scaled(chart.const(1 / Fraction(eps)))
-    return (lie_bracket(X, Y) - contracted_bracket(scaled, X, Y)).scaled(half)
+def product_bracket_form(P: VectorValuedForm, X: VectorField, Y: VectorField) -> VectorField:
+    """The product algebroid's bracket in the closed form ([X,Y] - [X,Y]_P)/2."""
+    half = P.chart.const(Fraction(1, 2))
+    return (lie_bracket(X, Y) - contracted_bracket(P, X, Y)).scaled(half)
 
 
 def symmetric_connection_cross_check(

@@ -32,7 +32,7 @@ from fncalc.calculus import (
     lie_derivative,
     nijenhuis_torsion,
 )
-from fncalc.cli import _RECIPES, _build, load_manifest
+from fncalc.cli import _RECIPES, _lookup, load_manifest
 from fncalc.linalg import inverse
 from fncalc.randgen import random_scalar, random_vector_field
 from fncalc.structures import StructureError, d_components
@@ -99,8 +99,10 @@ def recipe_algebroids() -> list[tuple[str, TangentAlgebroid]]:
         manifest = load_manifest(str(path))
         for d in manifest.checks:
             if d["kind"] in _RECIPES:
+                key, construct = _RECIPES[d["kind"]]
                 try:
-                    built.append((d["name"], _build(manifest, d)[0]))
+                    alg, _ = construct(_lookup(manifest, key, d[key]))
+                    built.append((d["name"], alg))
                 except StructureError:  # negative_error's rejected inputs
                     continue
             elif d["kind"] == "foliation":

@@ -146,6 +146,65 @@ class TestLoadManifest:
             load_manifest(write_manifest(tmp_path, doc))
         assert str(exc.value) == f"bundle_algebroids.B.anchor: {message}"
 
+    @staticmethod
+    def bundle_with(tmp_path, structure):
+        doc = {
+            "chart": {"coords": ["x", "y"]},
+            "bundle_algebroids": {
+                "B": {"rank": 2, "anchor": [["1", "0"], ["x", "0"]], "structure": structure}
+            },
+            "checks": [],
+        }
+        return write_manifest(tmp_path, doc)
+
+    @pytest.mark.parametrize(
+        "structure",
+        [
+            {"c[1,2,1]": "0", "c[2,1,1]": "1"},
+            {"c[1,2,1]": "0", "c[1, 2,1]": "5"},
+            {"c[1,2,1]": "1", "c[1, 2,1]": "2"},
+            {"c[2,1,1]": "1", "c[1,2,1]": "1"},
+            {"c[1,2,1]": "x", "c[2,1,1]": "0"},
+        ],
+        ids=["partner-vs-zero", "respelling-vs-zero", "respelling", "partner", "zero-partner"],
+    )
+    def test_conflicting_structure_keys(self, tmp_path, structure):
+        """A later key for an entry already given, as a respelling or as its
+        antisymmetric partner, must give the same signed value, zero included."""
+        first, second = structure
+        with pytest.raises(ManifestError) as exc:
+            load_manifest(self.bundle_with(tmp_path, structure))
+        assert str(exc.value) == (
+            f"bundle_algebroids.B: structure keys {first!r} and {second!r} disagree"
+        )
+
+    @pytest.mark.parametrize(
+        "structure, c211",
+        [({"c[1,2,1]": "x", "c[2,1,1]": "-x"}, "-x"), ({"c[1,2,1]": "0", "c[1, 2,1]": "0"}, "0")],
+        ids=["partner", "respelling"],
+    )
+    def test_agreeing_structure_keys(self, tmp_path, structure, c211):
+        balg = load_manifest(self.bundle_with(tmp_path, structure)).bundle_algebroids["B"]
+        assert str(balg.structure_component(1, 0, 0)) == c211
+
+    def test_degree_zero_form(self, tmp_path):
+        """"" is the multi-index of degree 0, and of no other degree."""
+        entries = {"": ["1", "x"]}
+        doc = {
+            "chart": {"coords": ["x", "y"]},
+            "forms": {"F": {"degree": 0, "entries": entries}},
+            "checks": [],
+        }
+        F = load_manifest(write_manifest(tmp_path, doc)).forms["F"]
+        assert F.degree == 0
+        assert cli._form_fragment(F) == {"degree": 0, "entries": entries}
+        doc["forms"]["F"]["degree"] = 1
+        with pytest.raises(ManifestError, match="multi-index '' needs 1 entries"):
+            load_manifest(write_manifest(tmp_path, doc))
+        doc["forms"]["F"] = {"degree": 0, "entries": {"1": ["1", "x"]}}
+        with pytest.raises(ManifestError, match="multi-index '1' needs 0 entries"):
+            load_manifest(write_manifest(tmp_path, doc))
+
 
 class TestRunCheck:
     def test_torsion_fixture_value(self, tmp_path):
@@ -173,6 +232,18 @@ class TestRunCheck:
         record = run_check(m, {"kind": "complex", "endo": "N"})
         assert record.status == "error"
         assert "J^2" in record.message
+
+    def test_label_names_the_kinds_own_object(self, tmp_path):
+        """A check is labelled by the object its kind takes, even when the
+        descriptor names others too, and by its bare kind without one."""
+        doc = n_manifest(algebroids={"A": {"anchor": "N", "correction": "auto:torsion"}})
+        m = load_manifest(write_manifest(tmp_path, doc))
+        both = {"endo": "N", "algebroid": "A"}
+        assert run_check(m, {"kind": "cohomology", **both}).construction == "cohomology:A"
+        assert run_check(m, {"kind": "torsion", **both}).construction == "torsion:N"
+        record = run_check(m, {"kind": "cohomology", "endo": "N"})
+        assert record.construction == "cohomology"
+        assert record.status == "error" and record.message == "unknown algebroid None"
 
     def test_unknown_name_is_error(self, tmp_path):
         m = load_manifest(write_manifest(tmp_path, n_manifest()))
@@ -384,16 +455,15 @@ class TestHostileManifests:
         )
 
     def test_report_stays_small_for_a_huge_eps(self, tmp_path, capsys):
+        """eps is a load error that does not quote its value."""
         eps = "1" * 1_000_000
         doc = n_manifest(checks=[{"kind": "complex", "endo": "N", "eps": eps}])
         code = main(["verify", write_manifest(tmp_path, doc), "--format", "json"])
-        out = capsys.readouterr().out
-        (record,) = json.loads(out)["checks"]
-        assert code == EXIT_ERROR
-        assert record["message"] == (
-            f"bad eps value {eps[:MAX_QUOTED]!r}... (1000000 characters)"
-        )
-        assert len(out) < 1000
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR and captured.out == ""
+        assert "divide the endomorphism by eps" in captured.err
+        assert "1" * MAX_QUOTED not in captured.err
+        assert len(captured.err) < 300
 
     def test_non_string_algebroid_anchor(self, tmp_path, capsys):
         doc = n_manifest(algebroids={"A": {"anchor": ["N"]}})
@@ -668,40 +738,46 @@ P_ROWS = [["1", "0"], ["0", "-1"]]
 
 
 class TestEps:
-    """``eps`` of a complex or product check is a nonzero integer or fraction string."""
+    """``eps`` once scaled a complex or product structure (J^2 = -eps^2 Id,
+    P^2 = eps^2 Id). It is gone: a check that still carries it, whatever its
+    value, is a load error (exit 2) whose message says to divide the
+    endomorphism by eps and does not echo the value."""
 
     @staticmethod
-    def run(tmp_path, capsys, kind, eps):
+    def assert_rejected(tmp_path, capsys, kind, eps):
         doc = {
             "chart": {"coords": ["x", "y"]},
             "probe_degree": 0,
             "endomorphisms": {"E": J_ROWS if kind == "complex" else P_ROWS},
-            "checks": [{"kind": kind, "endo": "E", "eps": eps}],
+            "checks": [
+                {"kind": "torsion", "endo": "E"},
+                {"kind": kind, "endo": "E", "eps": eps},
+            ],
         }
-        code = main(["verify", write_manifest(tmp_path, doc), "--format", "json"])
-        return code, json.loads(capsys.readouterr().out)["checks"][0]
+        path = write_manifest(tmp_path, doc)
+        code = main(["verify", path, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR and captured.out == ""
+        assert captured.err == (
+            f"error: {path}: checks[1].eps is no longer supported: "
+            "divide the endomorphism by eps\n"
+        )
+        assert len(captured.err.encode()) < 300
+
+    @pytest.mark.parametrize("kind", ["complex", "product"])
+    @pytest.mark.parametrize("eps", [1, "1/2"], ids=["one", "half"])
+    def test_any_value_rejected(self, tmp_path, capsys, kind, eps):
+        self.assert_rejected(tmp_path, capsys, kind, eps)
 
     @pytest.mark.parametrize("kind", ["complex", "product"])
     @pytest.mark.parametrize("eps", [True, False], ids=["true", "false"])
     def test_boolean_rejected(self, tmp_path, capsys, kind, eps):
-        code, record = self.run(tmp_path, capsys, kind, eps)
-        assert code == EXIT_ERROR
-        assert record["status"] == "error"
-        assert record["message"] == f"bad eps value {eps!r}"
+        self.assert_rejected(tmp_path, capsys, kind, eps)
 
     @pytest.mark.parametrize("kind", ["complex", "product"])
     @pytest.mark.parametrize("eps", [0, "0", "0/3"], ids=["int", "string", "fraction"])
     def test_zero_rejected_with_one_message(self, tmp_path, capsys, kind, eps):
-        code, record = self.run(tmp_path, capsys, kind, eps)
-        assert code == EXIT_ERROR
-        assert record["message"] == "eps must be nonzero"
-
-    @pytest.mark.parametrize("kind", ["complex", "product"])
-    @pytest.mark.parametrize("eps", [1, -1, "1/1"], ids=["one", "minus-one", "fraction"])
-    def test_unit_accepted(self, tmp_path, capsys, kind, eps):
-        code, record = self.run(tmp_path, capsys, kind, eps)
-        assert code == EXIT_PASS
-        assert record["status"] == "pass"
+        self.assert_rejected(tmp_path, capsys, kind, eps)
 
     @pytest.mark.parametrize("kind", ["complex", "product"])
     @pytest.mark.parametrize(
@@ -709,9 +785,7 @@ class TestEps:
         ["1e2", "1.5", " 1", "1_0", "1/0", "1/", "1e2200", "1e10000000"],
     )
     def test_other_notation_rejected(self, tmp_path, capsys, kind, eps):
-        code, record = self.run(tmp_path, capsys, kind, eps)
-        assert code == EXIT_ERROR
-        assert record["message"] == f"bad eps value {eps!r}"
+        self.assert_rejected(tmp_path, capsys, kind, eps)
 
     @pytest.mark.parametrize(
         "eps",
@@ -719,33 +793,35 @@ class TestEps:
         ids=["int", "string", "denominator"],
     )
     def test_past_the_digit_limit_rejected(self, tmp_path, capsys, eps):
-        """eps^2 would not print; the other checks keep their records."""
+        """Values past the 2,000 digits eps once allowed are rejected alike."""
+        self.assert_rejected(tmp_path, capsys, "complex", eps)
+
+    def test_scale_is_written_into_the_endomorphism(self, tmp_path, capsys):
+        """J = 2·J1 has J^2 = -4 Id and is refused; the same entries divided by
+        2 give the algebroid that eps = 2 gave."""
+        doubled = [["0", "-2/(1+x^2)"], ["2*(1+x^2)", "0"]]
         doc = {
             "chart": {"coords": ["x", "y"]},
-            "endomorphisms": {"J": J_ROWS},
+            "probe_degree": 0,
+            "endomorphisms": {
+                "J": doubled,
+                "J_over_2": [[f"({e})/2" for e in row] for row in doubled],
+            },
             "checks": [
-                {"kind": "torsion", "endo": "J"},
-                {"kind": "complex", "endo": "J", "eps": eps},
+                {"kind": "complex", "endo": "J"},
+                {"kind": "complex", "endo": "J_over_2"},
             ],
         }
         code = main(["verify", write_manifest(tmp_path, doc), "--format", "json"])
-        captured = capsys.readouterr()
-        torsion, complex_check = json.loads(captured.out)["checks"]
-        assert code == EXIT_ERROR and captured.err == ""
-        assert torsion["status"] == "pass"
-        assert complex_check["status"] == "error"
-        # a longer value is quoted by its first MAX_QUOTED characters
-        text = eps if isinstance(eps, str) else repr(eps)
-        assert complex_check["message"] == (
-            f"bad eps value {text[:MAX_QUOTED]!r}... ({len(text)} characters)"
-        )
-
-    def test_longest_eps_accepted(self, tmp_path, capsys):
-        """At the digit limit eps^2 still prints, in the square condition."""
-        eps = "1" + "0" * 1999
-        code, record = self.run(tmp_path, capsys, "complex", eps)
+        scaled, divided = json.loads(capsys.readouterr().out)["checks"]
         assert code == EXIT_ERROR
-        assert record["message"] == f"endomorphism does not satisfy J^2 = -1{'0' * 3998} Id"
+        assert scaled["status"] == "error"
+        assert scaled["message"] == "endomorphism does not satisfy J^2 = -1 Id"
+        assert divided["status"] == "pass"
+        assert divided["details"]["anchor_matrix"] == [
+            ["1/2", "(1/2*i)/(x^2 + 1)"],
+            ["-1/2*i*x^2 - 1/2*i", "1/2"],
+        ]
 
 
 class TestOversizedCoefficients:
@@ -790,7 +866,7 @@ class TestOversizedCoefficients:
 
 def _count_calls(monkeypatch) -> Counter:
     """Count nijenhuis_torsion, tangent_data_for_chart and the compositions
-    K∘M of two endomorphisms, the guards N^2 = N, E^2 = ±eps^2 Id and
+    K∘M of two endomorphisms, the guards N^2 = N, E^2 = ±Id and
     Gamma^2 = Id (a composition with a 2-form is part of a construction).
 
     Module functions are wrapped at every fncalc module that binds them.
@@ -860,6 +936,40 @@ def test_each_guard_runs_once(monkeypatch, manifest_name):
         assert run_check(manifest, descriptor).status == status
         assert (counts["torsion"], counts["compose"]) == CHECK_COUNTS[key], key
         assert counts["tangent_data"] == (descriptor["kind"] == "tangent"), key
+
+
+#: recipe -> (manifest, object, the library constructors it calls once each).
+RECIPE_CALLS = {
+    "idempotent": ("f2_idempotent.json", "N", ("idempotent_algebroid",)),
+    "complex": ("f1_complex.json", "J1", ("complex_algebroid",)),
+    "product": ("f3_product.json", "P1", ("product_algebroid",)),
+    "invertible": ("f6_invertible.json", "J2", ("invertible_algebroid",)),
+    "tangent": ("f5_tangent.json", "S1", ("connection_from_semispray", "connection_algebroid")),
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(RECIPE_CALLS))
+def test_each_recipe_calls_its_constructor_once(monkeypatch, recipe):
+    """A recipe check and ``build recipe:name`` call their library constructor
+    by its name in fncalc.cli, where a wrapper sees the call, exactly once."""
+    manifest_name, obj, constructors = RECIPE_CALLS[recipe]
+    manifest = load_manifest(str(MANIFESTS / manifest_name), probe_degree=0)
+    counts = Counter()
+    for name in {name for *_, names in RECIPE_CALLS.values() for name in names}:
+
+        def counting(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+    expected = Counter(dict.fromkeys(constructors, 1))
+    if recipe in cli.CHECK_KINDS:
+        key = cli._RECIPES[recipe][0]
+        assert run_check(manifest, {"kind": recipe, key: obj}).status == "pass"
+        assert counts == expected
+        counts.clear()
+    cli._build_algebroid(manifest, f"{recipe}:{obj}")
+    assert counts == expected
 
 
 #: (manifest, check name) -> TangentAlgebroid.bracket calls of the passing

@@ -141,14 +141,18 @@ class TestComplex:
             complex_algebroid(endo("P0"))
 
     def test_eps_scaling(self):
+        """A structure with J^2 = -c^2 Id is refused; J/c is the complex structure
+        that a scale c once described."""
         ch = Chart(("x", "y"))
-        two = ch.const(2)
-        J = endo("J0").scaled(two)  # J^2 = -4 Id
-        with pytest.raises(NotAlmostComplexError):
-            complex_projectors(J, 1)
-        p_plus, _ = complex_projectors(J, 2)
+        J = endo("J0").scaled(ch.const(2))  # J^2 = -4 Id
+        message = r"^endomorphism does not satisfy J\^2 = -1 Id$"
+        with pytest.raises(NotAlmostComplexError, match=message):
+            complex_projectors(J)
+        halved = J.scaled(ch.const(Fraction(1, 2)))
+        p_plus, _ = complex_projectors(halved)
         assert p_plus.compose(p_plus) == p_plus
-        assert check_axioms(complex_algebroid(J, 2)).passed
+        assert p_plus == complex_projectors(endo("J0"))[0]
+        assert check_axioms(complex_algebroid(halved)).passed
 
 
 class TestProduct:
