@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .calculus import (
@@ -31,6 +29,7 @@ from .calculus import (
     KForm,
     VectorField,
     VectorValuedForm,
+    _Record,
     _sum_terms,
     _wedge_terms,
     contracted_bracket,
@@ -76,22 +75,21 @@ class SingularAnchorError(AlgebroidError):
     pass
 
 
-@dataclass(frozen=True)
-class TangentAlgebroid:
+class TangentAlgebroid(_Record):
     """The degree-1 derivation D = L_K + i_L by its anchor K and correction L.
 
     D defines the bracket [[X,Y]] = [X,Y]_K - L(X,Y); the pair is a Lie
     algebroid exactly when D^2 = 0 (:func:`check_cohomology`).
     """
 
-    anchor: VectorValuedForm  # degree 1
-    correction: VectorValuedForm  # degree 2
+    __slots__ = _fields = ("anchor", "correction")
 
-    def __post_init__(self):
-        if self.anchor.chart != self.correction.chart:
+    def __init__(self, anchor: VectorValuedForm, correction: VectorValuedForm):
+        if anchor.chart != correction.chart:
             raise ChartMismatchError("anchor and correction on different charts")
-        if self.anchor.degree != 1 or self.correction.degree != 2:
+        if anchor.degree != 1 or correction.degree != 2:
             raise AlgebroidError("algebroid data must have degrees (1, 2)")
+        self.anchor, self.correction = anchor, correction
 
     @property
     def chart(self) -> Chart:
@@ -150,12 +148,14 @@ def derivation_from_algebroid(alg: TangentAlgebroid) -> TangentAlgebroid:
     )
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
-    """Residuals of the two square-zero tensor conditions for D = L_K + i_L."""
+class CohomologyReport(_Record):
+    """Residuals of the two square-zero tensor conditions for D = L_K + i_L:
+    (1/2)[K,K]_FN + i_L K of degree 2, and [K,L]_FN + (1/2)[L,L]_RN of degree 3."""
 
-    condition1: VectorValuedForm  # (1/2)[K,K]_FN + i_L K, degree 2
-    condition2: VectorValuedForm  # [K,L]_FN + (1/2)[L,L]_RN, degree 3
+    __slots__ = _fields = ("condition1", "condition2")
+
+    def __init__(self, condition1: VectorValuedForm, condition2: VectorValuedForm):
+        self.condition1, self.condition2 = condition1, condition2
 
     @property
     def passed(self) -> bool:
@@ -166,20 +166,20 @@ def check_cohomology(alg: TangentAlgebroid) -> CohomologyReport:
     """The (K, L) pair of the derivation D^2, for D = L_K + i_L: ``alg`` is
     a Lie algebroid exactly when both components vanish."""
     K, L = alg.anchor, alg.correction
-    half = alg.chart.const(Fraction(1, 2))
+    half = alg.chart.one / alg.chart.const(2)
     # i_L K = K∘L for the vector-valued 1-form K
     cond1 = fn_bracket(K, K).scaled(half) + K.compose(L)
     cond2 = fn_bracket(K, L) + rn_bracket(L, L).scaled(half)
     return CohomologyReport(cond1, cond2)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(_Record):
     """Residual fields of the three algebroid axioms, labelled by probe tuple."""
 
-    jacobi: tuple[tuple[str, VectorField], ...]
-    leibniz: tuple[tuple[str, VectorField], ...]
-    anchor_morphism: tuple[tuple[str, VectorField], ...]
+    __slots__ = _fields = ("jacobi", "leibniz", "anchor_morphism")
+
+    def __init__(self, jacobi: tuple, leibniz: tuple, anchor_morphism: tuple):
+        self.jacobi, self.leibniz, self.anchor_morphism = jacobi, leibniz, anchor_morphism
 
     @property
     def passed(self) -> bool:
@@ -421,14 +421,18 @@ def _structure_residuals(balg: BundleAlgebroid) -> tuple[dict, dict]:
     return anchor, jacobi
 
 
-@dataclass(frozen=True)
-class BundleAxiomReport:
-    """Operator-route and structure-function-route residuals of D^2 = 0."""
+class BundleAxiomReport(_Record):
+    """Operator-route and structure-function-route residuals of D^2 = 0:
+    labelled forms, vector fields (anchor) and scalars (Jacobi)."""
 
-    d2_on_coordinates: tuple[tuple[str, KForm], ...]
-    d2_on_covectors: tuple[tuple[str, KForm], ...]
-    anchor_morphism: tuple[tuple[str, VectorField], ...]
-    jacobi: tuple[tuple[str, ScalarExpr], ...]
+    __slots__ = _fields = ("d2_on_coordinates", "d2_on_covectors", "anchor_morphism", "jacobi")
+
+    def __init__(
+        self, d2_on_coordinates: tuple, d2_on_covectors: tuple, anchor_morphism: tuple,
+        jacobi: tuple,
+    ):
+        self.d2_on_coordinates, self.d2_on_covectors = d2_on_coordinates, d2_on_covectors
+        self.anchor_morphism, self.jacobi = anchor_morphism, jacobi
 
     @property
     def passed(self) -> bool:
@@ -464,20 +468,17 @@ def check_bundle_axioms(balg: BundleAlgebroid) -> BundleAxiomReport:
     )
 
 
-@dataclass(frozen=True)
-class LinearConnection:
+class LinearConnection(_Record):
     """Christoffel symbols gamma[i][a][b]: the s_b coefficient of ∇_{∂_i} s_a."""
 
-    chart: Chart
-    rank: int
-    gamma: tuple[tuple[tuple[ScalarExpr, ...], ...], ...]
+    __slots__ = _fields = ("chart", "rank", "gamma")
 
-    def __post_init__(self):
-        if len(self.gamma) != self.chart.dim or any(
-            len(block) != self.rank or any(len(row) != self.rank for row in block)
-            for block in self.gamma
+    def __init__(self, chart: Chart, rank: int, gamma: tuple):
+        if len(gamma) != chart.dim or any(
+            len(block) != rank or any(len(row) != rank for row in block) for block in gamma
         ):
             raise AlgebroidError("Christoffel symbol shape mismatch")
+        self.chart, self.rank, self.gamma = chart, rank, gamma
 
 
 def nabla_K(

@@ -20,15 +20,10 @@ A degree-1 derivation L_K + i_L is held by its pair (K, L) as a
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import operator
 from typing import Callable, Mapping, Sequence
 
-from .scalar import (
-    CoordinateRing,
-    ScalarExpr,
-    coordinate_ring,
-    parse_expr,
-)
+from .scalar import ScalarExpr, coordinate_ring, parse_expr
 
 __all__ = [
     "CalculusError",
@@ -60,24 +55,47 @@ class ChartMismatchError(CalculusError):
     pass
 
 
-@dataclass(frozen=True)
-class Chart:
+class _Record:
+    """A value named by its ``_fields``: equal to a record of its own class
+    with equal fields, and hashed and shown by them, like a frozen dataclass
+    (``dataclasses`` itself costs every cold start some milliseconds)."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._values = property(operator.attrgetter(*cls._fields))  # the fields' tuple
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Chart(_Record):
     """A single coordinate chart; ``is_complexified`` admits Gaussian coefficients.
 
     ``ring`` is the chart's coordinate ring: over Z for a real chart, over
     Z[i] for a complexified one, so its scalars range over Q(x) or Q(i)(x).
     Fields and forms take only coefficients on ``ring``: a real form reaches
-    the complexified chart through :func:`complexify_vvf`.
+    the complexified chart through :func:`complexify_vvf`. Equality, hash
+    and ``repr`` leave ``ring`` out.
     """
 
-    coord_names: tuple[str, ...]
-    is_complexified: bool = False
-    ring: CoordinateRing = field(init=False, repr=False, compare=False)
+    _fields = ("coord_names", "is_complexified")
+    __slots__ = _fields + ("ring",)
 
-    def __post_init__(self):
-        # also validates the names
-        ring = coordinate_ring(self.coord_names, self.is_complexified)
-        object.__setattr__(self, "ring", ring)
+    def __init__(self, coord_names: tuple[str, ...], is_complexified: bool = False):
+        self.ring = coordinate_ring(coord_names, is_complexified)  # validates the names
+        self.coord_names = coord_names
+        self.is_complexified = is_complexified
 
     @property
     def dim(self) -> int:

@@ -17,7 +17,6 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from .algebroid import (
@@ -37,6 +36,7 @@ from .calculus import (
     KForm,
     VectorField,
     VectorValuedForm,
+    _Record,
     nijenhuis_torsion,
 )
 from .scalar import ScalarError, ScalarExpr
@@ -93,34 +93,40 @@ class ManifestError(Exception):
     """Invalid manifest contents: bad syntax, shapes or unresolved names."""
 
 
-@dataclass
-class Manifest:
+class Manifest(_Record):
     """A fully parsed manifest; every named object is already validated."""
 
-    path: str
-    chart: Chart
-    seed: int
-    probe_degree: int
-    points: int
-    endomorphisms: dict[str, VectorValuedForm]
-    forms: dict[str, VectorValuedForm]
-    algebroids: dict[str, TangentAlgebroid]
-    bundle_algebroids: dict[str, BundleAlgebroid]
-    sprays: dict[str, VectorField]
-    checks: list[dict[str, Any]] = field(default_factory=list)
+    __slots__ = _fields = (
+        "path", "chart", "seed", "probe_degree", "points", "endomorphisms", "forms",
+        "algebroids", "bundle_algebroids", "sprays", "checks",
+    )
+
+    def __init__(
+        self, path: str, chart: Chart, seed: int, probe_degree: int, points: int,
+        endomorphisms: dict[str, VectorValuedForm], forms: dict[str, VectorValuedForm],
+        algebroids: dict[str, TangentAlgebroid], bundle_algebroids: dict[str, BundleAlgebroid],
+        sprays: dict[str, VectorField], checks: list[dict[str, Any]] | None = None,
+    ):
+        self.path, self.chart, self.seed, self.probe_degree = path, chart, seed, probe_degree
+        self.points, self.endomorphisms, self.forms = points, endomorphisms, forms
+        self.algebroids, self.bundle_algebroids = algebroids, bundle_algebroids
+        self.sprays, self.checks = sprays, [] if checks is None else checks
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(_Record):
     """One per-check report row; ``status`` is pass/fail/error."""
 
-    name: str
-    construction: str
-    status: str
-    residuals: list[dict[str, str]]
-    message: str = ""
-    details: dict[str, Any] = field(default_factory=dict)
-    elapsed: float = 0.0
+    __slots__ = _fields = (
+        "name", "construction", "status", "residuals", "message", "details", "elapsed"
+    )
+
+    def __init__(
+        self, name: str, construction: str, status: str, residuals: list[dict[str, str]],
+        message: str = "", details: dict[str, Any] | None = None, elapsed: float = 0.0,
+    ):
+        self.name, self.construction, self.status = name, construction, status
+        self.residuals, self.message, self.elapsed = residuals, message, elapsed
+        self.details = {} if details is None else details
 
     def as_json(self) -> dict[str, Any]:
         out = {
@@ -417,6 +423,8 @@ def load_manifest(
         _expect(isinstance(descriptor, dict), f"{path}: checks[{k}] must be an object")
         kind = descriptor.get("kind")
         _expect(kind in CHECK_KINDS, f"{path}: checks[{k}] has unknown kind {_quote(kind)}")
+        own = _CHECKS[kind][0]
+        _expect(own in descriptor, f"{path}: checks[{k}].{own} is missing")
         for key in ("name", *_OBJECTS):
             value = descriptor.get(key, "")
             _expect(isinstance(value, str), f"{path}: checks[{k}].{key} must be a string")

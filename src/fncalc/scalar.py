@@ -11,12 +11,12 @@ polynomials with gcd(num, den) = 1 in Z[x] (or Z[i][x]), content included,
 and the leading coefficient of den, under graded-lex order, positive (or in
 the first quadrant). By Gauss's lemma this is the Q-monic form scaled by a
 constant, and only the printer divides by that constant: values print as a
-numerator over a monic denominator with rational (or Gaussian rational)
-coefficients. A scalar's ring is fixed by its chart: arithmetic and
-``sum_of_products`` raise on operands of two rings, and scalars of two rings
-are never equal. ``ScalarExpr.complexified`` is the one crossing: it moves a
-real value to Z[i] on the same coordinates, where its canonical form is
-unchanged.
+numerator over a monic denominator, each rational coefficient (or part of a
+Gaussian rational one) a reduced pair of ints, with no ``Fraction``. A
+scalar's ring is fixed by its chart: arithmetic and ``sum_of_products``
+raise on operands of two rings, and scalars of two rings are never equal.
+``ScalarExpr.complexified`` is the one crossing: it moves a real value to
+Z[i] on the same coordinates, where its canonical form is unchanged.
 
 A polynomial is a ``dict`` from a packed monomial to its nonzero
 coefficient, a Python ``int`` over Z and a ``_GaussianInt`` (a pair of
@@ -44,7 +44,6 @@ import math
 import operator
 import re
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Sequence
@@ -84,14 +83,20 @@ class ImaginaryNotAllowedError(ScalarError):
     """The imaginary unit was used on a chart declared real."""
 
 
-def _complex_str(re, im) -> str:
-    """re + im*i, for ``int`` or ``Fraction`` parts."""
+def _ratio_str(p: int, q: int) -> str:
+    """p/q in lowest terms, for q > 0: ``p`` alone when q divides it."""
+    g = math.gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
+
+
+def _complex_str(re: int, im: int, n: int) -> str:
+    """(re + im*i)/n, for n > 0, each part in lowest terms."""
     if im == 0:
-        return str(re)
-    imag = "i" if abs(im) == 1 else f"{abs(im)}*i"
+        return _ratio_str(re, n)
+    imag = "i" if abs(im) == n else f"{_ratio_str(abs(im), n)}*i"
     if re == 0:
         return imag if im > 0 else f"-{imag}"
-    return f"{re}{'+' if im > 0 else '-'}{imag}"
+    return f"{_ratio_str(re, n)}{'+' if im > 0 else '-'}{imag}"
 
 
 # ---------------------------------------------------------------------------
@@ -698,13 +703,16 @@ class ScalarExpr:
     @staticmethod
     def constant(ring: CoordinateRing, value) -> "ScalarExpr":
         """The constant ``value``: an int or a ``Fraction``, never a float."""
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"constant {value!r} is not an int or a Fraction")
+        if isinstance(value, int):
+            p, q = int(value), 1
+        else:
+            from fractions import Fraction  # loaded already if value is one
+            if not isinstance(value, Fraction):
+                raise TypeError(f"constant {value!r} is not an int or a Fraction")
+            p, q = value.numerator, value.denominator
         # coprime integers with a positive denominator: canonical over Z and Z[i]
-        value = Fraction(value)
         of_int = ring.domain.of_int
-        num = {0: of_int(value.numerator)} if value else {}
-        return ScalarExpr(ring, num, {0: of_int(value.denominator)}, _canonical=True)
+        return ScalarExpr(ring, {0: of_int(p)} if p else {}, {0: of_int(q)}, _canonical=True)
 
     @staticmethod
     def variable(ring: CoordinateRing, name: str) -> "ScalarExpr":
@@ -877,10 +885,10 @@ def _poly_str(poly: dict, ring: CoordinateRing, lc) -> str:
     else:
         values = [(poly[m], 0) for m in monoms]
         a, b = lc, 0
+    n = a * a + b * b
     if lc != ring.domain.one:
-        # c / lc = c * conj(lc) / |lc|^2, in exact rational parts
-        n = a * a + b * b
-        values = [(Fraction(x * a + y * b, n), Fraction(y * a - x * b, n)) for x, y in values]
+        # c / lc = c * conj(lc) / |lc|^2, each part reduced as it prints
+        values = [(x * a + y * b, y * a - x * b) for x, y in values]
     parts = []
     for monom, (re, im) in zip(monoms, values):
         factors = []
@@ -891,13 +899,13 @@ def _poly_str(poly: dict, ring: CoordinateRing, lc) -> str:
                 factors.append(f"{name}^{exp}")
         mono = "*".join(factors)
         if not mono:
-            parts.append(_complex_str(re, im))
-        elif im == 0 and re == 1:
+            parts.append(_complex_str(re, im, n))
+        elif im == 0 and re == n:
             parts.append(mono)
-        elif im == 0 and re == -1:
+        elif im == 0 and re == -n:
             parts.append(f"-{mono}")
         else:
-            c = _complex_str(re, im)
+            c = _complex_str(re, im, n)
             if "+" in c[1:] or "-" in c[1:]:
                 c = f"({c})"
             parts.append(f"{c}*{mono}")

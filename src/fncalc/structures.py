@@ -21,8 +21,6 @@ structure needs no projector torsion at all.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .algebroid import TangentAlgebroid
@@ -32,6 +30,7 @@ from .calculus import (
     KForm,
     VectorField,
     VectorValuedForm,
+    _Record,
     complexify_vvf,
     fn_bracket,
     lie_bracket,
@@ -169,7 +168,7 @@ def _require_square(E: VectorValuedForm, sign: int, error: type, name: str) -> N
 def _half(E: VectorValuedForm) -> VectorValuedForm:
     """(Id - E)/2, which is idempotent exactly when E^2 = Id."""
     chart = E.chart
-    return (VectorValuedForm.identity(chart) - E).scaled(chart.const(Fraction(1, 2)))
+    return (VectorValuedForm.identity(chart) - E).scaled(chart.one / chart.const(2))
 
 
 def _times_i(J: VectorValuedForm) -> VectorValuedForm:
@@ -259,14 +258,16 @@ def _adapted_frames(
     return frame(hmat), frame(gmat)
 
 
-@dataclass(frozen=True)
-class FoliationData:
+class FoliationData(_Record):
     """Curvature, adapted frames and bracket-table residuals of an Ehresmann projector."""
 
-    curvature: VectorValuedForm
-    horizontal: tuple[VectorField, ...]
-    vertical: tuple[VectorField, ...]
-    bracket_table: tuple[tuple[str, VectorField], ...]
+    __slots__ = _fields = ("curvature", "horizontal", "vertical", "bracket_table")
+
+    def __init__(
+        self, curvature: VectorValuedForm, horizontal: tuple, vertical: tuple, bracket_table: tuple
+    ):
+        self.curvature, self.horizontal = curvature, horizontal
+        self.vertical, self.bracket_table = vertical, bracket_table
 
 
 def foliation_connection(gamma: VectorValuedForm) -> FoliationData:
@@ -299,13 +300,13 @@ def foliation_connection(gamma: VectorValuedForm) -> FoliationData:
     return FoliationData(curvature, tuple(horizontal), tuple(vertical), tuple(table))
 
 
-@dataclass(frozen=True)
-class BigradedForm:
+class BigradedForm(_Record):
     """A (p, q)-component of a form relative to the splitting of a projector."""
 
-    form: KForm
-    p: int
-    q: int
+    __slots__ = _fields = ("form", "p", "q")
+
+    def __init__(self, form: KForm, p: int, q: int):
+        self.form, self.p, self.q = form, p, q
 
 
 def bigrade(omega: KForm, gamma: VectorValuedForm) -> list[BigradedForm]:
@@ -374,13 +375,16 @@ def _d_components(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TangentChartData:
+class TangentChartData(_Record):
     """Chart (x^1..x^n, u^1..u^n) with vertical endomorphism and Liouville field."""
 
-    chart: Chart
-    vertical_endomorphism: VectorValuedForm
-    liouville: VectorField
+    __slots__ = _fields = ("chart", "vertical_endomorphism", "liouville")
+
+    def __init__(
+        self, chart: Chart, vertical_endomorphism: VectorValuedForm, liouville: VectorField
+    ):
+        self.chart, self.liouville = chart, liouville
+        self.vertical_endomorphism = vertical_endomorphism
 
     @property
     def n(self) -> int:

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from fncalc.algebroid import (
+    AlgebroidError,
     AxiomReport,
     BundleAlgebroid,
     LinearConnection,
@@ -25,6 +26,7 @@ from fncalc.algebroid import (
 )
 from fncalc.calculus import (
     Chart,
+    ChartMismatchError,
     KForm,
     VectorValuedForm,
     complexify_vvf,
@@ -550,3 +552,20 @@ class TestSymmetricCrossCheck:
         conn = flat_connection(alg.chart, alg.chart.dim)
         residuals = symmetric_connection_cross_check(conn, alg)
         assert all(r.is_zero for _, r in residuals)
+
+
+def test_tangent_algebroid_is_a_value():
+    """Two pairs with equal (K, L) are equal and hash alike; the degrees and
+    the chart are checked on construction."""
+    a = n0_algebroid()
+    b = TangentAlgebroid(a.anchor.scaled(a.chart.one), -(-a.correction))
+    assert a.anchor is not b.anchor and a.correction is not b.correction
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert TangentAlgebroid(anchor=a.anchor, correction=a.correction) == a
+    zero = VectorValuedForm.zero(a.chart, 2)
+    assert a != TangentAlgebroid(a.anchor, zero) and a != (a.anchor, a.correction)
+    assert len({a, b, TangentAlgebroid(a.anchor, zero)}) == 2
+    with pytest.raises(AlgebroidError, match=r"^algebroid data must have degrees \(1, 2\)$"):
+        TangentAlgebroid(a.correction, a.anchor)
+    with pytest.raises(ChartMismatchError, match="^anchor and correction on different charts$"):
+        TangentAlgebroid(a.anchor, VectorValuedForm.zero(a.chart.complexify(), 2))

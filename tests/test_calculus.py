@@ -443,3 +443,42 @@ def test_j2_torsion_value():
     ch = J.chart
     T = nijenhuis_torsion(J)
     assert T(ch.basis_vector(0), ch.basis_vector(2)) == ch.basis_vector(0)
+
+
+class TestChartValue:
+    """A chart is a value over its names and realness: ``repr`` is the one
+    ``chart mismatch`` prints, and equality and hash ignore ``ring``."""
+
+    REAL = "Chart(coord_names=('x', 'y'), is_complexified=False)"
+    COMPLEX = "Chart(coord_names=('x', 'y'), is_complexified=True)"
+
+    def test_repr_and_str(self):
+        ch = Chart(("x", "y"))
+        assert repr(ch) == str(ch) == self.REAL
+        assert repr(ch.complexify()) == str(ch.complexify()) == self.COMPLEX
+        assert repr(Chart(coord_names=("x", "y"), is_complexified=True)) == self.COMPLEX
+        assert repr(Chart(("t",))) == "Chart(coord_names=('t',), is_complexified=False)"
+
+    def test_mismatch_message(self):
+        ch = Chart(("x", "y"))
+        X = VectorField(ch, [ch.one, ch.zero])
+        cX = VectorField(ch.complexify(), [ch.complexify().one, ch.complexify().zero])
+        with pytest.raises(ChartMismatchError) as exc:
+            X + cX
+        assert str(exc.value) == f"chart mismatch: {self.REAL} vs {self.COMPLEX}"
+        other = Chart(("x", "z"))
+        with pytest.raises(ChartMismatchError) as exc:
+            X - VectorField(other, [other.one, other.zero])
+        assert str(exc.value) == (
+            f"chart mismatch: {self.REAL} vs "
+            "Chart(coord_names=('x', 'z'), is_complexified=False)"
+        )
+
+    def test_equality_and_hash_ignore_the_ring(self):
+        a, b = Chart(("x", "y")), Chart(("x", "y"))
+        assert a is not b and a == b and hash(a) == hash(b)
+        object.__setattr__(b, "ring", coordinate_ring(("x", "y"), True))
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert a == a and a != a.complexify() and a.complexify() == Chart(("x", "y"), True)
+        assert a != Chart(("y", "x")) and a != Chart(("x", "z")) and a != ("x", "y")
+        assert len({a, Chart(("x", "y")), a.complexify(), a.complexify()}) == 2

@@ -27,6 +27,7 @@ from fncalc.cli import (
     MAX_NAME_LENGTH,
     MAX_PROBE_DEGREE,
     MAX_QUOTED,
+    CheckRecord,
     ManifestError,
     load_manifest,
     main,
@@ -283,6 +284,33 @@ class TestRunCheck:
         }
 
 
+class TestCheckRecord:
+    """A report row: its defaults, a details dict of its own, and its JSON."""
+
+    ROW = [{"basis": "(e_x,e_y)->d/dx", "slot": "torsion", "value": "-x"}]
+
+    def test_defaults(self):
+        a = CheckRecord("t", "torsion:N", "pass", [])
+        b = CheckRecord(name="t", construction="torsion:N", status="pass", residuals=[])
+        assert (a.message, a.details, a.elapsed) == ("", {}, 0.0)
+        assert a == b and a.details is not b.details
+        a.details["K"] = "x"
+        assert b.details == {} and a != b
+        b.elapsed = 1.5
+        assert b.elapsed == 1.5
+
+    def test_as_json(self):
+        bare = CheckRecord("t", "torsion:N", "fail", self.ROW, elapsed=2.0)
+        assert bare.as_json() == {
+            "construction": "torsion:N", "name": "t", "residuals": self.ROW, "status": "fail",
+        }
+        full = CheckRecord("c", "complex:J", "error", [], "boom", {"anchor": ["1"]}, 3.0)
+        assert json.dumps(full.as_json()) == (
+            '{"construction": "complex:J", "name": "c", "residuals": [], '
+            '"status": "error", "message": "boom", "details": {"anchor": ["1"]}}'
+        )
+
+
 class TestEmitAndExitCodes:
     def test_verify_pass_exit_zero(self, capsys):
         code = main(["verify", str(MANIFESTS / "f3_product.json")])
@@ -393,6 +421,21 @@ class TestHostileManifests:
     )
     def test_non_string_name_in_check(self, tmp_path, capsys, descriptor):
         self.assert_manifest_error(tmp_path, capsys, n_manifest(checks=[descriptor]))
+
+    @pytest.mark.parametrize(
+        "descriptor, key",
+        [pytest.param({"kind": "cohomology", "algebriod": "A"}, "algebroid", id="misspelt")]
+        + [pytest.param({"kind": kind}, key, id=kind) for kind, (key, _) in cli._CHECKS.items()],
+    )
+    def test_check_without_its_kinds_object(self, tmp_path, capsys, descriptor, key):
+        """A check whose kind's own object key is missing, or misspelt, is
+        a load error naming that key, not a run-time ``unknown ... None``."""
+        doc = n_manifest(checks=[{"kind": "torsion", "endo": "N"}, descriptor])
+        path = write_manifest(tmp_path, doc)
+        code = main(["verify", path])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR and captured.out == ""
+        assert captured.err == f"error: {path}: checks[1].{key} is missing\n"
 
     LONG = "N" * (MAX_NAME_LENGTH + 1)
 
@@ -1143,36 +1186,90 @@ for name in names:
 """
 
 
-def test_verify_never_imports_sympy():
-    """The scalar kernel does its own arithmetic over Z and Z[i], gcds
-    included, so a fresh process verifies all 9 fixture manifests, at their
-    default probe degree, without loading sympy."""
+def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's fncalc."""
     src = str(pathlib.Path(fncalc.__file__).resolve().parent.parent)
     old = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + old if old else ""))
-    proc = subprocess.run(
-        [sys.executable, "-c", SYMPY_FREE_VERIFY, str(MANIFESTS)],
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_verify_never_imports_sympy():
+    """The scalar kernel does its own arithmetic over Z and Z[i], gcds
+    included, so a fresh process verifies all 9 fixture manifests, at their
+    default probe degree, without loading sympy."""
+    proc = _fresh_python(SYMPY_FREE_VERIFY, str(MANIFESTS))
     assert proc.returncode == 0, proc.stderr
 
 
-def test_no_module_imports_sympy():
-    """sympy is only the tests' reference oracle: no module of the package
-    imports it, at top level or inside a function."""
+#: Standard-library modules that cost a cold start several milliseconds and
+#: that fncalc does not need: ``dataclasses`` loads ``inspect`` (and with it
+#: ``ast``, ``dis`` and ``tokenize``), ``fractions`` loads ``decimal``.
+COLD_START_MODULES = ("dataclasses", "inspect", "fractions", "decimal")
+
+LOADED_COLD_START_MODULES = f"""
+import sys
+print(sorted(m for m in {COLD_START_MODULES!r} if m in sys.modules))
+"""
+
+
+def test_verify_loads_no_cold_start_module():
+    """Importing fncalc.cli and verifying all 9 fixture manifests loads none
+    of COLD_START_MODULES beyond what a bare interpreter has loaded (``site``
+    may load some)."""
+    bare = _fresh_python(LOADED_COLD_START_MODULES)
+    assert bare.returncode == 0, bare.stderr
+    verified = _fresh_python(SYMPY_FREE_VERIFY + LOADED_COLD_START_MODULES, str(MANIFESTS))
+    assert verified.returncode == 0, verified.stderr
+    assert verified.stdout == bare.stdout
+
+
+def _package_imports():
+    """(file name, line, imported modules, inside a function) for every
+    import statement of the package."""
     package = pathlib.Path(fncalc.__file__).resolve().parent
-    offenders = []
     for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        nested = {
+            id(node)
+            for scope in ast.walk(tree)
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            for node in ast.walk(scope)
+        }
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 modules = [node.module or ""]
             else:
                 continue
-            if any(m == "sympy" or m.startswith("sympy.") for m in modules):
-                offenders.append(f"{path.name}:{node.lineno}")
+            yield path.name, node.lineno, modules, id(node) in nested
+
+
+def test_no_module_imports_sympy():
+    """sympy is only the tests' reference oracle: no module of the package
+    imports it, at top level or inside a function."""
+    offenders = [
+        f"{name}:{line}"
+        for name, line, modules, _ in _package_imports()
+        if any(m == "sympy" or m.startswith("sympy.") for m in modules)
+    ]
+    assert offenders == []
+
+
+def test_no_module_imports_dataclasses_or_top_level_fractions():
+    """Records are plain classes and the printer's rationals are integer
+    pairs: no module imports ``dataclasses``, and ``fractions`` is imported
+    only inside the function that accepts a ``Fraction``."""
+    offenders = [
+        f"{name}:{line}"
+        for name, line, modules, in_function in _package_imports()
+        if "dataclasses" in modules or ("fractions" in modules and not in_function)
+    ]
     assert offenders == []

@@ -2,6 +2,7 @@
 
 import operator
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -598,6 +599,55 @@ class TestIntegerKernel:
         for value in (0.5, 1 / 3, "1/2"):
             with pytest.raises(TypeError, match="not an int or a Fraction"):
                 chart.const(value)
+
+
+#: (text, over Z[i], printed): denominators whose leading coefficient, as
+#: written, is 2, -3, 3i, 1+i or 2+2i, over numerators with negative and
+#: imaginary coefficients. The printer divides by LC(den) and reduces each
+#: rational part on its own.
+NON_MONIC_CASES = [
+    ("(-3*x^2 + 5*y - 1)/(2*x + 3)", False, "(-3/2*x^2 + 5/2*y - 1/2)/(x + 3/2)"),
+    ("(4*x - 7)/(-3*y^2 + x)", False, "(-4/3*x + 7/3)/(y^2 - 1/3*x)"),
+    ("(-6*x + 9)/(-3*x*y + 1)", False, "(2*x - 3)/(x*y - 1/3)"),
+    ("(-2*x + 5*i*y - 1)/(3*i*x + 2)", True, "(2/3*i*x + 5/3*y + 1/3*i)/(x - 2/3*i)"),
+    ("(x - i)/((1+i)*y + 3)", True, "((1/2-1/2*i)*x - 1/2-1/2*i)/(y + 3/2-3/2*i)"),
+    (
+        "(-5*i*x^2 + 2 - 3*i)/((1+i)*x*y - i)",
+        True,
+        "((-5/2-5/2*i)*x^2 - 1/2-5/2*i)/(x*y - 1/2-1/2*i)",
+    ),
+    ("(-x + 3*i*y)/(-3*x - 1)", True, "(1/3*x - i*y)/(x + 1/3)"),
+    ("((1+2*i)*x + 3)/((2+2*i)*y + 1)", True, "((3/4+1/4*i)*x + 3/4-3/4*i)/(y + 1/4-1/4*i)"),
+    ("(-4*i*y - 6)/(3*i*y^2 - x)", True, "(-4/3*y + 2*i)/(y^2 + 1/3*i*x)"),
+    ("(7 - i*y)/(3*i)", True, "-1/3*y - 7/3*i"),
+    ("(x+1)/(2*i)", True, "-1/2*i*x - 1/2*i"),
+    ("-6/(4*x+2)", False, "(-3/2)/(x + 1/2)"),
+    ("-6/(4*x+2)", True, "(-3/2)/(x + 1/2)"),
+    ("(-y)/(-3)", False, "1/3*y"),
+]
+
+
+@pytest.mark.parametrize("text, gaussian, printed", NON_MONIC_CASES)
+def test_printer_on_non_monic_denominators(text, gaussian, printed):
+    value = expr(text, allow_imaginary=gaussian)
+    assert str(value) == printed
+    assert repr(value) == f"ScalarExpr({printed})"
+    assert expr(printed, allow_imaginary=gaussian) == value
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["real", "complex"])
+def test_constant_takes_an_int_or_a_fraction(gaussian):
+    ring = coordinate_ring(VARS, gaussian)
+    for value, printed in [
+        (3, "3"), (-7, "-7"), (0, "0"), (True, "1"),
+        (Fraction(-6, 4), "-3/2"), (Fraction(5), "5"), (Fraction(0), "0"),
+    ]:
+        c = ScalarExpr.constant(ring, value)
+        assert str(c) == printed and c == expr(printed, allow_imaginary=gaussian)
+    for value in (0.5, 2.0, Decimal("0.5"), "1/2", None):
+        with pytest.raises(TypeError) as exc:
+            ScalarExpr.constant(ring, value)
+        assert str(exc.value) == f"constant {value!r} is not an int or a Fraction"
 
 
 # ---------------------------------------------------------------------------
