@@ -154,9 +154,6 @@ class CohomologyReport(_Record):
 
     __slots__ = _fields = ("condition1", "condition2")
 
-    def __init__(self, condition1: VectorValuedForm, condition2: VectorValuedForm):
-        self.condition1, self.condition2 = condition1, condition2
-
     @property
     def passed(self) -> bool:
         return self.condition1.is_zero and self.condition2.is_zero
@@ -173,21 +170,20 @@ def check_cohomology(alg: TangentAlgebroid) -> CohomologyReport:
     return CohomologyReport(cond1, cond2)
 
 
-class AxiomReport(_Record):
-    """Residual fields of the three algebroid axioms, labelled by probe tuple."""
+class _Report(_Record):
+    """A record whose every field is a tuple of (label, residual) pairs."""
 
-    __slots__ = _fields = ("jacobi", "leibniz", "anchor_morphism")
-
-    def __init__(self, jacobi: tuple, leibniz: tuple, anchor_morphism: tuple):
-        self.jacobi, self.leibniz, self.anchor_morphism = jacobi, leibniz, anchor_morphism
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
-        return all(
-            residual.is_zero
-            for group in (self.jacobi, self.leibniz, self.anchor_morphism)
-            for _, residual in group
-        )
+        return all(residual.is_zero for group in self._values for _, residual in group)
+
+
+class AxiomReport(_Report):
+    """Residual fields of the three algebroid axioms, labelled by probe tuple."""
+
+    __slots__ = _fields = ("jacobi", "leibniz", "anchor_morphism")
 
 
 def _probes(
@@ -421,27 +417,11 @@ def _structure_residuals(balg: BundleAlgebroid) -> tuple[dict, dict]:
     return anchor, jacobi
 
 
-class BundleAxiomReport(_Record):
+class BundleAxiomReport(_Report):
     """Operator-route and structure-function-route residuals of D^2 = 0:
     labelled forms, vector fields (anchor) and scalars (Jacobi)."""
 
     __slots__ = _fields = ("d2_on_coordinates", "d2_on_covectors", "anchor_morphism", "jacobi")
-
-    def __init__(
-        self, d2_on_coordinates: tuple, d2_on_covectors: tuple, anchor_morphism: tuple,
-        jacobi: tuple,
-    ):
-        self.d2_on_coordinates, self.d2_on_covectors = d2_on_coordinates, d2_on_covectors
-        self.anchor_morphism, self.jacobi = anchor_morphism, jacobi
-
-    @property
-    def passed(self) -> bool:
-        return (
-            all(r.is_zero for _, r in self.d2_on_coordinates)
-            and all(r.is_zero for _, r in self.d2_on_covectors)
-            and all(r.is_zero for _, r in self.anchor_morphism)
-            and all(r.is_zero for _, r in self.jacobi)
-        )
 
 
 def check_bundle_axioms(balg: BundleAlgebroid) -> BundleAxiomReport:

@@ -56,15 +56,25 @@ class ChartMismatchError(CalculusError):
 
 
 class _Record:
-    """A value named by its ``_fields``: equal to a record of its own class
-    with equal fields, and hashed and shown by them, like a frozen dataclass
-    (``dataclasses`` itself costs every cold start some milliseconds)."""
+    """A value named by its ``_fields``: ``_Record.__init__`` takes one value
+    per field, in order, and a record equals one of its own class with equal
+    fields and is hashed and shown by them. Records are not frozen. A class
+    with defaults or checks has its own ``__init__``; one without ``_fields``
+    only shares behaviour. Being no dataclass keeps ``dataclasses`` off the
+    cold start."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        cls._values = property(operator.attrgetter(*cls._fields))  # the fields' tuple
+        if cls._fields:
+            cls._values = property(operator.attrgetter(*cls._fields))  # the fields' tuple
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values, not {len(values)}")
+        for field, value in zip(self._fields, values):
+            setattr(self, field, value)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -148,10 +158,10 @@ def _off_chart(value: ScalarExpr, chart: Chart) -> ChartMismatchError:
     return ChartMismatchError(f"coefficient on {value.ring}, not on the chart's {chart.ring}")
 
 
-class VectorField:
+class VectorField(_Record):
     """A vector field, stored by its components along the coordinate frame."""
 
-    __slots__ = ("chart", "components")
+    __slots__ = _fields = ("chart", "components")
 
     def __init__(self, chart: Chart, components: Sequence[ScalarExpr]):
         components = tuple(components)
@@ -201,16 +211,6 @@ class VectorField:
     @property
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.components)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VectorField)
-            and self.chart == other.chart
-            and self.components == other.components
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.chart, self.components))
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(c) for c in self.components) + "]"
@@ -380,13 +380,13 @@ def det(matrix: Sequence[Sequence[ScalarExpr]], chart: Chart) -> ScalarExpr:
     return ScalarExpr.sum_of_products(chart.ring, terms)
 
 
-class VectorValuedForm:
+class VectorValuedForm(_Record):
     """A vector-valued form: one coefficient ``KForm`` per target coordinate.
 
     Degree 0 is a vector field in disguise, degree 1 an endomorphism field.
     """
 
-    __slots__ = ("chart", "degree", "components")
+    __slots__ = _fields = ("chart", "degree", "components")
 
     def __init__(self, chart: Chart, degree: int, components: Sequence[KForm]):
         components = tuple(components)
@@ -486,17 +486,6 @@ class VectorValuedForm:
     @property
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.components)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VectorValuedForm)
-            and self.chart == other.chart
-            and self.degree == other.degree
-            and self.components == other.components
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.chart, self.degree, self.components))
 
     def __call__(self, *fields: VectorField) -> VectorField:
         minors: dict = {}
@@ -679,29 +668,27 @@ def graded_commutator_on(
 # ---------------------------------------------------------------------------
 
 
-def rn_bracket(A: VectorValuedForm, B: VectorValuedForm) -> VectorValuedForm:
-    """[A, B]_RN, extracted from [i_A, i_B] acting on coordinate differentials."""
+def _extract(A, B, action, shift: int, generator) -> VectorValuedForm:
+    """The bracket of A and B whose operators ``action(A, ·)`` and
+    ``action(B, ·)`` have degrees deg A + ``shift`` and deg B + ``shift``,
+    read off their graded commutator acting on ``generator(chart, j)`` for
+    each coordinate j."""
     _check_chart(A, B)
     chart = A.chart
-    degree = A.degree + B.degree - 1
-    op_a = (lambda w: insertion(A, w), A.degree - 1)
-    op_b = op_a if B is A else (lambda w: insertion(B, w), B.degree - 1)
-    comps = [graded_commutator_on(op_a, op_b, chart.dx(j)) for j in range(chart.dim)]
-    return VectorValuedForm(chart, degree, comps)
+    op_a = (lambda w: action(A, w), A.degree + shift)
+    op_b = op_a if B is A else (lambda w: action(B, w), B.degree + shift)
+    comps = [graded_commutator_on(op_a, op_b, generator(chart, j)) for j in range(chart.dim)]
+    return VectorValuedForm(chart, A.degree + B.degree + shift, comps)
+
+
+def rn_bracket(A: VectorValuedForm, B: VectorValuedForm) -> VectorValuedForm:
+    """[A, B]_RN, extracted from [i_A, i_B] acting on coordinate differentials."""
+    return _extract(A, B, insertion, -1, Chart.dx)
 
 
 def fn_bracket(A: VectorValuedForm, B: VectorValuedForm) -> VectorValuedForm:
     """[A, B]_FN, extracted from [L_A, L_B] acting on coordinate functions."""
-    _check_chart(A, B)
-    chart = A.chart
-    degree = A.degree + B.degree
-    op_a = (lambda w: lie_derivative(A, w), A.degree)
-    op_b = op_a if B is A else (lambda w: lie_derivative(B, w), B.degree)
-    comps = [
-        graded_commutator_on(op_a, op_b, chart.coordinate_function(j))
-        for j in range(chart.dim)
-    ]
-    return VectorValuedForm(chart, degree, comps)
+    return _extract(A, B, lie_derivative, 0, Chart.coordinate_function)
 
 
 def nijenhuis_torsion(N: VectorValuedForm) -> VectorValuedForm:

@@ -39,7 +39,7 @@ from .calculus import (
     _Record,
     nijenhuis_torsion,
 )
-from .scalar import ScalarError, ScalarExpr
+from .scalar import ScalarError, ScalarExpr, _quote
 from .structures import (
     _d_components,
     complex_algebroid,
@@ -73,11 +73,9 @@ EXIT_ERROR = 2
 #: use 2.
 MAX_PROBE_DEGREE = 10
 
-#: Longest name a manifest may give an object or a check, or use to refer to
-#: one: check records echo names, so a longer one is refused.
+#: Longest name a manifest may give a coordinate, an object or a check, or
+#: use to refer to one: reports echo names, so a longer one is refused.
 MAX_NAME_LENGTH = 256
-#: Most characters of a bad raw value that an error message quotes.
-MAX_QUOTED = 64
 
 #: Check-descriptor keys that name a manifest object, in label order:
 #: key -> (Manifest attribute, noun for error messages).
@@ -150,15 +148,6 @@ class CheckRecord(_Record):
 def _expect(condition: bool, message: str) -> None:
     if not condition:
         raise ManifestError(message)
-
-
-def _quote(raw: Any) -> str:
-    """``repr(raw)``, or for a longer value its first MAX_QUOTED characters
-    and its length."""
-    text = raw if isinstance(raw, str) else repr(raw)
-    if len(text) <= MAX_QUOTED:
-        return repr(raw)
-    return f"{text[:MAX_QUOTED]!r}... ({len(text)} characters)"
 
 
 def _is_int(value: Any) -> bool:
@@ -341,6 +330,10 @@ def load_manifest(
         isinstance(coords, list) and coords and all(isinstance(c, str) for c in coords),
         f"{path}: chart.coords must be a nonempty list of names",
     )
+    _expect(
+        all(len(c) <= MAX_NAME_LENGTH for c in coords),
+        f"{path}: chart.coords has a name longer than {MAX_NAME_LENGTH} characters",
+    )
     is_complex = chart_spec.get("complex", False)
     _expect(isinstance(is_complex, bool), f"{path}: chart.complex must be true or false")
     try:
@@ -439,17 +432,7 @@ def load_manifest(
         )
 
     return Manifest(
-        path=path,
-        chart=chart,
-        seed=seed,
-        probe_degree=probe_degree,
-        points=points,
-        endomorphisms=endos,
-        forms=forms,
-        algebroids=algebroids,
-        bundle_algebroids=bundles,
-        sprays=sprays,
-        checks=checks,
+        path, chart, seed, probe_degree, points, endos, forms, algebroids, bundles, sprays, checks
     )
 
 
@@ -549,13 +532,20 @@ _RECIPES: dict[str, tuple[str, Callable[[Any], tuple[TangentAlgebroid, dict]]]] 
 }
 
 
+def _report_records(report) -> list[dict[str, str]]:
+    """The rows of an axiom or bundle axiom report: each field's residual
+    group in field order, slot ``anchor`` for ``anchor_morphism``."""
+    return [
+        row
+        for field in report._fields
+        for row in _records(
+            "anchor" if field == "anchor_morphism" else field, getattr(report, field)
+        )
+    ]
+
+
 def _axiom_records(manifest: Manifest, alg: TangentAlgebroid) -> list[dict[str, str]]:
-    report = check_axioms(alg, probe_degree=manifest.probe_degree, seed=manifest.seed)
-    return (
-        _records("jacobi", report.jacobi)
-        + _records("leibniz", report.leibniz)
-        + _records("anchor", report.anchor_morphism)
-    )
+    return _report_records(check_axioms(alg, manifest.probe_degree, manifest.seed))
 
 
 def _cohomology_records(prefix: str, alg: TangentAlgebroid) -> list[dict[str, str]]:
@@ -588,17 +578,6 @@ def _check_foliation(manifest: Manifest, gamma: VectorValuedForm) -> tuple[list,
     return records, {"curvature": _form_fragment(data.curvature)}
 
 
-def _check_bundle(manifest: Manifest, B: BundleAlgebroid) -> tuple[list, dict]:
-    report = check_bundle_axioms(B)
-    records = (
-        _records("d2_on_coordinates", report.d2_on_coordinates)
-        + _records("d2_on_covectors", report.d2_on_covectors)
-        + _records("anchor", report.anchor_morphism)
-        + _records("jacobi", report.jacobi)
-    )
-    return records, {}
-
-
 def _check_decompose(manifest: Manifest, alg: TangentAlgebroid) -> tuple[list, dict]:
     derivation = derivation_from_algebroid(alg)
     records = _records("K_residual", [("", derivation.anchor - alg.anchor)])
@@ -628,7 +607,7 @@ _CHECKS: dict[str, tuple[str, Callable[[Manifest, Any], tuple[list, dict]]]] = {
     "product": _recipe_check("product"),
     "foliation": ("endo", _check_foliation),
     "tangent": _recipe_check("tangent"),
-    "bundle": ("bundle_algebroid", _check_bundle),
+    "bundle": ("bundle_algebroid", lambda m, B: (_report_records(check_bundle_axioms(B)), {})),
     "decompose": ("algebroid", _check_decompose),
     "isomorphism": ("algebroid", _check_isomorphism),
 }
@@ -786,16 +765,11 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=("text", "json"), default="text", help="output format"
         )
-        p.add_argument("--seed", type=int, default=None, help="override manifest seed")
-        p.add_argument(
-            "--probe-degree",
-            type=int,
-            default=None,
-            help="override degree of randomized probe fields",
-        )
 
     p = sub.add_parser("verify", help="run every check listed in the manifest")
     common(p)
+    p.add_argument("--seed", type=int, help="override manifest seed")
+    p.add_argument("--probe-degree", type=int, help="override degree of randomized probe fields")
     p = sub.add_parser("torsion", help="report the Nijenhuis torsion of an endomorphism")
     common(p)
     p.add_argument("endo", help="endomorphism name")
@@ -805,7 +779,9 @@ def _parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("derivation", help="algebroid whose de Rham operator to decompose")
     p = sub.add_parser(
-        "build", help="build an algebroid and emit it as a manifest fragment"
+        "build",
+        help="build an algebroid and emit it as a manifest fragment, which does not "
+        "load back: it spells the anchor as a matrix and the correction as a form",
     )
     common(p)
     p.add_argument(
@@ -820,8 +796,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     command = _cmd_build if args.command == "build" else _cmd_verify
     try:
-        manifest = load_manifest(
-            args.manifest, seed=args.seed, probe_degree=args.probe_degree
+        manifest = load_manifest(  # only verify takes the probe options
+            args.manifest,
+            seed=getattr(args, "seed", None),
+            probe_degree=getattr(args, "probe_degree", None),
         )
         output, code = command(manifest, args)
     except ManifestError as exc:

@@ -83,6 +83,19 @@ class ImaginaryNotAllowedError(ScalarError):
     """The imaginary unit was used on a chart declared real."""
 
 
+#: Most characters of a bad raw value that an error message quotes.
+MAX_QUOTED = 64
+
+
+def _quote(raw) -> str:
+    """``repr(raw)``, or for a longer value its first MAX_QUOTED characters
+    and its length."""
+    text = raw if isinstance(raw, str) else repr(raw)
+    if len(text) <= MAX_QUOTED:
+        return repr(raw)
+    return f"{text[:MAX_QUOTED]!r}... ({len(text)} characters)"
+
+
 def _ratio_str(p: int, q: int) -> str:
     """p/q in lowest terms, for q > 0: ``p`` alone when q divides it."""
     g = math.gcd(p, q)
@@ -236,13 +249,15 @@ class CoordinateRing:
     """
 
     def __init__(self, names: tuple[str, ...], allow_imaginary: bool):
+        seen = set()
         for name in names:
             if name == "i":
                 raise ValueError("'i' is reserved for the imaginary unit")
             if not _NAME_RE.fullmatch(name):
-                raise ValueError(f"invalid variable name {name!r}")
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable names in {names}")
+                raise ValueError(f"invalid variable name {_quote(name)}")
+            if name in seen:
+                raise ValueError(f"duplicate variable name {_quote(name)}")
+            seen.add(name)
         if not names:
             raise ValueError("empty variable tuple")
         n = len(names)
@@ -1036,7 +1051,7 @@ class _Parser:
         result = self.expr()
         kind, value, pos = self.peek()
         if kind != "end":
-            raise ExprSyntaxError(f"unexpected token {value!r}", pos)
+            raise ExprSyntaxError(f"unexpected token {_quote(value)}", pos)
         return result
 
     def scalar(self, value) -> ScalarExpr:
@@ -1151,14 +1166,14 @@ class _Parser:
             shift = ring._shifts.get(value)
             if shift is None:
                 raise UnknownVariableError(
-                    f"unknown variable {value!r} at position {pos}"
+                    f"unknown variable {_quote(value)} at position {pos}"
                 )
             return (1 << ring._degree_shift) | (1 << shift), ring.domain.one
         if kind == "op" and value == "(":
             inner = self.nested(self.expr, pos)
             self.expect_op(")")
             return inner
-        raise ExprSyntaxError(f"unexpected token {value!r}", pos)
+        raise ExprSyntaxError(f"unexpected token {_quote(value)}", pos)
 
 
 def parse_expr(

@@ -263,12 +263,6 @@ class FoliationData(_Record):
 
     __slots__ = _fields = ("curvature", "horizontal", "vertical", "bracket_table")
 
-    def __init__(
-        self, curvature: VectorValuedForm, horizontal: tuple, vertical: tuple, bracket_table: tuple
-    ):
-        self.curvature, self.horizontal = curvature, horizontal
-        self.vertical, self.bracket_table = vertical, bracket_table
-
 
 def foliation_connection(gamma: VectorValuedForm) -> FoliationData:
     """The foliation algebroid of a projector, with curvature R = T_gamma.
@@ -304,9 +298,6 @@ class BigradedForm(_Record):
     """A (p, q)-component of a form relative to the splitting of a projector."""
 
     __slots__ = _fields = ("form", "p", "q")
-
-    def __init__(self, form: KForm, p: int, q: int):
-        self.form, self.p, self.q = form, p, q
 
 
 def bigrade(omega: KForm, gamma: VectorValuedForm) -> list[BigradedForm]:
@@ -379,12 +370,6 @@ class TangentChartData(_Record):
     """Chart (x^1..x^n, u^1..u^n) with vertical endomorphism and Liouville field."""
 
     __slots__ = _fields = ("chart", "vertical_endomorphism", "liouville")
-
-    def __init__(
-        self, chart: Chart, vertical_endomorphism: VectorValuedForm, liouville: VectorField
-    ):
-        self.chart, self.liouville = chart, liouville
-        self.vertical_endomorphism = vertical_endomorphism
 
     @property
     def n(self) -> int:

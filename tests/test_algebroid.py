@@ -10,6 +10,8 @@ from fncalc.algebroid import (
     AlgebroidError,
     AxiomReport,
     BundleAlgebroid,
+    BundleAxiomReport,
+    CohomologyReport,
     LinearConnection,
     SingularAnchorError,
     TangentAlgebroid,
@@ -28,6 +30,7 @@ from fncalc.calculus import (
     Chart,
     ChartMismatchError,
     KForm,
+    VectorField,
     VectorValuedForm,
     complexify_vvf,
     lie_bracket,
@@ -569,3 +572,31 @@ def test_tangent_algebroid_is_a_value():
         TangentAlgebroid(a.correction, a.anchor)
     with pytest.raises(ChartMismatchError, match="^anchor and correction on different charts$"):
         TangentAlgebroid(a.anchor, VectorValuedForm.zero(a.chart.complexify(), 2))
+
+
+@pytest.mark.parametrize("report_type", [AxiomReport, BundleAxiomReport, CohomologyReport])
+def test_report_is_built_from_one_value_per_field(report_type):
+    """A report takes its fields' values in order, positionally only, and is
+    equal to, and hashes like, a report of equal values."""
+    values = tuple(f"{field}-value" for field in report_type._fields)
+    report = report_type(*values)
+    assert tuple(getattr(report, field) for field in report_type._fields) == values
+    assert report == report_type(*values) and hash(report) == hash(report_type(*values))
+    n = len(values)
+    for wrong in (values[:-1], values + ("extra",)):
+        with pytest.raises(TypeError, match=f"^{report_type.__name__} takes {n} values, not"):
+            report_type(*wrong)
+    with pytest.raises(TypeError):
+        report_type(**dict(zip(report_type._fields, values)))
+
+
+@pytest.mark.parametrize("report_type", [AxiomReport, BundleAxiomReport])
+def test_report_passes_when_every_residual_is_zero(report_type):
+    chart = Chart(("x", "y"))
+    zero, e1 = VectorField.zero(chart), chart.basis_vector(0)
+    groups = [(("a", zero), ("b", zero))] * len(report_type._fields)
+    assert report_type(*groups).passed
+    for k in range(len(groups)):
+        failing = list(groups)
+        failing[k] = (("a", zero), ("b", e1))
+        assert not report_type(*failing).passed

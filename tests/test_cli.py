@@ -26,13 +26,13 @@ from fncalc.cli import (
     EXIT_PASS,
     MAX_NAME_LENGTH,
     MAX_PROBE_DEGREE,
-    MAX_QUOTED,
     CheckRecord,
     ManifestError,
     load_manifest,
     main,
     run_check,
 )
+from fncalc.scalar import MAX_QUOTED
 
 MANIFESTS = pathlib.Path(__file__).resolve().parent.parent / "manifests"
 #: "manifest construction" -> exit code and stdout of ``fncalc build … --format json``.
@@ -361,6 +361,22 @@ class TestEmitAndExitCodes:
         main(["verify", path, "--format", "json", "--seed", "11"])
         assert json.loads(capsys.readouterr().out)["seed"] == 11
 
+    @pytest.mark.parametrize("option", [["--seed", "1"], ["--probe-degree", "0"]])
+    @pytest.mark.parametrize(
+        "command",
+        [["torsion", "N"], ["decompose", "A"], ["build", "idempotent:N"]],
+        ids=["torsion", "decompose", "build"],
+    )
+    def test_only_verify_takes_probe_options(self, tmp_path, capsys, command, option):
+        """No check of torsion, decompose or build reads a probe, so their
+        parsers refuse the options (argparse exits 2)."""
+        path = write_manifest(tmp_path, n_manifest())
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], path, *command[1:], *option])
+        assert exc.value.code == EXIT_ERROR
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+        assert main(["verify", path, *option]) == EXIT_PASS
+
     @pytest.mark.parametrize("manifest_name", sorted(p.name for p in MANIFESTS.glob("*.json")))
     def test_text_rows_match_json_records(self, capsys, manifest_name):
         """Each check's table row carries its JSON status, and the lines under
@@ -447,8 +463,12 @@ class TestHostileManifests:
             n_manifest(checks=[{"kind": "torsion", "endo": "N", "name": LONG}]),
             n_manifest(checks=[{"kind": "torsion", "endo": LONG}]),
             n_manifest(checks=[{"kind": "axioms", "algebroid": LONG}]),
+            n_manifest(chart={"coords": ["x", "y", "z", LONG]}),
         ],
-        ids=["endomorphism", "form", "check", "endo-reference", "algebroid-reference"],
+        ids=[
+            "endomorphism", "form", "check", "endo-reference", "algebroid-reference",
+            "coordinate",
+        ],
     )
     def test_name_longer_than_the_limit(self, tmp_path, capsys, doc):
         code = main(["verify", write_manifest(tmp_path, doc)])
@@ -466,8 +486,10 @@ class TestHostileManifests:
             n_manifest(algebroids={"A": {"anchor": "N", "correction": HUGE}}),
             n_manifest(checks=[{"kind": HUGE}]),
             n_manifest(forms={"F": {"degree": 1, "entries": {HUGE: ["1"] * 4}}}),
+            n_manifest(endomorphisms={"N": [[HUGE, "0", "0", "0"]] + N_ROWS[1:]}),
+            n_manifest(endomorphisms={"N": [["x " + HUGE, "0", "0", "0"]] + N_ROWS[1:]}),
         ],
-        ids=["anchor", "correction", "kind", "multi-index"],
+        ids=["anchor", "correction", "kind", "multi-index", "entry", "entry-after-x"],
     )
     def test_error_quotes_a_huge_value_in_part(self, tmp_path, capsys, doc):
         code = main(["verify", write_manifest(tmp_path, doc)])

@@ -19,7 +19,9 @@ from fncalc.scalar import (
     EXPONENT_BITS,
     MAX_EXPONENT,
     MAX_NESTING,
+    MAX_QUOTED,
     MAX_TERMS,
+    CoordinateRing,
     DivisionByZeroError,
     ExprSyntaxError,
     ImaginaryNotAllowedError,
@@ -129,6 +131,28 @@ class TestDomains:
         assert str(lifted) == str(real) == "(-3/2*x + 1/2)/(y - 2)"
         assert lifted.complexified() is lifted
         assert real.ring.zero.complexified() == lifted.ring.zero
+
+
+LONG_NAME = "Q" * 1000
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        (("x", "y", "y", "x"), "duplicate variable name 'y'"),
+        (("x", "1y"), "invalid variable name '1y'"),
+        (("x", LONG_NAME, LONG_NAME), "duplicate variable name "),
+        (("x", "1" + LONG_NAME), "invalid variable name "),
+    ],
+    ids=["duplicate", "invalid", "long-duplicate", "long-invalid"],
+)
+def test_bad_variable_name_is_quoted_in_part(names, message):
+    with pytest.raises(ValueError) as exc:
+        CoordinateRing(names, False)
+    quoted = max(names, key=len)
+    if len(quoted) > MAX_QUOTED:
+        message += f"{quoted[:MAX_QUOTED]!r}... ({len(quoted)} characters)"
+    assert str(exc.value) == message
 
 
 class TestParser:
