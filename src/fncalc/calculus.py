@@ -60,8 +60,9 @@ class _Record:
     per field, in order, and a record equals one of its own class with equal
     fields and is hashed and shown by them. Records are not frozen. A class
     with defaults or checks has its own ``__init__``; one without ``_fields``
-    only shares behaviour. Being no dataclass keeps ``dataclasses`` off the
-    cold start."""
+    only shares behaviour. :class:`KForm` is the one record with its own
+    ``__hash__``, as its ``coeffs`` dict cannot be hashed. Being no dataclass
+    keeps ``dataclasses`` off the cold start."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -158,7 +159,30 @@ def _off_chart(value: ScalarExpr, chart: Chart) -> ChartMismatchError:
     return ChartMismatchError(f"coefficient on {value.ring}, not on the chart's {chart.ring}")
 
 
-class VectorField(_Record):
+class _Components(_Record):
+    """A tensor added, subtracted and negated by its ``components``; a subclass
+    gives ``_like(components)``, the tensor of its kind with new components,
+    and ``_check_like(other)``, which raises unless ``other`` is of that kind."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        self._check_like(other)
+        return self._like([a + b for a, b in zip(self.components, other.components)])
+
+    def __sub__(self, other):
+        self._check_like(other)
+        return self._like([a - b for a, b in zip(self.components, other.components)])
+
+    def __neg__(self):
+        return self._like([-a for a in self.components])
+
+    @property
+    def is_zero(self) -> bool:
+        return all(c.is_zero for c in self.components)
+
+
+class VectorField(_Components):
     """A vector field, stored by its components along the coordinate frame."""
 
     __slots__ = _fields = ("chart", "components")
@@ -180,22 +204,10 @@ class VectorField(_Record):
     def zero(chart: Chart) -> "VectorField":
         return VectorField(chart, [chart.zero] * chart.dim)
 
-    def __add__(self, other: "VectorField") -> "VectorField":
-        _check_chart(self, other)
-        return VectorField(
-            self.chart,
-            [a + b for a, b in zip(self.components, other.components)],
-        )
+    _check_like = _check_chart
 
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        _check_chart(self, other)
-        return VectorField(
-            self.chart,
-            [a - b for a, b in zip(self.components, other.components)],
-        )
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(self.chart, [-a for a in self.components])
+    def _like(self, components: Sequence[ScalarExpr]) -> "VectorField":
+        return VectorField(self.chart, components)
 
     def scaled(self, f: ScalarExpr) -> "VectorField":
         return VectorField(self.chart, [f * a for a in self.components])
@@ -208,18 +220,11 @@ class VectorField(_Record):
             ((c, f.partial(name), False) for c, name in pairs if not c.is_zero),
         )
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.components)
-
     def __str__(self) -> str:
         return "[" + ", ".join(str(c) for c in self.components) + "]"
 
-    def __repr__(self) -> str:
-        return f"VectorField({self})"
 
-
-class KForm:
+class KForm(_Record):
     """A scalar-valued form, sparse over increasing multi-indices of its generators.
 
     The generators are the coordinate differentials dx^0..dx^{n-1} of the
@@ -231,7 +236,7 @@ class KForm:
     raising.
     """
 
-    __slots__ = ("chart", "degree", "coeffs", "generators")
+    __slots__ = _fields = ("chart", "degree", "coeffs", "generators")
 
     def __init__(
         self,
@@ -295,15 +300,6 @@ class KForm:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, KForm)
-            and self.chart == other.chart
-            and self.generators == other.generators
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
     def __hash__(self) -> int:
         return hash(
             (
@@ -330,23 +326,6 @@ class KForm:
         return ScalarExpr.sum_of_products(
             self.chart.ring, ((v, minors[key], False) for key, v in self.coeffs.items())
         )
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        if self.generators == self.chart.dim:
-            labels = [f"d{name}" for name in self.chart.coord_names]
-        else:
-            labels = [f"s{a + 1}*" for a in range(self.generators)]
-        parts = []
-        for key in sorted(self.coeffs):
-            basis = "^".join(labels[j] for j in key)
-            coeff = str(self.coeffs[key])
-            parts.append(f"({coeff}) {basis}".strip())
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"KForm<{self.degree}>({self})"
 
 
 def _check_generators(a: KForm, b: KForm) -> None:
@@ -380,7 +359,7 @@ def det(matrix: Sequence[Sequence[ScalarExpr]], chart: Chart) -> ScalarExpr:
     return ScalarExpr.sum_of_products(chart.ring, terms)
 
 
-class VectorValuedForm(_Record):
+class VectorValuedForm(_Components):
     """A vector-valued form: one coefficient ``KForm`` per target coordinate.
 
     Degree 0 is a vector field in disguise, degree 1 an endomorphism field.
@@ -460,32 +439,16 @@ class VectorValuedForm(_Record):
 
     # -- algebra ---------------------------------------------------------
 
-    def __add__(self, other: "VectorValuedForm") -> "VectorValuedForm":
+    def _check_like(self, other: "VectorValuedForm") -> None:
         _check_chart(self, other)
         if self.degree != other.degree:
             raise CalculusError("adding vector-valued forms of different degrees")
-        return VectorValuedForm(
-            self.chart,
-            self.degree,
-            [a + b for a, b in zip(self.components, other.components)],
-        )
 
-    def __sub__(self, other: "VectorValuedForm") -> "VectorValuedForm":
-        return self + (-other)
-
-    def __neg__(self) -> "VectorValuedForm":
-        return VectorValuedForm(
-            self.chart, self.degree, [-c for c in self.components]
-        )
+    def _like(self, components: Sequence[KForm]) -> "VectorValuedForm":
+        return VectorValuedForm(self.chart, self.degree, components)
 
     def scaled(self, f: ScalarExpr) -> "VectorValuedForm":
-        return VectorValuedForm(
-            self.chart, self.degree, [c.scaled(f) for c in self.components]
-        )
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.components)
+        return self._like([c.scaled(f) for c in self.components])
 
     def __call__(self, *fields: VectorField) -> VectorField:
         minors: dict = {}
@@ -514,18 +477,6 @@ class VectorValuedForm(_Record):
                     terms.setdefault(key, []).append((k, value, False))
             comps.append(KForm(chart, other.degree, _sum_terms(chart, terms)))
         return VectorValuedForm(chart, other.degree, comps)
-
-    def __str__(self) -> str:
-        names = self.chart.coord_names
-        parts = [
-            f"d{names[i]}<-({comp})"
-            for i, comp in enumerate(self.components)
-            if not comp.is_zero
-        ]
-        return "; ".join(parts) if parts else "0"
-
-    def __repr__(self) -> str:
-        return f"VectorValuedForm<{self.degree}>({self})"
 
 
 # ---------------------------------------------------------------------------

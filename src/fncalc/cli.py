@@ -99,17 +99,6 @@ class Manifest(_Record):
         "algebroids", "bundle_algebroids", "sprays", "checks",
     )
 
-    def __init__(
-        self, path: str, chart: Chart, seed: int, probe_degree: int, points: int,
-        endomorphisms: dict[str, VectorValuedForm], forms: dict[str, VectorValuedForm],
-        algebroids: dict[str, TangentAlgebroid], bundle_algebroids: dict[str, BundleAlgebroid],
-        sprays: dict[str, VectorField], checks: list[dict[str, Any]] | None = None,
-    ):
-        self.path, self.chart, self.seed, self.probe_degree = path, chart, seed, probe_degree
-        self.points, self.endomorphisms, self.forms = points, endomorphisms, forms
-        self.algebroids, self.bundle_algebroids = algebroids, bundle_algebroids
-        self.sprays, self.checks = sprays, [] if checks is None else checks
-
 
 class CheckRecord(_Record):
     """One per-check report row; ``status`` is pass/fail/error."""
@@ -228,8 +217,9 @@ def _parse_form(chart: Chart, spec: Any, where: str) -> VectorValuedForm:
             isinstance(value, list) and len(value) == chart.dim,
             f"{where}: entry {_quote(key)} needs {chart.dim} components",
         )
+        label = ",".join(str(p + 1) for p in idx)  # not the raw key, which may be padded
         for j, text in enumerate(value):
-            s = _parse_scalar(chart, text, f"{where}[{key}][{j + 1}]")
+            s = _parse_scalar(chart, text, f"{where}[{label}][{j + 1}]")
             if not s.is_zero:
                 comps[j][idx] = s
     return VectorValuedForm(
@@ -286,9 +276,10 @@ def _parse_bundle(chart: Chart, spec: Any, where: str) -> BundleAlgebroid:
     first: dict[tuple[int, int, int], str] = {}  # the first key of each c_ab^c, a < b
     for key, text in raw.items():
         a, b, c = _parse_structure_key(key, rank, where)
-        value = _parse_scalar(chart, text, f"{where}.structure[{key}]")
+        label = f"c[{a + 1},{b + 1},{c + 1}]"  # not the raw key, which may be padded
+        value = _parse_scalar(chart, text, f"{where}.structure[{label}]")
         if a == b:
-            _expect(value.is_zero, f"{where}: {key} must vanish (antisymmetry)")
+            _expect(value.is_zero, f"{where}: {label} must vanish (antisymmetry)")
             continue
         if a > b:
             a, b, value = b, a, -value

@@ -23,16 +23,19 @@ from fncalc.algebroid import (
     delta_torsion,
     derivation_from_algebroid,
     invertible_algebroid,
+    nabla_K,
     verify_connection_decomposition,
     verify_trivial_isomorphism,
 )
 from fncalc.calculus import (
+    CalculusError,
     Chart,
     ChartMismatchError,
     KForm,
     VectorField,
     VectorValuedForm,
     complexify_vvf,
+    contracted_bracket,
     lie_bracket,
     lie_derivative,
     nijenhuis_torsion,
@@ -600,3 +603,98 @@ def test_report_passes_when_every_residual_is_zero(report_type):
         failing = list(groups)
         failing[k] = (("a", zero), ("b", e1))
         assert not report_type(*failing).passed
+
+
+_CH = Chart(("x", "y"))
+_ZERO, _ONE = _CH.zero, _CH.one
+_Z2 = VectorValuedForm.zero(_CH, 2)
+_X = _CH.basis_vector(0)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: BundleAlgebroid(_CH, 0, [], {}), AlgebroidError, "rank must be positive"),
+        (
+            lambda: BundleAlgebroid(_CH, 1, [[_ONE]], {}),
+            AlgebroidError,
+            "anchor must be an r x dim matrix",
+        ),
+        (
+            lambda: BundleAlgebroid(_CH, 2, [[_ONE, _ZERO]] * 2, {(0, 1): [_ONE]}),
+            AlgebroidError,
+            "structure entries need one component per rank",
+        ),
+        (
+            lambda: BundleAlgebroid(_CH, 2, [[_ONE, _ZERO]] * 2, {(1, 0): [_ONE, _ZERO]}),
+            AlgebroidError,
+            "structure key (1,0) must satisfy a < b",
+        ),
+        (lambda: LinearConnection(_CH, 1, ()), AlgebroidError, "Christoffel symbol shape mismatch"),
+        (
+            lambda: nabla_K(
+                LinearConnection(_CH, 2, (((_ZERO,) * 2,) * 2,) * 2),
+                [[_ONE, _ZERO]] * 2,
+                KForm(_CH, 2, {}, 2),
+            ),
+            AlgebroidError,
+            "nabla_K expects a fiber 1-form",
+        ),
+        (
+            lambda: bundle_de_rham(BundleAlgebroid(_CH, 1, [[_ONE, _ZERO]], {}), _CH.dx(0)),
+            AlgebroidError,
+            "form does not match the bundle algebroid",
+        ),
+        (lambda: KForm(_CH, -1), CalculusError, "negative form degree"),
+        (
+            lambda: KForm(_CH, 2, {(1, 0): _ONE}),
+            CalculusError,
+            "bad multi-index (1, 0) for degree 2",
+        ),
+        (
+            lambda: VectorField(_CH, [_ONE]),
+            CalculusError,
+            "1 components on a chart of dimension 2",
+        ),
+        (
+            lambda: VectorValuedForm(_CH, 1, [_CH.dx(0)]),
+            CalculusError,
+            "one component form per target coordinate required",
+        ),
+        (
+            lambda: VectorValuedForm(_CH, 1, [_CH.dx(0), KForm(_CH, 0)]),
+            CalculusError,
+            "component forms must share chart and degree",
+        ),
+        (
+            lambda: VectorValuedForm.from_matrix(_CH, [[_ONE]]),
+            CalculusError,
+            "matrix shape must equal the chart dimension",
+        ),
+        (lambda: _Z2.matrix(), CalculusError, "only a degree-1 form has a matrix"),
+        (lambda: _Z2.apply(_X), CalculusError, "apply() requires a degree-1 form"),
+        (
+            lambda: _Z2.compose(VectorValuedForm.identity(_CH)),
+            CalculusError,
+            "compose() requires a degree-1 left factor",
+        ),
+        (lambda: nijenhuis_torsion(_Z2), CalculusError, "torsion is defined for degree-1 forms"),
+        (
+            lambda: contracted_bracket(_Z2, _X, _X),
+            CalculusError,
+            "the contracted bracket needs a degree-1 form",
+        ),
+    ],
+    ids=[
+        "bundle-rank", "bundle-anchor-shape", "bundle-structure-count", "bundle-structure-order",
+        "connection-shape", "nabla_K-degree", "bundle_de_rham-form", "kform-degree",
+        "kform-multi-index", "field-count", "vvf-count", "vvf-degrees", "from_matrix-shape",
+        "matrix", "apply", "compose", "torsion", "contracted_bracket",
+    ],
+)
+def test_constructor_validation_errors(build, error, message):
+    """Each public constructor and degree-1 operation refuses malformed input
+    with its own error class and message."""
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message

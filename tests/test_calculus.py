@@ -482,3 +482,22 @@ class TestChartValue:
         assert a == a and a != a.complexify() and a.complexify() == Chart(("x", "y"), True)
         assert a != Chart(("y", "x")) and a != Chart(("x", "z")) and a != ("x", "y")
         assert len({a, Chart(("x", "y")), a.complexify(), a.complexify()}) == 2
+
+
+def test_kform_is_a_value():
+    """A form equals and hashes by its fields, whatever the order its
+    coefficients were given in; every tensor's ``repr`` names its fields."""
+    ch = Chart(("x", "y"))
+    x, y = ch.coordinate(0), ch.coordinate(1)
+    a = KForm(ch, 1, {(0,): x, (1,): y})
+    b = KForm(ch, 1, {(1,): y, (0,): x})
+    assert a == b and hash(a) == hash(b)
+    assert KForm(ch, 1, {(0,): x}) != KForm(ch, 1, {(0,): x}, 3)
+    assert KForm(ch, 0) != KForm(ch, 1) and KForm(ch, 1) != ch.dx(0)
+    assert repr(a).startswith("KForm(chart=Chart(")
+    assert repr(a).endswith(", generators=2)") and ", degree=1, coeffs={" in repr(a)
+    K = VectorValuedForm.identity(ch)
+    assert repr(K).startswith("VectorValuedForm(chart=Chart(")
+    assert ", degree=1, components=(KForm(chart=" in repr(K)
+    assert repr(ch.basis_vector(0)).startswith("VectorField(chart=Chart(")
+    assert ", components=(" in repr(ch.basis_vector(0))

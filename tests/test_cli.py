@@ -498,6 +498,36 @@ class TestHostileManifests:
         assert f"{'Q' * MAX_QUOTED!r}... (1000000 characters)" in captured.err
         assert len(captured.err) < 300
 
+    PAD = " " * 200_000
+
+    @staticmethod
+    def bundle(structure):
+        spec = {"rank": 2, "anchor": N_ROWS[:2], "structure": structure}
+        return n_manifest(bundle_algebroids={"B": spec})
+
+    @pytest.mark.parametrize(
+        "doc, where",
+        [
+            (
+                n_manifest(
+                    forms={"F": {"degree": 1, "entries": {"1" + PAD: ["q", "0", "0", "0"]}}}
+                ),
+                "forms.F[1][1]: unknown variable 'q'",
+            ),
+            (bundle({"c[1,1" + PAD + ",1]": "1"}), "bundle_algebroids.B: c[1,1,1] must vanish"),
+            (bundle({"c[1,2" + PAD + ",1]": "q"}), "bundle_algebroids.B.structure[c[1,2,1]]: "),
+        ],
+        ids=["form-entry", "structure-diagonal", "structure-entry"],
+    )
+    def test_padded_index_is_echoed_canonically(self, tmp_path, capsys, doc, where):
+        """A multi-index or structure key padded with spaces is named by its
+        indices, not echoed as spelt."""
+        code = main(["verify", write_manifest(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR and captured.out == ""
+        assert where in captured.err
+        assert len(captured.err) < 300
+
     def test_name_at_the_limit(self, tmp_path, capsys):
         name = "N" * MAX_NAME_LENGTH
         doc = n_manifest(

@@ -204,6 +204,18 @@ class TestFoliation:
         table = foliation_connection(endo("gamma0")).bracket_table
         assert all(r.is_zero for _, r in table)
 
+    def test_bracket_table_vertical_pairs(self):
+        """A rank-2 image gives a (v1,v2) row: the vertical frame -y∂z, ∂y
+        brackets to ∂z, which the algebroid bracket must reproduce."""
+        ch = Chart(("x", "y", "z"))
+        rows = [["0", "0", "0"], ["0", "1", "0"], ["-y", "0", "1"]]
+        g = VectorValuedForm.from_matrix(ch, [[ch.scalar(e) for e in row] for row in rows])
+        data = foliation_connection(g)
+        assert lie_bracket(*data.vertical) == ch.basis_vector(2)
+        labels = [label for label, _ in data.bracket_table]
+        assert "(v1,v2)" in labels
+        assert all(r.is_zero for _, r in data.bracket_table)
+
     def test_adapted_frames(self):
         g = endo("gamma0")
         data = foliation_connection(g)
