@@ -4,11 +4,11 @@ A :class:`TangentAlgebroid` is the pair (K, L) of a degree-1 derivation
 D = L_K + i_L on the chart's forms, with bracket [[X,Y]] = [X,Y]_K - L(X,Y);
 it is a Lie algebroid on the tangent bundle exactly when D^2 = 0.
 A :class:`BundleAlgebroid` is a trivialized rank-r bundle given by anchor
-functions and antisymmetric structure functions, with its own de Rham-type
-operator on fiber forms. A fiber form is a :class:`~fncalc.calculus.KForm`
-over the ``rank`` generators η^0..η^{r-1} of the dual frame
-(``KForm(chart, degree, coeffs, rank)``), so it shares the wedge terms of
-tangent forms.
+functions and one antisymmetric table of structure functions, with its own
+de Rham-type operator on fiber forms. A fiber form is a
+:class:`~fncalc.calculus.KForm` over the ``rank`` generators η^0..η^{r-1}
+of the dual frame (``KForm(chart, degree, coeffs, rank)``), so it shares
+the wedge terms of tangent forms.
 
 On the coordinate frame a tangent algebroid is a rank-n bundle algebroid
 (:func:`_frame_bundle`), so both axiom checks evaluate the same two structure
@@ -305,13 +305,18 @@ def verify_trivial_isomorphism(
 # ---------------------------------------------------------------------------
 
 
-class BundleAlgebroid:
+class BundleAlgebroid(_Record):
     """Rank-r algebroid data: anchor functions q_a^i and structure functions c_ab^c.
 
-    ``anchor[a][i]`` is the ∂_i component of q(s_a); ``structure`` maps a
-    pair a < b to the r components of [[s_a, s_b]]; antisymmetry in (a, b)
-    is part of the representation.
+    ``anchor[a][i]`` is the ∂_i component of q(s_a). The constructor takes
+    the structure as a sparse map from pairs a < b to the r components of
+    [[s_a, s_b]] and stores the whole antisymmetric table once:
+    ``structure[a][b][c]`` is c_ab^c for every a and b, ``structure[b][a]``
+    is its negation and the diagonal is zero. The bundle is a value: it
+    compares and hashes by its fields.
     """
+
+    __slots__ = _fields = ("chart", "rank", "anchor", "structure")
 
     def __init__(
         self,
@@ -325,32 +330,19 @@ class BundleAlgebroid:
         anchor = tuple(tuple(row) for row in anchor)
         if len(anchor) != rank or any(len(row) != chart.dim for row in anchor):
             raise AlgebroidError("anchor must be an r x dim matrix")
-        clean: dict[tuple[int, int], tuple[ScalarExpr, ...]] = {}
+        table = [[(chart.zero,) * rank] * rank for _ in range(rank)]
         for (a, b), comps in structure.items():
             comps = tuple(comps)
             if len(comps) != rank:
                 raise AlgebroidError("structure entries need one component per rank")
             if not 0 <= a < b < rank:
                 raise AlgebroidError(f"structure key ({a},{b}) must satisfy a < b")
-            if any(not c.is_zero for c in comps):
-                clean[(a, b)] = comps
-        self.chart = chart
-        self.rank = rank
-        self.anchor = anchor
-        self.structure = clean
+            table[a][b], table[b][a] = comps, tuple(-c for c in comps)
+        self.chart, self.rank, self.anchor = chart, rank, anchor
+        self.structure = tuple(map(tuple, table))
 
     def anchor_field(self, a: int) -> VectorField:
         return VectorField(self.chart, self.anchor[a])
-
-    def structure_component(self, a: int, b: int, c: int) -> ScalarExpr:
-        """c_{ab}^c with the antisymmetry in (a, b) built in."""
-        if a == b:
-            return self.chart.zero
-        if a < b:
-            entry = self.structure.get((a, b))
-            return entry[c] if entry else self.chart.zero
-        entry = self.structure.get((b, a))
-        return -entry[c] if entry else self.chart.zero
 
 
 def bundle_de_rham(balg: BundleAlgebroid, omega: KForm) -> KForm:
@@ -364,10 +356,11 @@ def bundle_de_rham(balg: BundleAlgebroid, omega: KForm) -> KForm:
     if omega.chart != chart or omega.generators != rank:
         raise AlgebroidError("form does not match the bundle algebroid")
     anchors = [balg.anchor_field(a) for a in range(rank)]
-    structure: list[dict] = [{} for _ in range(rank)]  # c_ab^c by (a, b) for each c
-    for pair, comps in balg.structure.items():
-        for c, value in enumerate(comps):
-            structure[c][pair] = value
+    table, pairs = balg.structure, list(itertools.combinations(range(rank), 2))
+    structure = [  # the nonzero c_ab^c by pair a < b, for each c
+        {(a, b): table[a][b][c] for a, b in pairs if not table[a][b][c].is_zero}
+        for c in range(rank)
+    ]
     terms: dict = {}
     for key, value in omega.coeffs.items():
         df = {(a,): q(value) for a, q in enumerate(anchors)}
@@ -386,29 +379,24 @@ def _structure_residuals(balg: BundleAlgebroid) -> tuple[dict, dict]:
     Σ_cyclic q_x(c_yz^d) + Σ_e c_yz^e c_xe^d, each one sum of products.
     """
     chart, rank = balg.chart, balg.rank
-    ring, names = chart.ring, chart.coord_names
-    coef = {
-        (a, b): [balg.structure_component(a, b, d) for d in range(rank)]
-        for a in range(rank)
-        for b in range(rank)
-    }
+    ring, names, coef = chart.ring, chart.coord_names, balg.structure
     anchor = {}
     for a, b in itertools.combinations(range(rank), 2):
         image = VectorField(chart, [
-            ScalarExpr.sum_of_products(ring, zip(coef[a, b], column, itertools.repeat(False)))
+            ScalarExpr.sum_of_products(ring, zip(coef[a][b], column, itertools.repeat(False)))
             for column in zip(*balg.anchor)
         ])
         anchor[a, b] = image - lie_bracket(balg.anchor_field(a), balg.anchor_field(b))
 
     def jacobiator(a: int, b: int, c: int, d: int):
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            f = coef[y, z][d]
+            f = coef[y][z][d]
             if not f.is_zero:
                 for q, name in zip(balg.anchor[x], names):
                     if not q.is_zero:
                         yield q, f.partial(name), False
             for e in range(rank):
-                yield coef[y, z][e], coef[x, e][d], False
+                yield coef[y][z][e], coef[x][e][d], False
 
     jacobi = {
         key: [ScalarExpr.sum_of_products(ring, jacobiator(*key, d)) for d in range(rank)]
@@ -484,14 +472,13 @@ def nabla_K(
         ]
         for j, name in enumerate(chart.coord_names)
     ]
-    out: dict[tuple[int, ...], ScalarExpr] = {}
-    for a, b in itertools.combinations(range(rank), 2):
-        value = ScalarExpr.sum_of_products(chart.ring, [
+    out = {
+        (a, b): ScalarExpr.sum_of_products(chart.ring, [
             *((anchor[a][j], cov[j][b], False) for j in range(chart.dim)),
             *((anchor[b][j], cov[j][a], True) for j in range(chart.dim)),
         ])
-        if not value.is_zero:
-            out[(a, b)] = value
+        for a, b in itertools.combinations(range(rank), 2)
+    }
     return KForm(chart, 2, out, rank)
 
 
@@ -504,7 +491,7 @@ def delta_torsion(
 
     def component(a: int, b: int, d: int) -> ScalarExpr:
         return ScalarExpr.sum_of_products(chart.ring, [
-            (balg.structure_component(a, b, d), chart.one, True),
+            (balg.structure[a][b][d], chart.one, True),
             *((q, conn.gamma[i][b][d], False) for i, q in enumerate(balg.anchor[a])),
             *((q, conn.gamma[i][a][d], True) for i, q in enumerate(balg.anchor[b])),
         ])

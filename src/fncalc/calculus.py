@@ -413,8 +413,7 @@ class VectorValuedForm(_Components):
         comps = [dict() for _ in range(chart.dim)]
         for key in itertools.combinations(range(chart.dim), degree):
             for j, c in enumerate(value(*key).components):
-                if not c.is_zero:
-                    comps[j][key] = c
+                comps[j][key] = c
         return VectorValuedForm(
             chart, degree, [KForm(chart, degree, c) for c in comps]
         )
@@ -464,19 +463,14 @@ class VectorValuedForm(_Components):
 
     def compose(self, other: "VectorValuedForm") -> "VectorValuedForm":
         """K∘L = K(L(X1..Xk)) for the endomorphism K = self and a vector-valued
-        form L of any degree: (K∘L)^j = Σ_m K^j_m L^m, one sum per multi-index."""
+        form L of any degree: (K∘L)^j = i_L K^j, the insertion of L into the
+        1-form K^j."""
         if self.degree != 1:
             raise CalculusError("compose() requires a degree-1 left factor")
         _check_chart(self, other)
-        chart = self.chart
-        comps = []
-        for row in self.matrix():
-            terms: dict = {}
-            for k, component in zip(row, other.components):
-                for key, value in component.coeffs.items():
-                    terms.setdefault(key, []).append((k, value, False))
-            comps.append(KForm(chart, other.degree, _sum_terms(chart, terms)))
-        return VectorValuedForm(chart, other.degree, comps)
+        return VectorValuedForm(
+            self.chart, other.degree, [insertion(other, c) for c in self.components]
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -219,9 +219,7 @@ def _parse_form(chart: Chart, spec: Any, where: str) -> VectorValuedForm:
         )
         label = ",".join(str(p + 1) for p in idx)  # not the raw key, which may be padded
         for j, text in enumerate(value):
-            s = _parse_scalar(chart, text, f"{where}[{label}][{j + 1}]")
-            if not s.is_zero:
-                comps[j][idx] = s
+            comps[j][idx] = _parse_scalar(chart, text, f"{where}[{label}][{j + 1}]")
     return VectorValuedForm(
         chart, degree, [KForm(chart, degree, c) for c in comps]
     )
@@ -351,7 +349,7 @@ def load_manifest(
     points = _int_field("points", 5, None)
 
     def _section(name: str) -> dict[str, Any]:
-        value = doc.get(name) or {}
+        value = doc.get(name, {})
         _expect(isinstance(value, dict), f"{path}: {name} must be an object")
         _expect(
             all(len(key) <= MAX_NAME_LENGTH for key in value),

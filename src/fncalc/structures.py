@@ -182,14 +182,13 @@ def _require_integrable(E: VectorValuedForm, structure: str) -> None:
     torsion = nijenhuis_torsion(E)
     names = E.chart.coord_names
     for j, comp in enumerate(torsion.components):
-        for key in sorted(comp.coeffs):
-            value = comp.coeffs[key]
-            if not value.is_zero:
-                args = ",".join(f"e_{names[a]}" for a in key)
-                raise TorsionNotZeroError(
-                    f"almost-{structure} structure is not integrable: torsion nonzero, "
-                    f"T({args}) has d/d{names[j]} component {value}"
-                )
+        if comp.coeffs:
+            key = min(comp.coeffs)
+            args = ",".join(f"e_{names[a]}" for a in key)
+            raise TorsionNotZeroError(
+                f"almost-{structure} structure is not integrable: torsion nonzero, "
+                f"T({args}) has d/d{names[j]} component {comp.coeffs[key]}"
+            )
 
 
 def complex_projectors(J: VectorValuedForm) -> tuple[VectorValuedForm, VectorValuedForm]:
@@ -325,9 +324,7 @@ def bigrade(omega: KForm, gamma: VectorValuedForm) -> list[BigradedForm]:
                     for t, j in enumerate(key)
                 ]
                 terms.append((omega(*args), chart.one, False))
-            value = ScalarExpr.sum_of_products(chart.ring, terms)
-            if not value.is_zero:
-                coeffs[key] = value
+            coeffs[key] = ScalarExpr.sum_of_products(chart.ring, terms)
         component = KForm(chart, d, coeffs)
         if not component.is_zero:
             out.append(BigradedForm(component, p, q))

@@ -1,6 +1,7 @@
 """Algebroid layer: derivation correspondence, axiom checks, bundle algebroids."""
 
 import itertools
+import json
 import pathlib
 import random
 
@@ -43,7 +44,14 @@ from fncalc.calculus import (
 from fncalc.cli import _RECIPES, _lookup, load_manifest
 from fncalc.linalg import inverse
 from fncalc.randgen import random_scalar, random_vector_field
-from fncalc.structures import StructureError, d_components
+from fncalc.structures import (
+    StructureError,
+    d_components,
+    idempotent_algebroid,
+    semispray,
+    tangent_chart,
+    tangent_data_for_chart,
+)
 
 from helpers import endo, flat_connection, random_kform, random_vvf, symmetric_connection_cross_check
 
@@ -526,6 +534,50 @@ class TestBundleAlgebroid:
         assert report.jacobi == ()
 
 
+class TestBundleAlgebroidIsAValue:
+    """A bundle algebroid compares and hashes by its fields, and stores its
+    structure functions as one antisymmetric table."""
+
+    @staticmethod
+    def load_bundle(tmp_path, name, structure):
+        doc = {
+            "chart": {"coords": ["x", "y"]},
+            "bundle_algebroids": {
+                "B": {"rank": 2, "anchor": [["1", "0"], ["x", "0"]], "structure": structure}
+            },
+        }
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return load_manifest(str(path)).bundle_algebroids["B"]
+
+    def test_two_spellings_load_to_one_value(self, tmp_path):
+        """c[2,1,1] = -1 is c[1,2,1] = 1, and an explicit zero is no entry."""
+        first = self.load_bundle(tmp_path, "a.json", {"c[2,1,1]": "-1"})
+        second = self.load_bundle(tmp_path, "b.json", {"c[1,2,1]": "1", "c[1,2,2]": "0"})
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert first != self.load_bundle(tmp_path, "c.json", {"c[1,2,2]": "1"})
+
+    def test_structure_table_is_antisymmetric(self, tmp_path):
+        loaded = self.load_bundle(tmp_path, "m.json", {"c[1,2,1]": "x", "c[2,1,2]": "1"})
+        for balg in (loaded, _frame_bundle(n0_algebroid()), seeded_bundle(3, False)):
+            rank, zero = balg.rank, balg.chart.zero
+            assert len(balg.structure) == rank
+            for a, b in itertools.product(range(rank), repeat=2):
+                assert len(balg.structure[a][b]) == rank
+                assert balg.structure[b][a] == tuple(-c for c in balg.structure[a][b])
+            assert all(balg.structure[a][a] == (zero,) * rank for a in range(rank))
+        assert [str(c) for c in loaded.structure[0][1]] == ["x", "-1"]
+
+    def test_frame_bundles_of_equal_algebroids_are_equal(self):
+        first, second = _frame_bundle(n0_algebroid()), _frame_bundle(n0_algebroid())
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+
+    def test_repr_names_the_fields(self):
+        assert repr(_constant_bundle()).startswith("BundleAlgebroid(chart=Chart(")
+
+
 def random_symmetric_connection(chart: Chart, rng: random.Random) -> LinearConnection:
     """Seeded affine Christoffel symbols with Γ_{ij}^k = Γ_{ji}^k, on TM."""
     n = chart.dim
@@ -646,6 +698,7 @@ _X = _CH.basis_vector(0)
             "form does not match the bundle algebroid",
         ),
         (lambda: KForm(_CH, -1), CalculusError, "negative form degree"),
+        (lambda: _CH.dx(0)(), CalculusError, "degree-1 form evaluated on 0 fields"),
         (
             lambda: KForm(_CH, 2, {(1, 0): _ONE}),
             CalculusError,
@@ -671,6 +724,11 @@ _X = _CH.basis_vector(0)
             CalculusError,
             "matrix shape must equal the chart dimension",
         ),
+        (
+            lambda: VectorValuedForm.identity(_CH) + _Z2,
+            CalculusError,
+            "adding vector-valued forms of different degrees",
+        ),
         (lambda: _Z2.matrix(), CalculusError, "only a degree-1 form has a matrix"),
         (lambda: _Z2.apply(_X), CalculusError, "apply() requires a degree-1 form"),
         (
@@ -684,12 +742,30 @@ _X = _CH.basis_vector(0)
             CalculusError,
             "the contracted bracket needs a degree-1 form",
         ),
+        (
+            lambda: idempotent_algebroid(_Z2),
+            StructureError,
+            "expected a degree-1 endomorphism field",
+        ),
+        (lambda: tangent_chart(0), StructureError, "n must be positive"),
+        (
+            lambda: tangent_data_for_chart(Chart(("x", "y", "z"))),
+            StructureError,
+            "a tangent chart needs an even, positive dimension",
+        ),
+        (
+            lambda: semispray(tangent_chart(1), []),
+            StructureError,
+            "one force component per base coordinate required",
+        ),
     ],
     ids=[
         "bundle-rank", "bundle-anchor-shape", "bundle-structure-count", "bundle-structure-order",
         "connection-shape", "nabla_K-degree", "bundle_de_rham-form", "kform-degree",
-        "kform-multi-index", "field-count", "vvf-count", "vvf-degrees", "from_matrix-shape",
-        "matrix", "apply", "compose", "torsion", "contracted_bracket",
+        "kform-eval-count", "kform-multi-index", "field-count", "vvf-count", "vvf-degrees",
+        "from_matrix-shape", "vvf-add-degrees", "matrix", "apply", "compose", "torsion",
+        "contracted_bracket", "idempotent-degree", "tangent_chart-n", "tangent-chart-odd",
+        "semispray-force-count",
     ],
 )
 def test_constructor_validation_errors(build, error, message):

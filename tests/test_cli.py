@@ -112,6 +112,14 @@ class TestLoadManifest:
         with pytest.raises(ManifestError):
             load_manifest(write_manifest(tmp_path, doc))
 
+    def test_zero_diagonal_structure_entry_adds_nothing(self, tmp_path):
+        """c[1,1,1] = 0 is allowed, since c_aa^c vanishes, and adds no entry."""
+        diagonal, empty = (
+            load_manifest(self.bundle_with(tmp_path, structure)).bundle_algebroids["B"]
+            for structure in ({"c[1,1,1]": "0"}, {})
+        )
+        assert diagonal == empty
+
     def test_antisymmetric_structure_normalization(self, tmp_path):
         doc = {
             "chart": {"coords": ["x", "y"]},
@@ -126,8 +134,8 @@ class TestLoadManifest:
         }
         m = load_manifest(write_manifest(tmp_path, doc))
         balg = m.bundle_algebroids["B"]
-        assert str(balg.structure_component(0, 1, 0)) == "1"
-        assert str(balg.structure_component(1, 0, 0)) == "-1"
+        assert str(balg.structure[0][1][0]) == "1"
+        assert str(balg.structure[1][0][0]) == "-1"
 
     @pytest.mark.parametrize(
         "coords, anchor, message",
@@ -186,7 +194,7 @@ class TestLoadManifest:
     )
     def test_agreeing_structure_keys(self, tmp_path, structure, c211):
         balg = load_manifest(self.bundle_with(tmp_path, structure)).bundle_algebroids["B"]
-        assert str(balg.structure_component(1, 0, 0)) == c211
+        assert str(balg.structure[1][0][0]) == c211
 
     def test_degree_zero_form(self, tmp_path):
         """"" is the multi-index of degree 0, and of no other degree."""
@@ -567,6 +575,26 @@ class TestHostileManifests:
     def test_section_that_is_not_an_object(self, tmp_path, capsys):
         self.assert_manifest_error(tmp_path, capsys, n_manifest(forms=["N"]))
 
+    @pytest.mark.parametrize("section", ["endomorphisms", "bundle_algebroids"])
+    @pytest.mark.parametrize(
+        "value", [[], 0, False, "", None], ids=["list", "zero", "false", "string", "null"]
+    )
+    def test_falsy_section_that_is_not_an_object(self, tmp_path, capsys, section, value):
+        """A present section must be an object even when its value is falsy:
+        it is refused, not loaded as an empty section."""
+        doc = {"chart": {"coords": ["x"]}, section: value, "checks": []}
+        code = main(["verify", write_manifest(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR and captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.endswith(f": {section} must be an object\n")
+
+    def test_missing_manifest(self, tmp_path, capsys):
+        code = main(["verify", str(tmp_path / "missing.json")])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR and captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {tmp_path / 'missing.json'}: ")
+
     @pytest.mark.parametrize(
         "text",
         ["(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x"],
@@ -740,6 +768,33 @@ class TestHostileManifests:
             "checks": [],
         }
         with pytest.raises(ManifestError, match="bad structure key"):
+            load_manifest(write_manifest(tmp_path, doc))
+        self.assert_manifest_error(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("d[1,2,1]", "structure key 'd[1,2,1]' must look like c[a,b,c]"),
+            ("c[1,2,1", "structure key 'c[1,2,1' must look like c[a,b,c]"),
+        ],
+        ids=["letter", "bracket"],
+    )
+    def test_structure_key_not_spelled_c(self, tmp_path, capsys, key, message):
+        doc = {
+            "chart": {"coords": ["x", "y"]},
+            "bundle_algebroids": {
+                "B": {"rank": 2, "anchor": [["1", "0"], ["x", "0"]], "structure": {key: "1"}}
+            },
+        }
+        with pytest.raises(ManifestError) as exc:
+            load_manifest(write_manifest(tmp_path, doc))
+        assert str(exc.value) == f"bundle_algebroids.B: {message}"
+        self.assert_manifest_error(tmp_path, capsys, doc)
+
+    def test_multi_index_past_the_conversion_limit(self, tmp_path, capsys):
+        """An index with more digits than int() converts is a bad multi-index."""
+        doc = n_manifest(forms={"F": {"degree": 1, "entries": {"9" * 5000: ["x", "0", "0", "0"]}}})
+        with pytest.raises(ManifestError, match="^forms.F: bad multi-index '9999"):
             load_manifest(write_manifest(tmp_path, doc))
         self.assert_manifest_error(tmp_path, capsys, doc)
 
@@ -1213,6 +1268,15 @@ class TestSubcommands:
         )
         assert code == EXIT_ERROR
         capsys.readouterr()
+
+    def test_build_unknown_name_without_a_recipe_exit_two(self, tmp_path, capsys):
+        """A construction with no colon must name an algebroid of the manifest."""
+        code = main(["build", write_manifest(tmp_path, n_manifest()), "N"])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().out == (
+            "error: unknown construction 'N'; use a named algebroid or recipe:object "
+            "(recipes: " + ", ".join(cli._RECIPES) + ")\n"
+        )
 
     def test_build_rejects_invalid_input(self, tmp_path, capsys):
         code = main(["build", write_manifest(tmp_path, n_manifest()), "complex:N"])

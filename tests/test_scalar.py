@@ -32,6 +32,7 @@ from fncalc.scalar import (
     _GaussianInt,
     _add,
     _diff,
+    _exact_quo,
     _lc,
     _mul,
     _mul_into,
@@ -153,6 +154,46 @@ def test_bad_variable_name_is_quoted_in_part(names, message):
     if len(quoted) > MAX_QUOTED:
         message += f"{quoted[:MAX_QUOTED]!r}... ({len(quoted)} characters)"
     assert str(exc.value) == message
+
+
+_RING = coordinate_ring(VARS, False)
+_X = ScalarExpr.variable(_RING, "x")
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: coordinate_ring((), False), ValueError, "empty variable tuple"),
+        (lambda: ScalarExpr(_RING, {}, {}), DivisionByZeroError, "zero denominator"),
+        (
+            lambda: ScalarExpr.variable(_RING, "q"),
+            UnknownVariableError,
+            "unknown variable 'q'",
+        ),
+        (lambda: _X.partial("q"), UnknownVariableError, "unknown variable 'q'"),
+        (
+            lambda: _X / _RING.zero,
+            DivisionByZeroError,
+            "division by zero rational function",
+        ),
+        (lambda: _RING.zero ** -1, DivisionByZeroError, "division by zero rational function"),
+        (
+            lambda: _exact_quo(_RING, _X.num, (_X + _RING.one).num),
+            ArithmeticError,
+            "inexact polynomial division",
+        ),
+    ],
+    ids=[
+        "empty-ring", "zero-denominator", "unknown-variable", "unknown-partial",
+        "divide-by-zero", "zero-to-negative-power", "inexact-quotient",
+    ],
+)
+def test_scalar_validation_errors(build, error, message):
+    """Each scalar constructor and operation refuses its invalid input with
+    its own error class and message."""
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 class TestParser:

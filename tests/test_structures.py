@@ -16,6 +16,7 @@ from fncalc.calculus import (
     lie_bracket,
     nijenhuis_torsion,
 )
+from fncalc.linalg import column_space_basis
 from fncalc.randgen import random_scalar
 from fncalc.structures import (
     ImageNotInvolutiveError,
@@ -215,6 +216,15 @@ class TestFoliation:
         labels = [label for label, _ in data.bracket_table]
         assert "(v1,v2)" in labels
         assert all(r.is_zero for _, r in data.bracket_table)
+
+    def test_column_space_basis_edge_cases(self):
+        """An empty matrix has no columns; a full-rank wide matrix stops at its
+        last row, before the column it no longer needs."""
+        ch = Chart(("x", "y"))
+        assert column_space_basis([], ch) == []
+        zero, one, x = ch.zero, ch.one, ch.coordinate(0)
+        assert column_space_basis([[zero, one, x], [one, x, one]], ch) == [0, 1]
+        assert column_space_basis([[one, x], [x, x * x]], ch) == [0]
 
     def test_adapted_frames(self):
         g = endo("gamma0")
