@@ -29,6 +29,7 @@ from .calculus import (
     KForm,
     VectorField,
     VectorValuedForm,
+    _off_chart,
     _Record,
     _sum_terms,
     _wedge_terms,
@@ -338,6 +339,10 @@ class BundleAlgebroid(_Record):
             if not 0 <= a < b < rank:
                 raise AlgebroidError(f"structure key ({a},{b}) must satisfy a < b")
             table[a][b], table[b][a] = comps, tuple(-c for c in comps)
+        for row in anchor + tuple(table[a][b] for a, b in structure):
+            for value in row:
+                if value.ring is not chart.ring:
+                    raise _off_chart(value, chart)
         self.chart, self.rank, self.anchor = chart, rank, anchor
         self.structure = tuple(map(tuple, table))
 

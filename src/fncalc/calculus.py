@@ -10,8 +10,11 @@ i_K ω = Σ_m K^m ∧ i_{∂_m} ω. The two operator brackets are implemented by
 operator extraction: the Richardson-Nijenhuis bracket by acting with the
 insertion commutator on coordinate differentials, the Frölicher-Nijenhuis
 bracket by acting with the Lie-derivative commutator on coordinate
-functions. Tensoriality of these extraction points is what makes the
-component read-off valid.
+functions, each time once on the vector-valued form of all n generators.
+Tensoriality of these extraction points is what makes the component
+read-off valid. An operation on the n components of a vector-valued form
+forms one sum of products per multi-index with one lane per component
+(``ScalarExpr.sums_of_products``).
 
 A degree-1 derivation L_K + i_L is held by its pair (K, L) as a
 :class:`~fncalc.algebroid.TangentAlgebroid`.
@@ -310,22 +313,41 @@ class KForm(_Record):
             )
         )
 
-    def __call__(self, *fields: VectorField, _minors=None) -> ScalarExpr:
-        """Multilinear antisymmetric evaluation on vector fields; ``_minors``
-        holds det(X^a, Y^b, ...) by multi-index (a, b, ...) across calls."""
-        if len(fields) != self.degree:
-            raise CalculusError(
-                f"degree-{self.degree} form evaluated on {len(fields)} fields"
-            )
-        _require_coordinate_form(self, "evaluation on vector fields")
-        for X in fields:
-            _check_chart(self, X)
-        minors = {} if _minors is None else _minors
-        for key in self.coeffs.keys() - minors.keys():
-            minors[key] = det([[X.components[j] for j in key] for X in fields], self.chart)
-        return ScalarExpr.sum_of_products(
-            self.chart.ring, ((v, minors[key], False) for key, v in self.coeffs.items())
+    def __call__(self, *fields: VectorField) -> ScalarExpr:
+        """Multilinear antisymmetric evaluation on vector fields."""
+        return _evaluate((self,), fields)[0]
+
+
+def _lanes(forms: Sequence[KForm]) -> dict:
+    """The coefficients of ``forms`` by multi-index: one scalar per form."""
+    zero = forms[0].chart.zero
+    rows: dict = {}
+    for l, form in enumerate(forms):
+        for key, value in form.coeffs.items():
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = [zero] * len(forms)
+            row[l] = value
+    return rows
+
+
+def _evaluate(forms: Sequence[KForm], fields: Sequence[VectorField]) -> list:
+    """Each of the forms of one degree evaluated on ``fields``, with one
+    det(X^a, Y^b, ...) per multi-index (a, b, ...) and one sum of products."""
+    first = forms[0]
+    if len(fields) != first.degree:
+        raise CalculusError(
+            f"degree-{first.degree} form evaluated on {len(fields)} fields"
         )
+    _require_coordinate_form(first, "evaluation on vector fields")
+    chart = first.chart
+    for X in fields:
+        _check_chart(first, X)
+    terms = [
+        (det([[X.components[j] for j in key] for X in fields], chart), row, False)
+        for key, row in _lanes(forms).items()
+    ]
+    return ScalarExpr.sums_of_products(chart.ring, len(forms), terms)
 
 
 def _check_generators(a: KForm, b: KForm) -> None:
@@ -450,10 +472,7 @@ class VectorValuedForm(_Components):
         return self._like([c.scaled(f) for c in self.components])
 
     def __call__(self, *fields: VectorField) -> VectorField:
-        minors: dict = {}
-        return VectorField(
-            self.chart, [c(*fields, _minors=minors) for c in self.components]
-        )
+        return VectorField(self.chart, _evaluate(self.components, fields))
 
     def apply(self, X: VectorField) -> VectorField:
         """Endomorphism action; degree-1 convenience alias."""
@@ -464,13 +483,11 @@ class VectorValuedForm(_Components):
     def compose(self, other: "VectorValuedForm") -> "VectorValuedForm":
         """K∘L = K(L(X1..Xk)) for the endomorphism K = self and a vector-valued
         form L of any degree: (K∘L)^j = i_L K^j, the insertion of L into the
-        1-form K^j."""
+        1-form K^j, so K∘L is i_L K."""
         if self.degree != 1:
             raise CalculusError("compose() requires a degree-1 left factor")
         _check_chart(self, other)
-        return VectorValuedForm(
-            self.chart, other.degree, [insertion(other, c) for c in self.components]
-        )
+        return insertion(other, self)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +506,8 @@ def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]):
 
 def _wedge_terms(terms: dict, a: Mapping, b: list) -> None:
     """Add the terms of ``a`` ∧ ``b`` to ``terms`` by multi-index, for the
-    coefficient map ``a`` and (multi-index, coefficient, negate) triples ``b``."""
+    coefficient map ``a`` and (multi-index, coefficient, negate) triples ``b``;
+    a coefficient of ``b`` may be a row of lanes."""
     for ka, va in a.items():
         for kb, vb, negate in b:
             key, sign = _merge_sign(ka, kb)
@@ -509,7 +527,10 @@ def wedge(a: KForm, b: KForm) -> KForm:
     return KForm(a.chart, a.degree + b.degree, _sum_terms(a.chart, terms), a.generators)
 
 
-def exterior_d(a: KForm) -> KForm:
+def exterior_d(a: KForm | VectorValuedForm):
+    """d of a form, or of each component of a vector-valued form."""
+    if isinstance(a, VectorValuedForm):
+        return VectorValuedForm(a.chart, a.degree + 1, [exterior_d(c) for c in a.components])
     _require_coordinate_form(a, "exterior_d")
     chart = a.chart
     terms: dict = {}
@@ -523,22 +544,16 @@ def exterior_d(a: KForm) -> KForm:
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
-    """[X, Y]^j = Σ_i X^i ∂_i Y^j - Y^i ∂_i X^j, one sum of 2n products per j."""
+    """[X, Y]^j = Σ_i X^i ∂_i Y^j - Y^i ∂_i X^j: 2n terms with one lane per j."""
     _check_chart(X, Y)
     chart = X.chart
-    frame = list(zip(X.components, Y.components, chart.coord_names))
-
-    def terms(Xj, Yj):
-        for Xi, Yi, name in frame:
-            if not Xi.is_zero:
-                yield Xi, Yj.partial(name), False
-            if not Yi.is_zero:
-                yield Yi, Xj.partial(name), True
-
-    return VectorField(
-        chart,
-        [ScalarExpr.sum_of_products(chart.ring, terms(Xj, Yj)) for Xj, Yj, _ in frame],
-    )
+    terms = []
+    for Xi, Yi, name in zip(X.components, Y.components, chart.coord_names):
+        if not Xi.is_zero:
+            terms.append((Xi, [Yj.partial(name) for Yj in Y.components], False))
+        if not Yi.is_zero:
+            terms.append((Yi, [Xj.partial(name) for Xj in X.components], True))
+    return VectorField(chart, ScalarExpr.sums_of_products(chart.ring, chart.dim, terms))
 
 
 # ---------------------------------------------------------------------------
@@ -546,34 +561,48 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
 # ---------------------------------------------------------------------------
 
 
-def insertion(K: VectorValuedForm, omega: KForm) -> KForm:
+def insertion(K: VectorValuedForm, omega: KForm | VectorValuedForm):
     """The insertion i_K omega = Σ_m K^m ∧ i_{∂_m} omega, a tensorial derivation.
 
     K^m is the m-th component form of K. This sparse contraction
     (Kolář-Michor-Slovák, *Natural Operations in Differential Geometry*,
     §8) equals the signed shuffle sum of omega(K(X_σ1..X_σg), X_σ(g+1), ...).
     On a function (degree 0) the insertion is zero of degree max(deg K - 1, 0).
+    A vector-valued ``omega`` gives the vector-valued form of i_K on each of
+    its components, in one sum of products per multi-index with one lane per
+    component.
     """
     _check_chart(K, omega)
-    _require_coordinate_form(omega, "insertion")
+    vector_valued = isinstance(omega, VectorValuedForm)
+    forms = omega.components if vector_valued else (omega,)
+    _require_coordinate_form(forms[0], "insertion")
     chart = K.chart
     degree = max(K.degree + omega.degree - 1, 0)
+    rows = _lanes(forms)
     # the wedge terms of every m, gathered by multi-index, one sum per index
     terms: dict = {}
     for m, component in enumerate(K.components):
         if not component.is_zero:
             # i_{∂_m} omega: m dropped from each multi-index, negated at odd positions
             contracted = []
-            for key, value in omega.coeffs.items():
+            for key, row in rows.items():
                 if m in key:
                     pos = key.index(m)
-                    contracted.append((key[:pos] + key[pos + 1 :], value, pos % 2 == 1))
+                    contracted.append((key[:pos] + key[pos + 1 :], row, pos % 2 == 1))
             _wedge_terms(terms, component.coeffs, contracted)
-    return KForm(chart, degree, _sum_terms(chart, terms))
+    ring, count = chart.ring, len(forms)
+    sums = {k: ScalarExpr.sums_of_products(ring, count, t) for k, t in terms.items()}
+    # a lane's zero sums are left out here: KForm would check each of their keys
+    out = [
+        KForm(chart, degree, {k: s[l] for k, s in sums.items() if s[l].num})
+        for l in range(count)
+    ]
+    return VectorValuedForm(chart, degree, out) if vector_valued else out[0]
 
 
-def lie_derivative(K: VectorValuedForm, omega: KForm) -> KForm:
-    """L_K = [i_K, d] as a graded commutator; classical Lie derivative at degree 0."""
+def lie_derivative(K: VectorValuedForm, omega: KForm | VectorValuedForm):
+    """L_K = [i_K, d] as a graded commutator; classical Lie derivative at
+    degree 0. A vector-valued ``omega`` gives L_K on each of its components."""
     _check_chart(K, omega)
     first = insertion(K, exterior_d(omega))
     inserted = insertion(K, omega)
@@ -591,9 +620,10 @@ def lie_derivative(K: VectorValuedForm, omega: KForm) -> KForm:
 def graded_commutator_on(
     op1: tuple[Callable[[KForm], KForm], int],
     op2: tuple[Callable[[KForm], KForm], int],
-    omega: KForm,
-) -> KForm:
-    """[D1, D2] omega for two operators given with their declared degrees.
+    omega: KForm | VectorValuedForm,
+) -> KForm | VectorValuedForm:
+    """[D1, D2] omega for two operators given with their declared degrees;
+    ``omega`` is a form, or a vector-valued form that both operators act on.
 
     When ``op1 is op2`` the composition D D omega runs once: [D, D] omega is
     twice it for an odd D and the zero form of its degree for an even one.
@@ -601,7 +631,7 @@ def graded_commutator_on(
     (f1, d1), (f2, d2) = op1, op2
     first = f1(f2(omega))
     if op1 is op2:
-        return first + first if d1 % 2 else first._like({})
+        return first + first if d1 % 2 else first.scaled(first.chart.zero)
     second = f2(f1(omega))
     if (d1 * d2) % 2 == 0:
         return first - second
@@ -616,14 +646,15 @@ def graded_commutator_on(
 def _extract(A, B, action, shift: int, generator) -> VectorValuedForm:
     """The bracket of A and B whose operators ``action(A, ·)`` and
     ``action(B, ·)`` have degrees deg A + ``shift`` and deg B + ``shift``,
-    read off their graded commutator acting on ``generator(chart, j)`` for
-    each coordinate j."""
+    read off their graded commutator acting once on the vector-valued form
+    whose component j is ``generator(chart, j)``."""
     _check_chart(A, B)
     chart = A.chart
     op_a = (lambda w: action(A, w), A.degree + shift)
     op_b = op_a if B is A else (lambda w: action(B, w), B.degree + shift)
-    comps = [graded_commutator_on(op_a, op_b, generator(chart, j)) for j in range(chart.dim)]
-    return VectorValuedForm(chart, A.degree + B.degree + shift, comps)
+    gens = [generator(chart, j) for j in range(chart.dim)]
+    commutator = graded_commutator_on(op_a, op_b, VectorValuedForm(chart, gens[0].degree, gens))
+    return VectorValuedForm(chart, A.degree + B.degree + shift, commutator.components)
 
 
 def rn_bracket(A: VectorValuedForm, B: VectorValuedForm) -> VectorValuedForm:

@@ -706,13 +706,16 @@ def _build_algebroid(manifest: Manifest, construction: str) -> TangentAlgebroid:
 
 
 def _cmd_build(manifest: Manifest, args) -> tuple[str, int]:
+    """The fragment of the construction, or the error its constructor raised.
+    A construction that names nothing raises ManifestError, which ``main``
+    reports on stderr, as it does a load error."""
     try:
         alg = _build_algebroid(manifest, args.construction)
         built = {
             "anchor_matrix": _matrix_strings(alg.anchor),
             "correction": _form_fragment(alg.correction),
         }
-    except _CHECK_ERRORS as exc:
+    except (CalculusError, ScalarError) as exc:
         if args.format == "json":
             doc = {"error": str(exc), "status": "error"}
             return json.dumps(doc, sort_keys=True, indent=2) + "\n", EXIT_ERROR

@@ -13,7 +13,7 @@ the first quadrant). By Gauss's lemma this is the Q-monic form scaled by a
 constant, and only the printer divides by that constant: values print as a
 numerator over a monic denominator, each rational coefficient (or part of a
 Gaussian rational one) a reduced pair of ints, with no ``Fraction``. A
-scalar's ring is fixed by its chart: arithmetic and ``sum_of_products``
+scalar's ring is fixed by its chart: arithmetic and ``sums_of_products``
 raise on operands of two rings, and scalars of two rings are never equal.
 ``ScalarExpr.complexified`` is the one crossing: it moves a real value to
 Z[i] on the same coordinates, where its canonical form is unchanged.
@@ -26,16 +26,29 @@ holds the total degree in its top field and one ``EXPONENT_BITS``-bit field
 per coordinate below it, so a monomial product is one integer addition and
 integer order is graded-lex order. Products accumulate in place: a sum of
 products Σ ±a·b adds every product that shares a denominator into one
-polynomial and reduces it once (``ScalarExpr.sum_of_products``), instead of
-building and copying a scalar per term. All arithmetic is done here, with no
-dependency beyond the standard library: sums, products, powers,
-derivatives, and the multivariate gcd that cancels a non-constant
-denominator (the subresultant pseudo-remainder sequence, recursive in the
-coordinates, the same code over Z and Z[i]). Parsing and printing are
-defined here too; the parser folds each product of integers, coordinates and
-powers into one (key, coefficient) term and adds the terms of a sum into one
-polynomial in place. Scalars are never evaluated at points: every identity is
-decided on canonical forms.
+polynomial and reduces it once, instead of building and copying a scalar per
+term. ``ScalarExpr.sums_of_products`` forms L such sums Σ ±a·b_l at once, one
+per lane l, as a vector-valued operation needs one per component
+(``sum_of_products`` is its one-lane case). A term whose nonzero lanes, two or
+more, share a denominator is multiplied once for all of them: per monomial,
+its lane coefficients are packed into one integer P = Σ_l c_l·2^(w l), the
+real and imaginary parts apart over Z[i], so that each coefficient product is
+a lane-wise product (Fateman, "Can you save time in multiplying polynomials by
+encoding them as integers?", 2010). With B = Σ ‖a‖₁·max_l ‖b_l‖₁ over the
+packed terms, ‖·‖₁ the sum of |re c| + |im c| over the coefficients, no part
+of any lane of a packed sum exceeds B in absolute value, so with
+w = bitlen(B) + 2 every lane but the top one is a balanced residue mod 2^w,
+the top lane is what is left, and a packed zero is zero in every lane: the
+sums are exact.
+
+All arithmetic is done here, with no dependency beyond the standard
+library: sums, products, powers, derivatives, and the multivariate gcd that
+cancels a non-constant denominator (the subresultant pseudo-remainder
+sequence, recursive in the coordinates, the same code over Z and Z[i]).
+Parsing and printing are defined here too; the parser folds each product of
+integers, coordinates and powers into one (key, coefficient) term and adds
+the terms of a sum into one polynomial in place. Scalars are never evaluated
+at points: every identity is decided on canonical forms.
 """
 
 from __future__ import annotations
@@ -115,8 +128,29 @@ def _complex_str(re: int, im: int, n: int) -> str:
 # ---------------------------------------------------------------------------
 # Coefficient domains. Both offer ``one``, ``gcd`` (normalised by
 # ``canonical_unit``), ``quo`` and ``canonical_unit``, plus ``of_int`` for an
-# integer as a coefficient.
+# integer as a coefficient and ``unpack`` for the lanes of
+# ``ScalarExpr.sums_of_products``.
 # ---------------------------------------------------------------------------
+
+
+def _unpack_ints(num: dict, count: int, w: int) -> list:
+    """``num``, whose coefficients are packed ints Σ_l c_l·2^(w l), as
+    ``count`` polynomials: every lane but the top one is a balanced residue
+    mod 2^w (adding 2^(w-1) to each makes its w bits nonnegative), and the
+    top lane, which needs no bound, is what is left."""
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    offset = sum(half << (w * l) for l in range(count - 1))
+    lanes = [{} for _ in range(count)]
+    for m, p in num.items():
+        p += offset
+        for lane in lanes[:-1]:
+            c = (p & mask) - half
+            if c:
+                lane[m] = c
+            p >>= w
+        if p:
+            lanes[-1][m] = p
+    return lanes
 
 
 class _Integers:
@@ -126,6 +160,7 @@ class _Integers:
     gcd = staticmethod(math.gcd)
     quo = staticmethod(operator.floordiv)  # only ever an exact division
     of_int = staticmethod(int)
+    unpack = staticmethod(_unpack_ints)
 
     @staticmethod
     def canonical_unit(c: int) -> int:
@@ -153,6 +188,13 @@ class _GaussianInt:
 
     def __neg__(self) -> "_GaussianInt":
         return _GaussianInt(-self.x, -self.y)
+
+    def __lshift__(self, s: int) -> "_GaussianInt":
+        return _GaussianInt(self.x << s, self.y << s)
+
+    def __abs__(self) -> int:
+        """The 1-norm |x| + |y|: |x y'| + |y y'| bounds each part of a product."""
+        return abs(self.x) + abs(self.y)
 
     def __pow__(self, k: int) -> "_GaussianInt":
         result, base = _GaussianInt(1, 0), self
@@ -192,6 +234,16 @@ class _GaussianIntegers:
     @staticmethod
     def of_int(k: int) -> _GaussianInt:
         return _GaussianInt(k, 0)
+
+    @staticmethod
+    def unpack(num: dict, count: int, w: int) -> list:
+        """The real and imaginary parts are packed, so unpacked, apart."""
+        re = _unpack_ints({m: c.x for m, c in num.items()}, count, w)
+        im = _unpack_ints({m: c.y for m, c in num.items()}, count, w)
+        return [
+            {m: _GaussianInt(x.get(m, 0), y.get(m, 0)) for m in x.keys() | y.keys()}
+            for x, y in zip(re, im)
+        ]
 
     @staticmethod
     def quo(a: _GaussianInt, b: _GaussianInt) -> _GaussianInt:
@@ -436,6 +488,18 @@ def _lc(poly: dict):
 
 def _mixed(a: CoordinateRing, b: CoordinateRing) -> ScalarError:
     return ScalarError(f"mixed coordinate rings: {a} vs {b}")
+
+
+def _group(ring: CoordinateRing, groups: dict, lane, den_a: dict, den_b: dict) -> dict:
+    """The numerator that ``groups`` accumulates for ``lane`` over den_a·den_b,
+    keyed by the lane and the product's terms, or None for the denominator 1."""
+    one = ring.one.den
+    den = den_b if den_a == one else den_a if den_b == one else _mul(ring, den_a, den_b)
+    key = lane, None if den == one else frozenset(den.items())
+    group = groups.get(key)
+    if group is None:
+        group = groups[key] = (den, {})
+    return group[1]
 
 
 def _unit_normal(ring: CoordinateRing, num: dict, den: dict):
@@ -810,23 +874,64 @@ class ScalarExpr:
 
     @staticmethod
     def sum_of_products(ring: CoordinateRing, terms) -> "ScalarExpr":
-        """Σ ±a·b over ``ring`` for ``terms`` of ``(a, b, negate)``, every
-        operand on ``ring``. The products that share a denominator accumulate
-        into one numerator, reduced once, and these groups are then added:
-        with every denominator 1, one polynomial."""
-        groups: dict = {}
-        for a, b, negate in terms:
-            if a.ring is not ring or b.ring is not ring:
-                raise _mixed(ring, b.ring if a.ring is ring else a.ring)
-            if a.num and b.num:
-                den = _mul(ring, a.den, b.den)
-                key = frozenset(den.items())
-                group = groups.get(key)
-                if group is None:
-                    group = groups[key] = (den, {})
-                _mul_into(ring, group[1], a.num, b.num, negate)
-        parts = [ScalarExpr(ring, num, den) for den, num in groups.values()]
-        return sum(parts[1:], parts[0]) if parts else ring.zero
+        """Σ ±a·b over ``ring`` for ``terms`` of ``(a, b, negate)``: the
+        one-lane case of ``sums_of_products``."""
+        lanes = ((a, (b,), negate) for a, b, negate in terms)
+        return ScalarExpr.sums_of_products(ring, 1, lanes)[0]
+
+    @staticmethod
+    def sums_of_products(ring: CoordinateRing, lanes: int, terms) -> list:
+        """The ``lanes`` sums Σ ±a·bs[l] over ``ring`` for ``terms`` of
+        ``(a, bs, negate)``, each ``bs`` a sequence of ``lanes`` scalars and
+        every operand on ``ring``. In each lane the products that share a
+        denominator accumulate into one numerator, reduced once, and these
+        groups are then added. A term whose nonzero lanes (at least two)
+        share a denominator is packed and multiplied once for all of them,
+        as the module docstring sets out."""
+        groups: dict = {}  # {(lane, den key): (den, num)}
+        packable = []
+        for a, bs, negate in terms:
+            if a.ring is not ring:
+                raise _mixed(ring, a.ring)
+            for b in bs:
+                if b.ring is not ring:
+                    raise _mixed(ring, b.ring)
+            if not a.num:
+                continue
+            live = [l for l, b in enumerate(bs) if b.num]
+            if len(live) > 1 and all(bs[l].den == bs[live[0]].den for l in live):
+                packable.append((a, bs, negate, live))
+                continue
+            for l in live:
+                b = bs[l]
+                _mul_into(ring, _group(ring, groups, l, a.den, b.den), a.num, b.num, negate)
+        if packable:
+            bound = 0
+            for a, bs, _, live in packable:
+                bound += sum(map(abs, a.num.values())) * max(
+                    sum(map(abs, bs[l].num.values())) for l in live
+                )
+            w = bound.bit_length() + 2
+            packed: dict = {}
+            for a, bs, negate, live in packable:
+                b = {m: c << (w * live[0]) for m, c in bs[live[0]].num.items()}
+                get = b.get
+                for l in live[1:]:
+                    s = w * l
+                    for m, c in bs[l].num.items():
+                        p = get(m)  # the lanes below l, which cannot cancel lane l
+                        b[m] = c << s if p is None else p + (c << s)
+                _mul_into(ring, _group(ring, packed, None, a.den, bs[live[0]].den), a.num, b, negate)
+            for den, num in packed.values():
+                for l, part in enumerate(ring.domain.unpack(num, lanes, w)):
+                    if part:
+                        _add_into(_group(ring, groups, l, den, ring.one.den), part.items())
+        zero = ring.zero
+        out = [zero] * lanes
+        for (l, _), (den, num) in groups.items():
+            value = ScalarExpr(ring, num, den)
+            out[l] = value if out[l] is zero else out[l] + value
+        return out
 
     # -- queries -------------------------------------------------------
 

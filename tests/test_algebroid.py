@@ -682,6 +682,20 @@ _X = _CH.basis_vector(0)
             AlgebroidError,
             "structure key (1,0) must satisfy a < b",
         ),
+        (
+            lambda: BundleAlgebroid(_CH, 1, [[_ONE, _ONE.complexified()]], {}),
+            ChartMismatchError,
+            "coefficient on CoordinateRing('x', 'y') over Z[i], not on the chart's "
+            "CoordinateRing('x', 'y') over Z",
+        ),
+        (
+            lambda: BundleAlgebroid(
+                _CH, 2, [[_ONE, _ZERO]] * 2, {(0, 1): [_ZERO, _ONE.complexified()]}
+            ),
+            ChartMismatchError,
+            "coefficient on CoordinateRing('x', 'y') over Z[i], not on the chart's "
+            "CoordinateRing('x', 'y') over Z",
+        ),
         (lambda: LinearConnection(_CH, 1, ()), AlgebroidError, "Christoffel symbol shape mismatch"),
         (
             lambda: nabla_K(
@@ -761,6 +775,7 @@ _X = _CH.basis_vector(0)
     ],
     ids=[
         "bundle-rank", "bundle-anchor-shape", "bundle-structure-count", "bundle-structure-order",
+        "bundle-anchor-ring", "bundle-structure-ring",
         "connection-shape", "nabla_K-degree", "bundle_de_rham-form", "kform-degree",
         "kform-eval-count", "kform-multi-index", "field-count", "vvf-count", "vvf-degrees",
         "from_matrix-shape", "vvf-add-degrees", "matrix", "apply", "compose", "torsion",

@@ -1273,10 +1273,22 @@ class TestSubcommands:
         """A construction with no colon must name an algebroid of the manifest."""
         code = main(["build", write_manifest(tmp_path, n_manifest()), "N"])
         assert code == EXIT_ERROR
-        assert capsys.readouterr().out == (
+        assert capsys.readouterr().err == (
             "error: unknown construction 'N'; use a named algebroid or recipe:object "
             "(recipes: " + ", ".join(cli._RECIPES) + ")\n"
         )
+
+    @pytest.mark.parametrize("construction", ["nosuch", "nosuch:J1", "complex:nosuch"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_build_construction_that_names_nothing(self, capsys, construction, fmt):
+        """Like a manifest that cannot load, a construction that names no
+        algebroid, recipe or object exits 2 with nothing on stdout and one
+        error line on stderr, in either format."""
+        path = str(MANIFESTS / "f1_complex.json")
+        code = main(["build", path, construction, "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_build_rejects_invalid_input(self, tmp_path, capsys):
         code = main(["build", write_manifest(tmp_path, n_manifest()), "complex:N"])

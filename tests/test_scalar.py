@@ -1043,6 +1043,132 @@ def test_sum_of_products_key_limit(gaussian):
                 ScalarExpr.sum_of_products(ring, terms)
 
 
+# ---------------------------------------------------------------------------
+# The lane kernel against the pairwise fold of each lane
+
+
+def lane_operands(gaussian: bool):
+    """Lane values that often share a denominator, so that terms pack: zero,
+    polynomials (the numerators of operands), and operands of any denominator."""
+    ring = coordinate_ring(VARS, gaussian)
+    polynomial = operands(gaussian).map(
+        lambda v: ScalarExpr(ring, v.num, ring.one.den, _canonical=True)
+    )
+    return st.one_of(st.just(ring.zero), polynomial, polynomial, operands(gaussian))
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["real", "complex"])
+def test_sums_of_products_match_the_fold_of_each_lane(gaussian):
+    ring = coordinate_ring(VARS, gaussian)
+    lane = lane_operands(gaussian)
+
+    def term(lanes: int):
+        return st.tuples(lane, st.lists(lane, min_size=lanes, max_size=lanes), st.booleans())
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(term(n), max_size=5))
+    ))
+    def check(case):
+        lanes, terms = case
+        got = ScalarExpr.sums_of_products(ring, lanes, terms)
+        assert len(got) == lanes
+        for l, value in enumerate(got):
+            want = fold(ring, [(a, bs[l], negate) for a, bs, negate in terms])
+            assert value.ring is ring
+            assert (value.num, value.den) == (want.num, want.den)
+        # every term and its negation cancel to the canonical zero in every lane
+        undone = ScalarExpr.sums_of_products(
+            ring, lanes, terms + [(a, bs, not negate) for a, bs, negate in terms]
+        )
+        assert [(u.num, u.den) for u in undone] == [({}, ring.one.den)] * lanes
+
+    check()
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["real", "complex"])
+def test_sums_of_products_pinned_lanes(gaussian):
+    ring = coordinate_ring(VARS, gaussian)
+
+    def e(text: str) -> ScalarExpr:
+        return expr(text, allow_imaginary=gaussian)
+
+    zero = ring.zero
+    assert ScalarExpr.sums_of_products(ring, 3, []) == [zero] * 3
+    # zero lanes, and a zero multiplier
+    terms = [(e("x + 1"), [zero, e("y"), zero], False), (zero, [e("x")] * 3, False)]
+    assert ScalarExpr.sums_of_products(ring, 3, terms) == [zero, e("x*y + y"), zero]
+    # one term's lanes over 1, 3 and x + 1 do not pack, and still sum lane by lane
+    terms = [(e("x + y"), [e("y"), e("1/3"), e("x/(x + 1)")], True), (e("2"), [e("y")] * 3, False)]
+    want = [e("-x*y - y^2 + 2*y"), e("-x/3 - y/3 + 2*y"), e("-(x^2 + x*y)/(x + 1) + 2*y")]
+    assert ScalarExpr.sums_of_products(ring, 3, terms) == want
+    # lanes that cancel, packed, to the canonical zero beside one that does not
+    terms = [(e("x - y"), [e("x + y"), e("x"), e("y")], False), (e("x + y"), [e("x - y"), zero, zero], True)]
+    got = ScalarExpr.sums_of_products(ring, 3, terms)
+    assert [(v.num, v.den) for v in got[:1]] == [({}, ring.one.den)]
+    assert got[1:] == [e("x^2 - x*y"), e("x*y - y^2")]
+
+
+def test_sums_of_products_lanes_reach_the_packing_bound():
+    """The lane width comes from B = Σ ‖a‖₁·max_l ‖bs[l]‖₁; here every
+    product of every term lands on one monomial, so the lanes are ±B and the
+    imaginary parts of the Gaussian ones are ±B too."""
+    for gaussian, unit in ((False, "1"), (True, "i")):
+        def e(text: str) -> ScalarExpr:
+            return expr(text, allow_imaginary=gaussian)
+
+        ring = coordinate_ring(VARS, gaussian)
+        terms = [
+            (e("7*x"), [e(f"9*{unit}*y"), e(f"-9*{unit}*y"), e(f"9*{unit}*y")], False),
+            (e("-2*y"), [e(f"-3*{unit}*x"), e(f"3*{unit}*x"), e(f"-3*{unit}*x")], False),
+        ]
+        bound = 7 * 9 + 2 * 3
+        want = [e(f"{bound}*{unit}*x*y"), e(f"-{bound}*{unit}*x*y"), e(f"{bound}*{unit}*x*y")]
+        assert ScalarExpr.sums_of_products(ring, 3, terms) == want
+        for l in range(3):
+            assert fold(ring, [(a, bs[l], negate) for a, bs, negate in terms]) == want[l]
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["real", "complex"])
+def test_sums_of_products_mixed_rings(gaussian):
+    """Every operand of every lane must be on the ring, a zero one too."""
+    ring = coordinate_ring(VARS, gaussian)
+    other = coordinate_ring(VARS, not gaussian)
+    x = expr("x", allow_imaginary=gaussian)
+    stranger = expr("y", allow_imaginary=not gaussian)
+    for terms in (
+        [(x, [x, stranger], False)],
+        [(x, [x, other.zero], False)],
+        [(x, [x, x], False), (stranger, [x, x], True)],
+        [(other.zero, [x, x], False)],
+        [(ring.zero, [x, stranger], False)],
+    ):
+        with pytest.raises(ScalarError, match="mixed coordinate rings"):
+            ScalarExpr.sums_of_products(ring, 2, terms)
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["real", "complex"])
+def test_sums_of_products_key_limit(gaussian):
+    ring = coordinate_ring(VARS, gaussian)
+    x = expr("x", allow_imaginary=gaussian)
+    top = x ** (2**EXPONENT_BITS - 1)
+    for other in (x, expr("x + y", allow_imaginary=gaussian), expr("y/(y + 1)", allow_imaginary=gaussian)):
+        for terms in (
+            [(top, [other, other], False)],  # packed when other is a polynomial
+            [(other, [x, top], False)],
+            [(x, [x, x], False), (other, [top, ring.zero], True)],
+        ):
+            folds = []
+            for l in range(2):  # the fold of some lane raises
+                try:
+                    folds.append(fold(ring, [(a, bs[l], negate) for a, bs, negate in terms]))
+                except ScalarError:
+                    pass
+            assert len(folds) < 2
+            with pytest.raises(ScalarError):
+                ScalarExpr.sums_of_products(ring, 2, terms)
+
+
 @pytest.mark.parametrize("gaussian", [False, True], ids=["real", "complex"])
 def test_mul_and_mul_into_agree_on_one_term_fast_paths(gaussian):
     ring = coordinate_ring(VARS, gaussian)
