@@ -14,7 +14,10 @@ functions, each time once on the vector-valued form of all n generators.
 Tensoriality of these extraction points is what makes the component
 read-off valid. An operation on the n components of a vector-valued form
 forms one sum of products per multi-index with one lane per component
-(``ScalarExpr.sums_of_products``).
+(``ScalarExpr.sums_of_products``). :func:`nijenhuis_torsion` calls no
+bracket routine: it reads T_N on frame pairs off one table of the partials
+∂_i(N e_b), so the two sides of the central identity (1/2)[N,N]_FN = T_N
+share no bracket code.
 
 A degree-1 derivation L_K + i_L is held by its pair (K, L) as a
 :class:`~fncalc.algebroid.TangentAlgebroid`.
@@ -255,9 +258,7 @@ class KForm(_Record):
         clean: dict[tuple[int, ...], ScalarExpr] = {}
         for key, value in (coeffs or {}).items():
             key = tuple(key)
-            if len(key) != degree or any(
-                key[t] >= key[t + 1] for t in range(len(key) - 1)
-            ):
+            if len(key) != degree or (degree > 1 and any(map(operator.ge, key, key[1:]))):
                 raise CalculusError(f"bad multi-index {key} for degree {degree}")
             if key and (key[0] < 0 or key[-1] >= n):
                 raise CalculusError(f"multi-index {key} out of range")
@@ -533,14 +534,17 @@ def exterior_d(a: KForm | VectorValuedForm):
         return VectorValuedForm(a.chart, a.degree + 1, [exterior_d(c) for c in a.components])
     _require_coordinate_form(a, "exterior_d")
     chart = a.chart
-    terms: dict = {}
+    sums: dict = {}
     for key, value in a.coeffs.items():
         for j, name in enumerate(chart.coord_names):
             merged, sign = _merge_sign((j,), key)
-            if sign:
-                term = (value.partial(name), chart.one, sign < 0)
-                terms.setdefault(merged, []).append(term)
-    return KForm(chart, a.degree + 1, _sum_terms(chart, terms))
+            if sign and not (p := value.partial(name)).is_zero:
+                s = sums.get(merged)
+                if s is None:
+                    sums[merged] = p if sign > 0 else -p
+                else:
+                    sums[merged] = s + p if sign > 0 else s - p
+    return KForm(chart, a.degree + 1, sums)
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
@@ -668,18 +672,29 @@ def fn_bracket(A: VectorValuedForm, B: VectorValuedForm) -> VectorValuedForm:
 
 
 def nijenhuis_torsion(N: VectorValuedForm) -> VectorValuedForm:
-    """T_N(X,Y) = [NX,NY] - N[NX,Y] - N[X,NY] + N^2[X,Y], built on frame pairs."""
+    """T_N(X,Y) = [NX,NY] - N[NX,Y] - N[X,NY] + N^2[X,Y], built on frame pairs.
+
+    On the coordinate frame [e_a, e_b] = 0, so the N^2 term drops, and
+    [Ne_a, e_b] = -∂_b(Ne_a), [e_a, Ne_b] = ∂_a(Ne_b). From the table
+    D[i][b] = ∂_i(Ne_b) of n^3 partials, with W = ∂_a(Ne_b) - ∂_b(Ne_a),
+
+        T_N(e_a,e_b) = Σ_i (N^i_a D[i][b] - N^i_b D[i][a]) - Σ_k W^k Ne_k,
+
+    one sum of 3n products per pair, one lane per component; no bracket is formed.
+    """
     if N.degree != 1:
         raise CalculusError("torsion is defined for degree-1 forms")
     chart = N.chart
-    basis = chart.basis_vectors()
-    images = [N.apply(e) for e in basis]
+    matrix = N.matrix()
+    images = list(zip(*matrix))  # images[b] = the components of Ne_b
+    table = [[[c.partial(name) for c in image] for image in images] for name in chart.coord_names]
 
-    # [e_a, e_b] = 0 for coordinate fields, so the N^2 term drops out here.
     def value(a: int, b: int) -> VectorField:
-        return lie_bracket(images[a], images[b]) - N.apply(
-            lie_bracket(images[a], basis[b]) + lie_bracket(basis[a], images[b])
-        )
+        W = [p - q for p, q in zip(table[a][b], table[b][a])]
+        terms = []
+        for i, row in enumerate(matrix):
+            terms += [(row[a], table[i][b], False), (row[b], table[i][a], True), (W[i], images[i], True)]
+        return VectorField(chart, ScalarExpr.sums_of_products(chart.ring, chart.dim, terms))
 
     return VectorValuedForm.on_frame(chart, 2, value)
 

@@ -2,7 +2,8 @@
 
 - :func:`endo` reads the example endomorphisms from the manifests that
   declare them, so the matrices live in one place.
-- :func:`random_kform` and :func:`random_vvf` draw seeded polynomial forms.
+- :func:`random_kform` and :func:`random_vvf` draw seeded polynomial forms,
+  or with ``rational`` forms over :func:`random_quotient` coefficients.
 - The closed forms and the cross-check below compute, another way, what the
   library computes; the tests compare the two exactly.
 
@@ -63,23 +64,32 @@ def endo(name: str) -> VectorValuedForm:
     return _manifest(stem).endomorphisms[key]
 
 
+def random_quotient(chart: Chart, rng: random.Random, degree: int = 2) -> ScalarExpr:
+    """A random polynomial over 1 + x^2 (x the first coordinate): sums of these
+    quotients and of their partials stay cheap over Q(i) too, which sums over
+    denominators in several coordinates do not."""
+    x = chart.coordinate(0)
+    return random_scalar(chart, rng, degree) / (chart.one + x * x)
+
+
 def random_kform(
-    chart: Chart, form_degree: int, rng: random.Random, degree: int = 2
+    chart: Chart, form_degree: int, rng: random.Random, degree: int = 2, rational: bool = False
 ) -> KForm:
+    draw = random_quotient if rational else random_scalar
     coeffs = {
-        key: random_scalar(chart, rng, degree)
+        key: draw(chart, rng, degree)
         for key in itertools.combinations(range(chart.dim), form_degree)
     }
     return KForm(chart, form_degree, coeffs)
 
 
 def random_vvf(
-    chart: Chart, form_degree: int, rng: random.Random, degree: int = 2
+    chart: Chart, form_degree: int, rng: random.Random, degree: int = 2, rational: bool = False
 ) -> VectorValuedForm:
     return VectorValuedForm(
         chart,
         form_degree,
-        [random_kform(chart, form_degree, rng, degree) for _ in range(chart.dim)],
+        [random_kform(chart, form_degree, rng, degree, rational) for _ in range(chart.dim)],
     )
 
 
@@ -97,6 +107,18 @@ def bracket_full_form(
     nx, ny = N.apply(X), N.apply(Y)
     middle = lie_bracket(nx, Y) + lie_bracket(X, ny)
     return lie_bracket(nx, ny) + middle - N.apply(middle)
+
+
+def torsion_on_fields(N: VectorValuedForm, X: VectorField, Y: VectorField) -> VectorField:
+    """T_N(X,Y) = [NX,NY] - N[NX,Y] - N[X,NY] + N^2[X,Y] on fields, from
+    ``lie_bracket``, ``apply`` and ``compose`` alone; unlike the frame formula
+    of ``nijenhuis_torsion`` it keeps the N^2 term, as [X,Y] need not vanish."""
+    nx, ny = N.apply(X), N.apply(Y)
+    return (
+        lie_bracket(nx, ny)
+        - N.apply(lie_bracket(nx, Y) + lie_bracket(X, ny))
+        + N.compose(N).apply(lie_bracket(X, Y))
+    )
 
 
 def product_bracket_form(P: VectorValuedForm, X: VectorField, Y: VectorField) -> VectorField:

@@ -27,19 +27,45 @@ from fncalc.calculus import (
     rn_bracket,
     wedge,
 )
-from fncalc.randgen import random_scalar, random_vector_field
+from fncalc.randgen import random_vector_field
 from fncalc.cli import load_manifest
 from fncalc.scalar import ScalarError, coordinate_ring
 
-from helpers import MANIFESTS, endo, random_kform, random_vvf
+from helpers import MANIFESTS, endo, random_kform, random_vvf, torsion_on_fields
+
+
+#: (complexified, rational) of the coefficients: real polynomials, real
+#: rational functions, and rational functions over Q(i)
+COEFFICIENT_KINDS = ((False, False), (False, True), (True, True))
 
 
 def test_d_squared_zero():
     rng = random.Random(1)
-    for chart in (Chart(("x", "y")), Chart(("x", "y", "z"))):
-        for p in range(chart.dim):
-            omega = random_kform(chart, p, rng)
-            assert exterior_d(exterior_d(omega)).is_zero
+    for complexified, rational in COEFFICIENT_KINDS:
+        for chart in (Chart(("x", "y"), complexified), Chart(("x", "y", "z"), complexified)):
+            for p in range(chart.dim):
+                omega = random_kform(chart, p, rng, rational=rational)
+                assert exterior_d(exterior_d(omega)).is_zero, (complexified, rational, p)
+
+
+@pytest.mark.parametrize("complexified, rational", COEFFICIENT_KINDS, ids=["real", "rational", "complex"])
+def test_d_of_vector_valued_form_is_d_of_each_component(complexified, rational):
+    rng = random.Random(4)
+    chart = Chart(("x", "y", "z"), complexified)
+    for p in range(chart.dim):
+        A = random_vvf(chart, p, rng, degree=1, rational=rational)
+        dA = exterior_d(A)
+        assert dA.degree == p + 1
+        assert list(dA.components) == [exterior_d(c) for c in A.components]
+        assert exterior_d(dA).is_zero
+
+
+def test_d_keeps_no_key_whose_partials_cancel():
+    """d(y dx + x dy) = 0: the signed partials of dx∧dy cancel, so no
+    coefficient is kept, on a real and on a complexified chart."""
+    for chart in (Chart(("x", "y")), Chart(("x", "y"), True)):
+        omega = KForm(chart, 1, {(0,): chart.scalar("y"), (1,): chart.scalar("x")})
+        assert exterior_d(omega).coeffs == {}
 
 
 def test_d_on_function_is_differential():
@@ -64,13 +90,42 @@ def test_wedge_graded_commutativity():
 
 
 def test_leibniz_for_d():
-    ch = Chart(("x", "y", "z"))
+    """d(f a) = df∧a + f da and d(a∧b) = da∧b - a∧db for a function f and
+    1-forms a, b, over each kind of coefficient."""
     rng = random.Random(3)
-    f = KForm(ch, 0, {(): random_scalar(ch, rng)})
-    a = random_kform(ch, 1, rng)
-    assert exterior_d(wedge(f, a)) == wedge(exterior_d(f), a) + wedge(
-        f, exterior_d(a)
-    )
+    for complexified, rational in COEFFICIENT_KINDS:
+        ch = Chart(("x", "y", "z"), complexified)
+        f = random_kform(ch, 0, rng, rational=rational)
+        a = random_kform(ch, 1, rng, rational=rational)
+        b = random_kform(ch, 1, rng, rational=rational)
+        assert exterior_d(wedge(f, a)) == wedge(exterior_d(f), a) + wedge(
+            f, exterior_d(a)
+        )
+        assert exterior_d(wedge(a, b)) == wedge(exterior_d(a), b) - wedge(a, exterior_d(b))
+
+
+@pytest.mark.parametrize(
+    "degree, key, message",
+    [
+        (0, (0,), "bad multi-index (0,) for degree 0"),
+        (1, (), "bad multi-index () for degree 1"),
+        (1, (0, 1), "bad multi-index (0, 1) for degree 1"),
+        (2, (1, 0), "bad multi-index (1, 0) for degree 2"),
+        (2, (1, 1), "bad multi-index (1, 1) for degree 2"),
+        (3, (0, 2, 1), "bad multi-index (0, 2, 1) for degree 3"),
+        (1, (-1,), "multi-index (-1,) out of range"),
+        (1, (3,), "multi-index (3,) out of range"),
+        (2, (-1, 0), "multi-index (-1, 0) out of range"),
+        (3, (0, 1, 3), "multi-index (0, 1, 3) out of range"),
+    ],
+)
+def test_kform_refuses_bad_multi_indices(degree, key, message):
+    """A multi-index of the wrong length, not strictly increasing or outside
+    the generators is refused by its message, at every degree."""
+    ch = Chart(("x", "y", "z"))
+    with pytest.raises(CalculusError) as caught:
+        KForm(ch, degree, {key: ch.one})
+    assert str(caught.value) == message
 
 
 def test_fiber_forms_keep_their_generator_count():
@@ -355,6 +410,32 @@ def test_complexified_torsion_splits():
             + (lift(T(Y, X2)) + lift(T(X, Y2))).scaled(i_unit)
         )
         assert cT(Z, W) == expected
+
+
+@pytest.mark.parametrize(
+    "dim, complexified, rational",
+    [(2, False, False), (3, False, False), (4, False, False), (2, False, True), (3, False, True), (2, True, True), (3, True, True)],
+    ids=["real-2", "real-3", "real-4", "rational-2", "rational-3", "complex-rational-2", "complex-rational-3"],
+)
+def test_torsion_on_fields_is_the_bracket_formula(dim, complexified, rational, monkeypatch):
+    """T_N(X,Y) = [NX,NY] - N[NX,Y] - N[X,NY] + N^2[X,Y] for a seeded N and
+    non-constant X, Y with [X,Y] ≠ 0, so the N^2 term, which drops on the
+    frame, counts. The torsion calls no bracket routine."""
+    chart = Chart(("x", "y", "z", "w")[:dim], complexified)
+    rng = random.Random(30 + dim)
+    N = random_vvf(chart, 1, rng, degree=1, rational=rational)
+
+    def refused(*args):
+        raise AssertionError("nijenhuis_torsion called a bracket routine")
+
+    with monkeypatch.context() as patch:
+        for name in ("lie_bracket", "lie_derivative", "graded_commutator_on", "fn_bracket"):
+            patch.setattr(calculus, name, refused)
+        T = nijenhuis_torsion(N)
+    for _ in range(2):
+        X, Y = random_vector_field(chart, rng, 1), random_vector_field(chart, rng, 1)
+        assert not lie_bracket(X, Y).is_zero
+        assert T(X, Y) == torsion_on_fields(N, X, Y)
 
 
 @pytest.mark.parametrize("complexified", [False, True], ids=["real", "complex"])
