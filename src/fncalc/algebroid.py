@@ -121,14 +121,9 @@ def fn_decompose(
     ) != chart.dim:
         raise AlgebroidError("one generator action per coordinate required")
     K = VectorValuedForm(chart, 1, action_on_functions)
-    L = VectorValuedForm(
-        chart,
-        2,
-        [
-            action_on_differentials[j] - lie_derivative(K, chart.dx(j))
-            for j in range(chart.dim)
-        ],
-    )
+    # L_K on all n differentials at once: the identity's components are the dx^j
+    lie = lie_derivative(K, VectorValuedForm.identity(chart)).components
+    L = VectorValuedForm(chart, 2, [a - b for a, b in zip(action_on_differentials, lie)])
     return TangentAlgebroid(K, L)
 
 

@@ -6,7 +6,9 @@ coefficients (:mod:`fncalc.scalar`). There is one exterior-algebra type,
 of its generators, the coordinate differentials by default or the dual frame
 of a trivialized bundle (:mod:`fncalc.algebroid`). :func:`wedge` is its
 product and :func:`insertion` is the sparse contraction
-i_K ω = Σ_m K^m ∧ i_{∂_m} ω. The two operator brackets are implemented by
+i_K ω = Σ_m K^m ∧ i_{∂_m} ω. :func:`lie_derivative` is the frame expansion
+L_K ω = Σ_m K^m ∧ ∂_m ω + (−1)^k dK^m ∧ i_{∂_m} ω, so no product is formed
+only to be differentiated. The two operator brackets are implemented by
 operator extraction: the Richardson-Nijenhuis bracket by acting with the
 insertion commutator on coordinate differentials, the Frölicher-Nijenhuis
 bracket by acting with the Lie-derivative commutator on coordinate
@@ -283,16 +285,20 @@ class KForm(_Record):
         return KForm(self.chart, self.degree, coeffs, self.generators)
 
     def __add__(self, other: "KForm") -> "KForm":
+        return self._plus(other, False)
+
+    def __sub__(self, other: "KForm") -> "KForm":
+        return self._plus(other, True)
+
+    def _plus(self, other: "KForm", negate: bool) -> "KForm":
+        """``self + other``, or ``self - other`` with ``negate``, by coefficient."""
         _check_generators(self, other)
         if self.degree != other.degree:
             raise CalculusError("adding forms of different degrees")
-        out = dict(self.coeffs)
+        out, op = dict(self.coeffs), operator.sub if negate else operator.add
         for key, value in other.coeffs.items():
-            out[key] = out[key] + value if key in out else value
+            out[key] = op(out[key], value) if key in out else (-value if negate else value)
         return self._like(out)
-
-    def __sub__(self, other: "KForm") -> "KForm":
-        return self + (-other)
 
     def __neg__(self) -> "KForm":
         return self._like({k: -v for k, v in self.coeffs.items()})
@@ -565,6 +571,30 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
 # ---------------------------------------------------------------------------
 
 
+def _contracted(rows: dict, m: int, negate: bool = False) -> list:
+    """i_{∂_m} of the lane ``rows`` as (multi-index, row, negate) triples: m
+    dropped from each multi-index, negated at odd positions (and by ``negate``)."""
+    out = []
+    for key, row in rows.items():
+        if m in key:
+            pos = key.index(m)
+            out.append((key[:pos] + key[pos + 1 :], row, (pos % 2 == 1) != negate))
+    return out
+
+
+def _lane_forms(omega, forms: Sequence[KForm], degree: int, terms: dict):
+    """The forms of ``degree`` with one sum of ``terms`` per multi-index and one
+    lane per form of ``forms``: a vector-valued form if ``omega`` is one."""
+    chart, count = omega.chart, len(forms)
+    sums = {k: ScalarExpr.sums_of_products(chart.ring, count, t) for k, t in terms.items()}
+    # a lane's zero sums are left out here: KForm would check each of their keys
+    out = [
+        KForm(chart, degree, {k: s[l] for k, s in sums.items() if s[l].num})
+        for l in range(count)
+    ]
+    return VectorValuedForm(chart, degree, out) if isinstance(omega, VectorValuedForm) else out[0]
+
+
 def insertion(K: VectorValuedForm, omega: KForm | VectorValuedForm):
     """The insertion i_K omega = Σ_m K^m ∧ i_{∂_m} omega, a tensorial derivation.
 
@@ -577,48 +607,38 @@ def insertion(K: VectorValuedForm, omega: KForm | VectorValuedForm):
     component.
     """
     _check_chart(K, omega)
-    vector_valued = isinstance(omega, VectorValuedForm)
-    forms = omega.components if vector_valued else (omega,)
+    forms = omega.components if isinstance(omega, VectorValuedForm) else (omega,)
     _require_coordinate_form(forms[0], "insertion")
-    chart = K.chart
-    degree = max(K.degree + omega.degree - 1, 0)
     rows = _lanes(forms)
     # the wedge terms of every m, gathered by multi-index, one sum per index
     terms: dict = {}
     for m, component in enumerate(K.components):
         if not component.is_zero:
-            # i_{∂_m} omega: m dropped from each multi-index, negated at odd positions
-            contracted = []
-            for key, row in rows.items():
-                if m in key:
-                    pos = key.index(m)
-                    contracted.append((key[:pos] + key[pos + 1 :], row, pos % 2 == 1))
-            _wedge_terms(terms, component.coeffs, contracted)
-    ring, count = chart.ring, len(forms)
-    sums = {k: ScalarExpr.sums_of_products(ring, count, t) for k, t in terms.items()}
-    # a lane's zero sums are left out here: KForm would check each of their keys
-    out = [
-        KForm(chart, degree, {k: s[l] for k, s in sums.items() if s[l].num})
-        for l in range(count)
-    ]
-    return VectorValuedForm(chart, degree, out) if vector_valued else out[0]
+            _wedge_terms(terms, component.coeffs, _contracted(rows, m))
+    return _lane_forms(omega, forms, max(K.degree + omega.degree - 1, 0), terms)
 
 
 def lie_derivative(K: VectorValuedForm, omega: KForm | VectorValuedForm):
-    """L_K = [i_K, d] as a graded commutator; classical Lie derivative at
-    degree 0. A vector-valued ``omega`` gives L_K on each of its components."""
+    """L_K = [i_K, d] for K = Σ_m K^m ⊗ ∂_m of degree k, by its frame expansion
+    (Kolář-Michor-Slovák, *Natural Operations in Differential Geometry*, §8)
+
+        L_K omega = Σ_m K^m ∧ ∂_m omega + (-1)^k dK^m ∧ i_{∂_m} omega,
+
+    ∂_m omega being omega with each coefficient differentiated by x^m. A
+    vector-valued ``omega`` gives L_K on each of its components, in one sum of
+    products per multi-index with one lane per component."""
     _check_chart(K, omega)
-    first = insertion(K, exterior_d(omega))
-    inserted = insertion(K, omega)
-    if inserted.is_zero:
-        # i_K omega vanished identically (e.g. omega is a function and K has
-        # degree 0); its clipped degree may not match, so skip the d term.
-        return first
-    second = exterior_d(inserted)
-    # i_K has degree (deg K - 1); the commutator sign follows.
-    if (K.degree - 1) % 2 == 0:
-        return first - second
-    return first + second
+    forms = omega.components if isinstance(omega, VectorValuedForm) else (omega,)
+    _require_coordinate_form(forms[0], "the Lie derivative")
+    rows = _lanes(forms)
+    odd = K.degree % 2 == 1
+    terms: dict = {}
+    for m, (component, name) in enumerate(zip(K.components, K.chart.coord_names)):
+        if not component.is_zero:
+            moved = [(key, [v.partial(name) for v in row], False) for key, row in rows.items()]
+            _wedge_terms(terms, component.coeffs, moved)
+            _wedge_terms(terms, exterior_d(component).coeffs, _contracted(rows, m, odd))
+    return _lane_forms(omega, forms, K.degree + omega.degree, terms)
 
 
 def graded_commutator_on(

@@ -4,8 +4,8 @@
   declare them, so the matrices live in one place.
 - :func:`random_kform` and :func:`random_vvf` draw seeded polynomial forms,
   or with ``rational`` forms over :func:`random_quotient` coefficients.
-- The closed forms and the cross-check below compute, another way, what the
-  library computes; the tests compare the two exactly.
+- The closed forms, Cartan's formula and the cross-check below compute,
+  another way, what the library computes; the tests compare the two exactly.
 
 Matrix convention everywhere: entry [i][j] is the ∂_i coefficient of the
 image of ∂_j.
@@ -24,6 +24,8 @@ from fncalc.calculus import (
     VectorField,
     VectorValuedForm,
     contracted_bracket,
+    exterior_d,
+    insertion,
     lie_bracket,
 )
 from fncalc.cli import load_manifest
@@ -107,6 +109,16 @@ def bracket_full_form(
     nx, ny = N.apply(X), N.apply(Y)
     middle = lie_bracket(nx, Y) + lie_bracket(X, ny)
     return lie_bracket(nx, ny) + middle - N.apply(middle)
+
+
+def cartan_lie_derivative(K: VectorValuedForm, omega):
+    """L_K omega by Cartan's formula L_K = [i_K, d] = i_K d - (-1)^(k-1) d i_K,
+    from ``insertion`` and ``exterior_d`` alone; i_K of a function is zero."""
+    first = insertion(K, exterior_d(omega))
+    if omega.degree == 0:
+        return first
+    second = exterior_d(insertion(K, omega))
+    return first - second if K.degree % 2 else first + second
 
 
 def torsion_on_fields(N: VectorValuedForm, X: VectorField, Y: VectorField) -> VectorField:

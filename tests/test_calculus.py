@@ -31,12 +31,27 @@ from fncalc.randgen import random_vector_field
 from fncalc.cli import load_manifest
 from fncalc.scalar import ScalarError, coordinate_ring
 
-from helpers import MANIFESTS, endo, random_kform, random_vvf, torsion_on_fields
+from helpers import (
+    MANIFESTS,
+    cartan_lie_derivative,
+    endo,
+    random_kform,
+    random_vvf,
+    torsion_on_fields,
+)
 
 
 #: (complexified, rational) of the coefficients: real polynomials, real
 #: rational functions, and rational functions over Q(i)
 COEFFICIENT_KINDS = ((False, False), (False, True), (True, True))
+
+#: charts of dimension 2-4 by coefficient kind; rational ones only up to
+#: dimension 3, where a test over them stays within seconds
+CHARTS = pytest.mark.parametrize(
+    "dim, complexified, rational",
+    [(2, False, False), (3, False, False), (4, False, False), (2, False, True), (3, False, True), (2, True, True), (3, True, True)],
+    ids=["real-2", "real-3", "real-4", "rational-2", "rational-3", "complex-rational-2", "complex-rational-3"],
+)
 
 
 def test_d_squared_zero():
@@ -233,6 +248,31 @@ def test_lie_derivative_vector_field_cartan():
         assert lhs(Y) == expected
 
 
+@CHARTS
+def test_lie_derivative_is_cartans_formula(dim, complexified, rational, monkeypatch):
+    """The frame expansion of L_K equals i_K d - (-1)^(k-1) d i_K for K and
+    omega of every degree 0..n, omega scalar and vector-valued. The Lie
+    derivative calls no insertion, so the two sides share no contraction."""
+    chart = Chart(("x", "y", "z", "w")[:dim], complexified)
+    rng = random.Random(40 + dim)
+
+    def refused(*args):
+        raise AssertionError("lie_derivative called insertion")
+
+    for k, p in itertools.product(range(dim + 1), repeat=2):
+        K = random_vvf(chart, k, rng, rational=rational)
+        for omega in (
+            random_kform(chart, p, rng, rational=rational),
+            random_vvf(chart, p, rng, rational=rational),
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(calculus, "insertion", refused)
+                result = lie_derivative(K, omega)
+            expected = cartan_lie_derivative(K, omega)
+            assert result.degree == k + p
+            assert result == expected, (k, p, type(omega).__name__)
+
+
 def test_fn_bracket_of_vector_fields_is_lie_bracket():
     ch = Chart(("x", "y", "z"))
     rng = random.Random(7)
@@ -412,11 +452,7 @@ def test_complexified_torsion_splits():
         assert cT(Z, W) == expected
 
 
-@pytest.mark.parametrize(
-    "dim, complexified, rational",
-    [(2, False, False), (3, False, False), (4, False, False), (2, False, True), (3, False, True), (2, True, True), (3, True, True)],
-    ids=["real-2", "real-3", "real-4", "rational-2", "rational-3", "complex-rational-2", "complex-rational-3"],
-)
+@CHARTS
 def test_torsion_on_fields_is_the_bracket_formula(dim, complexified, rational, monkeypatch):
     """T_N(X,Y) = [NX,NY] - N[NX,Y] - N[X,NY] + N^2[X,Y] for a seeded N and
     non-constant X, Y with [X,Y] ≠ 0, so the N^2 term, which drops on the
