@@ -11,8 +11,11 @@ of the dual frame (``KForm(chart, degree, coeffs, rank)``), so it shares
 the wedge terms of tangent forms.
 
 On the coordinate frame a tangent algebroid is a rank-n bundle algebroid
-(:func:`_frame_bundle`), so both axiom checks evaluate the same two structure
-equations (:func:`_structure_residuals`), and a connection's E-torsion is
+(:func:`_frame_bundle`) with anchors K e_a and structure functions
+c_ab = [[e_a, e_b]] = ∂_a(K e_b) - ∂_b(K e_a) - L(e_a, e_b), as [e_a, e_b] = 0:
+the frame coefficients of the vector-valued 2-form dK - L. So both axiom
+checks evaluate the same two structure equations
+(:func:`_structure_residuals`), and a connection's E-torsion is
 :func:`delta_torsion` on either.
 """
 
@@ -34,6 +37,7 @@ from .calculus import (
     _sum_terms,
     _wedge_terms,
     contracted_bracket,
+    exterior_d,
     fn_bracket,
     insertion,
     lie_bracket,
@@ -252,11 +256,16 @@ def check_axioms(
 
 def _frame_bundle(alg: TangentAlgebroid) -> BundleAlgebroid:
     """``alg`` on the coordinate frame: the rank-n bundle algebroid with anchors
-    q_a = K e_a and structure functions c_ab = [[e_a, e_b]]."""
+    q_a = K e_a and structure functions c_ab = [[e_a, e_b]], the frame
+    coefficients of dK - L. As [e_a, e_b] = 0 and (K e_b)^j = K^j_b,
+
+        [[e_a, e_b]]^j = ∂_a K^j_b - ∂_b K^j_a - L^j_ab = (dK^j - L^j)_ab,
+
+    so no bracket is formed."""
     chart = alg.chart
-    basis = chart.basis_vectors()
+    forms = (exterior_d(alg.anchor) - alg.correction).components
     pairs = itertools.combinations(range(chart.dim), 2)
-    structure = {(a, b): alg.bracket(basis[a], basis[b]).components for a, b in pairs}
+    structure = {key: [f.coeffs.get(key, chart.zero) for f in forms] for key in pairs}
     return BundleAlgebroid(chart, chart.dim, list(zip(*alg.anchor.matrix())), structure)
 
 

@@ -8,13 +8,13 @@ of a trivialized bundle (:mod:`fncalc.algebroid`). :func:`wedge` is its
 product and :func:`insertion` is the sparse contraction
 i_K ω = Σ_m K^m ∧ i_{∂_m} ω. :func:`lie_derivative` is the frame expansion
 L_K ω = Σ_m K^m ∧ ∂_m ω + (−1)^k dK^m ∧ i_{∂_m} ω, so no product is formed
-only to be differentiated. The two operator brackets are implemented by
-operator extraction: the Richardson-Nijenhuis bracket by acting with the
-insertion commutator on coordinate differentials, the Frölicher-Nijenhuis
-bracket by acting with the Lie-derivative commutator on coordinate
-functions, each time once on the vector-valued form of all n generators.
-Tensoriality of these extraction points is what makes the component
-read-off valid. An operation on the n components of a vector-valued form
+only to be differentiated. The two operator brackets are defined by
+i_[A,B] = [i_A, i_B] (Richardson-Nijenhuis) and L_[A,B] = [L_A, L_B]
+(Frölicher-Nijenhuis) and read off on the generators dx^j and x^j. As
+i_B dx^j = B^j and L_B x^j = i_B dx^j = B^j, component j of either bracket
+is action(A, B^j) − (−1)^{ab} action(B, A^j) for the operator degrees a, b:
+one insertion or Lie derivative per side, acting on the n components of the
+other operand at once. An operation on the n components of a vector-valued form
 forms one sum of products per multi-index with one lane per component
 (``ScalarExpr.sums_of_products``). :func:`nijenhuis_torsion` calls no
 bracket routine: it reads T_N on frame pairs off one table of the partials
@@ -46,7 +46,6 @@ __all__ = [
     "lie_bracket",
     "insertion",
     "lie_derivative",
-    "graded_commutator_on",
     "rn_bracket",
     "fn_bracket",
     "nijenhuis_torsion",
@@ -641,54 +640,39 @@ def lie_derivative(K: VectorValuedForm, omega: KForm | VectorValuedForm):
     return _lane_forms(omega, forms, K.degree + omega.degree, terms)
 
 
-def graded_commutator_on(
-    op1: tuple[Callable[[KForm], KForm], int],
-    op2: tuple[Callable[[KForm], KForm], int],
-    omega: KForm | VectorValuedForm,
-) -> KForm | VectorValuedForm:
-    """[D1, D2] omega for two operators given with their declared degrees;
-    ``omega`` is a form, or a vector-valued form that both operators act on.
-
-    When ``op1 is op2`` the composition D D omega runs once: [D, D] omega is
-    twice it for an odd D and the zero form of its degree for an even one.
-    """
-    (f1, d1), (f2, d2) = op1, op2
-    first = f1(f2(omega))
-    if op1 is op2:
-        return first + first if d1 % 2 else first.scaled(first.chart.zero)
-    second = f2(f1(omega))
-    if (d1 * d2) % 2 == 0:
-        return first - second
-    return first + second
-
-
 # ---------------------------------------------------------------------------
 # The two brackets and the torsion
 # ---------------------------------------------------------------------------
 
 
-def _extract(A, B, action, shift: int, generator) -> VectorValuedForm:
-    """The bracket of A and B whose operators ``action(A, ·)`` and
-    ``action(B, ·)`` have degrees deg A + ``shift`` and deg B + ``shift``,
-    read off their graded commutator acting once on the vector-valued form
-    whose component j is ``generator(chart, j)``."""
+def _extract(A, B, action, shift: int) -> VectorValuedForm:
+    """The bracket [A, B] of the operators ``action(A, ·)`` and ``action(B, ·)``
+    of degrees a = deg A + ``shift`` and b = deg B + ``shift``. It is read off
+    their graded commutator on the generators g^j (x^j or dx^j), which the
+    operator of B takes to B^j, so component j of the bracket is
+
+        [A, B]^j = action(A, B^j) - (-1)^{ab} action(B, A^j),
+
+    one action per side on all n components at once. A self-bracket acts
+    once: twice that action for an odd a, the zero form for an even one."""
     _check_chart(A, B)
-    chart = A.chart
-    op_a = (lambda w: action(A, w), A.degree + shift)
-    op_b = op_a if B is A else (lambda w: action(B, w), B.degree + shift)
-    gens = [generator(chart, j) for j in range(chart.dim)]
-    commutator = graded_commutator_on(op_a, op_b, VectorValuedForm(chart, gens[0].degree, gens))
-    return VectorValuedForm(chart, A.degree + B.degree + shift, commutator.components)
+    a, b = A.degree + shift, B.degree + shift
+    first = action(A, B)
+    second = first if B is A else action(B, A)
+    commutator = first + second if a * b % 2 else first - second
+    return VectorValuedForm(A.chart, A.degree + B.degree + shift, commutator.components)
 
 
 def rn_bracket(A: VectorValuedForm, B: VectorValuedForm) -> VectorValuedForm:
-    """[A, B]_RN, extracted from [i_A, i_B] acting on coordinate differentials."""
-    return _extract(A, B, insertion, -1, Chart.dx)
+    """[A, B]_RN, defined by i_[A,B] = [i_A, i_B]: as i_B dx^j = B^j, its
+    component j is i_A B^j - (-1)^{(a-1)(b-1)} i_B A^j for degrees a, b."""
+    return _extract(A, B, insertion, -1)
 
 
 def fn_bracket(A: VectorValuedForm, B: VectorValuedForm) -> VectorValuedForm:
-    """[A, B]_FN, extracted from [L_A, L_B] acting on coordinate functions."""
-    return _extract(A, B, lie_derivative, 0, Chart.coordinate_function)
+    """[A, B]_FN, defined by L_[A,B] = [L_A, L_B]: as L_B x^j = i_B dx^j = B^j,
+    its component j is L_A B^j - (-1)^{ab} L_B A^j for degrees a, b."""
+    return _extract(A, B, lie_derivative, 0)
 
 
 def nijenhuis_torsion(N: VectorValuedForm) -> VectorValuedForm:

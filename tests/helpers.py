@@ -4,8 +4,9 @@
   declare them, so the matrices live in one place.
 - :func:`random_kform` and :func:`random_vvf` draw seeded polynomial forms,
   or with ``rational`` forms over :func:`random_quotient` coefficients.
-- The closed forms, Cartan's formula and the cross-check below compute,
-  another way, what the library computes; the tests compare the two exactly.
+- The closed forms, Cartan's formula, the bracket extraction and the
+  cross-check below compute, another way, what the library computes; the
+  tests compare the two exactly.
 
 Matrix convention everywhere: entry [i][j] is the ∂_i coefficient of the
 image of ∂_j.
@@ -27,6 +28,7 @@ from fncalc.calculus import (
     exterior_d,
     insertion,
     lie_bracket,
+    lie_derivative,
 )
 from fncalc.cli import load_manifest
 from fncalc.randgen import random_scalar
@@ -119,6 +121,40 @@ def cartan_lie_derivative(K: VectorValuedForm, omega):
         return first
     second = exterior_d(insertion(K, omega))
     return first - second if K.degree % 2 else first + second
+
+
+def graded_commutator_on(op1, op2, omega):
+    """[D1, D2] omega for two operators given as (callable, degree) pairs;
+    ``omega`` is a form, or a vector-valued form that both operators act on."""
+    (f1, d1), (f2, d2) = op1, op2
+    first = f1(f2(omega))
+    second = f2(f1(omega))
+    if (d1 * d2) % 2 == 0:
+        return first - second
+    return first + second
+
+
+#: bracket kind -> (operator of a vector-valued form, its degree shift, generator)
+BRACKET_OPERATORS = {
+    "fn": (lie_derivative, 0, Chart.coordinate_function),
+    "rn": (insertion, -1, Chart.dx),
+}
+
+
+def extracted_bracket(A: VectorValuedForm, B: VectorValuedForm, kind: str) -> VectorValuedForm:
+    """[A, B]_FN (``kind`` "fn") or [A, B]_RN ("rn") read off the graded
+    commutator [L_A, L_B] on the coordinate functions x^j, or [i_A, i_B] on
+    the differentials dx^j. The two operators are distinct objects even when
+    A is B, so the commutator composes both ways."""
+    action, shift, generator = BRACKET_OPERATORS[kind]
+    chart = A.chart
+    gens = [generator(chart, j) for j in range(chart.dim)]
+    commutator = graded_commutator_on(
+        (lambda w: action(A, w), A.degree + shift),
+        (lambda w: action(B, w), B.degree + shift),
+        VectorValuedForm(chart, gens[0].degree, gens),
+    )
+    return VectorValuedForm(chart, A.degree + B.degree + shift, commutator.components)
 
 
 def torsion_on_fields(N: VectorValuedForm, X: VectorField, Y: VectorField) -> VectorField:

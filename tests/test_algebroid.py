@@ -37,9 +37,11 @@ from fncalc.calculus import (
     VectorValuedForm,
     complexify_vvf,
     contracted_bracket,
+    fn_bracket,
     lie_bracket,
     lie_derivative,
     nijenhuis_torsion,
+    rn_bracket,
 )
 from fncalc.cli import _RECIPES, _lookup, load_manifest
 from fncalc.linalg import inverse
@@ -53,7 +55,14 @@ from fncalc.structures import (
     tangent_data_for_chart,
 )
 
-from helpers import endo, flat_connection, random_kform, random_vvf, symmetric_connection_cross_check
+from helpers import (
+    endo,
+    flat_connection,
+    random_kform,
+    random_quotient,
+    random_vvf,
+    symmetric_connection_cross_check,
+)
 
 MANIFESTS = pathlib.Path(__file__).resolve().parent.parent / "manifests"
 
@@ -270,6 +279,53 @@ def bundle_of_lie_algebras(dim: int, is_complex: bool) -> TangentAlgebroid:
     chart = Chart(("x", "y", "z", "w")[:dim], is_complex)
     L = random_vvf(chart, 2, random.Random(7 * dim + is_complex), degree=1)
     return TangentAlgebroid(VectorValuedForm.zero(chart, 1), L)
+
+
+class TestFrameStructure:
+    """``_frame_bundle`` reads c_ab off dK - L; every entry of its table is the
+    algebroid bracket [[e_a, e_b]] = [e_a, e_b]_K - L(e_a, e_b), which
+    ``TangentAlgebroid.bracket`` forms from Lie brackets."""
+
+    @staticmethod
+    def assert_frame_brackets(alg: TangentAlgebroid) -> None:
+        basis = alg.chart.basis_vectors()
+        table = _frame_bundle(alg).structure
+        for a, b in itertools.product(range(alg.chart.dim), repeat=2):
+            assert table[a][b] == alg.bracket(basis[a], basis[b]).components, (a, b)
+
+    @pytest.mark.parametrize(
+        "dim, is_complex, rational",
+        [(2, False, False), (3, False, False), (4, False, False), (2, False, True),
+         (3, False, True), (2, True, False), (3, True, False), (2, True, True), (3, True, True)],
+        ids=["real-2", "real-3", "real-4", "rational-2", "rational-3", "complex-2",
+             "complex-3", "complex-rational-2", "complex-rational-3"],
+    )
+    def test_seeded_pairs(self, dim, is_complex, rational):
+        """A random (K, L), which fails, and the invertible algebroid of a
+        unitriangular anchor, whose inverse has no new denominator, which passes."""
+        chart = Chart(("x", "y", "z", "w")[:dim], is_complex)
+        rng = random.Random(300 + 10 * dim + 2 * is_complex + rational)
+        failing = TangentAlgebroid(
+            random_vvf(chart, 1, rng, degree=1, rational=rational),
+            random_vvf(chart, 2, rng, degree=1, rational=rational),
+        )
+        draw = random_quotient if rational else random_scalar
+        unitriangular = [
+            [chart.one if i == j else draw(chart, rng, 1) if i < j else chart.zero for j in range(dim)]
+            for i in range(dim)
+        ]
+        passing = invertible_algebroid(VectorValuedForm.from_matrix(chart, unitriangular))
+        assert not check_cohomology(failing).passed
+        assert check_cohomology(passing).passed
+        for alg in (failing, passing):
+            self.assert_frame_brackets(alg)
+
+    def test_manifest_algebroids(self):
+        """Every algebroid the fixture manifests declare or build."""
+        built = fixture_algebroids() + recipe_algebroids()
+        for _, alg in built:
+            self.assert_frame_brackets(alg)
+        assert len(built) == 16
 
 
 class TestAxiomsOnTheFrame:
@@ -757,6 +813,23 @@ _X = _CH.basis_vector(0)
             "the contracted bracket needs a degree-1 form",
         ),
         (
+            lambda: fn_bracket(_Z2, complexify_vvf(_Z2)),
+            ChartMismatchError,
+            "chart mismatch: Chart(coord_names=('x', 'y'), is_complexified=False) vs "
+            "Chart(coord_names=('x', 'y'), is_complexified=True)",
+        ),
+        (
+            lambda: rn_bracket(VectorValuedForm.identity(Chart(("x", "y", "z"))), _Z2),
+            ChartMismatchError,
+            "chart mismatch: Chart(coord_names=('x', 'y', 'z'), is_complexified=False) vs "
+            "Chart(coord_names=('x', 'y'), is_complexified=False)",
+        ),
+        (
+            lambda: rn_bracket(VectorValuedForm.from_vector_field(_X), VectorValuedForm.zero(_CH, 0)),
+            CalculusError,
+            "component forms must share chart and degree",
+        ),
+        (
             lambda: idempotent_algebroid(_Z2),
             StructureError,
             "expected a degree-1 endomorphism field",
@@ -779,7 +852,8 @@ _X = _CH.basis_vector(0)
         "connection-shape", "nabla_K-degree", "bundle_de_rham-form", "kform-degree",
         "kform-eval-count", "kform-multi-index", "field-count", "vvf-count", "vvf-degrees",
         "from_matrix-shape", "vvf-add-degrees", "matrix", "apply", "compose", "torsion",
-        "contracted_bracket", "idempotent-degree", "tangent_chart-n", "tangent-chart-odd",
+        "contracted_bracket", "fn_bracket-charts", "rn_bracket-charts", "rn_bracket-fields",
+        "idempotent-degree", "tangent_chart-n", "tangent-chart-odd",
         "semispray-force-count",
     ],
 )

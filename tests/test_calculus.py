@@ -19,7 +19,6 @@ from fncalc.calculus import (
     contracted_bracket,
     exterior_d,
     fn_bracket,
-    graded_commutator_on,
     insertion,
     lie_bracket,
     lie_derivative,
@@ -35,6 +34,7 @@ from helpers import (
     MANIFESTS,
     cartan_lie_derivative,
     endo,
+    extracted_bracket,
     random_kform,
     random_vvf,
     torsion_on_fields,
@@ -299,26 +299,15 @@ def test_fn_bracket_graded_symmetry():
 @pytest.mark.parametrize("complexified", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("degree", [0, 1, 2])
 def test_self_brackets_compose_once(complexified, degree, monkeypatch):
-    """[D, D] on one operator object composes once and equals the graded
-    commutator of two copies of D, which composes both ways; so do
-    [A, A]_FN and [A, A]_RN, which pass one object for both sides. The
-    chart has room for the forms L_A L_A x^j of degree 2 deg A."""
+    """[A, A]_FN and [A, A]_RN act once, with A on A itself, and equal the
+    bracket read off the graded commutator of two copies of the operator;
+    [A, B] for B ≠ A acts once per side. Each bracket makes exactly those
+    calls. The chart has room for the forms L_A L_A x^j of degree 2 deg A."""
     chart = Chart(("x", "y", "z", "w")[: max(2, 2 * degree)], complexified)
-    A = random_vvf(chart, degree, random.Random(20 + degree), degree=1)
+    rng = random.Random(20 + degree)
+    A, B = (random_vvf(chart, degree, rng, degree=1) for _ in range(2))
     if degree < 2:  # a rational A of degree 2 on four coordinates takes minutes
         A = A.scaled(chart.scalar("1/(x^2+1)"))
-    lie = (lambda w: lie_derivative(A, w), degree)
-    ins = (lambda w: insertion(A, w), degree - 1)
-    functions = [chart.coordinate_function(j) for j in range(chart.dim)]
-    differentials = [chart.dx(j) for j in range(chart.dim)]
-    expected = {}
-    for name, op, omegas in (("fn", lie, functions), ("rn", ins, differentials)):
-        copy = (lambda w, f=op[0]: f(w), op[1])
-        expected[name] = [graded_commutator_on(op, copy, w) for w in omegas]
-        once = [graded_commutator_on(op, op, w) for w in omegas]
-        assert once == expected[name]
-        assert [w.degree for w in once] == [w.degree for w in expected[name]]
-
     calls = []
 
     def counted(op):
@@ -330,13 +319,42 @@ def test_self_brackets_compose_once(complexified, degree, monkeypatch):
 
     monkeypatch.setattr(calculus, "lie_derivative", counted(lie_derivative))
     monkeypatch.setattr(calculus, "insertion", counted(insertion))
-    assert list(fn_bracket(A, A).components) == expected["fn"]
-    # one call per side, each on every generator at once
-    assert calls.count("lie_derivative") == 2
-    if degree:  # [A, A]_RN has degree 2 deg A - 1
+    # one action per side, on the other operand's n components at once
+    for other, count in ((A, 1), (B, 2)):
         calls.clear()
-        assert list(rn_bracket(A, A).components) == expected["rn"]
-        assert calls == ["insertion"] * 2
+        fn = fn_bracket(A, other)
+        assert calls == ["lie_derivative"] * count
+        assert fn == extracted_bracket(A, other, "fn")
+        if degree:  # [A, A]_RN has degree 2 deg A - 1
+            calls.clear()
+            rn = rn_bracket(A, other)
+            assert calls == ["insertion"] * count
+            assert rn == extracted_bracket(A, other, "rn")
+
+
+@CHARTS
+@pytest.mark.parametrize("kind", ["fn", "rn"])
+def test_brackets_are_the_extracted_commutator(kind, dim, complexified, rational):
+    """fn_bracket and rn_bracket, one action per side on the other operand,
+    equal the bracket read off the graded commutator [L_A, L_B] on x^j or
+    [i_A, i_B] on dx^j (tests/helpers.py ``extracted_bracket``), for
+    deg A, deg B in {0, 1, 2}, with B ≠ A and with B the object A.
+    [X, Y]_RN of vector fields has degree -1 and raises on both routes."""
+    chart = Chart(("x", "y", "z", "w")[:dim], complexified)
+    rng = random.Random(40 + 10 * dim + 2 * complexified + rational)
+    bracket = {"fn": fn_bracket, "rn": rn_bracket}[kind]
+    forms = [random_vvf(chart, d, rng, degree=1, rational=rational) for d in (0, 0, 1, 1, 2, 2)]
+    nonzero = 0
+    for A, B in itertools.product(forms, repeat=2):
+        if kind == "rn" and A.degree == B.degree == 0:
+            for route in (bracket, lambda P, Q: extracted_bracket(P, Q, kind)):
+                with pytest.raises(CalculusError, match="^component forms must share chart and degree$"):
+                    route(A, B)
+            continue
+        result = bracket(A, B)
+        assert result == extracted_bracket(A, B, kind), (A.degree, B.degree, B is A)
+        nonzero += not result.is_zero
+    assert nonzero >= 12
 
 
 def test_torsion_is_half_fn_self_bracket():
@@ -465,7 +483,7 @@ def test_torsion_on_fields_is_the_bracket_formula(dim, complexified, rational, m
         raise AssertionError("nijenhuis_torsion called a bracket routine")
 
     with monkeypatch.context() as patch:
-        for name in ("lie_bracket", "lie_derivative", "graded_commutator_on", "fn_bracket"):
+        for name in ("lie_bracket", "lie_derivative", "_extract", "fn_bracket"):
             patch.setattr(calculus, name, refused)
         T = nijenhuis_torsion(N)
     for _ in range(2):
