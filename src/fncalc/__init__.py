@@ -22,7 +22,6 @@ from .calculus import (
     KForm,
     VectorField,
     VectorValuedForm,
-    contracted_bracket,
     exterior_d,
     fn_bracket,
     insertion,

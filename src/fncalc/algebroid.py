@@ -10,11 +10,11 @@ de Rham-type operator on fiber forms. A fiber form is a
 of the dual frame (``KForm(chart, degree, coeffs, rank)``), so it shares
 the wedge terms of tangent forms.
 
-On the coordinate frame a tangent algebroid is a rank-n bundle algebroid
-(:func:`_frame_bundle`) with anchors K e_a and structure functions
-c_ab = [[e_a, e_b]] = ∂_a(K e_b) - ∂_b(K e_a) - L(e_a, e_b), as [e_a, e_b] = 0:
-the frame coefficients of the vector-valued 2-form dK - L. So both axiom
-checks evaluate the same two structure equations
+The bracket is stated once, by the vector-valued 2-form F = dK - L
+(:func:`_structure_form`), whose frame values are the c_ab = [[e_a, e_b]]. So
+on the coordinate frame a tangent algebroid is a rank-n bundle algebroid
+(:func:`_frame_bundle`) with anchors K e_a and structure functions c_ab, both
+axiom checks evaluate the same two structure equations
 (:func:`_structure_residuals`), and a connection's E-torsion is
 :func:`delta_torsion` on either.
 """
@@ -36,14 +36,12 @@ from .calculus import (
     _Record,
     _sum_terms,
     _wedge_terms,
-    contracted_bracket,
     exterior_d,
     fn_bracket,
     insertion,
     lie_bracket,
     lie_derivative,
     nijenhuis_torsion,
-    rn_bracket,
 )
 from .linalg import SingularMatrixError, inverse
 from .randgen import random_vector_field
@@ -104,7 +102,10 @@ class TangentAlgebroid(_Record):
         return lie_derivative(self.anchor, omega) + insertion(self.correction, omega)
 
     def bracket(self, X: VectorField, Y: VectorField) -> VectorField:
-        return contracted_bracket(self.anchor, X, Y) - self.correction(X, Y)
+        """[[X,Y]] = F(X,Y) + ∂_{KX}Y - ∂_{KY}X for F = dK - L and ∂ = :func:`_along`:
+        the Leibniz expansion of X and Y in the frame."""
+        K = self.anchor
+        return _structure_form(self)(X, Y) + _along(K.apply(X), Y) - _along(K.apply(Y), X)
 
 
 def fn_decompose(
@@ -161,13 +162,13 @@ class CohomologyReport(_Record):
 
 def check_cohomology(alg: TangentAlgebroid) -> CohomologyReport:
     """The (K, L) pair of the derivation D^2, for D = L_K + i_L: ``alg`` is
-    a Lie algebroid exactly when both components vanish."""
+    a Lie algebroid exactly when both components vanish. A self-bracket of
+    odd operator degree is twice the action, so (1/2)[K,K]_FN = L_K K and
+    (1/2)[L,L]_RN = i_L L; and i_L K = K∘L for the vector-valued 1-form K."""
     K, L = alg.anchor, alg.correction
-    half = alg.chart.one / alg.chart.const(2)
-    # i_L K = K∘L for the vector-valued 1-form K
-    cond1 = fn_bracket(K, K).scaled(half) + K.compose(L)
-    cond2 = fn_bracket(K, L) + rn_bracket(L, L).scaled(half)
-    return CohomologyReport(cond1, cond2)
+    return CohomologyReport(
+        lie_derivative(K, K) + K.compose(L), fn_bracket(K, L) + insertion(L, L)
+    )
 
 
 class _Report(_Record):
@@ -246,24 +247,32 @@ def check_axioms(
         (la, X), (lb, Y), (lc, Z) = probes[i], probes[j], probes[k]
         residual = J(X, Y, Z)  # minus ∂_{A(X,Y)}Z, ∂_{A(Y,Z)}X and ∂_{A(Z,X)}Y
         for pair, W in (((i, j), Z), ((j, k), X), ((k, i), Y)):
-            V = values[pair]
-            if not V.is_zero:
-                residual = residual - VectorField(chart, [V(c) for c in W.components])
+            if not values[pair].is_zero:
+                residual = residual - _along(values[pair], W)
         jacobi.append((f"({la},{lb},{lc})", residual))
 
     return AxiomReport(tuple(jacobi), tuple(leibniz), tuple(anchor))
 
 
+def _along(V: VectorField, W: VectorField) -> VectorField:
+    """∂_V W = Σ_c V(W^c) e_c, the componentwise derivative of W along V."""
+    return VectorField(W.chart, [V(c) for c in W.components])
+
+
+def _structure_form(alg: TangentAlgebroid) -> VectorValuedForm:
+    """F = dK - L, whose frame values are the brackets c_ab = [[e_a, e_b]]:
+    as [e_a, e_b] = 0 and (K e_b)^j = K^j_b,
+
+        [[e_a, e_b]]^j = ∂_a K^j_b - ∂_b K^j_a - L^j_ab = (dK^j - L^j)_ab."""
+    return exterior_d(alg.anchor) - alg.correction
+
+
 def _frame_bundle(alg: TangentAlgebroid) -> BundleAlgebroid:
     """``alg`` on the coordinate frame: the rank-n bundle algebroid with anchors
-    q_a = K e_a and structure functions c_ab = [[e_a, e_b]], the frame
-    coefficients of dK - L. As [e_a, e_b] = 0 and (K e_b)^j = K^j_b,
-
-        [[e_a, e_b]]^j = ∂_a K^j_b - ∂_b K^j_a - L^j_ab = (dK^j - L^j)_ab,
-
-    so no bracket is formed."""
+    q_a = K e_a and structure functions c_ab, the frame coefficients of F =
+    :func:`_structure_form`, so no bracket is formed."""
     chart = alg.chart
-    forms = (exterior_d(alg.anchor) - alg.correction).components
+    forms = _structure_form(alg).components
     pairs = itertools.combinations(range(chart.dim), 2)
     structure = {key: [f.coeffs.get(key, chart.zero) for f in forms] for key in pairs}
     return BundleAlgebroid(chart, chart.dim, list(zip(*alg.anchor.matrix())), structure)
@@ -289,16 +298,18 @@ def verify_trivial_isomorphism(
 
     The probes are the frame and one seeded field r1. Because K phi = Id,
     the residual is C^∞-bilinear, so it is built as a frame form and each
-    probe record is its value on the probe pair.
+    probe record is its value on the probe pair. On a frame pair it is
+    -[[phi e_a, phi e_b]], as [e_a, e_b] = 0; and K phi e_a = e_a turns
+    ∂_{K phi e_a} into ∂_a in :meth:`TangentAlgebroid.bracket`, so it is
+    -(dphi + F(phi e_a, phi e_b)) and nothing is bracketed.
     """
     chart = alg.chart
     phi = _anchor_inverse(alg.anchor)
     probes = _probes(chart, random.Random(seed), probe_degree, 1)
-    # [e_a, e_b] = 0, so the residual on a frame pair is -[[phi e_a, phi e_b]].
+    F = _structure_form(alg)
     images = [phi.apply(e) for e in chart.basis_vectors()]
-    residual = VectorValuedForm.on_frame(
-        chart, 2, lambda a, b: -alg.bracket(images[a], images[b])
-    )
+    pulled = VectorValuedForm.on_frame(chart, 2, lambda a, b: F(images[a], images[b]))
+    residual = -(exterior_d(phi) + pulled)
     return [
         (f"({la},{lb})", residual(X, Y))
         for (la, X), (lb, Y) in itertools.combinations(probes, 2)

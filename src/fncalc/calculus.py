@@ -49,7 +49,6 @@ __all__ = [
     "rn_bracket",
     "fn_bracket",
     "nijenhuis_torsion",
-    "contracted_bracket",
     "complexify_vvf",
 ]
 
@@ -701,21 +700,6 @@ def nijenhuis_torsion(N: VectorValuedForm) -> VectorValuedForm:
         return VectorField(chart, ScalarExpr.sums_of_products(chart.ring, chart.dim, terms))
 
     return VectorValuedForm.on_frame(chart, 2, value)
-
-
-def contracted_bracket(
-    K: VectorValuedForm, X: VectorField, Y: VectorField
-) -> VectorField:
-    """[X,Y]_K = [KX,Y] + [X,KY] - K[X,Y]."""
-    if K.degree != 1:
-        raise CalculusError("the contracted bracket needs a degree-1 form")
-    _check_chart(K, X)
-    _check_chart(K, Y)
-    return (
-        lie_bracket(K.apply(X), Y)
-        + lie_bracket(X, K.apply(Y))
-        - K.apply(lie_bracket(X, Y))
-    )
 
 
 # ---------------------------------------------------------------------------

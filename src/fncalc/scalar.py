@@ -829,7 +829,10 @@ class ScalarExpr:
             return ScalarExpr(ring, _add(self.num, other.num, negate), self.den)
         num = _mul(ring, self.num, other.den)
         _mul_into(ring, num, other.num, self.den, negate)
-        return ScalarExpr(ring, num, _mul(ring, self.den, other.den))
+        # a/b ± p, p a polynomial: gcd(a ± p·b, b) = gcd(a, b) = 1, LC(b) is kept,
+        # and the sum is nonzero, or b would divide a and be the one
+        canonical = self.den == ring.one.den or other.den == ring.one.den
+        return ScalarExpr(ring, num, _mul(ring, self.den, other.den), _canonical=canonical)
 
     def __add__(self, other: "ScalarExpr") -> "ScalarExpr":
         return self._plus(other, False)

@@ -24,7 +24,6 @@ from fncalc.calculus import (
     KForm,
     VectorField,
     VectorValuedForm,
-    contracted_bracket,
     exterior_d,
     insertion,
     lie_bracket,
@@ -167,6 +166,13 @@ def torsion_on_fields(N: VectorValuedForm, X: VectorField, Y: VectorField) -> Ve
         - N.apply(lie_bracket(nx, Y) + lie_bracket(X, ny))
         + N.compose(N).apply(lie_bracket(X, Y))
     )
+
+
+def contracted_bracket(K: VectorValuedForm, X: VectorField, Y: VectorField) -> VectorField:
+    """[X,Y]_K = [KX,Y] + [X,KY] - K[X,Y], from ``lie_bracket`` and ``apply``
+    alone: with it, [X,Y]_K - L(X,Y) is the algebroid bracket by its
+    definition, which ``TangentAlgebroid.bracket`` reads off dK - L instead."""
+    return lie_bracket(K.apply(X), Y) + lie_bracket(X, K.apply(Y)) - K.apply(lie_bracket(X, Y))
 
 
 def product_bracket_form(P: VectorValuedForm, X: VectorField, Y: VectorField) -> VectorField:

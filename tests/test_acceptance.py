@@ -30,7 +30,6 @@ from fncalc.calculus import (
     Chart,
     VectorValuedForm,
     complexify_vvf,
-    contracted_bracket,
     exterior_d,
     fn_bracket,
     lie_bracket,
@@ -53,7 +52,14 @@ from fncalc.structures import (
     tangent_chart,
 )
 
-from helpers import bracket_full_form, endo, product_bracket_form, random_kform, random_vvf
+from helpers import (
+    bracket_full_form,
+    contracted_bracket,
+    endo,
+    product_bracket_form,
+    random_kform,
+    random_vvf,
+)
 
 MANIFESTS = pathlib.Path(__file__).resolve().parent.parent / "manifests"
 #: Reports of the fixture manifests at seed 0, "manifest" path made relative.

@@ -4,6 +4,7 @@ import itertools
 import json
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -36,7 +37,6 @@ from fncalc.calculus import (
     VectorField,
     VectorValuedForm,
     complexify_vvf,
-    contracted_bracket,
     fn_bracket,
     lie_bracket,
     lie_derivative,
@@ -56,7 +56,9 @@ from fncalc.structures import (
 )
 
 from helpers import (
+    contracted_bracket,
     endo,
+    extracted_bracket,
     flat_connection,
     random_kform,
     random_quotient,
@@ -281,17 +283,58 @@ def bundle_of_lie_algebras(dim: int, is_complex: bool) -> TangentAlgebroid:
     return TangentAlgebroid(VectorValuedForm.zero(chart, 1), L)
 
 
+def defined_bracket(alg: TangentAlgebroid, X: VectorField, Y: VectorField) -> VectorField:
+    """[[X,Y]] = [X,Y]_K - L(X,Y) by its definition, from Lie brackets: the
+    reference for ``TangentAlgebroid.bracket``, which reads dK - L instead."""
+    return contracted_bracket(alg.anchor, X, Y) - alg.correction(X, Y)
+
+
+def failing_and_passing(dim: int, is_complex: bool, rational: bool):
+    """A seeded random (K, L), which fails, and the invertible algebroid of a
+    unitriangular anchor, whose inverse has no new denominator, which passes;
+    ``rational`` draws their entries over 1 + x^2."""
+    chart = Chart(("x", "y", "z", "w")[:dim], is_complex)
+    rng = random.Random(300 + 10 * dim + 2 * is_complex + rational)
+    failing = TangentAlgebroid(
+        random_vvf(chart, 1, rng, degree=1, rational=rational),
+        random_vvf(chart, 2, rng, degree=1, rational=rational),
+    )
+    draw = random_quotient if rational else random_scalar
+    unitriangular = [
+        [chart.one if i == j else draw(chart, rng, 1) if i < j else chart.zero for j in range(dim)]
+        for i in range(dim)
+    ]
+    passing = invertible_algebroid(VectorValuedForm.from_matrix(chart, unitriangular))
+    assert not check_cohomology(failing).passed
+    assert check_cohomology(passing).passed
+    return failing, passing
+
+
+def general_invertible(dim: int, is_complex: bool) -> TangentAlgebroid:
+    """The invertible algebroid of a seeded affine anchor, not unitriangular:
+    its correction has the rational entries of K^{-1}, over det K."""
+    chart = Chart(("x", "y", "z")[:dim], is_complex)
+    rng = random.Random(500 + 10 * dim + is_complex)
+    return invertible_algebroid(random_vvf(chart, 1, rng, degree=1))
+
+
 class TestFrameStructure:
-    """``_frame_bundle`` reads c_ab off dK - L; every entry of its table is the
-    algebroid bracket [[e_a, e_b]] = [e_a, e_b]_K - L(e_a, e_b), which
-    ``TangentAlgebroid.bracket`` forms from Lie brackets."""
+    """``_frame_bundle`` and ``TangentAlgebroid.bracket`` both read F = dK - L;
+    each is compared with :func:`defined_bracket`, which does not: the frame
+    table entry by entry, and the bracket on a frame field and two seeded
+    fields of degree 1 and 2, in both orders."""
 
     @staticmethod
-    def assert_frame_brackets(alg: TangentAlgebroid) -> None:
-        basis = alg.chart.basis_vectors()
+    def assert_brackets_by_definition(alg: TangentAlgebroid, seed: int = 0) -> None:
+        chart = alg.chart
+        basis = chart.basis_vectors()
         table = _frame_bundle(alg).structure
-        for a, b in itertools.product(range(alg.chart.dim), repeat=2):
-            assert table[a][b] == alg.bracket(basis[a], basis[b]).components, (a, b)
+        for a, b in itertools.product(range(chart.dim), repeat=2):
+            assert table[a][b] == defined_bracket(alg, basis[a], basis[b]).components, (a, b)
+        rng = random.Random(seed)
+        fields = [basis[-1]] + [random_vector_field(chart, rng, degree) for degree in (1, 2)]
+        for X, Y in itertools.permutations(fields, 2):
+            assert alg.bracket(X, Y) == defined_bracket(alg, X, Y)
 
     @pytest.mark.parametrize(
         "dim, is_complex, rational",
@@ -301,31 +344,47 @@ class TestFrameStructure:
              "complex-3", "complex-rational-2", "complex-rational-3"],
     )
     def test_seeded_pairs(self, dim, is_complex, rational):
-        """A random (K, L), which fails, and the invertible algebroid of a
-        unitriangular anchor, whose inverse has no new denominator, which passes."""
-        chart = Chart(("x", "y", "z", "w")[:dim], is_complex)
-        rng = random.Random(300 + 10 * dim + 2 * is_complex + rational)
-        failing = TangentAlgebroid(
-            random_vvf(chart, 1, rng, degree=1, rational=rational),
-            random_vvf(chart, 2, rng, degree=1, rational=rational),
-        )
-        draw = random_quotient if rational else random_scalar
-        unitriangular = [
-            [chart.one if i == j else draw(chart, rng, 1) if i < j else chart.zero for j in range(dim)]
-            for i in range(dim)
-        ]
-        passing = invertible_algebroid(VectorValuedForm.from_matrix(chart, unitriangular))
-        assert not check_cohomology(failing).passed
-        assert check_cohomology(passing).passed
-        for alg in (failing, passing):
-            self.assert_frame_brackets(alg)
+        for seed, alg in enumerate(failing_and_passing(dim, is_complex, rational)):
+            self.assert_brackets_by_definition(alg, seed)
 
     def test_manifest_algebroids(self):
         """Every algebroid the fixture manifests declare or build."""
         built = fixture_algebroids() + recipe_algebroids()
-        for _, alg in built:
-            self.assert_frame_brackets(alg)
+        for seed, (_, alg) in enumerate(built):
+            self.assert_brackets_by_definition(alg, seed)
         assert len(built) == 16
+
+    @pytest.mark.parametrize(
+        "dim, is_complex", [(2, False), (2, True), (3, False)],
+        ids=["real-2", "complex-2", "real-3"],
+    )
+    def test_general_invertible_anchors(self, dim, is_complex):
+        alg = general_invertible(dim, is_complex)
+        one = alg.chart.one.den
+        assert any(c.den != one for f in alg.correction.components for c in f.coeffs.values())
+        self.assert_brackets_by_definition(alg)
+
+
+class TestCohomologyIsThePapersConditions:
+    """``check_cohomology`` acts once per condition; the paper's
+    (1/2)[K,K]_FN + K∘L and [K,L]_FN + (1/2)[L,L]_RN, with each bracket read
+    off the graded commutator of its two operators, are the reference."""
+
+    @pytest.mark.parametrize(
+        "dim, is_complex, rational",
+        [(2, False, False), (3, False, False), (4, False, False), (3, False, True),
+         (3, True, False), (3, True, True)],
+        ids=["real-2", "real-3", "real-4", "rational-3", "complex-3", "complex-rational-3"],
+    )
+    def test_seeded_pairs(self, dim, is_complex, rational):
+        for alg in failing_and_passing(dim, is_complex, rational):
+            K, L = alg.anchor, alg.correction
+            half = alg.chart.const(Fraction(1, 2))
+            report = check_cohomology(alg)
+            assert report.condition1 == extracted_bracket(K, K, "fn").scaled(half) + K.compose(L)
+            assert report.condition2 == (
+                extracted_bracket(K, L, "fn") + extracted_bracket(L, L, "rn").scaled(half)
+            )
 
 
 class TestAxiomsOnTheFrame:
@@ -341,7 +400,7 @@ class TestAxiomsOnTheFrame:
         return algebroids
 
     def test_leibniz_residual_vanishes(self):
-        """Computed directly, so drift in ``contracted_bracket`` is caught."""
+        """Computed directly, so drift in ``TangentAlgebroid.bracket`` is caught."""
         for seed, alg in enumerate(self.all_algebroids()):
             probes, f = direct_probes(alg.chart, 1, seed, 2)
             for label, residual in direct_leibniz(alg, probes, f):
@@ -423,6 +482,8 @@ class TestAxiomsOnTheFrame:
         assert drifts[-1].is_zero
 
     def test_isomorphism_records_equal_direct_evaluation(self):
+        """The reference brackets phi X and phi Y by :func:`defined_bracket`;
+        the anchors are J2, J2 complexified and a seeded rational invertible one."""
         def direct(alg, seed, probe_degree):
             chart = alg.chart
             phi = VectorValuedForm.from_matrix(chart, inverse(alg.anchor.matrix(), chart))
@@ -430,18 +491,20 @@ class TestAxiomsOnTheFrame:
             return [
                 (
                     f"({la},{lb})",
-                    phi.apply(lie_bracket(X, Y)) - alg.bracket(phi.apply(X), phi.apply(Y)),
+                    phi.apply(lie_bracket(X, Y)) - defined_bracket(alg, phi.apply(X), phi.apply(Y)),
                 )
                 for (la, X), (lb, Y) in itertools.combinations(probes, 2)
             ]
 
-        K = endo("J2")
-        good = invertible_algebroid(K)
-        bad = TangentAlgebroid(K, VectorValuedForm.zero(K.chart, 2))
-        for alg in (good, bad):
-            for seed in (0, 7):
-                assert verify_trivial_isomorphism(alg, seed, 2) == direct(alg, seed, 2)
-        assert any(not r.is_zero for _, r in verify_trivial_isomorphism(bad))
+        rational = general_invertible(2, False).anchor
+        for K in (endo("J2"), complexify_vvf(endo("J2")), rational):
+            good = invertible_algebroid(K)
+            bad = TangentAlgebroid(K, VectorValuedForm.zero(K.chart, 2))
+            for alg in (good, bad):
+                for seed in (0, 7):
+                    assert verify_trivial_isomorphism(alg, seed, 2) == direct(alg, seed, 2)
+            assert all(r.is_zero for _, r in verify_trivial_isomorphism(good))
+            assert any(not r.is_zero for _, r in verify_trivial_isomorphism(bad))
 
 
 class TestInvertibleAnchor:
@@ -808,11 +871,6 @@ _X = _CH.basis_vector(0)
         ),
         (lambda: nijenhuis_torsion(_Z2), CalculusError, "torsion is defined for degree-1 forms"),
         (
-            lambda: contracted_bracket(_Z2, _X, _X),
-            CalculusError,
-            "the contracted bracket needs a degree-1 form",
-        ),
-        (
             lambda: fn_bracket(_Z2, complexify_vvf(_Z2)),
             ChartMismatchError,
             "chart mismatch: Chart(coord_names=('x', 'y'), is_complexified=False) vs "
@@ -852,7 +910,7 @@ _X = _CH.basis_vector(0)
         "connection-shape", "nabla_K-degree", "bundle_de_rham-form", "kform-degree",
         "kform-eval-count", "kform-multi-index", "field-count", "vvf-count", "vvf-degrees",
         "from_matrix-shape", "vvf-add-degrees", "matrix", "apply", "compose", "torsion",
-        "contracted_bracket", "fn_bracket-charts", "rn_bracket-charts", "rn_bracket-fields",
+        "fn_bracket-charts", "rn_bracket-charts", "rn_bracket-fields",
         "idempotent-degree", "tangent_chart-n", "tangent-chart-odd",
         "semispray-force-count",
     ],

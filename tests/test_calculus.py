@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from fncalc import calculus
-from fncalc.algebroid import fn_decompose
+from fncalc.algebroid import TangentAlgebroid, fn_decompose
 from fncalc.calculus import (
     CalculusError,
     Chart,
@@ -16,7 +16,6 @@ from fncalc.calculus import (
     VectorField,
     VectorValuedForm,
     complexify_vvf,
-    contracted_bracket,
     exterior_d,
     fn_bracket,
     insertion,
@@ -384,6 +383,8 @@ def test_rn_bracket_of_endomorphisms_vanishes_for_identity():
 
 
 def test_contracted_bracket_formula():
+    """(N, 0) brackets by [X,Y]_N = [NX,Y] + [X,NY] - N[X,Y], which
+    ``TangentAlgebroid.bracket`` reads off dN instead."""
     ch = Chart(("x", "y"))
     rng = random.Random(11)
     N = random_vvf(ch, 1, rng)
@@ -394,7 +395,7 @@ def test_contracted_bracket_formula():
         + lie_bracket(X, N.apply(Y))
         - N.apply(lie_bracket(X, Y))
     )
-    assert contracted_bracket(N, X, Y) == expected
+    assert TangentAlgebroid(N, VectorValuedForm.zero(ch, 2)).bracket(X, Y) == expected
 
 
 def test_fn_decompose_round_trip():

@@ -1,5 +1,6 @@
 """Scalar layer: canonical forms, parsing, printing."""
 
+import itertools
 import operator
 import random
 from decimal import Decimal
@@ -962,6 +963,47 @@ def test_real_polynomial_fn_identity_runs_no_gcd(monkeypatch):
     # the counter itself sees a real gcd
     expr("x/(2*x)", allow_imaginary=False)
     assert calls
+
+
+def fraction_polynomial_sums(gaussian: bool):
+    """(left, right, negate) for a/b ± p and p ± a/b, a/b canonical with a
+    constant non-unit or a non-constant b and p a polynomial (zero included)."""
+    fractions = ["(x^2+y)/3", "(x-2)/6", "x/(2*x+2)", "(x+1)/(x*y-1)", "(3*x-y^2)/(x^2+1)"]
+    polynomials = ["0", "5", "3*x", "x^2-y+2", "(x*y-1)*(x+1)"]
+    if gaussian:
+        fractions += ["(x+i)/(1+i)", "(2+i)*x/(x^2+3)", "(x*i+y)/(x-2*i)"]
+        polynomials += ["(1-i)*y", "x^2+i"]
+    parse = lambda text: expr(text, allow_imaginary=gaussian)
+    for f, p in itertools.product(map(parse, fractions), map(parse, polynomials)):
+        for negate in (False, True):
+            yield f, p, negate
+            yield p, f, negate
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["real", "complex"])
+def test_sum_with_a_polynomial_is_the_reduced_sum(gaussian):
+    """a/b ± p is built canonical without a gcd; it equals the sum reduced by
+    ``_reduce`` from the cross-multiplied numerator and denominator."""
+    for left, right, negate in fraction_polynomial_sums(gaussian):
+        ring = left.ring
+        num = _add(_mul(ring, left.num, right.den), _mul(ring, right.num, left.den), negate)
+        num, den = _reduce(ring, num, _mul(ring, left.den, right.den))
+        got = left - right if negate else left + right
+        assert (got.num, got.den) == (num, den), (str(left), str(right), negate)
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["real", "complex"])
+def test_sum_with_a_polynomial_runs_no_gcd(monkeypatch, gaussian):
+    def refuse(ring, a, b):
+        raise AssertionError("gcd on a sum with a polynomial")
+
+    sums = list(fraction_polynomial_sums(gaussian))
+    a, b = expr("1/(x+1)", allow_imaginary=gaussian), expr("1/(x-1)", allow_imaginary=gaussian)
+    monkeypatch.setattr(fncalc.scalar, "_gcd", refuse)
+    for left, right, negate in sums:
+        left - right if negate else left + right
+    with pytest.raises(AssertionError):  # a sum over two denominators still reduces
+        a + b
 
 
 # ---------------------------------------------------------------------------

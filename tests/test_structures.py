@@ -11,7 +11,6 @@ from fncalc.calculus import (
     Chart,
     VectorValuedForm,
     complexify_vvf,
-    contracted_bracket,
     exterior_d,
     lie_bracket,
     nijenhuis_torsion,
@@ -41,7 +40,7 @@ from fncalc.structures import (
     tangent_chart,
 )
 
-from helpers import bracket_full_form, endo, product_bracket_form, random_kform
+from helpers import bracket_full_form, contracted_bracket, endo, product_bracket_form, random_kform
 
 
 class TestIdempotent:
