@@ -13,10 +13,9 @@ the wedge terms of tangent forms.
 The bracket is stated once, by the vector-valued 2-form F = dK - L
 (:func:`_structure_form`), whose frame values are the c_ab = [[e_a, e_b]]. So
 on the coordinate frame a tangent algebroid is a rank-n bundle algebroid
-(:func:`_frame_bundle`) with anchors K e_a and structure functions c_ab, both
-axiom checks evaluate the same two structure equations
-(:func:`_structure_residuals`), and a connection's E-torsion is
-:func:`delta_torsion` on either.
+(:func:`_frame_bundle`) with anchors K e_a and structure functions c_ab, and a
+connection's E-torsion is :func:`delta_torsion` on either. Both axiom checks
+read their anchor and Jacobi residuals off D^2 on the generators.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from .calculus import (
     exterior_d,
     fn_bracket,
     insertion,
-    lie_bracket,
     lie_derivative,
     nijenhuis_torsion,
 )
@@ -203,18 +201,14 @@ def check_axioms(
     """Jacobi, Leibniz and anchor-morphism residuals at the probe fields.
 
     The probes are the coordinate frame plus two seeded polynomial fields
-    r1, r2 of degree ``probe_degree``. Every record comes from frame values,
-    so only the C(n,2) frame pairs are bracketed.
+    r1, r2 of degree ``probe_degree``. Every record comes from frame values
+    read off D^2 = L_K' + i_L', (K', L') = :func:`check_cohomology`, so
+    nothing is bracketed.
 
     - Leibniz holds identically for [[X,Y]] = [X,Y]_K - L(X,Y), for every
-      K and L, so each Leibniz residual is zero. So on the frame the
-      algebroid is the rank-n bundle algebroid with anchors q_a = K e_a and
-      structure functions c_ab = [[e_a, e_b]], and the frame values of A and
-      J below are its two structure equations (:func:`_structure_residuals`):
-      J comes from the c_ab and their q-derivatives, with no further bracket.
-    - The anchor residual A(X,Y) = K[[X,Y]] - [KX,KY] is C^∞-bilinear
-      (on the frame it is minus condition 1, T_K + K∘L), so it is built as
-      a frame form and each probe record is A(X,Y).
+      K and L, so each Leibniz residual is zero.
+    - The anchor residual A(X,Y) = K[[X,Y]] - [KX,KY] is C^∞-bilinear, and
+      D^2 x^j = K'^j makes it A = -K', so each probe record is A(X,Y).
     - The Jacobiator Jac(X,Y,Z) = [[X,[[Y,Z]]]] + cyclic is alternating,
       and Jac(X,Y,fZ) = f·Jac(X,Y,Z) - A(X,Y)(f)·Z. Expanding each argument
       in the frame gives
@@ -222,15 +216,16 @@ def check_axioms(
           Jac(X,Y,Z) = J(X,Y,Z) - ∂_{A(X,Y)}Z - ∂_{A(Y,Z)}X - ∂_{A(Z,X)}Y,
 
       where J is the alternating 3-form with J(e_a,e_b,e_c) = Jac(e_a,e_b,e_c)
-      and ∂_V W is the componentwise derivative Σ_c V(W^c) e_c. Once A = 0
-      the Jacobiator is the tensor J (there are no frame triples below
-      rank 3), so the verdict is decided on the frame.
+      and ∂_V W is the componentwise derivative Σ_c V(W^c) e_c. As
+      D^2 dx^j = dK'^j + L'^j, J = -(dK' + L'). Once A = 0 the Jacobiator
+      is the tensor J (there are no frame triples below rank 3), so the
+      verdict is decided on the frame.
     """
     chart = alg.chart
     probes = _probes(chart, random.Random(seed), probe_degree, 2)
-    residuals, jacobiators = _structure_residuals(_frame_bundle(alg))
-    A = VectorValuedForm.on_frame(chart, 2, lambda *key: residuals[key])
-    J = VectorValuedForm.on_frame(chart, 3, lambda *key: VectorField(chart, jacobiators[key]))
+    square = check_cohomology(alg)
+    A = -square.condition1
+    J = -(exterior_d(square.condition1) + square.condition2)
 
     zero = VectorField.zero(chart)
     leibniz = []
@@ -391,48 +386,16 @@ def bundle_de_rham(balg: BundleAlgebroid, omega: KForm) -> KForm:
     return KForm(chart, omega.degree + 1, _sum_terms(chart, terms), rank)
 
 
-def _structure_residuals(balg: BundleAlgebroid) -> tuple[dict, dict]:
-    """The two structure equations of a bundle algebroid on its frame.
-
-    By pair a < b, the anchor residual field Σ_d c_ab^d q_d - [q_a, q_b]. By
-    triple a < b < c, the r components of the Jacobiator
-    Σ_cyclic q_x(c_yz^d) + Σ_e c_yz^e c_xe^d, each one sum of products.
-    """
-    chart, rank = balg.chart, balg.rank
-    ring, names, coef = chart.ring, chart.coord_names, balg.structure
-    anchor = {}
-    for a, b in itertools.combinations(range(rank), 2):
-        image = VectorField(chart, [
-            ScalarExpr.sum_of_products(ring, zip(coef[a][b], column, itertools.repeat(False)))
-            for column in zip(*balg.anchor)
-        ])
-        anchor[a, b] = image - lie_bracket(balg.anchor_field(a), balg.anchor_field(b))
-
-    def jacobiator(a: int, b: int, c: int, d: int):
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            f = coef[y][z][d]
-            if not f.is_zero:
-                for q, name in zip(balg.anchor[x], names):
-                    if not q.is_zero:
-                        yield q, f.partial(name), False
-            for e in range(rank):
-                yield coef[y][z][e], coef[x][e][d], False
-
-    jacobi = {
-        key: [ScalarExpr.sum_of_products(ring, jacobiator(*key, d)) for d in range(rank)]
-        for key in itertools.combinations(range(rank), 3)
-    }
-    return anchor, jacobi
-
-
 class BundleAxiomReport(_Report):
-    """Operator-route and structure-function-route residuals of D^2 = 0:
-    labelled forms, vector fields (anchor) and scalars (Jacobi)."""
+    """Residuals of D^2 = 0: labelled forms D^2 x^i and D^2 η^c, and the
+    anchor residual fields and Jacobi scalars read off them."""
 
     __slots__ = _fields = ("d2_on_coordinates", "d2_on_covectors", "anchor_morphism", "jacobi")
 
 
 def check_bundle_axioms(balg: BundleAlgebroid) -> BundleAxiomReport:
+    """D^2 on each generator: on frame sections D^2 x^i(s_a,s_b) is minus the anchor
+    residual (Σ_d c_ab^d q_d - [q_a,q_b])^i, and D^2 η^d(s_a,s_b,s_c) is -Jac^d."""
     chart, rank = balg.chart, balg.rank
     d2_fun = []
     for i, name in enumerate(chart.coord_names):
@@ -443,15 +406,20 @@ def check_bundle_axioms(balg: BundleAlgebroid) -> BundleAxiomReport:
         eta = KForm(chart, 1, {(c,): chart.one}, rank)
         d2_cov.append((f"eta{c + 1}", bundle_de_rham(balg, bundle_de_rham(balg, eta))))
 
-    anchor, jacobi = _structure_residuals(balg)
+    def minus(squares, key):  # -D^2 g at the frame sections ``key``, for each g
+        return [-d2.coeffs.get(key, chart.zero) for _, d2 in squares]
+
     return BundleAxiomReport(
         tuple(d2_fun),
         tuple(d2_cov),
-        tuple((f"(s{a + 1},s{b + 1})", r) for (a, b), r in anchor.items()),
         tuple(
-            (f"(s{a + 1},s{b + 1},s{c + 1})->s{d + 1}", total)
-            for (a, b, c), totals in jacobi.items()
-            for d, total in enumerate(totals)
+            (f"(s{a + 1},s{b + 1})", VectorField(chart, minus(d2_fun, (a, b))))
+            for a, b in itertools.combinations(range(rank), 2)
+        ),
+        tuple(
+            (f"(s{a + 1},s{b + 1},s{c + 1})->s{d + 1}", value)
+            for a, b, c in itertools.combinations(range(rank), 3)
+            for d, value in enumerate(minus(d2_cov, (a, b, c)))
         ),
     )
 

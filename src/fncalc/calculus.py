@@ -632,7 +632,7 @@ def lie_derivative(K: VectorValuedForm, omega: KForm | VectorValuedForm):
     odd = K.degree % 2 == 1
     terms: dict = {}
     for m, (component, name) in enumerate(zip(K.components, K.chart.coord_names)):
-        if not component.is_zero:
+        if rows and not component.is_zero:  # a zero omega needs no dK^m
             moved = [(key, [v.partial(name) for v in row], False) for key, row in rows.items()]
             _wedge_terms(terms, component.coeffs, moved)
             _wedge_terms(terms, exterior_d(component).coeffs, _contracted(rows, m, odd))

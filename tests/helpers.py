@@ -4,9 +4,10 @@
   declare them, so the matrices live in one place.
 - :func:`random_kform` and :func:`random_vvf` draw seeded polynomial forms,
   or with ``rational`` forms over :func:`random_quotient` coefficients.
-- The closed forms, Cartan's formula, the bracket extraction and the
-  cross-check below compute, another way, what the library computes; the
-  tests compare the two exactly.
+- The closed forms, Cartan's formula, the bracket extraction, the
+  structure equations of a bundle algebroid and the cross-check below
+  compute, another way, what the library computes; the tests compare the
+  two exactly.
 
 Matrix convention everywhere: entry [i][j] is the ∂_i coefficient of the
 image of ∂_j.
@@ -18,7 +19,13 @@ import pathlib
 import random
 from fractions import Fraction
 
-from fncalc.algebroid import LinearConnection, TangentAlgebroid, _frame_bundle, delta_torsion
+from fncalc.algebroid import (
+    BundleAlgebroid,
+    LinearConnection,
+    TangentAlgebroid,
+    _frame_bundle,
+    delta_torsion,
+)
 from fncalc.calculus import (
     Chart,
     KForm,
@@ -216,3 +223,37 @@ def symmetric_connection_cross_check(
         ]
         residuals.append((f"(e{a + 1},e{b + 1})", VectorField(chart, residual)))
     return residuals
+
+
+def _structure_residuals(balg: BundleAlgebroid) -> tuple[dict, dict]:
+    """The two structure equations of a bundle algebroid on its frame.
+
+    By pair a < b, the anchor residual field Σ_d c_ab^d q_d - [q_a, q_b]. By
+    triple a < b < c, the r components of the Jacobiator
+    Σ_cyclic q_x(c_yz^d) + Σ_e c_yz^e c_xe^d, each one sum of products.
+    """
+    chart, rank = balg.chart, balg.rank
+    ring, names, coef = chart.ring, chart.coord_names, balg.structure
+    anchor = {}
+    for a, b in itertools.combinations(range(rank), 2):
+        image = VectorField(chart, [
+            ScalarExpr.sum_of_products(ring, zip(coef[a][b], column, itertools.repeat(False)))
+            for column in zip(*balg.anchor)
+        ])
+        anchor[a, b] = image - lie_bracket(balg.anchor_field(a), balg.anchor_field(b))
+
+    def jacobiator(a: int, b: int, c: int, d: int):
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            f = coef[y][z][d]
+            if not f.is_zero:
+                for q, name in zip(balg.anchor[x], names):
+                    if not q.is_zero:
+                        yield q, f.partial(name), False
+            for e in range(rank):
+                yield coef[y][z][e], coef[x][e][d], False
+
+    jacobi = {
+        key: [ScalarExpr.sum_of_products(ring, jacobiator(*key, d)) for d in range(rank)]
+        for key in itertools.combinations(range(rank), 3)
+    }
+    return anchor, jacobi

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from fncalc import algebroid
 from fncalc.algebroid import (
     AlgebroidError,
     AxiomReport,
@@ -56,6 +57,7 @@ from fncalc.structures import (
 )
 
 from helpers import (
+    _structure_residuals,
     contracted_bracket,
     endo,
     extracted_bracket,
@@ -416,6 +418,39 @@ class TestAxiomsOnTheFrame:
                 expected = -condition1(basis[a], basis[b])
                 assert records[f"(e{a + 1},e{b + 1})"] == expected
 
+    @staticmethod
+    def assert_frame_values_are_the_structure_equations(alg: TangentAlgebroid) -> bool:
+        """``check_axioms`` reads A = -K' and J = -(dK' + L') off D^2; on frame
+        pairs and triples its records are A(e_a, e_b) and J(e_a, e_b, e_c), as
+        ∂_V e_c = 0, and they equal the structure equations of the frame
+        bundle, which the reference :func:`_structure_residuals` computes from
+        the c_ab and the anchors. The verdict is the cohomology verdict."""
+        report = check_axioms(alg, probe_degree=0)
+        assert report.passed == check_cohomology(alg).passed
+        records = dict(report.anchor_morphism + report.jacobi)
+        anchor, jacobi = _structure_residuals(_frame_bundle(alg))
+        for (a, b), residual in anchor.items():
+            assert records[f"(e{a + 1},e{b + 1})"] == residual, (a, b)
+        for (a, b, c), components in jacobi.items():
+            expected = VectorField(alg.chart, components)
+            assert records[f"(e{a + 1},e{b + 1},e{c + 1})"] == expected, (a, b, c)
+        return report.passed
+
+    def test_fixture_frame_values_are_the_structure_equations(self):
+        algebroids = [alg for _, alg in fixture_algebroids() + recipe_algebroids()]
+        verdicts = [self.assert_frame_values_are_the_structure_equations(alg) for alg in algebroids]
+        assert len(verdicts) == 16 and verdicts.count(True) == 13
+
+    @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_seeded_frame_values_are_the_structure_equations(self, dim, is_complex):
+        """A failing seeded (K, L), a passing invertible algebroid and a bundle
+        of Lie algebras, whose Jacobi fails on the frame from rank 3 on."""
+        failing, passing = failing_and_passing(dim, is_complex, False)
+        cases = [failing, passing, bundle_of_lie_algebras(dim, is_complex)]
+        verdicts = [self.assert_frame_values_are_the_structure_equations(alg) for alg in cases]
+        assert verdicts == [False, True, dim == 2]
+
     def test_verdict_equals_cohomology_verdict(self):
         algebroids = self.all_algebroids() + [
             bundle_of_lie_algebras(3, is_complex) for is_complex in (False, True)
@@ -590,27 +625,43 @@ def seeded_bundle(rank: int, is_complex: bool) -> BundleAlgebroid:
 class TestBundleAlgebroid:
     @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("rank", [2, 3])
-    def test_d_squared_is_minus_the_structure_residuals(self, rank, is_complex):
-        """D^2 x^i(s_a, s_b) = -A^i(s_a, s_b) and D^2 η^c = -Jac^c: the operator
-        route of ``bundle_de_rham`` against the structure equations."""
+    def test_d_squared_is_minus_the_structure_residuals(self, rank, is_complex, monkeypatch):
+        """D^2 x^i(s_a, s_b) = -A^i(s_a, s_b) and D^2 η^c = -Jac^c, for the
+        structure equations as the reference :func:`_structure_residuals`
+        computes them from the anchors and structure functions; the anchor
+        and Jacobi records are those residuals, in the reference's order.
+        The check applies ``bundle_de_rham`` twice to each generator."""
         balg = seeded_bundle(rank, is_complex)
+        calls = []
+
+        def recording(bundle, omega, _d=bundle_de_rham):
+            calls.append(omega)
+            return _d(bundle, omega)
+
+        monkeypatch.setattr(algebroid, "bundle_de_rham", recording)
         report = check_bundle_axioms(balg)
+        assert len(calls) == 2 * (balg.chart.dim + rank)
+        anchor, jacobi = _structure_residuals(balg)
         zero = balg.chart.zero
-        anchor = dict(report.anchor_morphism)
-        jacobi = dict(report.jacobi)
         assert not report.passed and anchor
         for i, (_, d2) in enumerate(report.d2_on_coordinates):
             assert d2.degree == 2 and d2.generators == rank
-            for a, b in itertools.combinations(range(rank), 2):
-                residual = anchor[f"(s{a + 1},s{b + 1})"].components[i]
-                assert d2.coeffs.get((a, b), zero) == -residual
+            for (a, b), residual in anchor.items():
+                assert d2.coeffs.get((a, b), zero) == -residual.components[i]
         for c, (_, d2) in enumerate(report.d2_on_covectors):
             assert d2.degree == 3
-            for a, b, e in itertools.combinations(range(rank), 3):
-                residual = jacobi[f"(s{a + 1},s{b + 1},s{e + 1})->s{c + 1}"]
-                assert d2.coeffs.get((a, b, e), zero) == -residual
-        assert len(jacobi) == rank * (rank == 3)
-        assert any(not r.is_zero for r in jacobi.values()) == (rank == 3)
+            for key, residual in jacobi.items():
+                assert d2.coeffs.get(key, zero) == -residual[c]
+        assert report.anchor_morphism == tuple(
+            (f"(s{a + 1},s{b + 1})", residual) for (a, b), residual in anchor.items()
+        )
+        assert report.jacobi == tuple(
+            (f"(s{a + 1},s{b + 1},s{c + 1})->s{d + 1}", total)
+            for (a, b, c), totals in jacobi.items()
+            for d, total in enumerate(totals)
+        )
+        assert len(report.jacobi) == rank * (rank == 3)
+        assert any(not r.is_zero for _, r in report.jacobi) == (rank == 3)
 
     def test_constant_structure_passes(self):
         report = check_bundle_axioms(_constant_bundle())

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from fncalc import calculus
-from fncalc.algebroid import TangentAlgebroid, fn_decompose
+from fncalc.algebroid import TangentAlgebroid, check_cohomology, fn_decompose
 from fncalc.calculus import (
     CalculusError,
     Chart,
@@ -270,6 +270,28 @@ def test_lie_derivative_is_cartans_formula(dim, complexified, rational, monkeypa
             expected = cartan_lie_derivative(K, omega)
             assert result.degree == k + p
             assert result == expected, (k, p, type(omega).__name__)
+
+
+def test_lie_derivative_of_the_zero_form_takes_no_exterior_d(monkeypatch):
+    """L_K of a form with no coefficients is the zero form, and no dK^m is
+    formed for it. negative_fail.json's J2bad has L = 0, so its cohomology
+    check takes d of the anchor's four components, for L_K K, and nothing
+    for L_K L in [K, L]_FN."""
+    alg = load_manifest(str(MANIFESTS / "negative_fail.json")).algebroids["J2bad"]
+    K, chart = alg.anchor, alg.chart
+    calls = []
+
+    def recording(a, _d=calculus.exterior_d):
+        calls.append(a)
+        return _d(a)
+
+    monkeypatch.setattr(calculus, "exterior_d", recording)
+    assert not check_cohomology(alg).passed
+    assert calls == list(K.components)
+    calls.clear()
+    for omega in (KForm.zero(chart, 2), VectorValuedForm.zero(chart, 2)):
+        assert lie_derivative(K, omega) == type(omega).zero(chart, 3)
+    assert calls == []
 
 
 def test_fn_bracket_of_vector_fields_is_lie_bracket():

@@ -1123,11 +1123,11 @@ def test_each_recipe_calls_its_constructor_once(monkeypatch, recipe):
 
 
 #: (manifest, check name) -> TangentAlgebroid.bracket calls of the passing
-#: check at the manifest's probe degree. The axioms, recipe and decompose
-#: checks reach the frame only through ``_frame_bundle``, which reads the
-#: structure functions off dK - L and brackets nothing; an isomorphism check
-#: brackets the C(n,2) images of frame pairs (6 at rank 4). A construction
-#: brackets nothing itself.
+#: check at the manifest's probe degree. The axioms and recipe checks read
+#: their residuals off D^2 (``check_cohomology``), a decompose check reaches
+#: the frame through ``_frame_bundle``, which reads the structure functions
+#: off dK - L, and an isomorphism check pulls F = dK - L back by K^{-1}; none
+#: of them brackets. A construction brackets nothing itself.
 BRACKET_COUNTS = {
     ("f1_complex.json", "complex-J0"): 0,
     ("f1_complex.json", "complex-J1"): 0,
@@ -1179,9 +1179,8 @@ def test_passing_algebroid_checks_bracket_only_the_frame(monkeypatch, manifest_n
 @pytest.mark.parametrize("probe_degree", [0, 2, 4])
 def test_failing_axioms_check_brackets_only_the_frame(monkeypatch, probe_degree):
     """A failing axioms check gets its Jacobi records from frame values: the
-    rank-4 ``axioms-N-zero`` reads its structure functions off dK - L at
-    every probe degree, as a passing one does, and brackets no frame pair
-    and no probe triple."""
+    rank-4 ``axioms-N-zero`` reads A and J off D^2 at every probe degree, as
+    a passing one does, and brackets no frame pair and no probe triple."""
     calls = _count_brackets(monkeypatch)
     manifest = load_manifest(
         str(MANIFESTS / "negative_fail.json"), probe_degree=probe_degree
