@@ -31,6 +31,7 @@ from .calculus import (
     KForm,
     VectorField,
     VectorValuedForm,
+    _kept,
     _off_chart,
     _Record,
     _sum_terms,
@@ -83,7 +84,8 @@ class TangentAlgebroid(_Record):
     algebroid exactly when D^2 = 0 (:func:`check_cohomology`).
     """
 
-    __slots__ = _fields = ("anchor", "correction")
+    _fields = ("anchor", "correction")
+    __slots__ = _fields + ("_condition1", "_condition2")
 
     def __init__(self, anchor: VectorValuedForm, correction: VectorValuedForm):
         if anchor.chart != correction.chart:
@@ -101,7 +103,8 @@ class TangentAlgebroid(_Record):
 
     def bracket(self, X: VectorField, Y: VectorField) -> VectorField:
         """[[X,Y]] = F(X,Y) + ∂_{KX}Y - ∂_{KY}X for F = dK - L and ∂ = :func:`_along`:
-        the Leibniz expansion of X and Y in the frame."""
+        the Leibniz expansion of X and Y in the frame. Its one caller in the
+        library is the foliation table; every check reads D^2 or F instead."""
         K = self.anchor
         return _structure_form(self)(X, Y) + _along(K.apply(X), Y) - _along(K.apply(Y), X)
 
@@ -159,14 +162,23 @@ class CohomologyReport(_Record):
 
 
 def check_cohomology(alg: TangentAlgebroid) -> CohomologyReport:
-    """The (K, L) pair of the derivation D^2, for D = L_K + i_L: ``alg`` is
-    a Lie algebroid exactly when both components vanish. A self-bracket of
-    odd operator degree is twice the action, so (1/2)[K,K]_FN = L_K K and
-    (1/2)[L,L]_RN = i_L L; and i_L K = K∘L for the vector-valued 1-form K."""
-    K, L = alg.anchor, alg.correction
-    return CohomologyReport(
-        lie_derivative(K, K) + K.compose(L), fn_bracket(K, L) + insertion(L, L)
-    )
+    """The (K, L) pair (K', L') of the derivation D^2, each kept on ``alg``,
+    for D = L_K + i_L: ``alg`` is a Lie algebroid exactly when both vanish. A
+    self-bracket of odd operator degree is twice the action, so (1/2)[K,K]_FN
+    = L_K K and (1/2)[L,L]_RN = i_L L; and i_L K = K∘L for the 1-form K."""
+    return CohomologyReport(_condition1(alg), _condition2(alg))
+
+
+@_kept("_condition1")
+def _condition1(alg: TangentAlgebroid) -> VectorValuedForm:
+    """K' = L_K K + K∘L: D^2 x^j = K'^j."""
+    return lie_derivative(alg.anchor, alg.anchor) + alg.anchor.compose(alg.correction)
+
+
+@_kept("_condition2")
+def _condition2(alg: TangentAlgebroid) -> VectorValuedForm:
+    """L' = [K, L]_FN + i_L L: D^2 dx^j = dK'^j + L'^j."""
+    return fn_bracket(alg.anchor, alg.correction) + insertion(alg.correction, alg.correction)
 
 
 class _Report(_Record):
@@ -273,6 +285,7 @@ def _frame_bundle(alg: TangentAlgebroid) -> BundleAlgebroid:
     return BundleAlgebroid(chart, chart.dim, list(zip(*alg.anchor.matrix())), structure)
 
 
+@_kept("_inverse")
 def _anchor_inverse(K: VectorValuedForm) -> VectorValuedForm:
     """K^{-1}; SingularAnchorError if the anchor is not invertible."""
     try:
@@ -291,20 +304,20 @@ def verify_trivial_isomorphism(
 ) -> list[tuple[str, VectorField]]:
     """Residuals of phi([X,Y]) - [[phi X, phi Y]] for phi = K^{-1}.
 
-    The probes are the frame and one seeded field r1. Because K phi = Id,
-    the residual is C^∞-bilinear, so it is built as a frame form and each
-    probe record is its value on the probe pair. On a frame pair it is
-    -[[phi e_a, phi e_b]], as [e_a, e_b] = 0; and K phi e_a = e_a turns
-    ∂_{K phi e_a} into ∂_a in :meth:`TangentAlgebroid.bracket`, so it is
-    -(dphi + F(phi e_a, phi e_b)) and nothing is bracketed.
+    The probes are the frame and one seeded field r1. As K phi = Id, K maps
+    the residual to [X,Y] - K[[phi X, phi Y]] = K'(phi X, phi Y), minus the
+    anchor residual of :func:`check_axioms`. So the residual is the frame
+    form phi K'(phi e_a, phi e_b), read off condition 1 alone, and each
+    probe record is its value on the probe pair.
     """
     chart = alg.chart
     phi = _anchor_inverse(alg.anchor)
     probes = _probes(chart, random.Random(seed), probe_degree, 1)
-    F = _structure_form(alg)
+    square = _condition1(alg)
     images = [phi.apply(e) for e in chart.basis_vectors()]
-    pulled = VectorValuedForm.on_frame(chart, 2, lambda a, b: F(images[a], images[b]))
-    residual = -(exterior_d(phi) + pulled)
+    residual = VectorValuedForm.on_frame(
+        chart, 2, lambda a, b: phi.apply(square(images[a], images[b]))
+    )
     return [
         (f"({la},{lb})", residual(X, Y))
         for (la, X), (lb, Y) in itertools.combinations(probes, 2)

@@ -27,6 +27,7 @@ A degree-1 derivation L_K + i_L is held by its pair (K, L) as a
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from typing import Callable, Mapping, Sequence
@@ -64,11 +65,12 @@ class ChartMismatchError(CalculusError):
 class _Record:
     """A value named by its ``_fields``: ``_Record.__init__`` takes one value
     per field, in order, and a record equals one of its own class with equal
-    fields and is hashed and shown by them. Records are not frozen. A class
-    with defaults or checks has its own ``__init__``; one without ``_fields``
-    only shares behaviour. :class:`KForm` is the one record with its own
-    ``__hash__``, as its ``coeffs`` dict cannot be hashed. Being no dataclass
-    keeps ``dataclasses`` off the cold start."""
+    fields and is hashed and shown by them. A record is never mutated after
+    construction, so a tensor derived from it is kept in a memo slot outside
+    ``_fields`` (:func:`_kept`). A class with defaults or checks has its own
+    ``__init__``; one without ``_fields`` only shares behaviour. :class:`KForm`
+    is the one record with its own ``__hash__``, as its ``coeffs`` dict cannot
+    be hashed. Being no dataclass keeps ``dataclasses`` off the cold start."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -96,6 +98,22 @@ class _Record:
         return f"{self.__class__.__qualname__}({fields})"
 
 
+def _kept(slot: str) -> Callable:
+    """Decorate a function of a record: its value is computed once per record
+    and kept in the record's memo ``slot``."""
+
+    def decorate(compute: Callable) -> Callable:
+        @functools.wraps(compute)
+        def kept(record):
+            if (value := getattr(record, slot, None)) is None:
+                setattr(record, slot, value := compute(record))
+            return value
+
+        return kept
+
+    return decorate
+
+
 class Chart(_Record):
     """A single coordinate chart; ``is_complexified`` admits Gaussian coefficients.
 
@@ -119,9 +137,7 @@ class Chart(_Record):
         return len(self.coord_names)
 
     def scalar(self, text: str) -> ScalarExpr:
-        return parse_expr(
-            text, self.coord_names, allow_imaginary=self.is_complexified
-        )
+        return parse_expr(text, self.coord_names, allow_imaginary=self.is_complexified)
 
     def const(self, value) -> ScalarExpr:
         return ScalarExpr.constant(self.ring, value)
@@ -196,9 +212,7 @@ class VectorField(_Components):
     def __init__(self, chart: Chart, components: Sequence[ScalarExpr]):
         components = tuple(components)
         if len(components) != chart.dim:
-            raise CalculusError(
-                f"{len(components)} components on a chart of dimension {chart.dim}"
-            )
+            raise CalculusError(f"{len(components)} components on a chart of dimension {chart.dim}")
         ring = chart.ring
         for c in components:
             if c.ring is not ring:
@@ -242,7 +256,8 @@ class KForm(_Record):
     raising.
     """
 
-    __slots__ = _fields = ("chart", "degree", "coeffs", "generators")
+    _fields = ("chart", "degree", "coeffs", "generators")
+    __slots__ = _fields + ("_d",)
 
     def __init__(
         self,
@@ -341,9 +356,7 @@ def _evaluate(forms: Sequence[KForm], fields: Sequence[VectorField]) -> list:
     det(X^a, Y^b, ...) per multi-index (a, b, ...) and one sum of products."""
     first = forms[0]
     if len(fields) != first.degree:
-        raise CalculusError(
-            f"degree-{first.degree} form evaluated on {len(fields)} fields"
-        )
+        raise CalculusError(f"degree-{first.degree} form evaluated on {len(fields)} fields")
     _require_coordinate_form(first, "evaluation on vector fields")
     chart = first.chart
     for X in fields:
@@ -358,9 +371,7 @@ def _evaluate(forms: Sequence[KForm], fields: Sequence[VectorField]) -> list:
 def _check_generators(a: KForm, b: KForm) -> None:
     _check_chart(a, b)
     if a.generators != b.generators:
-        raise CalculusError(
-            f"forms over {a.generators} and {b.generators} generators"
-        )
+        raise CalculusError(f"forms over {a.generators} and {b.generators} generators")
 
 
 def _require_coordinate_form(omega: KForm, operation: str) -> None:
@@ -392,7 +403,8 @@ class VectorValuedForm(_Components):
     Degree 0 is a vector field in disguise, degree 1 an endomorphism field.
     """
 
-    __slots__ = _fields = ("chart", "degree", "components")
+    _fields = ("chart", "degree", "components")
+    __slots__ = _fields + ("_d", "_torsion", "_inverse")
 
     def __init__(self, chart: Chart, degree: int, components: Sequence[KForm]):
         components = tuple(components)
@@ -410,40 +422,25 @@ class VectorValuedForm(_Components):
 
     @staticmethod
     def zero(chart: Chart, degree: int) -> "VectorValuedForm":
-        return VectorValuedForm(
-            chart, degree, [KForm.zero(chart, degree)] * chart.dim
-        )
+        return VectorValuedForm(chart, degree, [KForm.zero(chart, degree)] * chart.dim)
 
     @staticmethod
-    def from_matrix(
-        chart: Chart, matrix: Sequence[Sequence[ScalarExpr]]
-    ) -> "VectorValuedForm":
+    def from_matrix(chart: Chart, matrix: Sequence[Sequence[ScalarExpr]]) -> "VectorValuedForm":
         """Degree-1 form from a matrix; ``matrix[i][j]`` multiplies ∂_i in the image of ∂_j."""
         if len(matrix) != chart.dim or any(len(row) != chart.dim for row in matrix):
             raise CalculusError("matrix shape must equal the chart dimension")
-        comps = [
-            KForm(
-                chart,
-                1,
-                {(j,): matrix[i][j] for j in range(chart.dim)},
-            )
-            for i in range(chart.dim)
-        ]
+        comps = [KForm(chart, 1, {(j,): v for j, v in enumerate(row)}) for row in matrix]
         return VectorValuedForm(chart, 1, comps)
 
     @staticmethod
-    def on_frame(
-        chart: Chart, degree: int, value: Callable[..., VectorField]
-    ) -> "VectorValuedForm":
+    def on_frame(chart: Chart, degree: int, value: Callable[..., VectorField]) -> "VectorValuedForm":
         """The alternating form whose value on e_a1..e_ak (a1 < ... < ak) is
         ``value(a1, ..., ak)``: a tensor is decided by its frame values."""
         comps = [dict() for _ in range(chart.dim)]
         for key in itertools.combinations(range(chart.dim), degree):
             for j, c in enumerate(value(*key).components):
                 comps[j][key] = c
-        return VectorValuedForm(
-            chart, degree, [KForm(chart, degree, c) for c in comps]
-        )
+        return VectorValuedForm(chart, degree, [KForm(chart, degree, c) for c in comps])
 
     @staticmethod
     def identity(chart: Chart) -> "VectorValuedForm":
@@ -451,9 +448,7 @@ class VectorValuedForm(_Components):
 
     @staticmethod
     def from_vector_field(X: VectorField) -> "VectorValuedForm":
-        return VectorValuedForm(
-            X.chart, 0, [KForm.function(X.chart, c) for c in X.components]
-        )
+        return VectorValuedForm(X.chart, 0, [KForm.function(X.chart, c) for c in X.components])
 
     def matrix(self) -> list[list[ScalarExpr]]:
         if self.degree != 1:
@@ -532,8 +527,9 @@ def wedge(a: KForm, b: KForm) -> KForm:
     return KForm(a.chart, a.degree + b.degree, _sum_terms(a.chart, terms), a.generators)
 
 
+@_kept("_d")
 def exterior_d(a: KForm | VectorValuedForm):
-    """d of a form, or of each component of a vector-valued form."""
+    """d of a form, or of each component of a vector-valued form; kept on ``a``."""
     if isinstance(a, VectorValuedForm):
         return VectorValuedForm(a.chart, a.degree + 1, [exterior_d(c) for c in a.components])
     _require_coordinate_form(a, "exterior_d")
@@ -674,6 +670,7 @@ def fn_bracket(A: VectorValuedForm, B: VectorValuedForm) -> VectorValuedForm:
     return _extract(A, B, lie_derivative, 0)
 
 
+@_kept("_torsion")
 def nijenhuis_torsion(N: VectorValuedForm) -> VectorValuedForm:
     """T_N(X,Y) = [NX,NY] - N[NX,Y] - N[X,NY] + N^2[X,Y], built on frame pairs.
 

@@ -966,7 +966,7 @@ class ScalarExpr:
         num, den = self.num, self.den
         dn = _diff(ring, num, var)
         if _is_ground(den):
-            return ScalarExpr(ring, dn, den)
+            return ScalarExpr(ring, dn, den) if dn else ring.zero
         dn = _mul(ring, dn, den)
         _mul_into(ring, dn, num, _diff(ring, den, var), True)
         return ScalarExpr(ring, dn, _mul(ring, den, den))

@@ -8,9 +8,9 @@ relations such as T_{λE+μ·Id} = λ²T_E, bracket closed forms, the split of d
 and of a form by a projector) are pinned by the test suite and not checked
 at run time.
 
-Each call evaluates every precondition once. A projector's torsion T_N is
-computed once and also decides the involutivity of its image, since
-(Id-N)T_N(e_a, e_b) = (Id-N)[N e_a, N e_b]. Complex, product and
+Each precondition is evaluated once per object, as a torsion is kept on its
+endomorphism. A projector's torsion T_N also decides the involutivity of
+its image, since (Id-N)T_N(e_a, e_b) = (Id-N)[N e_a, N e_b]. Complex, product and
 connection structures all build their projector as one half-projector
 (Id - E)/2: p± from E = ±iJ, p- from E = P and v from E = Gamma. It is
 idempotent exactly when E^2 = Id, that is J^2 = -Id, P^2 = Id or
@@ -282,9 +282,7 @@ def foliation_connection(gamma: VectorValuedForm) -> FoliationData:
         for b, Y in enumerate(vertical):
             br = lie_bracket(X, Y)
             expected = br - gamma.apply(br)
-            table.append(
-                (f"(h{a + 1},v{b + 1})", alg.bracket(X, Y) - expected)
-            )
+            table.append((f"(h{a + 1},v{b + 1})", alg.bracket(X, Y) - expected))
     for a, b in itertools.combinations(range(len(vertical)), 2):
         expected = lie_bracket(vertical[a], vertical[b])
         table.append(

@@ -2,6 +2,7 @@
 
 - :func:`endo` reads the example endomorphisms from the manifests that
   declare them, so the matrices live in one place.
+- :func:`fresh` copies a record without the memos the original carries.
 - :func:`random_kform` and :func:`random_vvf` draw seeded polynomial forms,
   or with ``rational`` forms over :func:`random_quotient` coefficients.
 - The closed forms, Cartan's formula, the bracket extraction, the
@@ -72,6 +73,19 @@ def endo(name: str) -> VectorValuedForm:
     """The fixture endomorphism ``name`` (a key of :data:`ENDOMORPHISMS`)."""
     stem, key = ENDOMORPHISMS[name]
     return _manifest(stem).endomorphisms[key]
+
+
+def fresh(record):
+    """A value-equal copy of a ``KForm``, ``VectorValuedForm`` or
+    ``TangentAlgebroid`` rebuilt down to new ``KForm``s, so that it carries
+    none of the memos the original may hold (:func:`endo` returns cached
+    records, which keep their memos from one test to the next). A test that
+    counts calls or plants a bug takes its records through this."""
+    if isinstance(record, TangentAlgebroid):
+        return TangentAlgebroid(fresh(record.anchor), fresh(record.correction))
+    if isinstance(record, VectorValuedForm):
+        return VectorValuedForm(record.chart, record.degree, [fresh(c) for c in record.components])
+    return KForm(record.chart, record.degree, record.coeffs, record.generators)
 
 
 def random_quotient(chart: Chart, rng: random.Random, degree: int = 2) -> ScalarExpr:

@@ -518,7 +518,15 @@ class TestAxiomsOnTheFrame:
 
     def test_isomorphism_records_equal_direct_evaluation(self):
         """The reference brackets phi X and phi Y by :func:`defined_bracket`;
-        the anchors are J2, J2 complexified and a seeded rational invertible one."""
+        the anchors are J2, J2 complexified and a seeded rational invertible one.
+
+        On the affine anchor K of dimension 3 drawn with seed 340, whose
+        inverse has a cubic denominator, one such bracket takes seconds. There
+        the residual R, C^∞-bilinear, is compared at the images K e_a, where
+        phi K e_a = e_a, so R(K e_a, K e_b) = phi[K e_a, K e_b] - [[e_a, e_b]]
+        brackets polynomial fields only; the records give R(K e_a, K e_b) as
+        the value of the frame form with the frame records as its values. The
+        failing algebroid adds a constant 2-form to the passing correction."""
         def direct(alg, seed, probe_degree):
             chart = alg.chart
             phi = VectorValuedForm.from_matrix(chart, inverse(alg.anchor.matrix(), chart))
@@ -540,6 +548,22 @@ class TestAxiomsOnTheFrame:
                     assert verify_trivial_isomorphism(alg, seed, 2) == direct(alg, seed, 2)
             assert all(r.is_zero for _, r in verify_trivial_isomorphism(good))
             assert any(not r.is_zero for _, r in verify_trivial_isomorphism(bad))
+
+        K = random_vvf(Chart(("x", "y", "z")), 1, random.Random(340), degree=1)
+        chart, basis = K.chart, K.chart.basis_vectors()
+        phi = VectorValuedForm.from_matrix(chart, inverse(K.matrix(), chart))
+        good = invertible_algebroid(K)
+        offset = VectorValuedForm.on_frame(chart, 2, lambda a, b: basis[a + b - 1])
+        for alg in (good, TangentAlgebroid(K, good.correction + offset)):
+            records = dict(verify_trivial_isomorphism(alg, 0, 1))
+            residual = VectorValuedForm.on_frame(
+                chart, 2, lambda a, b: records[f"(e{a + 1},e{b + 1})"]
+            )
+            for a, b in itertools.combinations(range(chart.dim), 2):
+                X, Y = K.apply(basis[a]), K.apply(basis[b])
+                expected = phi.apply(lie_bracket(X, Y)) - defined_bracket(alg, basis[a], basis[b])
+                assert residual(X, Y) == expected, (a, b)
+                assert expected.is_zero == (alg is good)
 
 
 class TestInvertibleAnchor:
@@ -570,6 +594,28 @@ class TestInvertibleAnchor:
 
     def test_axioms(self):
         assert check_axioms(invertible_algebroid(endo("J2"))).passed
+
+    def test_isomorphism_takes_condition_1_alone(self, monkeypatch):
+        """On a new algebroid of a dimension-3 affine anchor, whose inverse
+        and correction are rational, the isomorphism check forms
+        K' = L_K K + K∘L once and no fn_bracket, which only condition 2 of
+        D^2 needs."""
+        K = random_vvf(Chart(("x", "y", "z")), 1, random.Random(340), degree=1)
+        alg = invertible_algebroid(K)
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+
+            return wrapper
+
+        for fn in (fn_bracket, lie_derivative):
+            monkeypatch.setattr(algebroid, fn.__name__, counted(fn))
+        records = verify_trivial_isomorphism(alg, 0, 1)
+        assert calls == ["lie_derivative"]
+        assert len(records) == 6 and all(r.is_zero for _, r in records)
 
     def test_integrable_complex_structures_need_no_correction(self):
         """Both directions: zero torsion <=> (K, 0) is square-zero."""

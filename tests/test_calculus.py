@@ -7,7 +7,15 @@ from fractions import Fraction
 import pytest
 
 from fncalc import calculus
-from fncalc.algebroid import TangentAlgebroid, check_cohomology, fn_decompose
+from fncalc.algebroid import (
+    TangentAlgebroid,
+    _anchor_inverse,
+    _condition1,
+    _condition2,
+    check_cohomology,
+    fn_decompose,
+    invertible_algebroid,
+)
 from fncalc.calculus import (
     CalculusError,
     Chart,
@@ -27,13 +35,14 @@ from fncalc.calculus import (
 )
 from fncalc.randgen import random_vector_field
 from fncalc.cli import load_manifest
-from fncalc.scalar import ScalarError, coordinate_ring
+from fncalc.scalar import ScalarError, ScalarExpr, coordinate_ring
 
 from helpers import (
     MANIFESTS,
     cartan_lie_derivative,
     endo,
     extracted_bracket,
+    fresh,
     random_kform,
     random_vvf,
     torsion_on_fields,
@@ -660,3 +669,59 @@ def test_kform_is_a_value():
     assert ", degree=1, components=(KForm(chart=" in repr(K)
     assert repr(ch.basis_vector(0)).startswith("VectorField(chart=Chart(")
     assert ", components=(" in repr(ch.basis_vector(0))
+
+
+class TestMemos:
+    """A tensor derived from a record is computed once per record and kept on
+    it: d on a form (and on a vector-valued form), T_N and K^{-1} on a
+    vector-valued form, and conditions 1 and 2 of D^2 on an algebroid. The
+    records are value objects that are never mutated, so a value-equal copy
+    has the same derived tensors but keeps its own."""
+
+    @staticmethod
+    def cases():
+        """(record, derivation) pairs on J2, its invertible algebroid's
+        correction computed on another copy, so that no memo is set."""
+        K = fresh(endo("J2"))
+        alg = TangentAlgebroid(K, invertible_algebroid(fresh(K)).correction)
+        return [
+            (K.components[0], exterior_d),
+            (K, exterior_d),
+            (K, nijenhuis_torsion),
+            (K, _anchor_inverse),
+            (alg, _condition1),
+            (alg, _condition2),
+        ]
+
+    def test_value_equal_records_compute_their_own_memos(self, monkeypatch):
+        partials = []
+        partial = ScalarExpr.partial
+
+        def counting(self, var):
+            partials.append(var)
+            return partial(self, var)
+
+        monkeypatch.setattr(ScalarExpr, "partial", counting)
+        for record, derive in self.cases():
+            first = derive(record)
+            partials.clear()
+            assert derive(record) is first and partials == [], derive.__name__
+            copy = fresh(record)
+            second = derive(copy)
+            assert copy == record and second is not first and second == first
+            # the copy differentiated again, unless the derivation takes no partial
+            assert bool(partials) == (derive is not _anchor_inverse), derive.__name__
+
+    def test_memos_stay_out_of_equality_hash_and_repr(self):
+        for record, derive in self.cases():
+            bare = fresh(record)
+            derive(record)
+            assert record == bare and bare == record and not record != bare
+            assert hash(record) == hash(bare) and repr(record) == repr(bare)
+        for cls, memos in (
+            (KForm, {"_d"}),
+            (VectorValuedForm, {"_d", "_torsion", "_inverse"}),
+            (TangentAlgebroid, {"_condition1", "_condition2"}),
+        ):
+            assert set(cls.__slots__) == set(cls._fields) | memos, cls.__name__
+            assert not memos & set(cls._fields)

@@ -32,7 +32,7 @@ from fncalc.cli import (
     main,
     run_check,
 )
-from fncalc.scalar import MAX_QUOTED
+from fncalc.scalar import MAX_QUOTED, ScalarExpr
 
 MANIFESTS = pathlib.Path(__file__).resolve().parent.parent / "manifests"
 #: "manifest construction" -> exit code and stdout of ``fncalc build … --format json``.
@@ -1014,6 +1014,18 @@ class TestOversizedCoefficients:
         assert captured.out == f"error: {self.MESSAGE}\n"
 
 
+def _wrap_bindings(monkeypatch, fn, wrapper) -> None:
+    """Install ``wrapper`` in place of ``fn`` at every fncalc module that binds it."""
+    modules = [fncalc] + [
+        importlib.import_module(f"fncalc.{info.name}")
+        for info in pkgutil.iter_modules(fncalc.__path__)
+    ]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, attr, wrapper)
+
+
 def _count_calls(monkeypatch) -> Counter:
     """Count nijenhuis_torsion, tangent_data_for_chart and the compositions
     K∘M of two endomorphisms, the guards N^2 = N, E^2 = ±Id and
@@ -1030,19 +1042,11 @@ def _count_calls(monkeypatch) -> Counter:
 
         return wrapper
 
-    modules = [fncalc] + [
-        importlib.import_module(f"fncalc.{info.name}")
-        for info in pkgutil.iter_modules(fncalc.__path__)
-    ]
     for key, fn in (
         ("torsion", calculus.nijenhuis_torsion),
         ("tangent_data", structures.tangent_data_for_chart),
     ):
-        wrapper = counting(key, fn)
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, wrapper)
+        _wrap_bindings(monkeypatch, fn, counting(key, fn))
     compose = VectorValuedForm.compose
 
     def counting_compose(self, other):
@@ -1126,8 +1130,9 @@ def test_each_recipe_calls_its_constructor_once(monkeypatch, recipe):
 #: check at the manifest's probe degree. The axioms and recipe checks read
 #: their residuals off D^2 (``check_cohomology``), a decompose check reaches
 #: the frame through ``_frame_bundle``, which reads the structure functions
-#: off dK - L, and an isomorphism check pulls F = dK - L back by K^{-1}; none
-#: of them brackets. A construction brackets nothing itself.
+#: off dK - L, and an isomorphism check reads phi K'(phi e_a, phi e_b) off
+#: condition 1 of D^2; none of them brackets. A construction brackets nothing
+#: itself.
 BRACKET_COUNTS = {
     ("f1_complex.json", "complex-J0"): 0,
     ("f1_complex.json", "complex-J1"): 0,
@@ -1188,6 +1193,67 @@ def test_failing_axioms_check_brackets_only_the_frame(monkeypatch, probe_degree)
     (descriptor,) = [d for d in manifest.checks if d["name"] == "axioms-N-zero"]
     assert run_check(manifest, descriptor).status == "fail"
     assert calls["bracket"] == 0
+
+
+#: (manifest, check name) -> (ScalarExpr.partial calls of the check run after
+#: the checks before it in its manifest, calls it makes more when it runs
+#: first), at probe degree 0. A derived tensor is kept on the record it is
+#: derived from, so a check reads what an earlier check derived from the same
+#: object: complex-J1 and product-P1 the torsion table of their endomorphism
+#: (n^3 = 8 partials on the plane), which torsion-J1 and torsion-P1 formed,
+#: and decompose-A the dK of its anchor (18 partials for J2's four 1-forms),
+#: which cohomology-A formed. axioms-A reads K' and L' off cohomology-A's
+#: D^2 (204 partials when it runs first, as cohomology-A takes) and
+#: isomorphism-A reads K' alone (82 partials first), so both differentiate
+#: nothing.
+SHARED_PARTIALS = {
+    ("f1_complex.json", "complex-J1"): (12, 8),
+    ("f3_product.json", "product-P1"): (6, 8),
+    ("f6_invertible.json", "axioms-A"): (0, 204),
+    ("f6_invertible.json", "isomorphism-A"): (0, 82),
+    ("f6_invertible.json", "decompose-A"): (130, 18),
+}
+
+
+@pytest.mark.parametrize("manifest_name", sorted({m for m, _ in SHARED_PARTIALS}))
+def test_checks_share_derived_tensors_in_manifest_order(monkeypatch, manifest_name):
+    """Each pinned check, run in manifest order, forms no tensor an earlier
+    check formed from the same object; axioms-A and isomorphism-A call no
+    Lie derivative, bracket or insertion at all."""
+    counts = Counter()
+    partial = ScalarExpr.partial
+
+    def counting_partial(self, var):
+        counts["partial"] += 1
+        return partial(self, var)
+
+    monkeypatch.setattr(ScalarExpr, "partial", counting_partial)
+    for fn in (calculus.lie_derivative, calculus.fn_bracket, calculus.insertion):
+
+        def counting(*args, _fn=fn):
+            counts[_fn.__name__] += 1
+            return _fn(*args)
+
+        _wrap_bindings(monkeypatch, fn, counting)
+
+    def run(first_only: str | None = None) -> dict[str, Counter]:
+        manifest = load_manifest(str(MANIFESTS / manifest_name), probe_degree=0)
+        out = {}
+        for descriptor in manifest.checks:
+            if first_only in (None, descriptor["name"]):
+                counts.clear()
+                assert run_check(manifest, descriptor).status == "pass"
+                out[descriptor["name"]] = +counts
+        return out
+
+    in_order = run()
+    for (pinned_manifest, name), (calls, saved) in SHARED_PARTIALS.items():
+        if pinned_manifest != manifest_name:
+            continue
+        got = in_order[name]["partial"]
+        assert (got, run(first_only=name)[name]["partial"] - got) == (calls, saved), name
+        if name in ("axioms-A", "isomorphism-A"):
+            assert in_order[name] == Counter(), name
 
 
 class TestSubcommands:
