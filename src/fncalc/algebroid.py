@@ -84,8 +84,7 @@ class TangentAlgebroid(_Record):
     algebroid exactly when D^2 = 0 (:func:`check_cohomology`).
     """
 
-    _fields = ("anchor", "correction")
-    __slots__ = _fields + ("_condition1", "_condition2")
+    __slots__ = _fields = ("anchor", "correction")
 
     def __init__(self, anchor: VectorValuedForm, correction: VectorValuedForm):
         if anchor.chart != correction.chart:
@@ -117,19 +116,18 @@ def fn_decompose(
     """Recover the unique pair (K, L) with D = L_K + i_L from generator actions.
 
     ``action_on_functions[j]`` is D(x^j) (a 1-form) and
-    ``action_on_differentials[j]`` is D(dx^j) (a 2-form). K^j = D(x^j) and
-    L^j = D(dx^j) - L_K dx^j, so L_K + i_L reproduces both actions by
-    construction: (L_K + i_L) x^j = i_K dx^j = K^j and
-    (L_K + i_L) dx^j = L_K dx^j + L^j; tests/test_calculus.py pins the round trip.
+    ``action_on_differentials[j]`` is D(dx^j) (a 2-form). K^j = D(x^j) and,
+    as L_K dx^j = i_K d dx^j - d i_K dx^j = -dK^j, L^j = D(dx^j) + dK^j. So
+    L_K + i_L reproduces both actions by construction: (L_K + i_L) x^j =
+    i_K dx^j = K^j and (L_K + i_L) dx^j = -dK^j + L^j; tests/test_calculus.py
+    pins the round trip.
     """
     if len(action_on_functions) != chart.dim or len(
         action_on_differentials
     ) != chart.dim:
         raise AlgebroidError("one generator action per coordinate required")
     K = VectorValuedForm(chart, 1, action_on_functions)
-    # L_K on all n differentials at once: the identity's components are the dx^j
-    lie = lie_derivative(K, VectorValuedForm.identity(chart)).components
-    L = VectorValuedForm(chart, 2, [a - b for a, b in zip(action_on_differentials, lie)])
+    L = VectorValuedForm(chart, 2, action_on_differentials) + exterior_d(K)
     return TangentAlgebroid(K, L)
 
 
@@ -169,13 +167,13 @@ def check_cohomology(alg: TangentAlgebroid) -> CohomologyReport:
     return CohomologyReport(_condition1(alg), _condition2(alg))
 
 
-@_kept("_condition1")
+@_kept
 def _condition1(alg: TangentAlgebroid) -> VectorValuedForm:
     """K' = L_K K + K∘L: D^2 x^j = K'^j."""
     return lie_derivative(alg.anchor, alg.anchor) + alg.anchor.compose(alg.correction)
 
 
-@_kept("_condition2")
+@_kept
 def _condition2(alg: TangentAlgebroid) -> VectorValuedForm:
     """L' = [K, L]_FN + i_L L: D^2 dx^j = dK'^j + L'^j."""
     return fn_bracket(alg.anchor, alg.correction) + insertion(alg.correction, alg.correction)
@@ -285,7 +283,7 @@ def _frame_bundle(alg: TangentAlgebroid) -> BundleAlgebroid:
     return BundleAlgebroid(chart, chart.dim, list(zip(*alg.anchor.matrix())), structure)
 
 
-@_kept("_inverse")
+@_kept
 def _anchor_inverse(K: VectorValuedForm) -> VectorValuedForm:
     """K^{-1}; SingularAnchorError if the anchor is not invertible."""
     try:

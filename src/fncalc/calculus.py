@@ -66,13 +66,13 @@ class _Record:
     """A value named by its ``_fields``: ``_Record.__init__`` takes one value
     per field, in order, and a record equals one of its own class with equal
     fields and is hashed and shown by them. A record is never mutated after
-    construction, so a tensor derived from it is kept in a memo slot outside
-    ``_fields`` (:func:`_kept`). A class with defaults or checks has its own
-    ``__init__``; one without ``_fields`` only shares behaviour. :class:`KForm`
-    is the one record with its own ``__hash__``, as its ``coeffs`` dict cannot
-    be hashed. Being no dataclass keeps ``dataclasses`` off the cold start."""
+    construction, so a tensor derived from it is kept in its one memo, a dict
+    outside ``_fields`` (:func:`_kept`). A class with defaults or checks has
+    its own ``__init__``; one without ``_fields`` only shares behaviour.
+    :class:`KForm` is the one record with its own ``__hash__``, as its ``coeffs``
+    dict cannot be hashed. Being no dataclass keeps ``dataclasses`` off the cold start."""
 
-    __slots__ = ()
+    __slots__ = ("_memo",)
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
@@ -98,20 +98,20 @@ class _Record:
         return f"{self.__class__.__qualname__}({fields})"
 
 
-def _kept(slot: str) -> Callable:
+def _kept(compute: Callable) -> Callable:
     """Decorate a function of a record: its value is computed once per record
-    and kept in the record's memo ``slot``."""
+    and kept in the record's memo, created on first use and keyed by
+    ``compute``. A call that raises keeps nothing, so it raises again."""
 
-    def decorate(compute: Callable) -> Callable:
-        @functools.wraps(compute)
-        def kept(record):
-            if (value := getattr(record, slot, None)) is None:
-                setattr(record, slot, value := compute(record))
-            return value
+    @functools.wraps(compute)
+    def kept(record):
+        if (memo := getattr(record, "_memo", None)) is None:
+            memo = record._memo = {}
+        if (value := memo.get(compute)) is None:
+            value = memo[compute] = compute(record)
+        return value
 
-        return kept
-
-    return decorate
+    return kept
 
 
 class Chart(_Record):
@@ -256,8 +256,7 @@ class KForm(_Record):
     raising.
     """
 
-    _fields = ("chart", "degree", "coeffs", "generators")
-    __slots__ = _fields + ("_d",)
+    __slots__ = _fields = ("chart", "degree", "coeffs", "generators")
 
     def __init__(
         self,
@@ -403,8 +402,7 @@ class VectorValuedForm(_Components):
     Degree 0 is a vector field in disguise, degree 1 an endomorphism field.
     """
 
-    _fields = ("chart", "degree", "components")
-    __slots__ = _fields + ("_d", "_torsion", "_inverse")
+    __slots__ = _fields = ("chart", "degree", "components")
 
     def __init__(self, chart: Chart, degree: int, components: Sequence[KForm]):
         components = tuple(components)
@@ -527,7 +525,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
     return KForm(a.chart, a.degree + b.degree, _sum_terms(a.chart, terms), a.generators)
 
 
-@_kept("_d")
+@_kept
 def exterior_d(a: KForm | VectorValuedForm):
     """d of a form, or of each component of a vector-valued form; kept on ``a``."""
     if isinstance(a, VectorValuedForm):
@@ -548,16 +546,9 @@ def exterior_d(a: KForm | VectorValuedForm):
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
-    """[X, Y]^j = Σ_i X^i ∂_i Y^j - Y^i ∂_i X^j: 2n terms with one lane per j."""
+    """[X, Y]^j = X(Y^j) - Y(X^j), by the directional derivative X(f)."""
     _check_chart(X, Y)
-    chart = X.chart
-    terms = []
-    for Xi, Yi, name in zip(X.components, Y.components, chart.coord_names):
-        if not Xi.is_zero:
-            terms.append((Xi, [Yj.partial(name) for Yj in Y.components], False))
-        if not Yi.is_zero:
-            terms.append((Yi, [Xj.partial(name) for Xj in X.components], True))
-    return VectorField(chart, ScalarExpr.sums_of_products(chart.ring, chart.dim, terms))
+    return VectorField(X.chart, [X(b) - Y(a) for a, b in zip(X.components, Y.components)])
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +661,7 @@ def fn_bracket(A: VectorValuedForm, B: VectorValuedForm) -> VectorValuedForm:
     return _extract(A, B, lie_derivative, 0)
 
 
-@_kept("_torsion")
+@_kept
 def nijenhuis_torsion(N: VectorValuedForm) -> VectorValuedForm:
     """T_N(X,Y) = [NX,NY] - N[NX,Y] - N[X,NY] + N^2[X,Y], built on frame pairs.
 

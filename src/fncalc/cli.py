@@ -41,10 +41,10 @@ from .calculus import (
 )
 from .scalar import ScalarError, ScalarExpr, _quote
 from .structures import (
-    _d_components,
     complex_algebroid,
     connection_algebroid,
     connection_from_semispray,
+    d_components,
     foliation_connection,
     idempotent_algebroid,
     product_algebroid,
@@ -558,7 +558,7 @@ def _recipe_check(recipe: str) -> tuple[str, Callable[[Manifest, Any], tuple[lis
 
 def _check_foliation(manifest: Manifest, gamma: VectorValuedForm) -> tuple[list, dict]:
     data = foliation_connection(gamma)
-    _, d2m1, d01 = _d_components(gamma, data.curvature)
+    _, d2m1, d01 = d_components(gamma)
     records = (
         _records("bracket_table", data.bracket_table)
         + _cohomology_records("d_{2,-1}.", d2m1)
@@ -618,14 +618,11 @@ def run_check(manifest: Manifest, descriptor: dict[str, Any]) -> CheckRecord:
     start = time.perf_counter()
     try:
         records, details = check(manifest, _lookup(manifest, key, descriptor.get(key)))
-        status = (
-            "pass" if all(r["value"] == "0" for r in records) else "fail"
-        )
-        record = CheckRecord(name, construction, status, records, details=details)
+        status, message = "pass" if all(r["value"] == "0" for r in records) else "fail", ""
     except _CHECK_ERRORS as exc:
-        record = CheckRecord(name, construction, "error", [], message=str(exc))
-    record.elapsed = time.perf_counter() - start
-    return record
+        status, records, message, details = "error", [], str(exc), None
+    elapsed = time.perf_counter() - start
+    return CheckRecord(name, construction, status, records, message, details, elapsed)
 
 
 # ---------------------------------------------------------------------------

@@ -1066,9 +1066,10 @@ _TOKEN_RE = re.compile(
 def _tokenize(text: str):
     tokens = []
     pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        if m.start() != pos:  # a character that starts no token
-            break
+    # anchored matches scan a run of whitespace once; a search would rescan
+    # it from each of its positions when no token follows it
+    match = _TOKEN_RE.match
+    while m := match(text, pos):
         kind = m.lastgroup
         tokens.append((kind, m[kind], m.start(kind)))
         pos = m.end()

@@ -8,14 +8,15 @@ relations such as T_{λE+μ·Id} = λ²T_E, bracket closed forms, the split of d
 and of a form by a projector) are pinned by the test suite and not checked
 at run time.
 
-Each precondition is evaluated once per object, as a torsion is kept on its
-endomorphism. A projector's torsion T_N also decides the involutivity of
-its image, since (Id-N)T_N(e_a, e_b) = (Id-N)[N e_a, N e_b]. Complex, product and
-connection structures all build their projector as one half-projector
-(Id - E)/2: p± from E = ±iJ, p- from E = P and v from E = Gamma. It is
-idempotent exactly when E^2 = Id, that is J^2 = -Id, P^2 = Id or
-Gamma^2 = Id, so it is not re-checked; an integrable complex or product
-structure needs no projector torsion at all.
+Each precondition is evaluated once per object: an endomorphism keeps its
+square, which N^2 = N and E^2 = ±Id both read, and its torsion T_N, which
+decides the involutivity of a projector's image, as (Id-N)T_N(e_a, e_b) =
+(Id-N)[N e_a, N e_b]; an accepted projector keeps that verdict, a rejected
+one raises on every call. Complex, product and connection structures all
+build their projector as one half-projector (Id - E)/2: p± from E = ±iJ, p-
+from E = P and v from E = Gamma. It is idempotent exactly when E^2 = Id,
+that is J^2 = -Id, P^2 = Id or Gamma^2 = Id, so it is not re-checked; an
+integrable complex or product structure needs no projector torsion at all.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .calculus import (
     KForm,
     VectorField,
     VectorValuedForm,
+    _kept,
     _Record,
     complexify_vvf,
     fn_bracket,
@@ -110,15 +112,23 @@ class NotConnectionError(StructureError):
 # ---------------------------------------------------------------------------
 
 
+@_kept
+def _square(E: VectorValuedForm) -> VectorValuedForm:
+    """E∘E, kept on E: N^2 = N and E^2 = ±Id both read it."""
+    return E.compose(E)
+
+
 def _require_idempotent(N: VectorValuedForm) -> None:
     if N.degree != 1:
         raise StructureError("expected a degree-1 endomorphism field")
-    if N.compose(N) != N:
+    if _square(N) != N:
         raise NotIdempotentError("endomorphism does not satisfy N^2 = N")
 
 
+@_kept
 def _projector_torsion(N: VectorValuedForm) -> VectorValuedForm:
-    """T_N of an idempotent N; ImageNotInvolutiveError unless Im N is involutive.
+    """T_N of an idempotent N, kept on N once Im N is found involutive;
+    ImageNotInvolutiveError, on every call, unless it is.
 
     Basis images generate Im N as a module, and Leibniz correction terms of
     module generators stay inside the distribution, so (Id-N)[N e_a, N e_b]
@@ -161,7 +171,7 @@ def complement_operator(N: VectorValuedForm) -> TangentAlgebroid:
 def _require_square(E: VectorValuedForm, sign: int, error: type, name: str) -> None:
     """Raise ``error`` unless E^2 = sign Id."""
     chart = E.chart
-    if E.compose(E) != VectorValuedForm.identity(chart).scaled(chart.const(sign)):
+    if _square(E) != VectorValuedForm.identity(chart).scaled(chart.const(sign)):
         raise error(f"endomorphism does not satisfy {name}^2 = {sign} Id")
 
 
@@ -339,13 +349,7 @@ def d_components(
     differential holds for every projector and is pinned by the test suite.
     """
     _require_idempotent(gamma)
-    return _d_components(gamma, _projector_torsion(gamma))
-
-
-def _d_components(
-    gamma: VectorValuedForm, curvature: VectorValuedForm
-) -> tuple[TangentAlgebroid, TangentAlgebroid, TangentAlgebroid]:
-    """d_components once gamma is an accepted projector with curvature T_gamma."""
+    curvature = _projector_torsion(gamma)
     chart = gamma.chart
     two = chart.const(2)
     d10 = TangentAlgebroid(

@@ -23,6 +23,7 @@ from fncalc.calculus import (
     KForm,
     VectorField,
     VectorValuedForm,
+    _Record,
     complexify_vvf,
     exterior_d,
     fn_bracket,
@@ -718,10 +719,8 @@ class TestMemos:
             derive(record)
             assert record == bare and bare == record and not record != bare
             assert hash(record) == hash(bare) and repr(record) == repr(bare)
-        for cls, memos in (
-            (KForm, {"_d"}),
-            (VectorValuedForm, {"_d", "_torsion", "_inverse"}),
-            (TangentAlgebroid, {"_condition1", "_condition2"}),
-        ):
-            assert set(cls.__slots__) == set(cls._fields) | memos, cls.__name__
-            assert not memos & set(cls._fields)
+        # the one memo slot is _Record's; a record class declares only its fields
+        assert _Record.__slots__ == ("_memo",)
+        for cls in (KForm, VectorValuedForm, TangentAlgebroid):
+            assert cls.__slots__ == cls._fields, cls.__name__
+            assert "_memo" not in cls._fields

@@ -3,7 +3,8 @@
 ``report_hashes.json`` maps "manifest seed probe-degree" to the sha256 of the
 JSON report on stdout, the sha256 of stderr and the exit code. The golden
 reports in ``tests/golden/`` pin seed 0 at the manifests' own probe degree;
-this pins seeds 0 and 7, each at the manifest's degree and at degree 0.
+this pins seeds 0 and 7, each at the manifest's degree and at degrees 0, 1, 3
+and 4 (every degree up to 4).
 """
 
 import contextlib
@@ -17,8 +18,8 @@ from fncalc.cli import main
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 HASHES = pathlib.Path(__file__).resolve().parent / "report_hashes.json"
 SEEDS = ("0", "7")
-#: Probe-degree option lists: the manifest's own degree, and degree 0.
-PROBE_DEGREES = {"default": (), "0": ("--probe-degree", "0")}
+#: Probe-degree option lists: the manifest's own degree (2), and each other degree.
+PROBE_DEGREES = {"default": ()} | {d: ("--probe-degree", d) for d in "0134"}
 
 
 def report_hashes() -> dict[str, dict]:
@@ -46,5 +47,5 @@ def test_reports_match_pinned_hashes(monkeypatch):
     monkeypatch.chdir(ROOT)
     expected = json.loads(HASHES.read_text())
     actual = report_hashes()
-    assert len(actual) == 36
+    assert len(actual) == 90
     assert actual == expected

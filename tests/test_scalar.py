@@ -40,6 +40,7 @@ from fncalc.scalar import (
     _neg,
     _pow,
     _reduce,
+    _tokenize,
     coordinate_ring,
     parse_expr,
 )
@@ -217,6 +218,34 @@ class TestParser:
             assert message in str(exc.value), text
             assert f"(at position {position})" in str(exc.value), text
         assert expr("x ") == expr("x")
+
+    def test_whitespace_padded_layouts(self):
+        """Each token keeps its text and position however the whitespace
+        around it runs; a run before the end or before a character that
+        starts no token is skipped once."""
+        pad = " \t\n\u00a0" * 16  # 64 characters, NBSP included
+        n = len(pad)
+        assert _tokenize(pad + "x" + pad + "+" + pad + "12" + pad) == [
+            ("name", "x", n),
+            ("op", "+", 2 * n + 1),
+            ("int", "12", 3 * n + 2),
+            ("end", "", 4 * n + 4),
+        ]
+        assert _tokenize("x" + pad) == [("name", "x", 0), ("end", "", n + 1)]
+        assert _tokenize(pad) == [("end", "", n)]
+        assert expr(pad + "x" + pad + "*" + pad + "y" + pad) == expr("x*y")
+        for text, message, position in (
+            (pad + "$", "unexpected character '$'", n),
+            ("x" + pad + "$", "unexpected character '$'", n + 1),
+            ("x" + pad + "é" + pad, "unexpected character 'é'", n + 1),
+            ("x" + pad + "²", "unexpected character '²'", n + 1),
+            (pad, "unexpected token ''", n),
+            ("x" + pad + "+" + pad, "unexpected token ''", 2 * n + 2),
+        ):
+            with pytest.raises(ExprSyntaxError) as exc:
+                expr(text)
+            assert str(exc.value) == f"{message} (at position {position})", repr(text)
+            assert exc.value.position == position, repr(text)
 
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariableError):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from fncalc import structures
 from fncalc.algebroid import check_axioms, check_cohomology
 from fncalc.calculus import (
     Chart,
@@ -40,7 +41,23 @@ from fncalc.structures import (
     tangent_chart,
 )
 
-from helpers import bracket_full_form, contracted_bracket, endo, product_bracket_form, random_kform
+from helpers import (
+    bracket_full_form,
+    contracted_bracket,
+    endo,
+    fresh,
+    product_bracket_form,
+    random_kform,
+)
+
+
+def _non_involutive_projector() -> VectorValuedForm:
+    """The projector onto span{d/dx, d/dy - x d/dz}, whose brackets leave the image."""
+    ch = Chart(("x", "y", "z"))
+    one, zero = ch.one, ch.zero
+    return VectorValuedForm.from_matrix(
+        ch, [[one, zero, zero], [zero, one, zero], [zero, ch.scalar("-x"), zero]]
+    )
 
 
 class TestIdempotent:
@@ -62,17 +79,8 @@ class TestIdempotent:
             idempotent_algebroid(endo("J0"))
 
     def test_non_involutive_image_rejected(self):
-        # projector onto span{d/dx, d/dy - x d/dz}: brackets leave the image
-        ch = Chart(("x", "y", "z"))
-        one, zero = ch.one, ch.zero
-        N = VectorValuedForm.from_matrix(
-            ch,
-            [
-                [one, zero, zero],
-                [zero, one, zero],
-                [zero, ch.scalar("-x"), zero],
-            ],
-        )
+        N = _non_involutive_projector()
+        ch = N.chart
         assert N.compose(N) == N
         with pytest.raises(ImageNotInvolutiveError) as raised:
             idempotent_algebroid(N)
@@ -85,6 +93,15 @@ class TestIdempotent:
                 break
         assert (raised.value.pair, raised.value.residual) == (pair, residual)
         assert not residual.is_zero
+
+    def test_rejected_projector_raises_on_every_call(self):
+        """A projector whose image is not involutive keeps no torsion: every
+        construction from it raises, not only the first."""
+        N = _non_involutive_projector()
+        constructions = (idempotent_algebroid, d_components, foliation_connection)
+        for construct in constructions + constructions:
+            with pytest.raises(ImageNotInvolutiveError):
+                construct(N)
 
     def test_tensorial_operator_squares_to_zero(self):
         op = d_components(endo("N0"))[1]  # i_{-T_N}
@@ -233,6 +250,24 @@ class TestFoliation:
         assert (len(data.horizontal), len(data.vertical)) == (2, 1)
         with pytest.raises(NotIdempotentError):
             foliation_connection(endo("J0"))
+
+    def test_d_components_read_what_the_foliation_kept(self, monkeypatch):
+        """After foliation_connection(gamma), d_components(gamma) reads the
+        square and the curvature kept on gamma: it composes nothing and forms
+        no torsion."""
+        gamma = fresh(endo("gamma0"))
+        curvature = foliation_connection(gamma).curvature
+        calls = []
+        compose, torsion = VectorValuedForm.compose, structures.nijenhuis_torsion
+        monkeypatch.setattr(
+            VectorValuedForm, "compose", lambda K, M: calls.append("compose") or compose(K, M)
+        )
+        monkeypatch.setattr(
+            structures, "nijenhuis_torsion", lambda N: calls.append("torsion") or torsion(N)
+        )
+        d10, d2m1, d01 = d_components(gamma)
+        assert calls == []
+        assert d2m1.correction == -curvature and d01.anchor is gamma
 
     def test_d_component_cohomology(self):
         d10, d2m1, d01 = d_components(endo("gamma0"))
