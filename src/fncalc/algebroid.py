@@ -264,9 +264,10 @@ def _along(V: VectorField, W: VectorField) -> VectorField:
     return VectorField(W.chart, [V(c) for c in W.components])
 
 
+@_kept
 def _structure_form(alg: TangentAlgebroid) -> VectorValuedForm:
-    """F = dK - L, whose frame values are the brackets c_ab = [[e_a, e_b]]:
-    as [e_a, e_b] = 0 and (K e_b)^j = K^j_b,
+    """F = dK - L, kept on the algebroid, whose frame values are the brackets
+    c_ab = [[e_a, e_b]]: as [e_a, e_b] = 0 and (K e_b)^j = K^j_b,
 
         [[e_a, e_b]]^j = ∂_a K^j_b - ∂_b K^j_a - L^j_ab = (dK^j - L^j)_ab."""
     return exterior_d(alg.anchor) - alg.correction

@@ -8,15 +8,16 @@ relations such as T_{λE+μ·Id} = λ²T_E, bracket closed forms, the split of d
 and of a form by a projector) are pinned by the test suite and not checked
 at run time.
 
-Each precondition is evaluated once per object: an endomorphism keeps its
-square, which N^2 = N and E^2 = ±Id both read, and its torsion T_N, which
-decides the involutivity of a projector's image, as (Id-N)T_N(e_a, e_b) =
-(Id-N)[N e_a, N e_b]; an accepted projector keeps that verdict, a rejected
-one raises on every call. Complex, product and connection structures all
-build their projector as one half-projector (Id - E)/2: p± from E = ±iJ, p-
-from E = P and v from E = Gamma. It is idempotent exactly when E^2 = Id,
-that is J^2 = -Id, P^2 = Id or Gamma^2 = Id, so it is not re-checked; an
-integrable complex or product structure needs no projector torsion at all.
+An idempotent N keeps its algebroid (N, -T_N) once accepted, so its
+preconditions are decided once per object: N^2 = N, and the involutivity
+of its image, which T_N decides as (Id-N)T_N(e_a, e_b) = (Id-N)[N e_a,
+N e_b]. The foliation check and the bigraded pieces of d read that one
+algebroid; a rejected N keeps nothing and raises on every call. Complex,
+product and connection structures all build their projector as one
+half-projector (Id - E)/2: p± from E = ±iJ, p- from E = P and v from E =
+Gamma. It is idempotent exactly when E^2 = Id, that is J^2 = -Id, P^2 = Id
+or Gamma^2 = Id, so it is not re-checked; an integrable complex or product
+structure needs no projector torsion at all.
 """
 
 from __future__ import annotations
@@ -112,23 +113,16 @@ class NotConnectionError(StructureError):
 # ---------------------------------------------------------------------------
 
 
-@_kept
-def _square(E: VectorValuedForm) -> VectorValuedForm:
-    """E∘E, kept on E: N^2 = N and E^2 = ±Id both read it."""
-    return E.compose(E)
-
-
 def _require_idempotent(N: VectorValuedForm) -> None:
     if N.degree != 1:
         raise StructureError("expected a degree-1 endomorphism field")
-    if _square(N) != N:
+    if N.compose(N) != N:
         raise NotIdempotentError("endomorphism does not satisfy N^2 = N")
 
 
-@_kept
 def _projector_torsion(N: VectorValuedForm) -> VectorValuedForm:
-    """T_N of an idempotent N, kept on N once Im N is found involutive;
-    ImageNotInvolutiveError, on every call, unless it is.
+    """T_N of an idempotent N whose image is involutive; ImageNotInvolutiveError
+    unless it is.
 
     Basis images generate Im N as a module, and Leibniz correction terms of
     module generators stay inside the distribution, so (Id-N)[N e_a, N e_b]
@@ -146,8 +140,10 @@ def _projector_torsion(N: VectorValuedForm) -> VectorValuedForm:
     return torsion
 
 
+@_kept
 def idempotent_algebroid(N: VectorValuedForm) -> TangentAlgebroid:
-    """Anchor N, bracket [X,Y]_N + T_N(X,Y), for idempotent N with involutive image."""
+    """Anchor N, bracket [X,Y]_N + T_N(X,Y), for idempotent N with involutive
+    image; kept on N once accepted, so a rejected N raises on every call."""
     _require_idempotent(N)
     return TangentAlgebroid(N, -_projector_torsion(N))
 
@@ -171,7 +167,7 @@ def complement_operator(N: VectorValuedForm) -> TangentAlgebroid:
 def _require_square(E: VectorValuedForm, sign: int, error: type, name: str) -> None:
     """Raise ``error`` unless E^2 = sign Id."""
     chart = E.chart
-    if _square(E) != VectorValuedForm.identity(chart).scaled(chart.const(sign)):
+    if E.compose(E) != VectorValuedForm.identity(chart).scaled(chart.const(sign)):
         raise error(f"endomorphism does not satisfy {name}^2 = {sign} Id")
 
 
@@ -344,19 +340,18 @@ def d_components(
 ) -> tuple[TangentAlgebroid, TangentAlgebroid, TangentAlgebroid]:
     """(K, L) pairs of the three bigraded pieces of d: (d_{1,0}, d_{2,-1}, d_{0,1}).
 
-    d_{1,0} = L_{Id-gamma} + i_{2R}, d_{2,-1} = i_{-R}, d_{0,1} = L_gamma + i_{-R},
-    with R the curvature of the projector. That they sum to the exterior
-    differential holds for every projector and is pinned by the test suite.
+    d_{0,1} = L_gamma + i_{-R}, R the curvature of the projector, is the
+    idempotent algebroid kept on gamma; d_{2,-1} = i_{-R} and d_{1,0} =
+    L_{Id-gamma} + i_{2R} are read off its correction. That they sum to the
+    exterior differential holds for every projector and is pinned by the
+    test suite.
     """
-    _require_idempotent(gamma)
-    curvature = _projector_torsion(gamma)
+    d01 = idempotent_algebroid(gamma)
     chart = gamma.chart
-    two = chart.const(2)
     d10 = TangentAlgebroid(
-        VectorValuedForm.identity(chart) - gamma, curvature.scaled(two)
+        VectorValuedForm.identity(chart) - gamma, d01.correction.scaled(chart.const(-2))
     )
-    d2m1 = TangentAlgebroid(VectorValuedForm.zero(chart, 1), -curvature)
-    d01 = TangentAlgebroid(gamma, -curvature)
+    d2m1 = TangentAlgebroid(VectorValuedForm.zero(chart, 1), d01.correction)
     return d10, d2m1, d01
 
 

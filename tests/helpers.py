@@ -117,6 +117,31 @@ def random_vvf(
     )
 
 
+def seeded_idempotent(chart: Chart, rank: int, rng: random.Random) -> VectorValuedForm:
+    """N = P·E·P^{-1} with E = diag(1..1, 0..0) of the given rank and P a
+    product of 1-3 elementary matrices Id + f·E_ij, f = ±x_k^e: P^{-1} is the
+    reversed product with -f, so N is polynomial and N^2 = N by construction.
+    Im N is spanned by the first ``rank`` columns of P and ker N by the rest."""
+    n = chart.dim
+    identity = VectorValuedForm.identity(chart)
+
+    def elementary(i: int, j: int, f: ScalarExpr) -> VectorValuedForm:
+        mat = identity.matrix()
+        mat[i][j] = f
+        return VectorValuedForm.from_matrix(chart, mat)
+
+    P = P_inverse = identity
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.sample(range(n), 2)
+        x = chart.coordinate(rng.randrange(n))
+        f = x ** rng.randint(1, 2) * chart.const(rng.choice((1, -1)))
+        P, P_inverse = P.compose(elementary(i, j, f)), elementary(i, j, -f).compose(P_inverse)
+    E = VectorValuedForm.from_matrix(
+        chart, [[chart.one if i == j < rank else chart.zero for j in range(n)] for i in range(n)]
+    )
+    return P.compose(E).compose(P_inverse)
+
+
 def flat_connection(chart: Chart, rank: int) -> LinearConnection:
     """The connection with all Christoffel symbols zero."""
     block = tuple(tuple(chart.zero for _ in range(rank)) for _ in range(rank))

@@ -2,11 +2,12 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from fncalc import structures
+from fncalc import algebroid, structures
 from fncalc.algebroid import check_axioms, check_cohomology
 from fncalc.calculus import (
     Chart,
@@ -48,6 +49,7 @@ from helpers import (
     fresh,
     product_bracket_form,
     random_kform,
+    seeded_idempotent,
 )
 
 
@@ -102,6 +104,51 @@ class TestIdempotent:
         for construct in constructions + constructions:
             with pytest.raises(ImageNotInvolutiveError):
                 construct(N)
+
+    @staticmethod
+    def _seeded(seed: int) -> VectorValuedForm:
+        """A seeded idempotent of dimension 3 or 4 and rank 1 to dim - 1."""
+        rng = random.Random(seed)
+        n = rng.choice((3, 4))
+        chart = Chart(("x", "y", "z", "w")[:n])
+        return seeded_idempotent(chart, rng.randint(1, n - 1), rng)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_idempotent_theorem(self, seed):
+        """The paper's idempotent theorem on N = P·E·P^{-1}: (N, -T_N) is
+        accepted exactly when (Id-N)[N e_a, N e_b] = 0 on every frame pair, a
+        rejected N names the first pair whose bracket leaves the image, and an
+        accepted one is a Lie algebroid; so is L_{Id-N} when T_N = 0."""
+        N = self._seeded(seed)
+        assert N.compose(N) == N
+        images = [N.apply(e) for e in N.chart.basis_vectors()]
+        leaving = []
+        for a, b in itertools.combinations(range(N.chart.dim), 2):
+            br = lie_bracket(images[a], images[b])
+            if not (residual := br - N.apply(br)).is_zero:
+                leaving.append(((a, b), residual))
+        if leaving:
+            with pytest.raises(ImageNotInvolutiveError) as raised:
+                idempotent_algebroid(N)
+            assert (raised.value.pair, raised.value.residual) == leaving[0]
+        else:
+            alg = idempotent_algebroid(N)
+            assert check_cohomology(alg).passed
+            assert check_axioms(alg, probe_degree=1).passed
+            if alg.correction.is_zero:
+                assert check_cohomology(complement_operator(N)).passed
+
+    def test_seeded_idempotents_include_torsion(self):
+        """Some accepted seeded N has T_N != 0 (a kernel that is not involutive),
+        so the property above is not only about torsion-free projectors."""
+        with_torsion = 0
+        for seed in range(40):
+            N = self._seeded(seed)
+            try:
+                with_torsion += not idempotent_algebroid(N).correction.is_zero
+            except ImageNotInvolutiveError:
+                pass
+        assert with_torsion >= 1
 
     def test_tensorial_operator_squares_to_zero(self):
         op = d_components(endo("N0"))[1]  # i_{-T_N}
@@ -253,8 +300,8 @@ class TestFoliation:
 
     def test_d_components_read_what_the_foliation_kept(self, monkeypatch):
         """After foliation_connection(gamma), d_components(gamma) reads the
-        square and the curvature kept on gamma: it composes nothing and forms
-        no torsion."""
+        idempotent algebroid kept on gamma: it composes nothing and forms no
+        torsion."""
         gamma = fresh(endo("gamma0"))
         curvature = foliation_connection(gamma).curvature
         calls = []
@@ -268,6 +315,29 @@ class TestFoliation:
         d10, d2m1, d01 = d_components(gamma)
         assert calls == []
         assert d2m1.correction == -curvature and d01.anchor is gamma
+
+    def test_foliation_keeps_one_algebroid_and_one_structure_form(self):
+        """foliation_connection(gamma) keeps the idempotent algebroid on gamma,
+        which is d_{0,1}, and its three bracket-table brackets on f4 read one
+        F = dK - L kept on that algebroid: the function behind
+        algebroid._structure_form runs once."""
+        gamma = fresh(endo("gamma0"))
+        structure_form = algebroid._structure_form
+        body = getattr(structure_form, "__wrapped__", structure_form).__code__
+        runs = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is body:
+                runs.append(event)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            data = foliation_connection(gamma)
+        finally:
+            sys.setprofile(previous)
+        assert (len(data.bracket_table), len(runs)) == (3, 1)
+        assert d_components(gamma)[2] is idempotent_algebroid(gamma)
 
     def test_d_component_cohomology(self):
         d10, d2m1, d01 = d_components(endo("gamma0"))
